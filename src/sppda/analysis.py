@@ -7,13 +7,14 @@ All rates are exact rationals; floats appear only in rendered output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrays import AssociationProfile, ParameterError, binom, construction_a_pda, man_pda
 from .construct import (
     SpPdaArray,
     construct_sppda,
+    group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
 )
@@ -112,13 +113,13 @@ class SweepConfig:
     verify_cap: int = 10 ** 5
 
 
-def _man_parameters(config: SweepConfig) -> int:
+def _man_parameters(config: SweepConfig) -> tuple[int, int]:
     lam = config.profile.num_groups
     t1 = config.mh_ratio * lam
     if t1.denominator != 1 or not 1 <= t1 <= lam - 1:
         raise UnrealizableMemoryError(
             f"mh_ratio {config.mh_ratio} needs t1 = Lambda*mh in [1, {lam - 1}], got {t1}")
-    return int(t1)
+    return lam, int(t1)
 
 
 def _construction_a_parameters(config: SweepConfig) -> tuple[int, int]:
@@ -131,18 +132,26 @@ def _construction_a_parameters(config: SweepConfig) -> tuple[int, int]:
     return q, lam // q - 1
 
 
+# Per scheme: the first array's parameters (Lambda, t1) or (q, m) for a config, its family,
+# F and closed-form S of the pairing with MaN(L_1, t2), and the first array's Z, so that
+# Z^(h) = Z C(L_1, t2).  Since t1/Lambda = 1/q = M_h/N, M_p/N = (1 - M_h/N) t2/L_1.
+_PAIRINGS = {
+    "man_pair": (_man_parameters, man_pda, man_pair_subpacketization, s_closed_form_man,
+                 lambda lam, t1: binom(lam - 1, t1 - 1)),
+    "construction_a_pair": (_construction_a_parameters, construction_a_pda,
+                            construction_a_subpacketization, s_closed_form_construction_a,
+                            lambda q, m: q ** (m - 1)),
+}
+
+
 def _cross_check(sp: SpPdaArray, f: int, s: int, zh: int) -> bool:
     """Check the closed forms against the materialized array: exact F and
-    distinct-code count, and D2 star availability under identity grouping."""
+    distinct-code count, and D2 star availability under its grouping."""
     codes = {e for row in sp.pda.grid for e in row if e != 0}
     if sp.pda.f != f or len(codes) != s or sp.helper_stars != zh:
         return False
-    for lam in range(1, sp.profile.num_groups + 1):
-        cols = sp.group_columns(lam)
-        stars = sum(1 for row in sp.pda.grid if all(row[c - 1] == 0 for c in cols))
-        if stars < zh:
-            return False
-    return True
+    masks = group_star_masks(sp.pda.grid, sp.profile.parts, sp.grouping)
+    return all(mask.bit_count() >= zh for mask in masks)
 
 
 def sweep(config: SweepConfig) -> list[SchemePoint]:
@@ -152,43 +161,25 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
     l1 = profile.part(1)
     points = []
     for scheme in config.schemes:
-        if scheme == "man_pair":
-            t1 = _man_parameters(config)
-            lam = profile.num_groups
-            p1 = None
-            for t2 in config.t2_values:
-                f = man_pair_subpacketization(lam, t1, l1, t2)
-                s = s_closed_form_man(lam, t1, profile, t2)
-                mp = (1 - Fraction(t1, lam)) * Fraction(t2, l1)
-                verified = False
-                if f <= config.verify_cap:
-                    if p1 is None:
-                        p1 = man_pda(lam, t1)
-                    sp = construct_sppda(p1, man_pda(l1, t2), profile, validate=False)
-                    if not _cross_check(sp, f, s, binom(lam - 1, t1 - 1) * binom(l1, t2)):
-                        raise ParameterError(
-                            f"closed form disagrees with construction at man_pair t2={t2}")
-                    verified = True
-                points.append(SchemePoint(scheme, t2, mp, Fraction(s, f), f, s, verified))
-        elif scheme == "construction_a_pair":
-            q, m = _construction_a_parameters(config)
-            p1 = None
-            for t2 in config.t2_values:
-                f = construction_a_subpacketization(q, m, l1, t2)
-                s = s_closed_form_construction_a(q, m, profile, t2)
-                mp = (1 - Fraction(1, q)) * Fraction(t2, l1)
-                verified = False
-                if f <= config.verify_cap:
-                    if p1 is None:
-                        p1 = construction_a_pda(q, m)
-                    sp = construct_sppda(p1, man_pda(l1, t2), profile, validate=False)
-                    if not _cross_check(sp, f, s, q ** (m - 1) * binom(l1, t2)):
-                        raise ParameterError(
-                            f"closed form disagrees with construction at construction_a t2={t2}")
-                    verified = True
-                points.append(SchemePoint(scheme, t2, mp, Fraction(s, f), f, s, verified))
-        else:
+        if scheme not in _PAIRINGS:
             raise ParameterError(f"unknown scheme {scheme!r}")
+        parameters, family, subpacketization, s_closed_form, first_z = _PAIRINGS[scheme]
+        first = parameters(config)
+        p1 = None
+        for t2 in config.t2_values:
+            f = subpacketization(*first, l1, t2)
+            s = s_closed_form(*first, profile, t2)
+            mp = (1 - config.mh_ratio) * Fraction(t2, l1)
+            verified = False
+            if f <= config.verify_cap:
+                if p1 is None:
+                    p1 = family(*first)
+                sp = construct_sppda(p1, man_pda(l1, t2), profile, validate=False)
+                if not _cross_check(sp, f, s, first_z(*first) * binom(l1, t2)):
+                    raise ParameterError(
+                        f"closed form disagrees with construction at {scheme} t2={t2}")
+                verified = True
+            points.append(SchemePoint(scheme, t2, mp, Fraction(s, f), f, s, verified))
     points.sort(key=lambda p: (p.scheme, p.t2))
     return points
 

@@ -352,7 +352,11 @@ class AssociationProfile:
 
     @classmethod
     def parse(cls, text: str) -> "AssociationProfile":
-        return cls(tuple(int(x) for x in text.replace(",", " ").split()))
+        try:
+            parts = tuple(int(x) for x in text.replace(",", " ").split())
+        except ValueError:
+            raise ParameterError(f"bad profile {text!r}: expected integers") from None
+        return cls(parts)
 
     @property
     def num_groups(self) -> int:

@@ -13,19 +13,32 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, permsearch, sim, textio
-from .arrays import AssociationProfile, ParameterError, PdaArray, construction_a_pda, man_pda
-from .construct import construct_sppda, s_closed_form_construction_a, s_closed_form_man, verify_sppda
+from .arrays import (
+    AssociationProfile,
+    InvalidPdaError,
+    ParameterError,
+    PdaArray,
+    PdaError,
+    construction_a_pda,
+    man_pda,
+)
+from .construct import (
+    SpPdaArray,
+    construct_sppda,
+    s_closed_form_construction_a,
+    s_closed_form_man,
+    s_count,
+)
+
+
+_FAMILIES = {"man": man_pda, "consa": construction_a_pda}
 
 
 def _load_pda(spec: str) -> PdaArray:
-    if spec.startswith("man:"):
-        k, t = (int(x) for x in spec[4:].split(","))
-        return man_pda(k, t)
-    if spec.startswith("consa:"):
-        q, m = (int(x) for x in spec[6:].split(","))
-        return construction_a_pda(q, m)
-    text = Path(spec).read_text()
-    return textio.parse_pda(text)
+    family, colon, params = spec.partition(":")
+    if colon and family in _FAMILIES:
+        return _FAMILIES[family](*textio.parse_ints(params.split(","), f"{family} parameters", 2))
+    return textio.parse_pda(Path(spec).read_text())
 
 
 def _emit(text: str, output: str | None):
@@ -45,39 +58,23 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = Path(args.file).read_text()
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
-    if head == "sppda":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        zh = int(lines[0].split()[5])
-        profile = AssociationProfile(tuple(int(x) for x in lines[1][2:].split()))
-        pi_text = lines[2][3:].split()
-        grouping = None if pi_text == ["id"] else tuple(int(x) - 1 for x in pi_text)
-        grid = textio.grid_from_text("\n".join(lines[3:]))
-        check = verify_sppda(grid, profile, zh, grouping=grouping)
-        if check.ok:
-            p = check.params
+    try:
+        array = textio.read_array(Path(args.file).read_text())
+    except InvalidPdaError as exc:
+        violations = [f"{v.kind}: {v.detail} (rows {v.rows}, cols {v.cols})"
+                      for v in exc.violations]
+    except textio.ConditionError as exc:
+        violations = exc.violations
+    else:
+        if isinstance(array, SpPdaArray):
+            p = array.params
             print(f"valid sppda: K={p.k} Lambda={p.num_helpers} L={p.profile.parts} "
                   f"F={p.f} Z={p.z} Zh={p.zh} S={p.s}")
-            return 0
-        for v in check.pda_check.violations:
-            print(f"violation {v.kind}: {v.detail} (rows {v.rows}, cols {v.cols})")
-        for fl in check.failures:
-            print(f"violation D2: group {fl.group} has {fl.star_rows} all-star rows, needs {zh}")
-        return 1
-    if head == "pda":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        grid = textio.grid_from_text("\n".join(lines[1:]))
-    else:
-        grid = textio.grid_from_text(text)
-    from .arrays import verify_pda
-    check = verify_pda(grid)
-    if check.ok:
-        k, f, z, s = check.params
-        print(f"valid pda: K={k} F={f} Z={z} S={s}")
+        else:
+            print(f"valid pda: K={array.k} F={array.f} Z={array.z} S={array.s}")
         return 0
-    for v in check.violations:
-        print(f"violation {v.kind}: {v.detail} (rows {v.rows}, cols {v.cols})")
+    for line in violations:
+        print(f"violation {line}")
     return 1
 
 
@@ -85,23 +82,20 @@ def cmd_simulate(args) -> int:
     sp = textio.parse_sppda(Path(args.file).read_text())
     f = sp.pda.f
     if args.synthetic:
-        n, size, seed = (int(x) for x in args.synthetic.split(","))
+        n, size, seed = textio.parse_ints(args.synthetic.split(","), "--synthetic", 3)
         library = sim.FileLibrary.synthetic(n, size, f, seed)
     elif args.library:
         library = sim.FileLibrary.from_dir(args.library, f)
     else:
-        print("need --library DIR or --synthetic N,B,seed", file=sys.stderr)
-        return 2
+        raise ParameterError("need --library DIR or --synthetic N,B,seed")
     if args.worst_case:
         if library.n < sp.pda.k:
-            print(f"worst case needs N >= K ({library.n} < {sp.pda.k})", file=sys.stderr)
-            return 2
+            raise ParameterError(f"worst case needs N >= K ({library.n} < {sp.pda.k})")
         demands = tuple(range(1, sp.pda.k + 1))
     elif args.demands:
-        demands = tuple(int(x) for x in args.demands.split(","))
+        demands = textio.parse_ints(args.demands.split(","), "--demands")
     else:
-        print("need --demands d1,...,dK or --worst-case", file=sys.stderr)
-        return 2
+        raise ParameterError("need --demands d1,...,dK or --worst-case")
     report = sim.sp_run(sp, library, demands)
     sys.stdout.write(sim.format_report(report))
     sys.stdout.write(sim.report_csv_row(report))
@@ -117,7 +111,6 @@ def cmd_search(args) -> int:
     if args.greedy:
         r1 = permsearch.heuristic_reorder(p1, profile, side="first")
         r2 = permsearch.heuristic_reorder(p2, profile, side="second")
-        from .construct import s_count
         before = s_count(p1, p2, profile)
         after = s_count(r1, r2, profile)
         print(f"greedy: S {before} -> {after}")
@@ -143,15 +136,18 @@ def cmd_sweep(args) -> int:
     profile = AssociationProfile.parse(args.profile)
     l1 = profile.part(1)
     if args.t2:
-        lo, hi = (int(x) for x in args.t2.split(":"))
+        lo, hi = textio.parse_ints(args.t2.split(":"), "--t2", 2)
         t2_values = tuple(range(lo, hi + 1))
     else:
         t2_values = tuple(range(0, l1 + 1))
     schemes = tuple(
         {"man": "man_pair", "consa": "construction_a_pair"}.get(s, s)
         for s in args.schemes.split(","))
-    config = analysis.SweepConfig(profile, Fraction(args.mh_ratio), t2_values,
-                                  schemes, args.verify_cap)
+    try:
+        mh_ratio = Fraction(args.mh_ratio)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"bad --mh-ratio {args.mh_ratio!r}: expected a fraction") from None
+    config = analysis.SweepConfig(profile, mh_ratio, t2_values, schemes, args.verify_cap)
     points = analysis.sweep(config)
     _emit(analysis.sweep_csv(points), args.output)
     return 0
@@ -162,16 +158,13 @@ def cmd_formulas(args) -> int:
     if args.family == "man":
         s = s_closed_form_man(profile.num_groups, args.t1, profile, args.t2)
         rate = analysis.rate_man_pair(profile.num_groups, args.t1, profile, args.t2)
-        print(f"S = {s}")
-        print(f"rate = {rate} ({float(rate):.6g})")
+    elif args.q is None or args.m is None:
+        raise ParameterError("consa formulas need --q and --m")
     else:
-        if args.q is None or args.m is None:
-            print("consa formulas need --q and --m", file=sys.stderr)
-            return 2
         s = s_closed_form_construction_a(args.q, args.m, profile, args.t2)
         rate = analysis.rate_construction_a(args.q, args.m, profile, args.t2)
-        print(f"S = {s}")
-        print(f"rate = {rate} ({float(rate):.6g})")
+    print(f"S = {s}")
+    print(f"rate = {rate} ({float(rate):.6g})")
     return 0
 
 
@@ -205,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p1")
     p.add_argument("p2")
     p.add_argument("--profile", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--greedy", action="store_true")
+    p.add_argument("--greedy", action="store_true")
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("-o", "--output")
@@ -238,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError) as exc:
+    except (PdaError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from .arrays import (
     STAR,
     AssociationProfile,
     Grid,
+    InvalidPermutationError,
     ParameterError,
     PdaArray,
     PdaCheck,
@@ -122,37 +123,30 @@ class SpPdaCheck:
 
 
 def _star_masks(grid: Grid) -> list[int]:
-    """Per column, a bitmask of the rows holding a star."""
-    f = len(grid)
-    masks = []
-    for c in range(len(grid[0])):
-        mask = 0
-        for j in range(f):
-            if grid[j][c] == STAR:
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
+    """Per column, a bitmask of the rows holding a star (bit j-1 for row j)."""
+    return [int("".join("1" if e == STAR else "0" for e in reversed(col)), 2)
+            for col in zip(*grid)]
 
 
-def _check_grouping(masks: list[int], parts: tuple[int, ...], zh: int, full: int,
-                    grouping: tuple[int, ...] | None) -> list[GroupFailure]:
-    order = list(range(len(masks)))
+def group_star_masks(grid: Grid, parts: tuple[int, ...],
+                     grouping: tuple[int, ...] | None = None) -> list[int]:
+    """Condition D2's counts: per helper group, the bitmask (bit j-1 for row j)
+    of the rows that are stars in every column of the group.  Groups are the
+    consecutive runs of sizes ``parts`` in the grouped column order; an empty
+    group keeps every row."""
+    masks = _star_masks(grid)
+    order = range(len(masks))
     if grouping is not None:
-        inv = [0] * len(masks)
-        for old, new in enumerate(grouping):
-            inv[new] = old
-        order = inv
-    failures = []
+        order = sorted(order, key=grouping.__getitem__)
+    out = []
     start = 0
-    for n, width in enumerate(parts, start=1):
-        mask = full
-        for pos in range(start, start + width):
-            mask &= masks[order[pos]]
+    for width in parts:
+        mask = (1 << len(grid)) - 1
+        for c in order[start:start + width]:
+            mask &= masks[c]
+        out.append(mask)
         start += width
-        stars = mask.bit_count()
-        if stars < zh:
-            failures.append(GroupFailure(n, stars))
-    return failures
+    return out
 
 
 def _search_grouping(masks: list[int], parts: tuple[int, ...], zh: int, full: int,
@@ -217,22 +211,20 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
         raise ProfileMismatchError(f"profile sums to {profile.num_users}, grid has {k} columns")
     if not 0 <= zh <= f:
         raise ParameterError(f"Z^(h)={zh} not in [0, F={f}]")
+    if grouping is not None and sorted(grouping) != list(range(k)):
+        raise InvalidPermutationError(f"grouping {grouping} is not a bijection on 0..{k - 1}")
     if not pda_check.ok:
         return SpPdaCheck(None, None, pda_check, ())
 
-    masks = _star_masks(grid)
-    full = (1 << f) - 1
+    witness = grouping
     if search:
-        witness = _search_grouping(masks, profile.parts, zh, full)
-        if witness is None:
-            # no assignment works; report the identity grouping's failures
-            failures = _check_grouping(masks, profile.parts, zh, full, None)
-            return SpPdaCheck(None, None, pda_check, tuple(failures))
-    else:
-        witness = grouping
-        failures = _check_grouping(masks, profile.parts, zh, full, grouping)
-        if failures:
-            return SpPdaCheck(None, None, pda_check, tuple(failures))
+        # None when no assignment works; the identity grouping's failures are reported
+        witness = _search_grouping(_star_masks(grid), profile.parts, zh, (1 << f) - 1)
+    masks = group_star_masks(grid, profile.parts, witness)
+    failures = tuple(GroupFailure(n, mask.bit_count())
+                     for n, mask in enumerate(masks, start=1) if mask.bit_count() < zh)
+    if failures:
+        return SpPdaCheck(None, None, pda_check, failures)
 
     kk, ff, z, s = pda_check.params
     params = SpPdaParams(kk, profile.num_groups, profile, ff, z, zh, s)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arrays import STAR, ParameterError, PdaArray
-from .construct import SpPdaArray
+from .arrays import STAR, AssociationProfile, ParameterError, PdaArray
+from .construct import SpPdaArray, group_star_masks
 
 
 class DimensionError(ParameterError):
@@ -133,34 +133,57 @@ def _check_demands(demands, k: int, n: int) -> tuple[int, ...]:
     return demands
 
 
-def _code_positions(grid) -> dict[int, list[tuple[int, int]]]:
-    """Per code, the (row j, column k) cells in row-major order (1-based)."""
-    positions: dict[int, list[tuple[int, int]]] = {}
-    for j, row in enumerate(grid, start=1):
+def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
+    """Helper caches take the Z^(h) smallest all-star rows of their column
+    group; each user's private cache takes the rest of its star rows."""
+    pda = sppda.pda
+    if library.f != pda.f:
+        raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
+    zh = sppda.helper_stars
+    helper_sets = []
+    masks = group_star_masks(pda.grid, sppda.profile.parts, sppda.grouping)
+    for lam, mask in enumerate(masks, start=1):
+        if mask.bit_count() < zh:
+            raise InsufficientStarRowsError(
+                f"group {lam} has {mask.bit_count()} all-star rows, needs Z^(h)={zh}")
+        rows = [j for j, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1"]
+        helper_sets.append(frozenset(rows[:zh]))
+    user_to_helper = tuple(sppda.helper_of_user(k) for k in range(1, pda.k + 1))
+    private_sets = tuple(
+        pda.star_rows(k) - helper_sets[user_to_helper[k - 1] - 1]
+        for k in range(1, pda.k + 1)
+    )
+    return CacheLayout(tuple(helper_sets), private_sets, user_to_helper)
+
+
+def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transmission, ...]:
+    """One XOR transmission per code, components in row-major order."""
+    if library.f != sppda.pda.f:
+        raise DimensionError(f"library split into {library.f} subfiles, array has F={sppda.pda.f}")
+    demands = _check_demands(demands, sppda.pda.k, library.n)
+    positions: dict[int, list[tuple[int, int]]] = {}  # per code, its (row, column) cells
+    for j, row in enumerate(sppda.pda.grid, start=1):
         for k, e in enumerate(row, start=1):
             if e != STAR:
                 positions.setdefault(e, []).append((j, k))
-    return positions
-
-
-def _deliver(grid, s: int, library: FileLibrary, demands) -> list[Transmission]:
-    positions = _code_positions(grid)
     out = []
-    for code in range(1, s + 1):
+    for code in range(1, sppda.pda.s + 1):
         payload = bytes(library.piece_size)
         components = []
         for j, k in positions[code]:
             payload = _xor(payload, library.subfile(demands[k - 1], j))
             components.append((k, j))
         out.append(Transmission(code, payload, tuple(components)))
-    return out
+    return tuple(out)
 
 
-def _decode(grid, user: int, accessible: frozenset[int],
-            transmissions, library: FileLibrary, demands) -> bytes:
+def sp_decode(user: int, layout: CacheLayout, transmissions, sppda: SpPdaArray,
+              library: FileLibrary, demands) -> bytes:
     """Recover the user's demanded file from its caches plus the broadcast."""
+    demands = _check_demands(demands, sppda.pda.k, library.n)
+    accessible = layout.accessible_rows(user)
     pieces = []
-    for j, row in enumerate(grid, start=1):
+    for j, row in enumerate(sppda.pda.grid, start=1):
         e = row[user - 1]
         if e == STAR:
             if j not in accessible:
@@ -179,65 +202,7 @@ def _decode(grid, user: int, accessible: frozenset[int],
     return b"".join(pieces)[: library.true_length]
 
 
-def dedicated_run(pda: PdaArray, library: FileLibrary, demands) -> SimReport:
-    """Dedicated-cache scheme: each user caches the star rows of its column,
-    one XOR transmission per code."""
-    if library.f != pda.f:
-        raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
-    demands = _check_demands(demands, pda.k, library.n)
-    transmissions = tuple(_deliver(pda.grid, pda.s, library, demands))
-    decoded = []
-    for user in range(1, pda.k + 1):
-        got = _decode(pda.grid, user, pda.star_rows(user), transmissions, library, demands)
-        decoded.append(got == library.original(demands[user - 1]))
-    return SimReport(Fraction(pda.s, pda.f), Fraction(0), Fraction(pda.z, pda.f),
-                     tuple(decoded), transmissions, pda.f,
-                     len(set(demands)) == len(demands))
-
-
-def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
-    """Helper caches take the Z^(h) smallest all-star rows of their column
-    group; each user's private cache takes the rest of its star rows."""
-    pda = sppda.pda
-    if library.f != pda.f:
-        raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
-    zh = sppda.helper_stars
-    helper_sets = []
-    for lam in range(1, sppda.profile.num_groups + 1):
-        cols = sppda.group_columns(lam)
-        if cols:
-            star_rows = frozenset.intersection(*(pda.star_rows(c) for c in cols))
-        else:
-            star_rows = frozenset(range(1, pda.f + 1))
-        if len(star_rows) < zh:
-            raise InsufficientStarRowsError(
-                f"group {lam} has {len(star_rows)} all-star rows, needs Z^(h)={zh}")
-        helper_sets.append(frozenset(sorted(star_rows)[:zh]))
-    user_to_helper = tuple(sppda.helper_of_user(k) for k in range(1, pda.k + 1))
-    private_sets = tuple(
-        pda.star_rows(k) - helper_sets[user_to_helper[k - 1] - 1]
-        for k in range(1, pda.k + 1)
-    )
-    return CacheLayout(tuple(helper_sets), private_sets, user_to_helper)
-
-
-def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transmission, ...]:
-    """One XOR transmission per code, components in row-major order."""
-    if library.f != sppda.pda.f:
-        raise DimensionError(f"library split into {library.f} subfiles, array has F={sppda.pda.f}")
-    demands = _check_demands(demands, sppda.pda.k, library.n)
-    return tuple(_deliver(sppda.pda.grid, sppda.pda.s, library, demands))
-
-
-def sp_decode(user: int, layout: CacheLayout, transmissions, sppda: SpPdaArray,
-              library: FileLibrary, demands) -> bytes:
-    demands = _check_demands(demands, sppda.pda.k, library.n)
-    return _decode(sppda.pda.grid, user, layout.accessible_rows(user),
-                   transmissions, library, demands)
-
-
-def sp_run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
-    """Place, deliver, and decode for every user; verdicts are byte equality."""
+def _run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
     demands = _check_demands(demands, sppda.pda.k, library.n)
     layout = sp_place(sppda, library)
     transmissions = sp_deliver(sppda, library, demands)
@@ -249,6 +214,18 @@ def sp_run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
     return SimReport(params.rate, params.mh_ratio, params.mp_ratio,
                      tuple(decoded), transmissions, params.f,
                      len(set(demands)) == len(demands))
+
+
+def sp_run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
+    """Place, deliver, and decode for every user; verdicts are byte equality."""
+    return _run(sppda, library, demands)
+
+
+def dedicated_run(pda: PdaArray, library: FileLibrary, demands) -> SimReport:
+    """Dedicated-cache scheme: the shared scheme with one user per helper and
+    no helper memory, so each user caches the star rows of its column and the
+    server sends one XOR transmission per code."""
+    return _run(SpPdaArray(pda, AssociationProfile((1,) * pda.k), 0), library, demands)
 
 
 def format_transmission_log(transmissions) -> str:

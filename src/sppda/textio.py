@@ -11,20 +11,32 @@ SP-PDA text format:
     <grid as above>
 
 Writers are deterministic; reading back a written canonical array reproduces
-the bytes exactly.
+the bytes exactly.  Every reader, text or JSON, ends in the same check: the
+grid must satisfy C1-C3 (and D2 for an SP-PDA) and the header must agree
+with it.
 """
 
 from __future__ import annotations
 
 import json
 
-from .arrays import STAR, AssociationProfile, ParameterError, PdaArray
+from .arrays import STAR, AssociationProfile, InvalidPdaError, ParameterError, PdaArray, verify_pda
 from .construct import SpPdaArray, verify_sppda
-from .arrays import InvalidPdaError
 
 
 class FormatError(ParameterError):
     pass
+
+
+class ConditionError(FormatError):
+    """D2 or header failures of a well-formed array, one line each in ``violations``."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__("; ".join(self.violations))
+
+
+_HEADERS = {"pda": ("K", "F", "Z", "S"), "sppda": ("K", "Lambda", "F", "Z", "Zh", "S")}
 
 
 def _token(e: int) -> str:
@@ -35,26 +47,108 @@ def _grid_lines(grid) -> list[str]:
     return [" ".join(_token(e) for e in row) for row in grid]
 
 
+def parse_ints(tokens, what: str, count: int | None = None) -> tuple[int, ...]:
+    """Integers from string tokens.  FormatError names ``what`` when a token
+    is not an integer, or there are none, or not ``count`` of them."""
+    try:
+        values = tuple(int(t) for t in tokens)
+    except ValueError:
+        values = ()
+    if not values or count not in (None, len(values)):
+        raise FormatError(f"bad {what} {list(tokens)}: expected {count or 'some'} integers")
+    return values
+
+
+def _grid(rows) -> tuple[tuple[int, ...], ...]:
+    grid = []
+    for row in rows:
+        if row:
+            try:
+                grid.append(tuple(STAR if t == "*" else int(t) for t in row))
+            except ValueError:
+                raise FormatError(f"bad token in grid row {' '.join(row)[:60]!r}") from None
+    if not grid:
+        raise FormatError("empty grid")
+    return tuple(grid)
+
+
 def grid_from_text(text: str):
     """Parse a bare grid: rows of '*' / integer tokens, blank lines ignored."""
-    rows = []
-    for line in text.splitlines():
-        tokens = line.split()
-        if not tokens:
-            continue
-        row = []
-        for tok in tokens:
-            if tok == "*":
-                row.append(STAR)
-            else:
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise FormatError(f"bad grid token {tok!r}") from None
-        rows.append(tuple(row))
-    if not rows:
-        raise FormatError("empty grid")
-    return tuple(rows)
+    return _grid(line.split() for line in text.splitlines())
+
+
+def _checked(kind: str | None, header, rows, profile=None, pi=None):
+    """The one checked path of every loader.  ``kind`` is "pda", "sppda", or
+    None for a bare grid; the other arguments are the document's string
+    tokens.  The grid is verified once, then compared with the header."""
+    grid = _grid(rows)
+    if kind == "sppda":
+        claimed = parse_ints(header, "sppda header", 6)
+        profile = AssociationProfile(parse_ints(profile, "profile"))
+        grouping = None if pi == ["id"] else tuple(x - 1 for x in parse_ints(pi, "grouping"))
+        check = verify_sppda(grid, profile, claimed[4], grouping=grouping)
+        pda_check = check.pda_check
+        failures = [f"D2: group {fl.group} has {fl.star_rows} all-star rows, needs {claimed[4]}"
+                    for fl in check.failures]
+    else:
+        claimed = None if kind is None else parse_ints(header, "pda header", 4)
+        pda_check, failures = verify_pda(grid), []
+    if not pda_check.ok:
+        raise InvalidPdaError(pda_check.violations)
+    if failures:
+        raise ConditionError(failures)
+    array = PdaArray(grid, *pda_check.params)
+    actual = pda_check.params
+    if kind == "sppda":
+        array = SpPdaArray(array, profile, claimed[4], grouping)
+        p = array.params
+        actual = (p.k, p.num_helpers, p.f, p.z, p.zh, p.s)
+    if claimed is not None and claimed != actual:
+        raise ConditionError([f"header: {kind} header says {','.join(_HEADERS[kind])} = "
+                              f"{claimed} but the grid has {actual}"])
+    return array
+
+
+def read_array(text: str, kind: str | None = None):
+    """Read and check a ``pda`` or ``sppda`` document, or a bare grid when the
+    first token names neither format; with ``kind``, only that format.  Raises
+    FormatError on malformed text, InvalidPdaError when C1-C3 fail, and
+    ConditionError when D2 fails or the header disagrees with the grid."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    head = lines[0].split() if lines else [""]
+    found = head[0] if head[0] in _HEADERS else None
+    if kind is not None and found != kind:
+        raise FormatError(f"expected header '{kind} {' '.join(_HEADERS[kind])}'")
+    if found is None:
+        return _checked(None, None, (line.split() for line in lines))
+    if found == "pda":
+        return _checked("pda", head[1:], (line.split() for line in lines[1:]))
+    profile, pi = (lines[i].split() if i < len(lines) else [] for i in (1, 2))
+    if profile[:1] != ["L:"] or pi[:1] != ["pi:"]:
+        raise FormatError("expected 'L: ...' and 'pi: ...' lines after the sppda header")
+    return _checked("sppda", head[1:], (line.split() for line in lines[3:]),
+                    profile[1:], pi[1:])
+
+
+def _read_json(text: str, kind: str):
+    """Read and check a JSON document of type ``kind``.  Its values reach the
+    checked path as strings, so they are parsed exactly as text tokens are."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"not a json document: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("type") != kind:
+        raise FormatError(f"json document is not of type {kind!r}")
+    names = ("k", "f", "z", "s") if kind == "pda" else ("k", "num_helpers", "f", "z", "zh", "s")
+    try:
+        header = [str(doc[name]) for name in names]
+        rows = [[str(t) for t in row] for row in doc["grid"]]
+        sections = () if kind == "pda" else (
+            [str(x) for x in doc["profile"]],
+            ["id"] if doc["pi"] == "id" else [str(x) for x in doc["pi"]])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed json {kind}: {exc!r}") from None
+    return _checked(kind, header, rows, *sections)
 
 
 def write_pda(pda: PdaArray) -> str:
@@ -64,19 +158,7 @@ def write_pda(pda: PdaArray) -> str:
 
 
 def parse_pda(text: str) -> PdaArray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[0] != "pda":
-        raise FormatError("expected header 'pda K F Z S'")
-    header = lines[0].split()
-    if len(header) != 5:
-        raise FormatError(f"bad pda header: {lines[0]!r}")
-    k, f, z, s = (int(x) for x in header[1:])
-    grid = grid_from_text("\n".join(lines[1:]))
-    pda = PdaArray.from_grid(grid)
-    if (pda.k, pda.f, pda.z, pda.s) != (k, f, z, s):
-        raise FormatError(
-            f"header claims ({k},{f},{z},{s}) but grid is ({pda.k},{pda.f},{pda.z},{pda.s})")
-    return pda
+    return read_array(text, "pda")
 
 
 def write_sppda(sp: SpPdaArray) -> str:
@@ -92,33 +174,7 @@ def write_sppda(sp: SpPdaArray) -> str:
 
 
 def parse_sppda(text: str) -> SpPdaArray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 4 or lines[0].split()[0] != "sppda":
-        raise FormatError("expected header 'sppda K Lambda F Z Zh S'")
-    header = lines[0].split()
-    if len(header) != 7:
-        raise FormatError(f"bad sppda header: {lines[0]!r}")
-    k, lam, f, z, zh, s = (int(x) for x in header[1:])
-    if not lines[1].startswith("L:"):
-        raise FormatError("expected profile line 'L: ...'")
-    profile = AssociationProfile(tuple(int(x) for x in lines[1][2:].split()))
-    if not lines[2].startswith("pi:"):
-        raise FormatError("expected grouping line 'pi: ...'")
-    pi_text = lines[2][3:].split()
-    grouping = None if pi_text == ["id"] else tuple(int(x) - 1 for x in pi_text)
-    grid = grid_from_text("\n".join(lines[3:]))
-    check = verify_sppda(grid, profile, zh, grouping=grouping)
-    if not check.ok:
-        if not check.pda_check.ok:
-            raise InvalidPdaError(check.pda_check.violations)
-        worst = min(check.failures, key=lambda fl: fl.star_rows)
-        raise FormatError(
-            f"condition D2 fails: group {worst.group} has {worst.star_rows} all-star rows, "
-            f"needs {zh}")
-    got = check.params
-    if (got.k, got.num_helpers, got.f, got.z, got.zh, got.s) != (k, lam, f, z, zh, s):
-        raise FormatError("sppda header does not match the grid")
-    return SpPdaArray(PdaArray.from_grid(grid), profile, zh, grouping)
+    return read_array(text, "sppda")
 
 
 def pda_to_json(pda: PdaArray) -> str:
@@ -131,14 +187,7 @@ def pda_to_json(pda: PdaArray) -> str:
 
 
 def pda_from_json(text: str) -> PdaArray:
-    doc = json.loads(text)
-    if doc.get("type") != "pda":
-        raise FormatError("json document is not a pda")
-    grid = tuple(tuple(STAR if t == "*" else int(t) for t in row) for row in doc["grid"])
-    pda = PdaArray.from_grid(grid)
-    if (pda.k, pda.f, pda.z, pda.s) != (doc["k"], doc["f"], doc["z"], doc["s"]):
-        raise FormatError("json parameters do not match the grid")
-    return pda
+    return _read_json(text, "pda")
 
 
 def sppda_to_json(sp: SpPdaArray) -> str:
@@ -155,10 +204,4 @@ def sppda_to_json(sp: SpPdaArray) -> str:
 
 
 def sppda_from_json(text: str) -> SpPdaArray:
-    doc = json.loads(text)
-    if doc.get("type") != "sppda":
-        raise FormatError("json document is not an sppda")
-    grid = tuple(tuple(STAR if t == "*" else int(t) for t in row) for row in doc["grid"])
-    profile = AssociationProfile(tuple(doc["profile"]))
-    grouping = None if doc["pi"] == "id" else tuple(x - 1 for x in doc["pi"])
-    return SpPdaArray(PdaArray.from_grid(grid), profile, doc["zh"], grouping)
+    return _read_json(text, "sppda")

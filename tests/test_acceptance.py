@@ -127,7 +127,7 @@ def test_criterion_4_permutation_sensitivity(tmp_path):
         f2.write_text(write_pda(p2))
         out = tmp_path / "search.csv"
         assert main(["search", str(f1), str(f2), "--profile", "6,3,2,1,1,1",
-                     "--exhaustive", "-o", str(out)]) == 0
+                     "-o", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert "s_min,,18" in lines and "s_max,,24" in lines
 

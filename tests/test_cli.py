@@ -1,12 +1,22 @@
 """Command-line interface: one test per subcommand plus error paths."""
 
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sppda.cli import main
-from sppda.textio import parse_sppda, write_pda
-from sppda.arrays import PdaArray
+from sppda.construct import construct_sppda
+from sppda.textio import parse_sppda, sppda_from_json, sppda_to_json, write_pda, write_sppda
+from sppda.arrays import PdaArray, PdaError
 
-from conftest import GOLDEN_SP_TEXT, WIDE_P1, WIDE_P2
+from conftest import GOLDEN_SP_TEXT, WIDE_P1, WIDE_P2, random_pda, random_profile
 
 
 @pytest.fixture
@@ -40,11 +50,25 @@ class TestConstruct:
         out = capsys.readouterr().out
         assert out.startswith("sppda 14 6 12 8 6 24\n")
 
-    def test_missing_input_file(self, capsys):
+    def test_missing_input_file(self, tmp_path, capsys):
         assert main(["construct", "nope.pda", "man:3,1", "--profile", "3,2"]) == 2
+        binary = tmp_path / "binary.pda"
+        binary.write_bytes(b"pda \xff\xfe\n")
+        for argv in (["construct", str(binary), "man:3,1", "--profile", "3,2"],
+                     ["verify", str(binary)],
+                     ["simulate", str(binary), "--synthetic", "5,60,0", "--worst-case"]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_family_parameters(self, capsys):
         assert main(["construct", "man:2,5", "man:3,1", "--profile", "3,2"]) == 2
+        for p1, profile in (("man:2", "3,2"), ("consa:x", "3,2"), ("man:2,1", "3,x")):
+            capsys.readouterr()
+            assert main(["construct", p1, "man:3,1", "--profile", profile]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -78,6 +102,28 @@ class TestVerify:
         assert main(["verify", str(golden_file)]) == 1
         assert "violation D2" in capsys.readouterr().out
 
+    def test_sppda_header_disagreeing_with_grid(self, golden_file, capsys):
+        text = golden_file.read_text().replace("sppda 5 2 6 4 3 3", "sppda 5 2 6 4 3 99")
+        golden_file.write_text(text)
+        assert main(["verify", str(golden_file)]) == 1
+        assert capsys.readouterr().out.startswith("violation header: ")
+        assert main(["simulate", str(golden_file), "--synthetic", "5,60,0",
+                     "--worst-case"]) == 2
+
+    def test_pda_header_disagreeing_with_grid(self, tmp_path, capsys):
+        path = tmp_path / "p.pda"
+        path.write_text("pda 3 3 1 99\n* 1 2\n1 * 3\n2 3 *\n")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("violation header: ")
+
+    def test_short_sppda_header(self, tmp_path, capsys):
+        path = tmp_path / "short.sppda"
+        for text in ("sppda 5 2\n", "sppda 5 2\nL: 3 2\npi: id\n* * * * 1\n"):
+            path.write_text(text)
+            assert main(["verify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_synthetic_demands(self, golden_file, tmp_path, capsys):
@@ -105,9 +151,17 @@ class TestSimulate:
 
     def test_needs_library(self, golden_file, capsys):
         assert main(["simulate", str(golden_file), "--demands", "1,1,1,1,1"]) == 2
+        capsys.readouterr()
+        assert main(["simulate", str(golden_file), "--synthetic", "5,60",
+                     "--demands", "1,1,1,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad --synthetic")
 
     def test_needs_demands(self, golden_file, capsys):
         assert main(["simulate", str(golden_file), "--synthetic", "5,60,0"]) == 2
+        capsys.readouterr()
+        assert main(["simulate", str(golden_file), "--synthetic", "5,60,0",
+                     "--demands", "1,a,1,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad --demands")
 
     def test_worst_case_needs_enough_files(self, golden_file, capsys):
         assert main(["simulate", str(golden_file), "--synthetic", "3,60,0",
@@ -158,6 +212,11 @@ class TestSweep:
     def test_unrealizable(self, capsys):
         assert main(["sweep", "--profile", "3,3,3", "--mh-ratio", "1/2",
                      "--t2", "1:1", "--schemes", "consa"]) == 2
+        for t2, mh in (("1", "1/2"), ("1:x", "1/2"), ("1:1", "1/0"), ("1:1", "half")):
+            capsys.readouterr()
+            assert main(["sweep", "--profile", "3,3,3,3", "--mh-ratio", mh, "--t2", t2]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestFormulas:
@@ -180,3 +239,71 @@ class TestFormulas:
 def test_constructed_file_parses_back(golden_file):
     sp = parse_sppda(golden_file.read_text())
     assert sp.params.s == 3
+
+
+def _mutated_documents(rng: random.Random) -> tuple[str, str]:
+    """A random valid SP-PDA written as text and as JSON, with one random
+    change to its header, Z^(h) or profile made to both."""
+    p1 = random_pda(rng, max_cols=4, max_rows=6)
+    p2 = random_pda(rng, max_cols=4, max_rows=6)
+    sp = construct_sppda(p1, p2, random_profile(rng, p1.k, p2.k))
+    header = [sp.pda.k, sp.profile.num_groups, sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s]
+    profile = list(sp.profile.parts)
+    change = rng.choice(("none", "header", "zh", "profile", "regroup"))
+    if change == "header":
+        header[rng.randrange(len(header))] += rng.choice((-1, 1, 2))
+    elif change == "zh":
+        header[4] = rng.randint(0, sp.pda.f)
+    elif change == "profile":
+        profile[rng.randrange(len(profile))] += rng.choice((-1, 1))
+    elif change == "regroup":
+        cuts = sorted(rng.sample(range(1, sp.pda.k), rng.randint(0, sp.pda.k - 1)))
+        profile = sorted((b - a for a, b in zip([0, *cuts], [*cuts, sp.pda.k])), reverse=True)
+        header[1] = len(profile)
+    lines = write_sppda(sp).splitlines()
+    lines[0] = "sppda " + " ".join(map(str, header))
+    lines[1] = "L: " + " ".join(map(str, profile))
+    doc = json.loads(sppda_to_json(sp))
+    doc.update(zip(("k", "num_helpers", "f", "z", "zh", "s"), header), profile=profile)
+    return "\n".join(lines) + "\n", json.dumps(doc)
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except PdaError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_text_and_json_loaders_agree(tmp_path, capsys):
+    rng = random.Random(20261017)
+    path = tmp_path / "array.sppda"
+    loaded = 0
+    for _ in range(150):
+        text, doc = _mutated_documents(rng)
+        from_text = _outcome(parse_sppda, text)
+        assert _outcome(sppda_from_json, doc) == from_text
+        path.write_text(text)
+        assert (main(["verify", str(path)]) == 0) == (not isinstance(from_text, tuple))
+        loaded += not isinstance(from_text, tuple)
+    capsys.readouterr()
+    assert 30 < loaded < 120
+
+
+_GOLDEN = GOLDEN_SP_TEXT.encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda i, j, insert: _GOLDEN[:i] + insert + _GOLDEN[j:],
+              st.integers(0, len(_GOLDEN)), st.integers(0, len(_GOLDEN)),
+              st.binary(max_size=8))))
+def test_arbitrary_bytes_never_raise(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.sppda"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", str(path)]) in (0, 1, 2)
+            assert main(["simulate", str(path), "--synthetic", "5,60,0",
+                         "--worst-case"]) in (0, 1, 2)

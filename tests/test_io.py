@@ -114,3 +114,13 @@ class TestJson:
         text = pda_to_json(man_pda(3, 1)).replace('"s": 3', '"s": 7')
         with pytest.raises(FormatError):
             pda_from_json(text)
+
+    def test_sppda_json_enforces_d2(self, golden_sp):
+        text = sppda_to_json(golden_sp).replace('"zh": 3', '"zh": 4')
+        with pytest.raises(FormatError, match="D2"):
+            sppda_from_json(text)
+
+    def test_sppda_json_header_cross_checked(self, golden_sp):
+        text = sppda_to_json(golden_sp).replace('"s": 3', '"s": 99')
+        with pytest.raises(FormatError, match="header"):
+            sppda_from_json(text)
