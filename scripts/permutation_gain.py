@@ -26,12 +26,12 @@ def random_pda(rng: random.Random, max_cols: int) -> PdaArray:
     return PdaArray.from_grid(sub)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-cols", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     print("lambda,l1,profile,s_identity,s_greedy,s_min,s_max")

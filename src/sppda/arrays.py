@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 STAR = 0
 
@@ -76,10 +76,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class PdaCheck:
-    """Result of ``verify_pda``: parameters on success, violations otherwise."""
+    """Result of ``verify_pda``: parameters on success, violations otherwise,
+    and the normalized grid that was checked."""
 
     params: tuple[int, int, int, int] | None  # (K, F, Z, S)
     violations: tuple[Violation, ...]
+    grid: Grid = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -146,8 +148,8 @@ def verify_pda(rows) -> PdaCheck:
                                             f"code {code}: crossing cells are not both stars"))
 
     if violations:
-        return PdaCheck(None, tuple(violations))
-    return PdaCheck((k, f, z, s), ())
+        return PdaCheck(None, tuple(violations), grid)
+    return PdaCheck((k, f, z, s), (), grid)
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,7 @@ class PdaArray:
         check = verify_pda(rows)
         if not check.ok:
             raise InvalidPdaError(check.violations)
-        k, f, z, s = check.params
-        return cls(normalize_grid(rows), k, f, z, s)
+        return cls(check.grid, *check.params)
 
     def column(self, c: int) -> tuple[int, ...]:
         """Column ``c`` (1-based) as a tuple."""
@@ -202,13 +203,18 @@ def permute_columns(pda: PdaArray, perm) -> PdaArray:
     """Apply a column permutation; ``perm[k]`` is the new 0-based position of
     old 0-based column ``k``.  Parameters are unchanged (equivalent PDA)."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(pda.k)):
-        raise InvalidPermutationError(f"{perm} is not a bijection on 0..{pda.k - 1}")
+    check_bijection(perm, pda.k)
     grid = tuple(
         tuple(row[c] for c in _invert(perm))
         for row in pda.grid
     )
     return PdaArray(grid, pda.k, pda.f, pda.z, pda.s)
+
+
+def check_bijection(perm: tuple[int, ...], k: int, what: str = "permutation") -> None:
+    """Raise ``InvalidPermutationError`` unless ``perm`` is a bijection on 0..k-1."""
+    if sorted(perm) != list(range(k)):
+        raise InvalidPermutationError(f"{what} {perm} is not a bijection on 0..{k - 1}")
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:

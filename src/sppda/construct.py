@@ -12,13 +12,12 @@ from .arrays import (
     STAR,
     AssociationProfile,
     Grid,
-    InvalidPermutationError,
     ParameterError,
     PdaArray,
     PdaCheck,
     binom,
+    check_bijection,
     man_pda,
-    normalize_grid,
     phi,
     verify_pda,
     xi,
@@ -82,6 +81,8 @@ class SpPdaArray:
                 f"profile sums to {self.profile.num_users}, array has {self.pda.k} columns")
         if not 0 <= self.helper_stars <= self.pda.z:
             raise ParameterError(f"Z^(h)={self.helper_stars} not in [0, Z={self.pda.z}]")
+        if self.grouping is not None:
+            check_bijection(self.grouping, self.pda.k, "grouping")
 
     @property
     def params(self) -> SpPdaParams:
@@ -204,15 +205,15 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
     Exhausting the search means "no witness", reported as failures, not an error.
     """
     pda_check = verify_pda(rows)
-    grid = normalize_grid(rows)
+    grid = pda_check.grid
     f = len(grid)
     k = len(grid[0])
     if profile.num_users != k:
         raise ProfileMismatchError(f"profile sums to {profile.num_users}, grid has {k} columns")
     if not 0 <= zh <= f:
         raise ParameterError(f"Z^(h)={zh} not in [0, F={f}]")
-    if grouping is not None and sorted(grouping) != list(range(k)):
-        raise InvalidPermutationError(f"grouping {grouping} is not a bijection on 0..{k - 1}")
+    if grouping is not None:
+        check_bijection(grouping, k, "grouping")
     if not pda_check.ok:
         return SpPdaCheck(None, None, pda_check, ())
 

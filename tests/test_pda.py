@@ -129,6 +129,18 @@ class TestVerify:
         with pytest.raises(InvalidPdaError):
             PdaArray.from_grid(((1, 1), (STAR, STAR)))
 
+    def test_from_grid_normalizes_once(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return normalize_grid(rows)
+
+        monkeypatch.setattr("sppda.arrays.normalize_grid", counted)
+        pda = PdaArray.from_grid([[STAR, 1], [1, STAR]])
+        assert len(calls) == 1
+        assert pda.grid == ((STAR, 1), (1, STAR))
+
     @settings(max_examples=300, deadline=None)
     @given(small_grids)
     def test_matches_brute_force_oracle(self, grid):

@@ -1,6 +1,9 @@
 """Permutation search over equivalent PDAs, checked against naive enumeration."""
 
+import importlib.util
 import itertools
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from sppda.arrays import AssociationProfile, ParameterError, PdaArray, man_pda, 
 from sppda.construct import DimensionMismatchError, s_count
 from sppda.permsearch import (
     BudgetExceededError,
+    PermutationPair,
     check_E1,
     check_E2,
     exhaustive_best,
@@ -18,15 +22,29 @@ from sppda.permsearch import (
     top_pairs,
 )
 
+import permsearch_oracle as oracle
 from conftest import (
     WIDE_P1,
     WIDE_P1_OPT,
     WIDE_P2,
     WIDE_P2_OPT,
     WIDE_PROFILE,
+    grid,
     random_pda,
     random_profile,
 )
+
+# Under profile (5, 5, 4, 3, 2, 2) this (5, 7, 5, 5) array has two
+# Pareto-minimal phi tables, (5, 5, 5, 3, 3, 3) and (5, 5, 5, 4, 2, 2).
+PARETO_P2 = grid("""
+1 2 * * *
+* * * * 1
+3 * * 2 4
+* * * * *
+* * 4 5 *
+* * * * *
+* 5 3 * *
+""")
 
 
 def naive_phi_vector(pda, perm):
@@ -68,13 +86,37 @@ class TestExhaustive:
         assert (result.s_min, result.s_max) == naive_extremes(p1, p2, profile)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        # 6 * 6! steps for the orders of p2, refused before any enumeration
+        with pytest.raises(BudgetExceededError, match=r"\b4320 steps, over the budget of 1000$"):
             exhaustive_best(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                             WIDE_PROFILE, budget=1000)
+        with pytest.raises(BudgetExceededError, match=r"\b518400 steps, over the budget of 1000$"):
+            top_pairs(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
+                      WIDE_PROFILE, budget=1000)
+
+    def test_budget_counts_dp_transitions(self):
+        # 4320 steps for p2 plus 6 * 2^6 per kept table; 5 tables prune to 1 + 1
+        p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
+        with pytest.raises(BudgetExceededError, match=r"\b5088 steps, over the budget of 5087$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=5087)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=5088).s_min == 18
+
+    def test_beyond_enumeration_horizon(self):
+        # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
+        profile = AssociationProfile((3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1))
+        p1, p2 = man_pda(14, 2), man_pda(3, 1)
+        start = time.perf_counter()
+        result = exhaustive_best(p1, p2, profile)
+        assert time.perf_counter() - start < 10
+        assert result.best == PermutationPair(tuple(range(14)), (0, 1, 2), 1057)
+        assert (result.s_min, result.s_max) == (1057, 1057)
+        assert check_E1(p1) is True
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             exhaustive_best(man_pda(3, 1), man_pda(3, 1), AssociationProfile((3, 2)))
+        with pytest.raises(DimensionMismatchError):
+            top_pairs(man_pda(3, 1), man_pda(3, 1), AssociationProfile((3, 2)))
 
     def test_top_pairs_sorted_and_consistent(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -84,6 +126,34 @@ class TestExhaustive:
         assert values[0] == 18
         best = exhaustive_best(p1, p2, WIDE_PROFILE).best
         assert pairs[0] == best
+
+
+class TestAgainstOracle:
+    """The subset-DP engine against the factorial enumerator in permsearch_oracle."""
+
+    def check(self, p1, p2, profile):
+        assert exhaustive_best(p1, p2, profile) == oracle.exhaustive_best(p1, p2, profile)
+        pairs = oracle.all_pairs(p1, p2, profile)
+        assert top_pairs(p1, p2, profile, limit=len(pairs)) == pairs
+        assert check_E1(p1) is oracle.check_E1(p1)
+        assert check_E2(p2, profile) is oracle.check_E2(p2, profile)
+
+    def test_wide_pair(self):
+        self.check(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2), WIDE_PROFILE)
+
+    def test_two_pareto_minimal_tables(self):
+        # one new code per column of p1 favours the second table: S = 23, not 24
+        p1, p2 = man_pda(6, 0), PdaArray.from_grid(PARETO_P2)
+        profile = AssociationProfile((5, 5, 4, 3, 2, 2))
+        assert exhaustive_best(p1, p2, profile).s_min == 23
+        self.check(p1, p2, profile)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_instances(self, rng):
+        p1 = random_pda(rng, max_cols=6, max_rows=20)
+        p2 = random_pda(rng, max_cols=6, max_rows=20)
+        self.check(p1, p2, random_profile(rng, p1.k, p2.k))
 
 
 class TestPhiVector:
@@ -124,10 +194,28 @@ class TestOrderOptimalityConditions:
         )
         assert check_E1(pda) is naive
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_e2_matches_naive_definition(self, rng):
+        pda = random_pda(rng, max_cols=4, max_rows=8)
+        profile = random_profile(rng, rng.randint(1, 4), pda.k)
+        widths = tuple(reversed(profile.parts))
+
+        def at_widths(vector):
+            return [vector[w - 1] if w > 0 else 0 for w in widths]
+
+        base = at_widths(naive_phi_vector(pda, tuple(range(pda.k))))
+        naive = all(
+            all(b <= o for b, o in zip(base, at_widths(naive_phi_vector(pda, perm))))
+            for perm in itertools.permutations(range(pda.k))
+        )
+        assert check_E2(pda, profile) is naive
+
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        # the subset table of 6 columns is 6 * 2^6 steps
+        with pytest.raises(BudgetExceededError, match=r"\b384 steps, over the budget of 10$"):
             check_E1(man_pda(6, 1), budget=10)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"\b384 steps, over the budget of 10$"):
             check_E2(man_pda(6, 1), AssociationProfile((6, 1)), budget=10)
 
     def test_e2_dimension_mismatch(self):
@@ -162,3 +250,17 @@ class TestHeuristic:
             heuristic_reorder(man_pda(3, 1), side="middle")
         with pytest.raises(ParameterError):
             heuristic_reorder(man_pda(3, 1), side="second")
+
+
+def test_permutation_gain_script(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "permutation_gain.py"
+    spec = importlib.util.spec_from_file_location("permutation_gain", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--instances", "5", "--max-cols", "4"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "lambda,l1,profile,s_identity,s_greedy,s_min,s_max"
+    assert len(rows) == 5
+    for row in rows:
+        identity, greedy, s_min, s_max = map(int, row.split(",")[3:])
+        assert s_min <= greedy <= identity <= s_max

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from sppda.arrays import (
     AssociationProfile,
+    InvalidPermutationError,
+    NonRectangularError,
     ParameterError,
     PdaArray,
     binom,
     enumerate_profiles,
     man_pda,
+    normalize_grid,
     permute_columns,
 )
 from sppda.construct import (
@@ -158,6 +161,21 @@ class TestVerifySpPda:
         check = verify_sppda(man_pda(3, 1).grid, AssociationProfile((2, 1)), 1, search=True)
         assert not check.ok and check.failures
 
+    def test_grid_normalized_once(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return normalize_grid(rows)
+
+        for module in ("sppda.arrays", "sppda.construct"):
+            monkeypatch.setattr(f"{module}.normalize_grid", counted, raising=False)
+        check = verify_sppda([list(row) for row in GOLDEN_SP], AssociationProfile((3, 2)), 3)
+        assert check.ok and check.params.s == 3
+        assert len(calls) == 1
+        with pytest.raises(NonRectangularError):
+            verify_sppda([[0, 1], [1]], AssociationProfile((2,)), 0)
+
     def test_search_cap(self):
         with pytest.raises(GroupingSearchError):
             verify_sppda(man_pda(13, 1).grid, AssociationProfile((13,)), 0, search=True)
@@ -254,6 +272,13 @@ class TestSpPdaArray:
     def test_rejects_profile_size_mismatch(self):
         with pytest.raises(ProfileMismatchError):
             SpPdaArray(PdaArray.from_grid(GOLDEN_SP), AssociationProfile((3, 3)), 3)
+
+    def test_rejects_non_bijective_grouping(self):
+        # read as the identity, this grouping would let a simulation run with
+        # every user under helper 1 and still report all users decoded
+        with pytest.raises(InvalidPermutationError):
+            SpPdaArray(PdaArray.from_grid(GOLDEN_SP), AssociationProfile((3, 2)), 3,
+                       (0, 0, 0, 0, 0))
 
     def test_rejects_helper_stars_above_z(self):
         with pytest.raises(ParameterError):
