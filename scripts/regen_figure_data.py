@@ -18,13 +18,13 @@ CONFIGS = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--output-dir", default="figure_data",
                         help="directory for the CSV files (default: figure_data)")
     parser.add_argument("--mh-ratio", default="1/2",
                         help="helper memory fraction M_h/N (default: 1/2)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

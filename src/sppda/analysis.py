@@ -150,7 +150,7 @@ def _cross_check(sp: SpPdaArray, f: int, s: int, zh: int) -> bool:
     codes = {e for row in sp.pda.grid for e in row if e != 0}
     if sp.pda.f != f or len(codes) != s or sp.helper_stars != zh:
         return False
-    masks = group_star_masks(sp.pda.grid, sp.profile.parts, sp.grouping)
+    masks = group_star_masks(sp.pda, sp.profile.parts, sp.grouping)
     return all(mask.bit_count() >= zh for mask in masks)
 
 

@@ -5,6 +5,13 @@ A grid is a rectangular tuple-of-tuples of ints where ``STAR`` (0) marks a
 cached cell and positive integers are transmission codes.  Rows, columns and
 codes are 1-based in every public signature, matching the usual convention
 for these arrays; only raw Python indexing into ``grid`` is 0-based.
+
+This module is the only grid index.  A ``PdaArray`` holds two tables, each
+built at most once: ``star_masks``, per column the bitmask of its star rows,
+and ``code_cells``, per code its cells as (user, row) in row-major order.
+``verify_pda`` builds both while it checks C1-C3.  The column statistics
+here, D2, placement, delivery, construction and column-order search read
+these tables instead of scanning the grid.
 """
 
 from __future__ import annotations
@@ -12,10 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_
 
 STAR = 0
 
 Grid = tuple[tuple[int, ...], ...]
+Cells = tuple[tuple[int, int], ...]  # (user, row) pairs, 1-based, row-major
 
 
 class PdaError(ValueError):
@@ -76,12 +86,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class PdaCheck:
-    """Result of ``verify_pda``: parameters on success, violations otherwise,
-    and the normalized grid that was checked."""
+    """Result of ``verify_pda``: parameters and the checked array on success,
+    violations otherwise, and the normalized grid that was checked."""
 
     params: tuple[int, int, int, int] | None  # (K, F, Z, S)
     violations: tuple[Violation, ...]
     grid: Grid = field(repr=False, compare=False)
+    array: PdaArray | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -110,51 +121,73 @@ def verify_pda(rows) -> PdaCheck:
     is accepted as a degenerate PDA with S = 0.
     """
     grid = normalize_grid(rows)
-    f = len(grid)
-    k = len(grid[0])
     violations: list[Violation] = []
 
     # C1: equal star count in every column; Z is fixed by column 1.
-    star_counts = [sum(1 for j in range(f) if grid[j][c] == STAR) for c in range(k)]
-    z = star_counts[0]
-    for c, count in enumerate(star_counts):
-        if count != z:
-            violations.append(Violation("C1", (), (c + 1,),
-                                        f"column {c + 1} has {count} stars, column 1 has {z}"))
+    masks = _star_masks(grid)
+    z = masks[0].bit_count()
+    for c, mask in enumerate(masks, start=1):
+        if mask.bit_count() != z:
+            violations.append(Violation("C1", (), (c,),
+                                        f"column {c} has {mask.bit_count()} stars, column 1 has {z}"))
 
     # C2: the codes present are exactly {1, ..., S}.
-    positions: dict[int, list[tuple[int, int]]] = {}
-    for j in range(f):
-        for c in range(k):
-            e = grid[j][c]
-            if e != STAR:
-                positions.setdefault(e, []).append((j, c))
-    s = len(positions)
-    if positions:
-        top = max(positions)
+    cells = _cells_by_code(grid)
+    s = len(cells)
+    if cells:
+        top = max(cells)
         for missing in range(1, top + 1):
-            if missing not in positions:
+            if missing not in cells:
                 violations.append(Violation("C2", (), (),
                                             f"code {missing} absent but code {top} present"))
 
     # C3: equal codes pairwise occupy distinct rows/columns with stars across.
-    for code, cells in positions.items():
-        for (j1, c1), (j2, c2) in itertools.combinations(cells, 2):
-            if j1 == j2 or c1 == c2:
-                violations.append(Violation("C3a", (j1 + 1, j2 + 1), (c1 + 1, c2 + 1),
+    for code, where in cells.items():
+        for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
+            if j1 == j2 or k1 == k2:
+                violations.append(Violation("C3a", (j1, j2), (k1, k2),
                                             f"code {code} repeats in the same row or column"))
-            elif grid[j1][c2] != STAR or grid[j2][c1] != STAR:
-                violations.append(Violation("C3b", (j1 + 1, j2 + 1), (c1 + 1, c2 + 1),
+            elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
+                violations.append(Violation("C3b", (j1, j2), (k1, k2),
                                             f"code {code}: crossing cells are not both stars"))
 
     if violations:
         return PdaCheck(None, tuple(violations), grid)
-    return PdaCheck((k, f, z, s), (), grid)
+    array = PdaArray(grid, len(grid[0]), len(grid), z, s)
+    vars(array).update(star_masks=masks, code_cells=_cell_table(cells))  # seeds the cached tables
+    return PdaCheck((array.k, array.f, z, s), (), grid, array)
+
+
+def _star_masks(grid: Grid) -> tuple[int, ...]:
+    """Per column, the bitmask of the rows holding a star (bit j-1 for row j)."""
+    return tuple(int("".join(["0" if e else "1" for e in col[::-1]]), 2) for col in zip(*grid))
+
+
+def _cells_by_code(grid: Grid) -> dict[int, list[tuple[int, int]]]:
+    """Per code present, its cells as (user, row), 1-based, in row-major
+    order; codes are keyed in order of first appearance."""
+    cells: dict[int, list[tuple[int, int]]] = {}
+    for j, row in enumerate(grid, start=1):
+        for k, e in enumerate(row, start=1):
+            if e != STAR:
+                cells.setdefault(e, []).append((k, j))
+    return cells
+
+
+def _cell_table(cells: dict[int, list[tuple[int, int]]]) -> tuple[Cells, ...]:
+    """The cells of codes 1..max(code), indexed by code - 1; () for an absent code."""
+    return tuple(tuple(cells.get(code, ())) for code in range(1, max(cells, default=0) + 1))
+
+
+def mask_rows(mask: int) -> list[int]:
+    """The 1-based rows whose bits are set in ``mask``, ascending."""
+    return [j for j, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1"]
 
 
 @dataclass(frozen=True)
 class PdaArray:
-    """A validated (K, F, Z, S) placement delivery array."""
+    """A validated (K, F, Z, S) placement delivery array.  Its index tables are
+    built on first use, unless ``verify_pda`` already built them."""
 
     grid: Grid
     k: int
@@ -167,20 +200,40 @@ class PdaArray:
         check = verify_pda(rows)
         if not check.ok:
             raise InvalidPdaError(check.violations)
-        return cls(check.grid, *check.params)
+        return check.array
+
+    @cached_property
+    def star_masks(self) -> tuple[int, ...]:
+        """Per 0-based column, the bitmask of its star rows (bit j-1 for row j)."""
+        return _star_masks(self.grid)
+
+    @cached_property
+    def code_cells(self) -> tuple[Cells, ...]:
+        """Per code (index code - 1), its cells as (user, row), 1-based, row-major."""
+        return _cell_table(_cells_by_code(self.grid))
+
+    def code_columns(self) -> list[int]:
+        """Per code (index code - 1), the bitmask of its columns (bit c-1 for column c)."""
+        return [sum(1 << (k - 1) for k, _ in cells) for cells in self.code_cells]
 
     def column(self, c: int) -> tuple[int, ...]:
         """Column ``c`` (1-based) as a tuple."""
-        if not 1 <= c <= self.k:
-            raise IndexOutOfRangeError(f"column {c} not in [1, {self.k}]")
+        self._check_column(c)
         return tuple(self.grid[j][c - 1] for j in range(self.f))
 
+    def _check_column(self, c: int) -> None:
+        if not 1 <= c <= self.k:
+            raise IndexOutOfRangeError(f"column {c} not in [1, {self.k}]")
+
     def column_codes(self, c: int) -> frozenset[int]:
-        return frozenset(e for e in self.column(c) if e != STAR)
+        self._check_column(c)
+        bit = 1 << (c - 1)
+        return frozenset(code for code, mask in enumerate(self.code_columns(), start=1) if mask & bit)
 
     def star_rows(self, c: int) -> frozenset[int]:
         """1-based rows where column ``c`` holds a star."""
-        return frozenset(j + 1 for j, e in enumerate(self.column(c)) if e == STAR)
+        self._check_column(c)
+        return frozenset(mask_rows(self.star_masks[c - 1]))
 
 
 def regularity(pda: PdaArray) -> int | None:
@@ -188,14 +241,7 @@ def regularity(pda: PdaArray) -> int | None:
 
     The degenerate all-star array has no codes and no regularity.
     """
-    counts: dict[int, int] = {}
-    for row in pda.grid:
-        for e in row:
-            if e != STAR:
-                counts[e] = counts.get(e, 0) + 1
-    if not counts:
-        return None
-    values = set(counts.values())
+    values = {len(cells) for cells in pda.code_cells if cells}
     return values.pop() if len(values) == 1 else None
 
 
@@ -228,24 +274,18 @@ def phi(pda: PdaArray, prefix: int) -> int:
     """Number of distinct codes in the first ``prefix`` columns (1-based count)."""
     if not 1 <= prefix <= pda.k:
         raise IndexOutOfRangeError(f"prefix {prefix} not in [1, {pda.k}]")
-    seen: set[int] = set()
-    for c in range(prefix):
-        for j in range(pda.f):
-            e = pda.grid[j][c]
-            if e != STAR:
-                seen.add(e)
-    return len(seen)
+    first = (1 << prefix) - 1
+    return sum(1 for mask in pda.code_columns() if mask & first)
 
 
 def xi(pda: PdaArray, code: int) -> int:
     """Smallest 1-based column index in which ``code`` appears."""
     if not 1 <= code <= pda.s:
         raise CodeAbsentError(f"code {code} not in [1, {pda.s}]")
-    for c in range(pda.k):
-        for j in range(pda.f):
-            if pda.grid[j][c] == code:
-                return c + 1
-    raise CodeAbsentError(f"code {code} missing from a supposedly valid PDA")
+    table = pda.code_cells
+    if code > len(table) or not table[code - 1]:
+        raise CodeAbsentError(f"code {code} missing from a supposedly valid PDA")
+    return min(k for k, _ in table[code - 1])
 
 
 def all_star_row_count(pda: PdaArray, columns) -> int:
@@ -255,29 +295,21 @@ def all_star_row_count(pda: PdaArray, columns) -> int:
         raise IndexOutOfRangeError("column set must be nonempty")
     if cols[0] < 1 or cols[-1] > pda.k:
         raise IndexOutOfRangeError(f"columns {cols} not within [1, {pda.k}]")
-    count = 0
-    for row in pda.grid:
-        if all(row[c - 1] == STAR for c in cols):
-            count += 1
-    return count
+    return all_star_rows(pda, cols).bit_count()
+
+
+def all_star_rows(pda: PdaArray, columns) -> int:
+    """Bitmask (bit j-1 for row j) of the rows that are stars in every one of
+    ``columns`` (1-based); every row when ``columns`` is empty."""
+    return reduce(and_, (pda.star_masks[c - 1] for c in columns), (1 << pda.f) - 1)
 
 
 def canonicalize_codes(rows) -> Grid:
     """Renumber codes to 1..S in row-major first-appearance order."""
     grid = normalize_grid(rows)
-    relabel: dict[int, int] = {}
-    out = []
-    for row in grid:
-        new_row = []
-        for e in row:
-            if e == STAR:
-                new_row.append(STAR)
-            else:
-                if e not in relabel:
-                    relabel[e] = len(relabel) + 1
-                new_row.append(relabel[e])
-        out.append(tuple(new_row))
-    return tuple(out)
+    first_seen = dict.fromkeys(e for row in grid for e in row if e != STAR)
+    relabel = {code: new for new, code in enumerate(first_seen, start=1)}
+    return tuple(tuple(relabel.get(e, STAR) for e in row) for row in grid)
 
 
 def man_pda(k: int, t: int) -> PdaArray:

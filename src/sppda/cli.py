@@ -156,6 +156,8 @@ def cmd_sweep(args) -> int:
 def cmd_formulas(args) -> int:
     profile = AssociationProfile.parse(args.profile)
     if args.family == "man":
+        if args.t1 is None:
+            raise ParameterError("man formulas need --t1")
         s = s_closed_form_man(profile.num_groups, args.t1, profile, args.t2)
         rate = analysis.rate_man_pair(profile.num_groups, args.t1, profile, args.t2)
     elif args.q is None or args.m is None:

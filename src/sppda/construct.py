@@ -11,14 +11,13 @@ from fractions import Fraction
 from .arrays import (
     STAR,
     AssociationProfile,
-    Grid,
     ParameterError,
     PdaArray,
     PdaCheck,
+    all_star_rows,
     binom,
     check_bijection,
     man_pda,
-    phi,
     verify_pda,
     xi,
 )
@@ -123,38 +122,24 @@ class SpPdaCheck:
         return self.params is not None
 
 
-def _star_masks(grid: Grid) -> list[int]:
-    """Per column, a bitmask of the rows holding a star (bit j-1 for row j)."""
-    return [int("".join("1" if e == STAR else "0" for e in reversed(col)), 2)
-            for col in zip(*grid)]
-
-
-def group_star_masks(grid: Grid, parts: tuple[int, ...],
+def group_star_masks(pda: PdaArray, parts: tuple[int, ...],
                      grouping: tuple[int, ...] | None = None) -> list[int]:
     """Condition D2's counts: per helper group, the bitmask (bit j-1 for row j)
     of the rows that are stars in every column of the group.  Groups are the
     consecutive runs of sizes ``parts`` in the grouped column order; an empty
     group keeps every row."""
-    masks = _star_masks(grid)
-    order = range(len(masks))
+    order = range(1, pda.k + 1)
     if grouping is not None:
-        order = sorted(order, key=grouping.__getitem__)
-    out = []
-    start = 0
-    for width in parts:
-        mask = (1 << len(grid)) - 1
-        for c in order[start:start + width]:
-            mask &= masks[c]
-        out.append(mask)
-        start += width
-    return out
+        order = sorted(order, key=lambda c: grouping[c - 1])
+    ends = itertools.accumulate(parts)
+    return [all_star_rows(pda, order[end - width:end]) for width, end in zip(parts, ends)]
 
 
-def _search_grouping(masks: list[int], parts: tuple[int, ...], zh: int, full: int,
+def _search_grouping(pda: PdaArray, parts: tuple[int, ...], zh: int,
                      max_k: int = 12) -> tuple[int, ...] | None:
     """Exhaustive search for a D2 witness; groups of equal size are
     enumerated once (canonical order by smallest member)."""
-    k = len(masks)
+    k = pda.k
     if k > max_k:
         raise GroupingSearchError(f"witness search capped at K <= {max_k}, got K={k}")
 
@@ -174,10 +159,7 @@ def _search_grouping(masks: list[int], parts: tuple[int, ...], zh: int, full: in
             floor = -1
         candidates = sorted(c for c in remaining if c > floor)
         for combo in itertools.combinations(candidates, width):
-            mask = full
-            for c in combo:
-                mask &= masks[c]
-            if mask.bit_count() < zh:
+            if all_star_rows(pda, [c + 1 for c in combo]).bit_count() < zh:
                 continue
             groups[n] = combo
             if rec(n + 1, remaining - set(combo)):
@@ -205,9 +187,7 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
     Exhausting the search means "no witness", reported as failures, not an error.
     """
     pda_check = verify_pda(rows)
-    grid = pda_check.grid
-    f = len(grid)
-    k = len(grid[0])
+    f, k = len(pda_check.grid), len(pda_check.grid[0])
     if profile.num_users != k:
         raise ProfileMismatchError(f"profile sums to {profile.num_users}, grid has {k} columns")
     if not 0 <= zh <= f:
@@ -217,38 +197,46 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
     if not pda_check.ok:
         return SpPdaCheck(None, None, pda_check, ())
 
+    pda = pda_check.array
     witness = grouping
     if search:
         # None when no assignment works; the identity grouping's failures are reported
-        witness = _search_grouping(_star_masks(grid), profile.parts, zh, (1 << f) - 1)
-    masks = group_star_masks(grid, profile.parts, witness)
+        witness = _search_grouping(pda, profile.parts, zh)
+    masks = group_star_masks(pda, profile.parts, witness)
     failures = tuple(GroupFailure(n, mask.bit_count())
                      for n, mask in enumerate(masks, start=1) if mask.bit_count() < zh)
     if failures:
         return SpPdaCheck(None, None, pda_check, failures)
 
-    kk, ff, z, s = pda_check.params
-    params = SpPdaParams(kk, profile.num_groups, profile, ff, z, zh, s)
+    params = SpPdaParams(pda.k, profile.num_groups, profile, pda.f, pda.z, zh, pda.s)
     return SpPdaCheck(params, witness, pda_check, ())
 
 
-def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
-    if p1.k != profile.num_groups:
+def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -> None:
+    """Raise ``DimensionMismatchError`` unless p1 (when given) has one column
+    per helper group and p2 one column per user of the largest group."""
+    if p1 is not None and p1.k != profile.num_groups:
         raise DimensionMismatchError(
             f"first PDA has {p1.k} columns, profile has {profile.num_groups} groups")
     if p2.k != profile.part(1):
         raise DimensionMismatchError(
             f"second PDA has {p2.k} columns, largest group is {profile.part(1)}")
-    xi1 = [xi(p1, s) for s in range(1, p1.s + 1)]
-    phi2 = [0] + [phi(p2, l) for l in range(1, p2.k + 1)]
-    widths = [profile.part(n) for n in xi1]  # L_{xi(s)} per code s of p1
-    return xi1, phi2, widths
+
+
+def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
+    check_pair(p1, p2, profile)
+    widths = [profile.part(xi(p1, s)) for s in range(1, p1.s + 1)]  # L_{xi(s)} per code s of p1
+    # per width w, p2's codes in its first w columns, ascending: phi2(w) of them
+    code_columns = p2.code_columns()
+    domains = {w: [code for code, mask in enumerate(code_columns, start=1) if mask & (1 << w) - 1]
+               for w in set(widths)}
+    return widths, domains
 
 
 def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
     """Distinct-code count of the constructed SP-PDA, without materializing it."""
-    _, phi2, widths = _pair_tables(p1, p2, profile)
-    return sum(phi2[w] for w in widths)
+    widths, domains = _pair_tables(p1, p2, profile)
+    return sum(len(domains[w]) for w in widths)
 
 
 def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
@@ -259,15 +247,12 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     p2 truncated to the group width, with its codes renumbered
     order-preservingly into the slice of [S] reserved for s.
     """
-    xi1, phi2, widths = _pair_tables(p1, p2, profile)
-
-    # Per p1-code renumbering of the codes living in p2's first L_{xi(s)} columns.
+    widths, domains = _pair_tables(p1, p2, profile)
     renumber: list[dict[int, int]] = []
     offset = 0
-    for s in range(p1.s):
-        domain = sorted({e for c in range(widths[s]) for e in p2.column_codes(c + 1)})
-        renumber.append({old: offset + i + 1 for i, old in enumerate(domain)})
-        offset += phi2[widths[s]]
+    for width in widths:
+        renumber.append({old: offset + i for i, old in enumerate(domains[width], start=1)})
+        offset += len(domains[width])
 
     parts = profile.parts
     rows = []

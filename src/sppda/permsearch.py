@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from operator import ge, le, or_
 
-from .arrays import STAR, AssociationProfile, ParameterError, PdaArray, permute_columns
-from .construct import DimensionMismatchError
+from .arrays import AssociationProfile, ParameterError, PdaArray, permute_columns
+from .construct import check_pair
 
 
 class BudgetExceededError(ParameterError):
@@ -48,28 +48,13 @@ def _charge(work: int, budget: int, what: str) -> None:
         raise BudgetExceededError(f"{what} is {work} steps, over the budget of {budget}")
 
 
-def _check_pair(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> None:
-    if p1.k != profile.num_groups or p2.k != profile.part(1):
-        raise DimensionMismatchError("PDA column counts do not match the profile")
-
-
-def _code_masks(pda: PdaArray) -> list[int]:
-    """For each code 1..S, the bitmask of the 0-based columns it appears in."""
-    masks = [0] * pda.s
-    for row in pda.grid:
-        for c, e in enumerate(row):
-            if e != STAR:
-                masks[e - 1] |= 1 << c
-    return masks
-
-
 def _subset_phi(pda: PdaArray) -> list[int]:
     """phi of every column subset, indexed by bitmask: the codes meeting the
     subset are all codes minus those confined to its complement, and one
     sum-over-subsets pass (K * 2^K steps) counts the codes confined to each."""
     size = 1 << pda.k
     confined = [0] * size
-    for mask in _code_masks(pda):
+    for mask in pda.code_columns():
         confined[mask] += 1
     for c in range(pda.k):
         bit = 1 << c
@@ -165,7 +150,7 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     column orders runs once per kept table.  ``budget`` bounds K2 * K2! for the
     p2 orders plus K1 * 2^K1 DP transitions per kept table.
     """
-    _check_pair(p1, p2, profile)
+    check_pair(p1, p2, profile)
     work = p2.k * math.factorial(p2.k)
     _charge(work, budget, f"enumerating the {p2.k}! column orders of the second PDA")
 
@@ -195,7 +180,11 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     """The ``limit`` smallest-S permutation pairs (class representatives),
     ordered by (S, pi1, pi2).  Enumerates every order of both arrays, so
     ``budget`` bounds K1! * K2!."""
-    _check_pair(p1, p2, profile)
+    check_pair(p1, p2, profile)
+    if limit < 0:
+        raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
+    if limit == 0:
+        return []
     _charge(math.factorial(p1.k) * math.factorial(p2.k), budget,
             f"enumerating {p1.k}! x {p2.k}! permutation pairs")
     classes1 = _classes(_subset_phi(p1), p1.k, range(1, p1.k + 1))
@@ -231,9 +220,7 @@ def check_E2(p2: PdaArray, profile: AssociationProfile, budget: int = 10 ** 7) -
     """True iff p2's phi values at the group widths (L_Lambda, ..., L_1) are
     componentwise minimal over all column orders.  ``budget`` bounds the
     K2 * 2^K2 steps of the subset table."""
-    if p2.k != profile.part(1):
-        raise DimensionMismatchError(
-            f"second PDA has {p2.k} columns, largest group is {profile.part(1)}")
+    check_pair(None, p2, profile)
     return _identity_is_minimal(p2, profile.parts, budget)
 
 
@@ -241,7 +228,7 @@ def phi_vector(pda: PdaArray, perm: tuple[int, ...] | None = None) -> tuple[int,
     """(phi(1), ..., phi(K)) of the array under an optional column permutation."""
     if perm is None:
         perm = tuple(range(pda.k))
-    masks = _code_masks(pda)
+    masks = pda.code_columns()
     return tuple(sum(1 for m in masks if m & prefix) for prefix in _prefix_masks(perm)[1:])
 
 
@@ -258,8 +245,10 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
     """
     if side not in ("first", "second"):
         raise ParameterError(f"side must be 'first' or 'second', got {side!r}")
-    if side == "second" and profile is None:
-        raise ParameterError("side 'second' needs the association profile")
+    if side == "second":
+        if profile is None:
+            raise ParameterError("side 'second' needs the association profile")
+        check_pair(None, pda, profile)
 
     col_codes = [pda.column_codes(c + 1) for c in range(pda.k)]
     remaining = list(range(pda.k))

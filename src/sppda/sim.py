@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arrays import STAR, AssociationProfile, ParameterError, PdaArray
+from .arrays import STAR, AssociationProfile, ParameterError, PdaArray, mask_rows
 from .construct import SpPdaArray, group_star_masks
 
 
@@ -141,13 +141,11 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     zh = sppda.helper_stars
     helper_sets = []
-    masks = group_star_masks(pda.grid, sppda.profile.parts, sppda.grouping)
-    for lam, mask in enumerate(masks, start=1):
+    for lam, mask in enumerate(group_star_masks(pda, sppda.profile.parts, sppda.grouping), start=1):
         if mask.bit_count() < zh:
             raise InsufficientStarRowsError(
                 f"group {lam} has {mask.bit_count()} all-star rows, needs Z^(h)={zh}")
-        rows = [j for j, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1"]
-        helper_sets.append(frozenset(rows[:zh]))
+        helper_sets.append(frozenset(mask_rows(mask)[:zh]))
     user_to_helper = tuple(sppda.helper_of_user(k) for k in range(1, pda.k + 1))
     private_sets = tuple(
         pda.star_rows(k) - helper_sets[user_to_helper[k - 1] - 1]
@@ -161,19 +159,12 @@ def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transm
     if library.f != sppda.pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={sppda.pda.f}")
     demands = _check_demands(demands, sppda.pda.k, library.n)
-    positions: dict[int, list[tuple[int, int]]] = {}  # per code, its (row, column) cells
-    for j, row in enumerate(sppda.pda.grid, start=1):
-        for k, e in enumerate(row, start=1):
-            if e != STAR:
-                positions.setdefault(e, []).append((j, k))
     out = []
-    for code in range(1, sppda.pda.s + 1):
+    for code, cells in enumerate(sppda.pda.code_cells, start=1):
         payload = bytes(library.piece_size)
-        components = []
-        for j, k in positions[code]:
+        for k, j in cells:
             payload = _xor(payload, library.subfile(demands[k - 1], j))
-            components.append((k, j))
-        out.append(Transmission(code, payload, tuple(components)))
+        out.append(Transmission(code, payload, cells))
     return tuple(out)
 
 

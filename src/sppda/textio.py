@@ -97,7 +97,7 @@ def _checked(kind: str | None, header, rows, profile=None, pi=None):
         raise InvalidPdaError(pda_check.violations)
     if failures:
         raise ConditionError(failures)
-    array = PdaArray(grid, *pda_check.params)
+    array = pda_check.array
     actual = pda_check.params
     if kind == "sppda":
         array = SpPdaArray(array, profile, claimed[4], grouping)

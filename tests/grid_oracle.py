@@ -1,0 +1,82 @@
+"""Naive readers that scan the grid cell by cell: the reference for the index
+tables (``star_masks``, ``code_cells``) that ``sppda.arrays`` keeps per array.
+Each takes anything with ``grid``, ``k``, ``f`` and ``s``; rows, columns and
+codes are 1-based as in the package."""
+
+from sppda.arrays import STAR
+
+
+def code_cells(pda):
+    """Per code 1..S, its cells as (user, row) in row-major order."""
+    return tuple(tuple((k, j) for j, row in enumerate(pda.grid, start=1)
+                       for k, e in enumerate(row, start=1) if e == code)
+                 for code in range(1, pda.s + 1))
+
+
+def phi(pda, prefix):
+    seen = set()
+    for c in range(prefix):
+        for j in range(pda.f):
+            e = pda.grid[j][c]
+            if e != STAR:
+                seen.add(e)
+    return len(seen)
+
+
+def xi(pda, code):
+    for c in range(pda.k):
+        for j in range(pda.f):
+            if pda.grid[j][c] == code:
+                return c + 1
+    return None
+
+
+def regularity(pda):
+    counts = {}
+    for row in pda.grid:
+        for e in row:
+            if e != STAR:
+                counts[e] = counts.get(e, 0) + 1
+    values = set(counts.values())
+    return values.pop() if len(values) == 1 else None
+
+
+def all_star_row_count(pda, columns):
+    return sum(1 for row in pda.grid if all(row[c - 1] == STAR for c in columns))
+
+
+def column_codes(pda, c):
+    return frozenset(row[c - 1] for row in pda.grid if row[c - 1] != STAR)
+
+
+def star_rows(pda, c):
+    return frozenset(j + 1 for j, row in enumerate(pda.grid) if row[c - 1] == STAR)
+
+
+def group_star_masks(pda, parts, grouping=None):
+    """Per helper group (consecutive runs of ``parts`` in the grouped order),
+    the bitmask of the rows that are stars in every column of the group."""
+    order = list(range(pda.k))
+    if grouping is not None:
+        order.sort(key=lambda c: grouping[c])
+    out = []
+    start = 0
+    for width in parts:
+        cols = order[start:start + width]
+        out.append(sum(1 << j for j, row in enumerate(pda.grid)
+                       if all(row[c] == STAR for c in cols)))
+        start += width
+    return out
+
+
+def phi_vector(pda, perm=None):
+    """(phi(1), ..., phi(K)) after moving old column c to position perm[c]."""
+    if perm is None:
+        perm = tuple(range(pda.k))
+    order = sorted(range(pda.k), key=lambda c: perm[c])
+    out = []
+    seen = set()
+    for c in order:
+        seen |= {row[c] for row in pda.grid if row[c] != STAR}
+        out.append(len(seen))
+    return tuple(out)

@@ -1,6 +1,8 @@
 """Closed-form rates, the matched-memory comparison, and sweeps."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +145,14 @@ class TestSweep:
 def test_subpacketization_helpers():
     assert man_pair_subpacketization(8, 4, 3, 1) == binom(8, 4) * 3
     assert construction_a_subpacketization(2, 3, 3, 1) == 24
+
+
+def test_regen_figure_data_script(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "regen_figure_data.py"
+    spec = importlib.util.spec_from_file_location("regen_figure_data", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["-o", str(tmp_path), "--mh-ratio", "1/4"]) == 0
+    for name, profile in (("uniform", UNIFORM), ("skewed", SKEWED)):
+        config = SweepConfig(profile, Fraction(1, 4), tuple(range(profile.part(1) + 1)))
+        assert (tmp_path / f"{name}.csv").read_text() == sweep_csv(sweep(config))

@@ -183,11 +183,23 @@ class TestSearch:
         assert lines[1].endswith(",18")
         assert lines[-2] == "s_min,,18"
         assert lines[-1] == "s_max,,24"
+        # --top 0 prints only the extremes, so it needs no K1! * K2! enumeration
+        capsys.readouterr()
+        assert main(["search", "man:14,2", "man:3,1", "--profile",
+                     "3,3,3,2,2,2,2,1,1,1,1,1,1,1", "--top", "0"]) == 0
+        assert capsys.readouterr().out == "pi1,pi2,S\ns_min,,1057\ns_max,,1057\n"
+        assert main(["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_greedy(self, capsys):
         assert main(["search", "man:3,1", "man:3,1", "--profile", "3,2,1",
                      "--greedy"]) == 0
         assert "greedy: S" in capsys.readouterr().out
+        # a group wider than the second array
+        assert main(["search", "man:2,1", "man:2,1", "--profile", "3,2", "--greedy"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_budget_exceeded(self, capsys):
         assert main(["search", "man:8,1", "man:8,1",
@@ -234,6 +246,9 @@ class TestFormulas:
 
     def test_consa_needs_q_and_m(self, capsys):
         assert main(["formulas", "consa", "--profile", "2,2,1,1", "--t2", "1"]) == 2
+        capsys.readouterr()
+        assert main(["formulas", "man", "--profile", "3,2", "--t2", "1"]) == 2
+        assert capsys.readouterr().err == "error: man formulas need --t1\n"
 
 
 def test_constructed_file_parses_back(golden_file):

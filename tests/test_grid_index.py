@@ -1,0 +1,50 @@
+"""The index tables of ``PdaArray`` against the naive grid scans in
+``grid_oracle``: every reader that moved onto the tables must agree with the
+cell-by-cell reference, on validated arrays, column-permuted arrays and
+unvalidated constructed arrays."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import grid_oracle as oracle
+from conftest import random_pda, random_profile
+from sppda.arrays import all_star_row_count, permute_columns, phi, regularity, xi
+from sppda.construct import construct_sppda, group_star_masks
+from sppda.permsearch import phi_vector
+from sppda.sim import FileLibrary, sp_deliver
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_readers_match_grid_oracle(rng):
+    p1 = random_pda(rng, max_cols=5, max_rows=10)
+    p2 = random_pda(rng, max_cols=4, max_rows=10)
+    profile = random_profile(rng, p1.k, p2.k)
+    sp = construct_sppda(p1, p2, profile, validate=False)
+    shuffled = permute_columns(p2, rng.sample(range(p2.k), p2.k))
+    for pda in (p1, p2, shuffled, sp.pda):
+        assert pda.code_cells == oracle.code_cells(pda)
+        for n in range(1, pda.k + 1):
+            assert phi(pda, n) == oracle.phi(pda, n)
+        for s in range(1, pda.s + 1):
+            assert xi(pda, s) == oracle.xi(pda, s)
+        assert regularity(pda) == oracle.regularity(pda)
+        for c in range(1, pda.k + 1):
+            assert pda.column_codes(c) == oracle.column_codes(pda, c)
+            assert pda.star_rows(c) == oracle.star_rows(pda, c)
+        columns = rng.sample(range(1, pda.k + 1), rng.randint(1, pda.k))
+        assert all_star_row_count(pda, columns) == oracle.all_star_row_count(pda, columns)
+        perm = tuple(rng.sample(range(pda.k), pda.k))
+        assert phi_vector(pda) == oracle.phi_vector(pda)
+        assert phi_vector(pda, perm) == oracle.phi_vector(pda, perm)
+
+    grouping = tuple(rng.sample(range(sp.pda.k), sp.pda.k))
+    for g in (None, grouping):
+        expected = oracle.group_star_masks(sp.pda, profile.parts, g)
+        assert group_star_masks(sp.pda, profile.parts, g) == expected
+
+    library = FileLibrary.synthetic(2, 3 * sp.pda.f, sp.pda.f, seed=rng.randrange(100))
+    transmissions = sp_deliver(sp, library, [rng.randint(1, 2) for _ in range(sp.pda.k)])
+    assert tuple(t.components for t in transmissions) == oracle.code_cells(sp.pda)
+    # the components are the table's own tuples, not copies
+    assert all(t.components is cells for t, cells in zip(transmissions, sp.pda.code_cells))
