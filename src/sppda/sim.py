@@ -1,6 +1,10 @@
 """Bit-exact execution of the caching schemes: dedicated-cache delivery from
 a plain PDA and helper+private delivery from an SP-PDA, over an in-memory
 error-free broadcast.  Users, files, rows, and codes are 1-based throughout.
+
+One engine serves both schemes: ``sp_deliver`` and ``sp_decode`` walk the
+array's code->cells table once per code, with subfiles read as ints straight
+from views of the padded files.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arrays import STAR, AssociationProfile, ParameterError, PdaArray, mask_rows
+from .arrays import AssociationProfile, ParameterError, PdaArray, mask_rows
 from .construct import SpPdaArray, group_star_masks
 
 
@@ -30,10 +34,6 @@ class MissingComponentError(ParameterError):
     pass
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 @dataclass(frozen=True)
 class FileLibrary:
     """N equal-length files, zero-padded so each splits into F equal subfiles."""
@@ -42,16 +42,29 @@ class FileLibrary:
     f: int
     true_length: int
 
+    def __post_init__(self):
+        # a piece-by-piece verdict is sound only if the F subfiles tile each file
+        if self.f < 1:
+            raise ParameterError(f"library must split into F >= 1 subfiles, got F={self.f}")
+        if not self.files:
+            raise ParameterError("library needs at least one file")
+        lengths = {len(x) for x in self.files}
+        if len(lengths) != 1:
+            raise ParameterError(f"files must have equal length, got lengths {sorted(lengths)}")
+        padded = lengths.pop()
+        if padded % self.f:
+            raise ParameterError(f"file length {padded} is not a multiple of F={self.f}")
+        if not 0 <= self.true_length <= padded:
+            raise ParameterError(f"true length {self.true_length} not in [0, {padded}]")
+
     @classmethod
     def from_bytes(cls, files, f: int) -> "FileLibrary":
         files = tuple(bytes(x) for x in files)
-        if not files:
-            raise ParameterError("library needs at least one file")
         lengths = {len(x) for x in files}
-        if len(lengths) != 1:
+        if len(lengths) > 1:  # checked here because padding would hide it
             raise ParameterError(f"files must have equal length, got lengths {sorted(lengths)}")
-        true_length = lengths.pop()
-        padded = -(-max(true_length, 1) // f) * f
+        true_length = lengths.pop() if lengths else 0
+        padded = -(-max(true_length, 1) // f) * f if f >= 1 else true_length  # __post_init__ refuses F < 1
         return cls(tuple(x.ljust(padded, b"\0") for x in files), f, true_length)
 
     @classmethod
@@ -154,56 +167,101 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
     return CacheLayout(tuple(helper_sets), private_sets, user_to_helper)
 
 
+def _subfile_views(pda: PdaArray, library: FileLibrary, demands):
+    """Per user, a view of its demanded file, and per row j the slice of subfile
+    j (index 0 unused): user k's subfile j is ``views[k - 1][rows[j]]``, read
+    without copying the file."""
+    if library.f != pda.f:
+        raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
+    demands = _check_demands(demands, pda.k, library.n)
+    piece = library.piece_size
+    views = [memoryview(library.files[d - 1]) for d in demands]
+    return views, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
+
+
+def _rows_mask(rows) -> int:
+    """The bitmask with bit j-1 set for each 1-based row j in ``rows``."""
+    digits = bytearray(b"0" * max(rows, default=0))
+    for j in rows:
+        digits[-j] = 49  # ord("1")
+    return int(digits, 2) if digits else 0
+
+
+def _lowest_row(mask: int) -> int:
+    return (mask & -mask).bit_length()
+
+
 def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transmission, ...]:
     """One XOR transmission per code, components in row-major order."""
-    if library.f != sppda.pda.f:
-        raise DimensionError(f"library split into {library.f} subfiles, array has F={sppda.pda.f}")
-    demands = _check_demands(demands, sppda.pda.k, library.n)
+    views, rows = _subfile_views(sppda.pda, library, demands)
+    piece = library.piece_size
     out = []
     for code, cells in enumerate(sppda.pda.code_cells, start=1):
-        payload = bytes(library.piece_size)
+        payload = 0
         for k, j in cells:
-            payload = _xor(payload, library.subfile(demands[k - 1], j))
-        out.append(Transmission(code, payload, cells))
+            payload ^= int.from_bytes(views[k - 1][rows[j]], "big")
+        out.append(Transmission(code, payload.to_bytes(piece, "big"), cells))
     return tuple(out)
 
 
-def sp_decode(user: int, layout: CacheLayout, transmissions, sppda: SpPdaArray,
-              library: FileLibrary, demands) -> bytes:
-    """Recover the user's demanded file from its caches plus the broadcast."""
-    demands = _check_demands(demands, sppda.pda.k, library.n)
-    accessible = layout.accessible_rows(user)
-    pieces = []
-    for j, row in enumerate(sppda.pda.grid, start=1):
-        e = row[user - 1]
-        if e == STAR:
-            if j not in accessible:
-                raise MissingComponentError(f"user {user}: cached row {j} not in any reachable cache")
-            pieces.append(library.subfile(demands[user - 1], j))
-        else:
-            acc = transmissions[e - 1].payload
-            for k2, j2 in transmissions[e - 1].components:
-                if k2 == user and j2 == j:
-                    continue
-                if j2 not in accessible:
-                    raise MissingComponentError(
-                        f"user {user}: foreign subfile row {j2} not cached (C3 violated?)")
-                acc = _xor(acc, library.subfile(demands[k2 - 1], j2))
-            pieces.append(acc)
-    return b"".join(pieces)[: library.true_length]
+def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
+              library: FileLibrary, demands) -> tuple[bool, ...]:
+    """Per user, whether the file it recovers from its caches plus the
+    broadcast equals its demanded file.
+
+    Each code is decoded once for all its g recipients: recipient i strips the
+    other components from the payload as ``payload ^ prefix[i] ^ suffix[i+1]``
+    (O(g) per code), reading only rows its helper and private caches hold, and
+    compares the piece with its demanded subfile.  Cached pieces are the
+    library's own bytes, so only the transmitted pieces are compared.
+    """
+    pda = sppda.pda
+    views, rows = _subfile_views(pda, library, demands)
+    piece = library.piece_size
+    all_rows = (1 << pda.f) - 1
+    helper_masks = [_rows_mask(r) for r in layout.helper_sets]
+    blocked = []  # per user, the rows in neither of its caches
+    for k in range(1, pda.k + 1):
+        reach = helper_masks[layout.user_to_helper[k - 1] - 1] | _rows_mask(layout.private_sets[k - 1])
+        missing = pda.star_masks[k - 1] & ~reach
+        if missing:
+            raise MissingComponentError(
+                f"user {k}: cached row {_lowest_row(missing)} not in any reachable cache")
+        blocked.append(all_rows & ~reach)
+    decoded = [True] * pda.k
+    for cells, sent in zip(pda.code_cells, transmissions, strict=True):
+        subs = [int.from_bytes(views[k - 1][rows[j]], "big") for k, j in cells]
+        bits = [1 << (j - 1) for _, j in cells]
+        code_rows = 0
+        for bit in bits:
+            code_rows |= bit
+        suffix = [0] * (len(cells) + 1)
+        for i in range(len(cells) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] ^ subs[i]
+        payload = int.from_bytes(sent.payload, "big")
+        prefix = 0
+        for i, (k, j) in enumerate(cells):
+            foreign = (code_rows ^ bits[i]) & blocked[k - 1]  # C3 keeps a code's rows distinct
+            if foreign:
+                raise MissingComponentError(
+                    f"user {k}: foreign subfile row {_lowest_row(foreign)} not cached (C3 violated?)")
+            got = payload ^ prefix ^ suffix[i + 1]
+            if got != subs[i]:
+                padding = j * piece - library.true_length  # bytes outside the verdict
+                if padding <= 0 or (got ^ subs[i]) >> 8 * padding:
+                    decoded[k - 1] = False
+            prefix ^= subs[i]
+    return tuple(decoded)
 
 
 def _run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
     demands = _check_demands(demands, sppda.pda.k, library.n)
     layout = sp_place(sppda, library)
     transmissions = sp_deliver(sppda, library, demands)
-    decoded = []
-    for user in range(1, sppda.pda.k + 1):
-        got = sp_decode(user, layout, transmissions, sppda, library, demands)
-        decoded.append(got == library.original(demands[user - 1]))
+    decoded = sp_decode(layout, transmissions, sppda, library, demands)
     params = sppda.params
     return SimReport(params.rate, params.mh_ratio, params.mp_ratio,
-                     tuple(decoded), transmissions, params.f,
+                     decoded, transmissions, params.f,
                      len(set(demands)) == len(demands))
 
 

@@ -1,5 +1,6 @@
 """Bit-exact delivery and decoding for both cache architectures."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -14,20 +15,48 @@ from sppda.sim import (
     DimensionError,
     FileLibrary,
     InsufficientStarRowsError,
+    MissingComponentError,
     dedicated_run,
     format_report,
     format_transmission_log,
     report_csv_row,
+    sp_decode,
     sp_deliver,
     sp_place,
     sp_run,
 )
 
+import sim_oracle as oracle
 from conftest import GOLDEN_SP, random_pda, random_profile
 
 
 def xor_all(chunks):
     return bytes(reduce(lambda a, b: a ^ b, col) for col in zip(*chunks))
+
+
+def flip_byte(t, index):
+    """The transmission with bit 0 of payload byte ``index`` flipped."""
+    payload = bytearray(t.payload)
+    payload[index] ^= 1
+    return replace(t, payload=bytes(payload))
+
+
+def random_run(rng, dedicated):
+    """A random instance of either scheme, a library whose length often needs
+    padding, demands with repeats allowed, and the engine's report."""
+    if dedicated:
+        pda = random_pda(rng, max_cols=5, max_rows=10)
+        sp = SpPdaArray(pda, AssociationProfile((1,) * pda.k), 0)
+    else:
+        p1 = random_pda(rng, max_cols=4, max_rows=8)
+        p2 = random_pda(rng, max_cols=4, max_rows=8)
+        sp = construct_sppda(p1, p2, random_profile(rng, p1.k, p2.k))
+    f = sp.pda.f
+    library = FileLibrary.synthetic(rng.randint(1, sp.pda.k), rng.randint(0, 4 * f), f,
+                                    seed=rng.randrange(100))
+    demands = [rng.randint(1, library.n) for _ in range(sp.pda.k)]
+    report = dedicated_run(sp.pda, library, demands) if dedicated else sp_run(sp, library, demands)
+    return sp, library, demands, report
 
 
 @pytest.fixture
@@ -152,6 +181,78 @@ class TestRoundTrip:
             assert private | helper == sp.pda.star_rows(user)
 
 
+class TestAgainstOracle:
+    """The engine against the byte-slicing per-user decoder in sim_oracle."""
+
+    DEMANDS = (1, 2, 3, 4, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_engine_matches_oracle(self, rng, dedicated):
+        sp, library, demands, report = random_run(rng, dedicated)
+        layout = sp_place(sp, library)
+        sent = oracle.deliver(sp, library, demands)
+        assert report.transmissions == sent
+        assert report.decoded == oracle.verdicts(layout, sent, sp, library, demands)
+        if sent:  # a flipped byte may fall in the padding, which neither verdict reads
+            i = rng.randrange(len(sent))
+            tampered = list(sent)
+            tampered[i] = flip_byte(sent[i], rng.randrange(len(sent[i].payload)))
+            assert (sp_decode(layout, tuple(tampered), sp, library, demands)
+                    == oracle.verdicts(layout, tampered, sp, library, demands))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_broadcast_bytes_match_rate(self, rng, dedicated):
+        sp, library, _, report = random_run(rng, dedicated)
+        sent = sum(len(t.payload) for t in report.transmissions)
+        assert sent == sp.pda.s * library.piece_size
+        assert sent == report.rate * library.padded_length
+
+    def test_tampered_payload_fails_exactly_its_recipients(self, golden_sp, golden_library):
+        layout = sp_place(golden_sp, golden_library)
+        sent = sp_deliver(golden_sp, golden_library, self.DEMANDS)
+        for i, t in enumerate(sent):
+            recipients = {k for k, _ in t.components}
+            for index in (0, len(t.payload) - 1):
+                tampered = sent[:i] + (flip_byte(t, index),) + sent[i + 1:]
+                verdicts = sp_decode(layout, tampered, golden_sp, golden_library, self.DEMANDS)
+                assert verdicts == tuple(k not in recipients for k in range(1, 6))
+                assert verdicts == oracle.verdicts(layout, tampered, golden_sp, golden_library,
+                                                   self.DEMANDS)
+
+    def test_unreachable_rows_raise(self, golden_sp, golden_library):
+        layout = sp_place(golden_sp, golden_library)
+        sent = sp_deliver(golden_sp, golden_library, self.DEMANDS)
+        no_helper_row = replace(layout, helper_sets=(frozenset({2, 3}), layout.helper_sets[1]))
+        # user 5's private row 2 is first needed as a foreign component of code 1 in row 1
+        no_private_row = replace(layout, private_sets=layout.private_sets[:4] + (frozenset(),))
+        for bad in (no_helper_row, no_private_row):
+            with pytest.raises(MissingComponentError):
+                sp_decode(bad, sent, golden_sp, golden_library, self.DEMANDS)
+            with pytest.raises(MissingComponentError):
+                oracle.verdicts(bad, sent, golden_sp, golden_library, self.DEMANDS)
+        with pytest.raises(MissingComponentError, match="foreign"):
+            oracle.verdicts(no_private_row, sent, golden_sp, golden_library, self.DEMANDS)
+        # an all-star array sends nothing, so only the cached-row check can see a lost row
+        all_star = SpPdaArray(man_pda(2, 2), AssociationProfile((1, 1)), 0)
+        library = FileLibrary.synthetic(2, 4, 1, seed=0)
+        layout = replace(sp_place(all_star, library), private_sets=(frozenset(), frozenset({1})))
+        for decode in (sp_decode, oracle.verdicts):
+            with pytest.raises(MissingComponentError, match="cached"):
+                decode(layout, (), all_star, library, (1, 2))
+
+    def test_c3_violation_raises_on_the_foreign_row(self):
+        # code 1 sits at (row 1, user 1) and (row 2, user 2) with no stars across
+        sp = SpPdaArray(PdaArray(((1, 2), (2, 1)), 2, 2, 0, 2), AssociationProfile((1, 1)), 0)
+        library = FileLibrary.synthetic(2, 4, 2, seed=0)
+        with pytest.raises(MissingComponentError, match="foreign"):
+            sp_run(sp, library, (1, 2))
+        sent = oracle.deliver(sp, library, (1, 2))
+        with pytest.raises(MissingComponentError, match="foreign"):
+            oracle.verdicts(sp_place(sp, library), sent, sp, library, (1, 2))
+
+
 class TestFileLibrary:
     def test_padding_and_true_length(self):
         lib = FileLibrary.from_bytes([b"0123456789", b"abcdefghij"], f=4)
@@ -168,6 +269,17 @@ class TestFileLibrary:
     def test_empty_library_rejected(self):
         with pytest.raises(ParameterError):
             FileLibrary.from_bytes([], f=2)
+
+    def test_inconsistent_fields_rejected(self):
+        for make in (lambda: FileLibrary((b"abcde", b"fghij"), 2, 5),  # 5 bytes, F=2
+                     lambda: FileLibrary.from_bytes([b"ab"], 0),
+                     lambda: FileLibrary((b"abcd",), 0, 4),
+                     lambda: FileLibrary((b"ab", b"abcd"), 2, 2),
+                     lambda: FileLibrary((b"abcd",), 2, 5),
+                     lambda: FileLibrary((b"abcd",), 2, -1),
+                     lambda: FileLibrary((), 2, 0)):
+            with pytest.raises(ParameterError):
+                make()
 
     def test_synthetic_is_seeded(self):
         assert FileLibrary.synthetic(3, 32, 4, seed=9) == FileLibrary.synthetic(3, 32, 4, seed=9)
