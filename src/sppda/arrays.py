@@ -216,11 +216,6 @@ class PdaArray:
         """Per code (index code - 1), the bitmask of its columns (bit c-1 for column c)."""
         return [sum(1 << (k - 1) for k, _ in cells) for cells in self.code_cells]
 
-    def column(self, c: int) -> tuple[int, ...]:
-        """Column ``c`` (1-based) as a tuple."""
-        self._check_column(c)
-        return tuple(self.grid[j][c - 1] for j in range(self.f))
-
     def _check_column(self, c: int) -> None:
         if not 1 <= c <= self.k:
             raise IndexOutOfRangeError(f"column {c} not in [1, {self.k}]")
@@ -416,20 +411,3 @@ class AssociationProfile:
             if k <= upto:
                 return n
         raise IndexOutOfRangeError(f"user {k} not in [1, {self.num_users}]")
-
-
-def enumerate_profiles(total: int, length: int, min_part: int = 1):
-    """Yield all AssociationProfiles of ``total`` with exactly ``length`` parts."""
-
-    def rec(remaining: int, slots: int, cap: int):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        lo = max(min_part, -(-remaining // slots))  # ceil keeps parts feasible
-        for first in range(min(cap, remaining - min_part * (slots - 1)), lo - 1, -1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    for parts in rec(total, length, total):
-        yield AssociationProfile(parts)

@@ -3,22 +3,25 @@ minimizes the constructed SP-PDA's code count, plus the sufficiency checks
 for when the identity ordering is already optimal.
 
 Permutations are tuples mapping old 0-based column index to new 0-based
-position, iterated in lexicographic order for deterministic tie-breaking.
+position; ties go to the lexicographically smallest, for determinism.
 
 Everything exact reads one table per array: ``phi[mask]``, the number of
 distinct codes in the columns of ``mask`` (bit c for 0-based column c).  The
 count S of a pairing is a sum of prefix phi values of the first array with
 non-negative weights set by the second array's phi at the group widths, and
 a prefix's phi depends only on its set of columns, so the best column order
-is a shortest path over the 2^K column subsets (Held-Karp).
+is a shortest path over the 2^K column subsets (Held-Karp).  The distinct
+prefix values that an array's orders can take come from a walk up the same
+subset lattice (``_Classes``), so no search enumerates the K! orders.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import ge, le, or_
+from operator import ge, itemgetter, le, or_
 
 from .arrays import AssociationProfile, ParameterError, PdaArray, permute_columns
 from .construct import check_pair
@@ -40,18 +43,28 @@ class SearchResult:
     best: PermutationPair
     s_min: int
     s_max: int
-    evaluations: int
+    evaluations: int  # steps charged against the budget
 
 
-def _charge(work: int, budget: int, what: str) -> None:
-    if work > budget:
-        raise BudgetExceededError(f"{what} is {work} steps, over the budget of {budget}")
+class _Steps:
+    """A running count of the steps a search has taken, refused past ``budget``."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.count = 0
+
+    def charge(self, work: int, what: str) -> None:
+        self.count += work
+        if self.count > self.budget:
+            raise BudgetExceededError(f"{what} brings the search to {self.count} steps, "
+                                      f"over the budget of {self.budget}")
 
 
-def _subset_phi(pda: PdaArray) -> list[int]:
+def _subset_phi(pda: PdaArray, steps: _Steps) -> list[int]:
     """phi of every column subset, indexed by bitmask: the codes meeting the
     subset are all codes minus those confined to its complement, and one
     sum-over-subsets pass (K * 2^K steps) counts the codes confined to each."""
+    steps.charge(pda.k << pda.k, f"the {2 ** pda.k}-subset phi table")
     size = 1 << pda.k
     confined = [0] * size
     for mask in pda.code_columns():
@@ -70,14 +83,111 @@ def _prefix_masks(perm: tuple[int, ...]) -> list[int]:
     return [0, *itertools.accumulate(order, or_)]
 
 
-def _classes(phi: list[int], k: int, widths) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """All K! column orders keyed by their prefix phi values at ``widths``;
-    the lexicographically first order with each key represents it."""
-    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for perm in itertools.permutations(range(k)):
-        prefix = _prefix_masks(perm)
-        classes.setdefault(tuple(phi[prefix[w]] for w in widths), perm)
-    return classes
+def _bitmap(members: list[int], size: int) -> int:
+    """The int with bit m set for each m in ``members`` (all below ``size``)."""
+    buf = bytearray((size + 7) // 8)
+    for m in members:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+class _Classes(Mapping):
+    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
+    orders, ``prefix[w]`` being the set of the first w columns, each mapped to the
+    lexicographically first column->position permutation that has it.
+
+    A set of column subsets is one int, bit m standing for subset m.  The keys
+    come from a walk up the subset lattice: a state is the values so far and the
+    set of subsets reaching them; each width grows every subset by one column,
+    and a width in ``widths`` splits the grown set by phi.  A representative is
+    rebuilt on first lookup by placing columns greedily (``_first_order``).
+    ``steps`` is charged one step per subset expanded."""
+
+    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
+        self.k, self.steps = k, steps
+        self.what = f"walking the {2 ** k}-subset lattice"
+        self.every = (1 << (1 << k)) - 1
+        # the subsets with column c: 2^c bits clear then 2^c set, repeated
+        self.has = [self.every // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
+                    for c in range(k)]
+        self.lacks = [self.every ^ h for h in self.has]
+        widths = tuple(widths)
+        self.widths = sorted(set(widths))
+        slot = {w: i for i, w in enumerate(self.widths)}
+        members: dict[tuple[int, int], list[int]] = {}
+        for m, v in enumerate(phi):
+            if (n := m.bit_count()) in slot:
+                members.setdefault((n, v), []).append(m)
+        # per walked width, phi value -> the subsets of that width with that value
+        self.cells: list[dict[int, int]] = [{} for _ in self.widths]
+        for (n, v), ms in members.items():
+            self.cells[slot[n]][v] = _bitmap(ms, 1 << k)
+
+        states = {(): 1}
+        for n in range(self.widths[-1] + 1):
+            if n:
+                states = {values: self._grow(sets) for values, sets in states.items()}
+            if n in slot:
+                states = {(*values, v): split for values, sets in states.items()
+                          for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
+        self.values = {tuple(values[slot[w]] for w in widths): values for values in states}
+        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def __getitem__(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        if key not in self.first:
+            self.first[key] = self._first_order(self.values[key])
+        return self.first[key]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def _grow(self, sets: int) -> int:
+        """The subsets one column larger than some subset in ``sets``."""
+        self.steps.charge(sets.bit_count(), self.what)
+        out = 0
+        for c, lacks in enumerate(self.lacks):
+            out |= (sets & lacks) << (1 << c)
+        return out
+
+    def _shrink(self, sets: int) -> int:
+        """The subsets one column smaller than some subset in ``sets``."""
+        self.steps.charge(sets.bit_count(), self.what)
+        out = 0
+        for c, has in enumerate(self.has):
+            out |= (sets & has) >> (1 << c)
+        return out
+
+    def _chains(self, allowed: list[int]) -> list[int]:
+        """Per width 0..K, the subsets in ``allowed`` that lie on a chain from no
+        column to all columns passing only through subsets in ``allowed``."""
+        reach = [allowed[0] & 1]
+        for n in range(1, self.k + 1):
+            reach.append(self._grow(reach[-1]) & allowed[n])
+        for n in range(self.k - 1, -1, -1):
+            reach[n] &= self._shrink(reach[n + 1])
+        return reach
+
+    def _first_order(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        """Each column in turn takes the smallest position at which it enters some
+        chain with the walked ``values`` that places the earlier columns where
+        they were put.  The constraints are all on single subsets, so a step
+        between two subsets on such chains lies on one: one pass over the chains
+        per column finds the position."""
+        allowed = [self.every] * (self.k + 1)
+        for n, cell, v in zip(self.widths, self.cells, values):
+            allowed[n] = cell[v]
+        order = []
+        for c in range(self.k):
+            good = self._chains(allowed)
+            p = next(n for n in range(self.k)
+                     if (good[n] & self.lacks[c]) << (1 << c) & good[n + 1])
+            order.append(p)
+            allowed = [sets & (self.has[c] if n > p else self.lacks[c])
+                       for n, sets in enumerate(good)]
+        return tuple(order)
 
 
 def _weights(table: tuple[int, ...]) -> list[int]:
@@ -144,24 +254,22 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                     budget: int = 10 ** 7) -> SearchResult:
     """Exact min and max of S over all column-permutation pairs.
 
-    Ties go to the lexicographically smallest (pi1, pi2).  The K2! orders of p2
-    only give the distinct phi-at-group-width tables; those that cannot be
-    extreme are pruned (S is monotone in the table) and a subset DP over p1's
-    column orders runs once per kept table.  ``budget`` bounds K2 * K2! for the
-    p2 orders plus K1 * 2^K1 DP transitions per kept table.
+    Ties go to the lexicographically smallest (pi1, pi2).  A walk over p2's
+    column subsets gives its distinct phi-at-group-width tables; those that
+    cannot be extreme are pruned (S is monotone in the table) and a subset DP
+    over p1's column orders runs once per kept table.  ``budget`` bounds the
+    steps: K * 2^K per phi table, the subsets the walks expand, and
+    K1 * 2^K1 DP transitions per kept table.  ``evaluations`` is their count.
     """
     check_pair(p1, p2, profile)
-    work = p2.k * math.factorial(p2.k)
-    _charge(work, budget, f"enumerating the {p2.k}! column orders of the second PDA")
-
-    tables = _classes(_subset_phi(p2), p2.k, profile.parts)
+    steps = _Steps(budget)
+    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
     lows = _pareto(sorted(tables), le)
     highs = _pareto(sorted(tables, reverse=True), ge)
-    work += (len(lows) + len(highs)) * p1.k * (1 << p1.k)
-    _charge(work, budget, f"enumerating the {p2.k}! column orders of the second PDA plus "
-                          f"a {2 ** p1.k}-subset DP for each of {len(lows) + len(highs)} tables")
+    phi1 = _subset_phi(p1, steps)
+    steps.charge((len(lows) + len(highs)) * p1.k * (1 << p1.k),
+                 f"a {2 ** p1.k}-subset DP for each of {len(lows) + len(highs)} tables")
 
-    phi1 = _subset_phi(p1)
     low_weights = [_weights(t) for t in lows]
     low_values = [_order_value(phi1, w, p1.k, min) for w in low_weights]
     s_min = min(low_values)
@@ -170,30 +278,33 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     reaching = [w for w, v in zip(low_weights, low_values) if v == s_min]
     pi1 = _lex_first_order(phi1, p1.k, reaching, s_min)
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
-    pi2 = min(pi2 for table, pi2 in tables.items() if _pair_value(prefix1, table) == s_min)
-    evaluations = math.factorial(p1.k) * math.factorial(p2.k)
-    return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, evaluations)
+    pi2 = min(tables[table] for table in tables if _pair_value(prefix1, table) == s_min)
+    return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
 
 
 def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
               limit: int = 10, budget: int = 10 ** 7) -> list[PermutationPair]:
     """The ``limit`` smallest-S permutation pairs (class representatives),
-    ordered by (S, pi1, pi2).  Enumerates every order of both arrays, so
-    ``budget`` bounds K1! * K2!."""
+    ordered by (S, pi1, pi2).  Walks over both arrays' column subsets give the
+    distinct phi vectors of p1 and phi tables of p2; every pair of them is
+    scored, and representatives are rebuilt only for the pairs up to the
+    ``limit``-th S.  ``budget`` bounds the steps: K * 2^K per phi table, the
+    subsets the walks expand and the pairs scored."""
     check_pair(p1, p2, profile)
     if limit < 0:
         raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
     if limit == 0:
         return []
-    _charge(math.factorial(p1.k) * math.factorial(p2.k), budget,
-            f"enumerating {p1.k}! x {p2.k}! permutation pairs")
-    classes1 = _classes(_subset_phi(p1), p1.k, range(1, p1.k + 1))
-    tables = _classes(_subset_phi(p2), p2.k, profile.parts)
-    pairs = [
-        PermutationPair(pi1, pi2, _pair_value(prefix1, table))
-        for prefix1, pi1 in classes1.items()
-        for table, pi2 in tables.items()
-    ]
+    steps = _Steps(budget)
+    classes1 = _Classes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
+    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
+    steps.charge(len(classes1) * len(tables),
+                 f"scoring {len(classes1)} x {len(tables)} class pairs")
+    scored = sorted(((_pair_value(prefix1, table), prefix1, table)
+                     for prefix1 in classes1 for table in tables), key=itemgetter(0))
+    cut = scored[min(limit, len(scored)) - 1][0]
+    pairs = [PermutationPair(classes1[prefix1], tables[table], s)
+             for s, prefix1, table in scored if s <= cut]
     pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
     return pairs[:limit]
 
@@ -201,8 +312,7 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
 def _identity_is_minimal(pda: PdaArray, widths, budget: int) -> bool:
     """True iff for every width w the first w columns have the fewest codes of
     any w columns, i.e. no column order has a smaller phi(w)."""
-    _charge(pda.k * (1 << pda.k), budget, f"the {2 ** pda.k}-subset phi table")
-    phi = _subset_phi(pda)
+    phi = _subset_phi(pda, _Steps(budget))
     least = [math.inf] * (pda.k + 1)
     for mask, value in enumerate(phi):
         n = mask.bit_count()

@@ -93,14 +93,6 @@ class FileLibrary:
     def piece_size(self) -> int:
         return self.padded_length // self.f
 
-    def subfile(self, n: int, j: int) -> bytes:
-        """Subfile j of file n (both 1-based)."""
-        piece = self.piece_size
-        return self.files[n - 1][(j - 1) * piece: j * piece]
-
-    def original(self, n: int) -> bytes:
-        return self.files[n - 1][: self.true_length]
-
 
 @dataclass(frozen=True)
 class CacheLayout:

@@ -149,3 +149,20 @@ def random_profile(rng: random.Random, num_groups: int, largest: int) -> Associa
     """A non-increasing profile with the given group count and largest part."""
     rest = sorted((rng.randint(1, largest) for _ in range(num_groups - 1)), reverse=True)
     return AssociationProfile((largest, *rest))
+
+
+def enumerate_profiles(total: int, length: int, min_part: int = 1):
+    """Yield all AssociationProfiles of ``total`` with exactly ``length`` parts."""
+
+    def rec(remaining: int, slots: int, cap: int):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        lo = max(min_part, -(-remaining // slots))  # ceil keeps parts feasible
+        for first in range(min(cap, remaining - min_part * (slots - 1)), lo - 1, -1):
+            for rest in rec(remaining - first, slots - 1, first):
+                yield (first,) + rest
+
+    for parts in rec(total, length, total):
+        yield AssociationProfile(parts)

@@ -6,6 +6,12 @@ codes are 1-based as in the package."""
 from sppda.arrays import STAR
 
 
+def column(pda, c):
+    """Column ``c`` (1-based) as a tuple."""
+    pda._check_column(c)
+    return tuple(row[c - 1] for row in pda.grid)
+
+
 def code_cells(pda):
     """Per code 1..S, its cells as (user, row) in row-major order."""
     return tuple(tuple((k, j) for j, row in enumerate(pda.grid, start=1)

@@ -7,7 +7,7 @@ import itertools
 import math
 
 from sppda.arrays import STAR
-from sppda.permsearch import PermutationPair, SearchResult
+from sppda.permsearch import PermutationPair, SearchResult, _prefix_masks
 
 
 def code_columns(pda):
@@ -30,6 +30,17 @@ def xi_counts(code_cols, perm, k):
 
 def phi_vector(pda, perm):
     return tuple(itertools.accumulate(xi_counts(code_columns(pda), perm, pda.k)))
+
+
+def prefix_classes(phi, k, widths):
+    """All K! column orders keyed by their prefix phi values at ``widths``
+    (``phi`` indexed by column bitmask); the lexicographically first order
+    with each key represents it."""
+    classes = {}
+    for perm in itertools.permutations(range(k)):
+        prefix = _prefix_masks(perm)
+        classes.setdefault(tuple(phi[prefix[w]] for w in widths), perm)
+    return classes
 
 
 def _classes(p1, p2, profile):

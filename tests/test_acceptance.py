@@ -16,7 +16,6 @@ from sppda.arrays import (
     all_star_row_count,
     binom,
     construction_a_pda,
-    enumerate_profiles,
     man_pda,
 )
 from sppda.cli import main
@@ -42,6 +41,7 @@ from conftest import (
     WIDE_PROFILE,
     WIDE_Q,
     WIDE_Q_OPT,
+    enumerate_profiles,
     random_pda,
     random_profile,
 )

@@ -183,11 +183,15 @@ class TestSearch:
         assert lines[1].endswith(",18")
         assert lines[-2] == "s_min,,18"
         assert lines[-1] == "s_max,,24"
-        # --top 0 prints only the extremes, so it needs no K1! * K2! enumeration
+        # --top 0 prints only the extremes
         capsys.readouterr()
         assert main(["search", "man:14,2", "man:3,1", "--profile",
                      "3,3,3,2,2,2,2,1,1,1,1,1,1,1", "--top", "0"]) == 0
         assert capsys.readouterr().out == "pi1,pi2,S\ns_min,,1057\ns_max,,1057\n"
+        # the default class list is within the default budget at K1 = 14 too
+        assert main(["search", "man:14,2", "man:3,1", "--profile",
+                     "3,3,3,2,2,2,2,1,1,1,1,1,1,1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",1057")
         assert main(["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -21,7 +21,6 @@ from sppda.arrays import (
     binom,
     canonicalize_codes,
     construction_a_pda,
-    enumerate_profiles,
     man_pda,
     normalize_grid,
     permute_columns,
@@ -31,6 +30,7 @@ from sppda.arrays import (
     xi,
 )
 
+from grid_oracle import column
 from conftest import (
     GOLDEN_SP,
     SMALL_P2,
@@ -40,6 +40,7 @@ from conftest import (
     WIDE_P2,
     WIDE_P2_OPT,
     WIDE_P2_PERM,
+    enumerate_profiles,
     random_pda,
 )
 
@@ -156,11 +157,11 @@ class TestVerify:
 class TestColumnOps:
     def test_column_and_star_rows(self):
         pda = PdaArray.from_grid(GOLDEN_SP)
-        assert pda.column(5) == (1, STAR, 3, STAR, STAR, STAR)
+        assert column(pda, 5) == (1, STAR, 3, STAR, STAR, STAR)
         assert pda.star_rows(1) == frozenset({1, 2, 3, 4})
         assert pda.column_codes(4) == frozenset({1, 2})
         with pytest.raises(IndexOutOfRangeError):
-            pda.column(6)
+            column(pda, 6)
 
     def test_regularity(self):
         assert regularity(man_pda(4, 1)) == 2

@@ -14,6 +14,9 @@ from sppda.construct import DimensionMismatchError, s_count
 from sppda.permsearch import (
     BudgetExceededError,
     PermutationPair,
+    _Classes,
+    _Steps,
+    _subset_phi,
     check_E1,
     check_E2,
     exhaustive_best,
@@ -67,7 +70,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 720 * 720
+        assert result.evaluations == 2026
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -86,23 +89,27 @@ class TestExhaustive:
         assert (result.s_min, result.s_max) == naive_extremes(p1, p2, profile)
 
     def test_budget(self):
-        # 6 * 6! steps for the orders of p2, refused before any enumeration
-        with pytest.raises(BudgetExceededError, match=r"\b4320 steps, over the budget of 1000$"):
+        # exhaustive_best: 384 for p2's phi table, 150 subsets walked, 384 for p1's
+        # table, then the DP (6 * 2^6 for each of 2 tables) passes the budget
+        with pytest.raises(BudgetExceededError, match=r"\b1686 steps, over the budget of 1000$"):
             exhaustive_best(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                             WIDE_PROFILE, budget=1000)
-        with pytest.raises(BudgetExceededError, match=r"\b518400 steps, over the budget of 1000$"):
+        # top_pairs: 2 * 384 for the phi tables, then p1's walk passes the budget
+        with pytest.raises(BudgetExceededError, match=r"\b1002 steps, over the budget of 1000$"):
             top_pairs(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                       WIDE_PROFILE, budget=1000)
 
     def test_budget_counts_dp_transitions(self):
-        # 4320 steps for p2 plus 6 * 2^6 per kept table; 5 tables prune to 1 + 1
+        # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1)
+        # plus 340 subsets walked to rebuild the representative of p2's best table
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b5088 steps, over the budget of 5087$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=5087)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=5088).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b2026 steps, over the budget of 2025$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2025)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2026).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
+        # and the class walk one step per subset
         profile = AssociationProfile((3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1))
         p1, p2 = man_pda(14, 2), man_pda(3, 1)
         start = time.perf_counter()
@@ -111,6 +118,10 @@ class TestExhaustive:
         assert result.best == PermutationPair(tuple(range(14)), (0, 1, 2), 1057)
         assert (result.s_min, result.s_max) == (1057, 1057)
         assert check_E1(p1) is True
+        start = time.perf_counter()
+        pairs = top_pairs(p1, p2, profile)
+        assert time.perf_counter() - start < 10
+        assert pairs == [result.best]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -132,9 +143,13 @@ class TestAgainstOracle:
     """The subset-DP engine against the factorial enumerator in permsearch_oracle."""
 
     def check(self, p1, p2, profile):
-        assert exhaustive_best(p1, p2, profile) == oracle.exhaustive_best(p1, p2, profile)
+        # evaluations differ by design: each side counts its own steps
+        got, want = exhaustive_best(p1, p2, profile), oracle.exhaustive_best(p1, p2, profile)
+        assert (got.best, got.s_min, got.s_max) == (want.best, want.s_min, want.s_max)
         pairs = oracle.all_pairs(p1, p2, profile)
         assert top_pairs(p1, p2, profile, limit=len(pairs)) == pairs
+        for limit in range(1, min(len(pairs), 4)):
+            assert top_pairs(p1, p2, profile, limit=limit) == pairs[:limit]
         assert check_E1(p1) is oracle.check_E1(p1)
         assert check_E2(p2, profile) is oracle.check_E2(p2, profile)
 
@@ -154,6 +169,22 @@ class TestAgainstOracle:
         p1 = random_pda(rng, max_cols=6, max_rows=20)
         p2 = random_pda(rng, max_cols=6, max_rows=20)
         self.check(p1, p2, random_profile(rng, p1.k, p2.k))
+
+
+class TestClasses:
+    """The subset-lattice walk against the K! enumeration in permsearch_oracle:
+    the same keys, each with the same lexicographically first order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_enumeration(self, rng):
+        pda = random_pda(rng, max_cols=7, max_rows=40)
+        table = _subset_phi(pda, _Steps(10 ** 9))
+        # all prefix widths, then widths with repeats, gaps and width 0, in any order
+        for widths in (range(1, pda.k + 1),
+                       [rng.randint(0, pda.k) for _ in range(rng.randint(1, 2 * pda.k))]):
+            classes = _Classes(table, pda.k, widths, _Steps(10 ** 9))
+            assert dict(classes.items()) == oracle.prefix_classes(table, pda.k, widths)
 
 
 class TestPhiVector:

@@ -13,7 +13,6 @@ from sppda.arrays import (
     ParameterError,
     PdaArray,
     binom,
-    enumerate_profiles,
     man_pda,
     normalize_grid,
     permute_columns,
@@ -44,6 +43,7 @@ from conftest import (
     WIDE_PROFILE,
     WIDE_Q,
     WIDE_Q_OPT,
+    enumerate_profiles,
     random_pda,
     random_profile,
 )
