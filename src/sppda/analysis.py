@@ -9,8 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .arrays import AssociationProfile, ParameterError, binom, construction_a_pda, man_pda
+from .arrays import (
+    STAR,
+    AssociationProfile,
+    ParameterError,
+    PdaArray,
+    binom,
+    construction_a_pda,
+    man_pda,
+)
 from .construct import (
     SpPdaArray,
     construct_sppda,
@@ -147,7 +156,7 @@ _PAIRINGS = {
 def _cross_check(sp: SpPdaArray, f: int, s: int, zh: int) -> bool:
     """Check the closed forms against the materialized array: exact F and
     distinct-code count, and D2 star availability under its grouping."""
-    codes = {e for row in sp.pda.grid for e in row if e != 0}
+    codes = set(chain.from_iterable(sp.pda.grid)) - {STAR}
     if sp.pda.f != f or len(codes) != s or sp.helper_stars != zh:
         return False
     masks = group_star_masks(sp.pda, sp.profile.parts, sp.grouping)
@@ -159,22 +168,27 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
     against an actually constructed array."""
     profile = config.profile
     l1 = profile.part(1)
-    points = []
+    schemes = []
     for scheme in config.schemes:
         if scheme not in _PAIRINGS:
             raise ParameterError(f"unknown scheme {scheme!r}")
-        parameters, family, subpacketization, s_closed_form, first_z = _PAIRINGS[scheme]
-        first = parameters(config)
-        p1 = None
-        for t2 in config.t2_values:
+        parameters, *pairing = _PAIRINGS[scheme]
+        schemes.append((scheme, parameters(config), *pairing))
+    firsts: dict[str, PdaArray] = {}  # per scheme, its first array once one is needed
+    points = []
+    for t2 in config.t2_values:
+        mp = (1 - config.mh_ratio) * Fraction(t2, l1)
+        p2 = None  # MaN(L_1, t2), built once and shared by the schemes
+        for scheme, first, family, subpacketization, s_closed_form, first_z in schemes:
             f = subpacketization(*first, l1, t2)
             s = s_closed_form(*first, profile, t2)
-            mp = (1 - config.mh_ratio) * Fraction(t2, l1)
             verified = False
             if f <= config.verify_cap:
-                if p1 is None:
-                    p1 = family(*first)
-                sp = construct_sppda(p1, man_pda(l1, t2), profile, validate=False)
+                if scheme not in firsts:
+                    firsts[scheme] = family(*first)
+                if p2 is None:
+                    p2 = man_pda(l1, t2)
+                sp = construct_sppda(firsts[scheme], p2, profile, validate=False)
                 if not _cross_check(sp, f, s, first_z(*first) * binom(l1, t2)):
                     raise ParameterError(
                         f"closed form disagrees with construction at {scheme} t2={t2}")

@@ -226,53 +226,55 @@ def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -
 def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
     check_pair(p1, p2, profile)
     widths = [profile.part(xi(p1, s)) for s in range(1, p1.s + 1)]  # L_{xi(s)} per code s of p1
-    # per width w, p2's codes in its first w columns, ascending: phi2(w) of them
+    # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
+    # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
     code_columns = p2.code_columns()
-    domains = {w: [code for code, mask in enumerate(code_columns, start=1) if mask & (1 << w) - 1]
-               for w in set(widths)}
-    return widths, domains
+    ranks = {w: [0, *itertools.accumulate(1 if mask & (1 << w) - 1 else 0 for mask in code_columns)]
+             for w in set(widths)}
+    return widths, ranks
 
 
 def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
     """Distinct-code count of the constructed SP-PDA, without materializing it."""
-    widths, domains = _pair_tables(p1, p2, profile)
-    return sum(len(domains[w]) for w in widths)
+    widths, ranks = _pair_tables(p1, p2, profile)
+    return sum(ranks[w][-1] for w in widths)
 
 
 def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                     validate: bool = True) -> SpPdaArray:
     """Build the F1*F2 x K SP-PDA from a Lambda-column PDA and an L_1-column PDA.
 
-    Stars of p1 blow up to all-star blocks; a code s of p1 becomes a copy of
-    p2 truncated to the group width, with its codes renumbered
-    order-preservingly into the slice of [S] reserved for s.
+    The result is a block product: row (f1, f2) is the concatenation, over p1's
+    columns lambda with L_lambda > 0, of an L_lambda-wide block.  A star of p1
+    gives an all-star block; a code s of p1 gives row f2 of p2 cut to L_lambda
+    columns, with p2's codes renumbered order-preservingly into the slice of
+    [S] reserved for s, which holds the codes of p2's first L_{xi(s)} columns.
+    Each code's renumbering is one lookup list and each width's cut of p2 one
+    flat list, so the rows of a p1 row are assembled by ``map``/``zip`` over
+    those lists without a Python step per cell.
     """
-    widths, domains = _pair_tables(p1, p2, profile)
-    renumber: list[dict[int, int]] = []
+    widths, ranks = _pair_tables(p1, p2, profile)
+    # per code s of p1, p2 code -> code in s's slice, STAR -> STAR; a p2 code outside
+    # the slice's domain reads its predecessor's slot, but never occurs in s's blocks,
+    # which are at most L_{xi(s)} wide
+    relabels: list[list[int]] = []
     offset = 0
     for width in widths:
-        renumber.append({old: offset + i for i, old in enumerate(domains[width], start=1)})
-        offset += len(domains[width])
+        relabel = list(map(offset.__add__, ranks[width]))
+        relabel[STAR] = STAR
+        relabels.append(relabel)
+        offset += ranks[width][-1]
 
     parts = profile.parts
-    rows = []
-    for f1 in range(p1.f):
-        p1_row = p1.grid[f1]
-        for f2 in range(p2.f):
-            p2_row = p2.grid[f2]
-            row: list[int] = []
-            for lam in range(p1.k):
-                width = parts[lam]
-                if width == 0:
-                    continue
-                e = p1_row[lam]
-                if e == STAR:
-                    row.extend([STAR] * width)
-                else:
-                    relabel = renumber[e - 1]
-                    row.extend(STAR if p2_row[c] == STAR else relabel[p2_row[c]]
-                               for c in range(width))
-            rows.append(tuple(row))
+    cut = {w: list(itertools.chain.from_iterable(row[:w] for row in p2.grid))
+           for w in set(parts) if w}
+    stars = {w: (STAR,) * w for w in cut}
+    rows: list[tuple[int, ...]] = []
+    for p1_row in p1.grid:
+        blocks = [itertools.repeat(stars[w], p2.f) if e == STAR
+                  else zip(*[map(relabels[e - 1].__getitem__, cut[w])] * w)
+                  for e, w in zip(p1_row, parts) if w]
+        rows.extend(map(tuple, map(itertools.chain.from_iterable, zip(*blocks))))
 
     zh = p1.z * p2.f
     if validate:

@@ -233,19 +233,25 @@ def _pareto(tables, better) -> list[tuple[int, ...]]:
 
 
 def _lex_first_order(phi: list[int], k: int, weight_sets: list[list[int]],
-                     target: int) -> tuple[int, ...]:
+                     target: int, steps: _Steps) -> tuple[int, ...]:
     """The lexicographically smallest permutation whose S equals ``target``
     for one of ``weight_sets``: each column in turn takes the smallest free
-    position with which some order still reaches the target."""
+    position with which some order still reaches the target.  ``steps`` is
+    charged K * 2^K for each DP run."""
     full = (1 << k) - 1
     placed: dict[int, int] = {}
+
+    def reaches(weights: list[int], allowed: list[int]) -> bool:
+        steps.charge(k << k, f"a {2 ** k}-subset DP rebuilding the best order")
+        return _order_value(phi, weights, k, min, allowed) == target
+
     for c in range(k):
         for p in sorted(set(range(k)) - set(placed.values())):
             placed[c] = p
             free = full & ~sum(1 << col for col in placed)
             at = {pos: 1 << col for col, pos in placed.items()}
             allowed = [at.get(q, free) for q in range(k)]
-            if any(_order_value(phi, w, k, min, allowed) == target for w in weight_sets):
+            if any(reaches(w, allowed) for w in weight_sets):
                 break
     return tuple(placed[c] for c in range(k))
 
@@ -259,7 +265,8 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     cannot be extreme are pruned (S is monotone in the table) and a subset DP
     over p1's column orders runs once per kept table.  ``budget`` bounds the
     steps: K * 2^K per phi table, the subsets the walks expand, and
-    K1 * 2^K1 DP transitions per kept table.  ``evaluations`` is their count.
+    K1 * 2^K1 DP transitions per kept table and per DP that rebuilds the
+    best pi1.  ``evaluations`` is their count.
     """
     check_pair(p1, p2, profile)
     steps = _Steps(budget)
@@ -276,7 +283,7 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     s_max = max(_order_value(phi1, _weights(t), p1.k, max) for t in highs)
 
     reaching = [w for w, v in zip(low_weights, low_values) if v == s_min]
-    pi1 = _lex_first_order(phi1, p1.k, reaching, s_min)
+    pi1 = _lex_first_order(phi1, p1.k, reaching, s_min, steps)
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
     pi2 = min(tables[table] for table in tables if _pair_value(prefix1, table) == s_min)
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)

@@ -70,7 +70,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 2026
+        assert result.evaluations == 5482
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -100,12 +100,13 @@ class TestExhaustive:
                       WIDE_PROFILE, budget=1000)
 
     def test_budget_counts_dp_transitions(self):
-        # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1)
-        # plus 340 subsets walked to rebuild the representative of p2's best table
+        # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
+        # 9 more DPs (6 * 2^6 each) to rebuild pi1, then 340 subsets walked to
+        # rebuild the representative of p2's best table
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b2026 steps, over the budget of 2025$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2025)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2026).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b5482 steps, over the budget of 5481$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=5481)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=5482).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table

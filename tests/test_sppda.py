@@ -13,6 +13,7 @@ from sppda.arrays import (
     ParameterError,
     PdaArray,
     binom,
+    canonicalize_codes,
     man_pda,
     normalize_grid,
     permute_columns,
@@ -32,6 +33,7 @@ from sppda.construct import (
 )
 from sppda.arrays import construction_a_pda
 
+from construct_oracle import construct_cells
 from conftest import (
     GOLDEN_SP,
     SMALL_P2,
@@ -109,6 +111,27 @@ class TestConstruct:
             construct_sppda(man_pda(3, 1), man_pda(3, 1), AssociationProfile((3, 2)))
         with pytest.raises(DimensionMismatchError):
             construct_sppda(man_pda(2, 1), man_pda(2, 1), AssociationProfile((3, 2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_cell_by_cell_oracle(self, rng):
+        if rng.random() < 0.5:
+            # k <= t columns of MaN(k0, t): some rows of p1 are all star, every row when t = k0
+            k0 = rng.randint(3, 6)
+            t = rng.randint(2, k0)
+            cols = rng.sample(range(k0), rng.randint(2, t))
+            p1 = PdaArray.from_grid(canonicalize_codes(
+                [tuple(row[c] for c in cols) for row in man_pda(k0, t).grid]))
+        else:
+            p1 = random_pda(rng, max_cols=4, max_rows=8)
+        p2 = random_pda(rng, max_cols=4, max_rows=8)
+        # group widths below the largest, zero included
+        rest = sorted((rng.randint(0, p2.k) for _ in range(p1.k - 1)), reverse=True)
+        profile = AssociationProfile((p2.k, *rest))
+        grid, z, s, zh = construct_cells(p1, p2, profile)
+        fast = construct_sppda(p1, p2, profile, validate=False)
+        assert (fast.pda.grid, fast.pda.z, fast.pda.s, fast.helper_stars) == (grid, z, s, zh)
+        assert construct_sppda(p1, p2, profile).pda.grid == grid
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
