@@ -31,10 +31,6 @@ class DimensionMismatchError(ParameterError):
     pass
 
 
-class GroupingSearchError(ParameterError):
-    pass
-
-
 @dataclass(frozen=True)
 class SpPdaParams:
     """Parameters (K, Lambda, L, F, Z, Z^(h), S) plus derived memory ratios."""
@@ -62,7 +58,7 @@ class SpPdaParams:
 
 @dataclass(frozen=True)
 class SpPdaArray:
-    """A PDA together with a profile, helper-star count, and a grouping witness.
+    """A PDA together with a profile, helper-star count, and a column grouping.
 
     ``grouping`` maps old 0-based column index to its 0-based position in the
     grouped order (None means identity: columns are already consecutive groups
@@ -88,16 +84,6 @@ class SpPdaArray:
         return SpPdaParams(self.pda.k, self.profile.num_groups, self.profile,
                            self.pda.f, self.pda.z, self.helper_stars, self.pda.s)
 
-    def group_columns(self, group: int) -> tuple[int, ...]:
-        """1-based columns belonging to 1-based helper group ``group``."""
-        start = sum(self.profile.parts[: group - 1])
-        width = self.profile.part(group)
-        positions = range(start, start + width)
-        if self.grouping is None:
-            return tuple(p + 1 for p in positions)
-        inv = {new: old for old, new in enumerate(self.grouping)}
-        return tuple(inv[p] + 1 for p in positions)
-
     def helper_of_user(self, k: int) -> int:
         """1-based helper group of 1-based user (column) k."""
         pos = k - 1 if self.grouping is None else self.grouping[k - 1]
@@ -113,7 +99,6 @@ class GroupFailure:
 @dataclass(frozen=True)
 class SpPdaCheck:
     params: SpPdaParams | None
-    witness: tuple[int, ...] | None  # grouping that realizes D2 (None = identity)
     pda_check: PdaCheck
     failures: tuple[GroupFailure, ...]
 
@@ -135,57 +120,10 @@ def group_star_masks(pda: PdaArray, parts: tuple[int, ...],
     return [all_star_rows(pda, order[end - width:end]) for width, end in zip(parts, ends)]
 
 
-def _search_grouping(pda: PdaArray, parts: tuple[int, ...], zh: int,
-                     max_k: int = 12) -> tuple[int, ...] | None:
-    """Exhaustive search for a D2 witness; groups of equal size are
-    enumerated once (canonical order by smallest member)."""
-    k = pda.k
-    if k > max_k:
-        raise GroupingSearchError(f"witness search capped at K <= {max_k}, got K={k}")
-
-    groups: list[tuple[int, ...]] = [()] * len(parts)
-
-    def rec(n: int, remaining: frozenset[int]) -> bool:
-        if n == len(parts):
-            return True
-        width = parts[n]
-        if width == 0:
-            groups[n] = ()
-            return rec(n + 1, remaining)
-        # canonical anchor for runs of equal-sized groups
-        if n > 0 and parts[n - 1] == width and groups[n - 1]:
-            floor = groups[n - 1][0]
-        else:
-            floor = -1
-        candidates = sorted(c for c in remaining if c > floor)
-        for combo in itertools.combinations(candidates, width):
-            if all_star_rows(pda, [c + 1 for c in combo]).bit_count() < zh:
-                continue
-            groups[n] = combo
-            if rec(n + 1, remaining - set(combo)):
-                return True
-        return False
-
-    if not rec(0, frozenset(range(k))):
-        return None
-    witness = [0] * k
-    pos = 0
-    for combo in groups:
-        for c in combo:
-            witness[c] = pos
-            pos += 1
-    return tuple(witness)
-
-
 def verify_sppda(rows, profile: AssociationProfile, zh: int,
-                 grouping: tuple[int, ...] | None = None,
-                 search: bool = False) -> SpPdaCheck:
-    """Check D1 (PDA validity) and D2 (Z^(h) all-star rows per column group).
-
-    With ``search`` the column-to-group assignment is searched exhaustively;
-    otherwise the supplied grouping (default identity) is checked as given.
-    Exhausting the search means "no witness", reported as failures, not an error.
-    """
+                 grouping: tuple[int, ...] | None = None) -> SpPdaCheck:
+    """Check D1 (PDA validity) and D2 (Z^(h) all-star rows per column group)
+    under the supplied grouping (default identity)."""
     pda_check = verify_pda(rows)
     f, k = len(pda_check.grid), len(pda_check.grid[0])
     if profile.num_users != k:
@@ -195,21 +133,17 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
     if grouping is not None:
         check_bijection(grouping, k, "grouping")
     if not pda_check.ok:
-        return SpPdaCheck(None, None, pda_check, ())
+        return SpPdaCheck(None, pda_check, ())
 
     pda = pda_check.array
-    witness = grouping
-    if search:
-        # None when no assignment works; the identity grouping's failures are reported
-        witness = _search_grouping(pda, profile.parts, zh)
-    masks = group_star_masks(pda, profile.parts, witness)
+    masks = group_star_masks(pda, profile.parts, grouping)
     failures = tuple(GroupFailure(n, mask.bit_count())
                      for n, mask in enumerate(masks, start=1) if mask.bit_count() < zh)
     if failures:
-        return SpPdaCheck(None, None, pda_check, failures)
+        return SpPdaCheck(None, pda_check, failures)
 
     params = SpPdaParams(pda.k, profile.num_groups, profile, pda.f, pda.z, zh, pda.s)
-    return SpPdaCheck(params, witness, pda_check, ())
+    return SpPdaCheck(params, pda_check, ())
 
 
 def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -> None:

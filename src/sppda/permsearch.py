@@ -12,7 +12,10 @@ non-negative weights set by the second array's phi at the group widths, and
 a prefix's phi depends only on its set of columns, so the best column order
 is a shortest path over the 2^K column subsets (Held-Karp).  The distinct
 prefix values that an array's orders can take come from a walk up the same
-subset lattice (``_Classes``), so no search enumerates the K! orders.
+subset lattice (``_Classes``), so no search enumerates the K! orders.  One
+chain walk (``_Lattice.first_order``) turns constraints on subsets and steps
+into the lexicographically first order, both for a class representative and
+for the best order along the DP's tight steps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import ge, itemgetter, le, or_
 
-from .arrays import AssociationProfile, ParameterError, PdaArray, permute_columns
+from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns
 from .construct import check_pair
 
 
@@ -91,19 +94,14 @@ def _bitmap(members: list[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-class _Classes(Mapping):
-    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
-    orders, ``prefix[w]`` being the set of the first w columns, each mapped to the
-    lexicographically first column->position permutation that has it.
-
-    A set of column subsets is one int, bit m standing for subset m.  The keys
-    come from a walk up the subset lattice: a state is the values so far and the
-    set of subsets reaching them; each width grows every subset by one column,
-    and a width in ``widths`` splits the grown set by phi.  A representative is
-    rebuilt on first lookup by placing columns greedily (``_first_order``).
+class _Lattice:
+    """The 2^k subsets of k columns, a set of them being one int with bit m
+    standing for subset m.  A chain runs from no column to all columns, one
+    column per step; ``edges[c]`` is the set of subsets that a chain may grow
+    by column c, and ``allowed[n]`` the subsets it may pass at width n.
     ``steps`` is charged one step per subset expanded."""
 
-    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
+    def __init__(self, k: int, steps: _Steps):
         self.k, self.steps = k, steps
         self.what = f"walking the {2 ** k}-subset lattice"
         self.every = (1 << (1 << k)) - 1
@@ -111,6 +109,64 @@ class _Classes(Mapping):
         self.has = [self.every // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
                     for c in range(k)]
         self.lacks = [self.every ^ h for h in self.has]
+
+    def grow(self, sets: int, edges: list[int]) -> int:
+        """The subsets one column larger than some subset in ``sets`` along ``edges``."""
+        self.steps.charge(sets.bit_count(), self.what)
+        out = 0
+        for c, grows in enumerate(edges):
+            out |= (sets & grows) << (1 << c)
+        return out
+
+    def shrink(self, sets: int, edges: list[int]) -> int:
+        """The subsets one column smaller than some subset in ``sets`` along ``edges``."""
+        self.steps.charge(sets.bit_count(), self.what)
+        out = 0
+        for c, grows in enumerate(edges):
+            out |= (sets >> (1 << c)) & grows
+        return out
+
+    def chains(self, allowed: list[int], edges: list[int]) -> list[int]:
+        """Per width 0..K, the subsets in ``allowed`` that lie on a chain passing
+        only through subsets in ``allowed`` along ``edges``."""
+        reach = [allowed[0] & 1]
+        for n in range(1, self.k + 1):
+            reach.append(self.grow(reach[-1], edges) & allowed[n])
+        for n in range(self.k - 1, -1, -1):
+            reach[n] &= self.shrink(reach[n + 1], edges)
+        return reach
+
+    def first_order(self, allowed: list[int], edges: list[int]) -> tuple[int, ...]:
+        """The lexicographically first column->position permutation whose chain of
+        prefixes keeps to ``allowed`` and ``edges``: each column in turn takes the
+        smallest position at which it enters such a chain that places the
+        earlier columns where they were put.  The constraints are all on single
+        subsets and steps, so a step between two subsets on such chains lies on
+        one: one pass over the chains per column finds the position."""
+        order = []
+        for c in range(self.k):
+            good = self.chains(allowed, edges)
+            p = next(n for n in range(self.k)
+                     if (good[n] & edges[c]) << (1 << c) & good[n + 1])
+            order.append(p)
+            allowed = [sets & (self.has[c] if n > p else self.lacks[c])
+                       for n, sets in enumerate(good)]
+        return tuple(order)
+
+
+class _Classes(_Lattice, Mapping):
+    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
+    orders, ``prefix[w]`` being the set of the first w columns, each mapped to the
+    lexicographically first column->position permutation that has it.
+
+    The keys come from a walk up the subset lattice: a state is the values so
+    far and the set of subsets reaching them; each width grows every subset by
+    one column, and a width in ``widths`` splits the grown set by phi.  A
+    representative is rebuilt on first lookup by ``first_order``, with the
+    walked values as the allowed subsets."""
+
+    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
+        super().__init__(k, steps)
         widths = tuple(widths)
         self.widths = sorted(set(widths))
         slot = {w: i for i, w in enumerate(self.widths)}
@@ -126,7 +182,7 @@ class _Classes(Mapping):
         states = {(): 1}
         for n in range(self.widths[-1] + 1):
             if n:
-                states = {values: self._grow(sets) for values, sets in states.items()}
+                states = {values: self.grow(sets, self.lacks) for values, sets in states.items()}
             if n in slot:
                 states = {(*values, v): split for values, sets in states.items()
                           for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
@@ -135,7 +191,10 @@ class _Classes(Mapping):
 
     def __getitem__(self, key: tuple[int, ...]) -> tuple[int, ...]:
         if key not in self.first:
-            self.first[key] = self._first_order(self.values[key])
+            allowed = [self.every] * (self.k + 1)
+            for n, cell, v in zip(self.widths, self.cells, self.values[key]):
+                allowed[n] = cell[v]
+            self.first[key] = self.first_order(allowed, self.lacks)
         return self.first[key]
 
     def __iter__(self):
@@ -143,51 +202,6 @@ class _Classes(Mapping):
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def _grow(self, sets: int) -> int:
-        """The subsets one column larger than some subset in ``sets``."""
-        self.steps.charge(sets.bit_count(), self.what)
-        out = 0
-        for c, lacks in enumerate(self.lacks):
-            out |= (sets & lacks) << (1 << c)
-        return out
-
-    def _shrink(self, sets: int) -> int:
-        """The subsets one column smaller than some subset in ``sets``."""
-        self.steps.charge(sets.bit_count(), self.what)
-        out = 0
-        for c, has in enumerate(self.has):
-            out |= (sets & has) >> (1 << c)
-        return out
-
-    def _chains(self, allowed: list[int]) -> list[int]:
-        """Per width 0..K, the subsets in ``allowed`` that lie on a chain from no
-        column to all columns passing only through subsets in ``allowed``."""
-        reach = [allowed[0] & 1]
-        for n in range(1, self.k + 1):
-            reach.append(self._grow(reach[-1]) & allowed[n])
-        for n in range(self.k - 1, -1, -1):
-            reach[n] &= self._shrink(reach[n + 1])
-        return reach
-
-    def _first_order(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        """Each column in turn takes the smallest position at which it enters some
-        chain with the walked ``values`` that places the earlier columns where
-        they were put.  The constraints are all on single subsets, so a step
-        between two subsets on such chains lies on one: one pass over the chains
-        per column finds the position."""
-        allowed = [self.every] * (self.k + 1)
-        for n, cell, v in zip(self.widths, self.cells, values):
-            allowed[n] = cell[v]
-        order = []
-        for c in range(self.k):
-            good = self._chains(allowed)
-            p = next(n for n in range(self.k)
-                     if (good[n] & self.lacks[c]) << (1 << c) & good[n + 1])
-            order.append(p)
-            allowed = [sets & (self.has[c] if n > p else self.lacks[c])
-                       for n, sets in enumerate(good)]
-        return tuple(order)
 
 
 def _weights(table: tuple[int, ...]) -> list[int]:
@@ -202,23 +216,28 @@ def _pair_value(phi1: tuple[int, ...], table: tuple[int, ...]) -> int:
     return sum(v * w for v, w in zip(phi1, _weights(table)))
 
 
-def _order_value(phi: list[int], weights: list[int], k: int, pick,
-                 allowed: list[int] | None = None):
-    """``pick`` (min or max) over column orders of sum_n phi(prefix n) * weights[n-1],
-    by a DP over the column subsets that form a prefix.  ``allowed[p]`` is the
-    bitmask of columns that may take position p; infinite when no order fits."""
-    full = (1 << k) - 1
-    if allowed is None:
-        allowed = [full] * k
+def _order_value(phi: list[int], weights: list[int], k: int, pick) -> list[int]:
+    """Per column subset m, ``pick`` (min or max) over the orders of m's columns
+    of sum_n phi(prefix n) * weights[n-1], by a DP over the subsets; the last
+    entry is the extreme over all column orders."""
     bits = [1 << c for c in range(k)]
-    missing = math.inf if pick is min else -math.inf
-    value = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        n = mask.bit_count()
-        last = mask & allowed[n - 1]
-        prev = [value[mask ^ b] for b in bits if last & b]
-        value[mask] = pick(prev) + phi[mask] * weights[n - 1] if prev else missing
-    return value[full]
+    value = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        value[mask] = (pick([value[mask ^ b] for b in bits if mask & b])
+                       + phi[mask] * weights[mask.bit_count() - 1])
+    return value
+
+
+def _tight_edges(phi: list[int], weights: list[int], value: list[int], k: int) -> list[int]:
+    """Per column c, the subsets m lacking c whose step to m|c is tight: ``value``
+    (from ``_order_value`` with min) at m plus the step's cost is ``value`` at
+    m|c.  S is a sum of per-step costs, so an order reaches the minimum exactly
+    when every step is tight."""
+    size = 1 << k
+    # the value a subset's predecessor must have for the step into it to be tight
+    before = [v - phi[m] * weights[m.bit_count() - 1] for m, v in enumerate(value)]
+    return [_bitmap([m for m in range(size) if not m & bit and value[m] == before[m | bit]], size)
+            for bit in (1 << c for c in range(k))]
 
 
 def _pareto(tables, better) -> list[tuple[int, ...]]:
@@ -232,30 +251,6 @@ def _pareto(tables, better) -> list[tuple[int, ...]]:
     return kept
 
 
-def _lex_first_order(phi: list[int], k: int, weight_sets: list[list[int]],
-                     target: int, steps: _Steps) -> tuple[int, ...]:
-    """The lexicographically smallest permutation whose S equals ``target``
-    for one of ``weight_sets``: each column in turn takes the smallest free
-    position with which some order still reaches the target.  ``steps`` is
-    charged K * 2^K for each DP run."""
-    full = (1 << k) - 1
-    placed: dict[int, int] = {}
-
-    def reaches(weights: list[int], allowed: list[int]) -> bool:
-        steps.charge(k << k, f"a {2 ** k}-subset DP rebuilding the best order")
-        return _order_value(phi, weights, k, min, allowed) == target
-
-    for c in range(k):
-        for p in sorted(set(range(k)) - set(placed.values())):
-            placed[c] = p
-            free = full & ~sum(1 << col for col in placed)
-            at = {pos: 1 << col for col, pos in placed.items()}
-            allowed = [at.get(q, free) for q in range(k)]
-            if any(reaches(w, allowed) for w in weight_sets):
-                break
-    return tuple(placed[c] for c in range(k))
-
-
 def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                     budget: int = 10 ** 7) -> SearchResult:
     """Exact min and max of S over all column-permutation pairs.
@@ -263,10 +258,13 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     Ties go to the lexicographically smallest (pi1, pi2).  A walk over p2's
     column subsets gives its distinct phi-at-group-width tables; those that
     cannot be extreme are pruned (S is monotone in the table) and a subset DP
-    over p1's column orders runs once per kept table.  ``budget`` bounds the
-    steps: K * 2^K per phi table, the subsets the walks expand, and
-    K1 * 2^K1 DP transitions per kept table and per DP that rebuilds the
-    best pi1.  ``evaluations`` is their count.
+    over p1's column orders runs once per kept table.  pi1 is the
+    lexicographically first order whose steps are all tight in the DP of some
+    table reaching s_min, rebuilt by the same chain walk as the class
+    representatives.  ``budget`` bounds the steps: K * 2^K per phi table, the
+    subsets the walks expand, and K1 * 2^K1 DP transitions per kept table and
+    again per table reaching s_min to find its tight steps.  ``evaluations``
+    is their count.
     """
     check_pair(p1, p2, profile)
     steps = _Steps(budget)
@@ -279,11 +277,15 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
 
     low_weights = [_weights(t) for t in lows]
     low_values = [_order_value(phi1, w, p1.k, min) for w in low_weights]
-    s_min = min(low_values)
-    s_max = max(_order_value(phi1, _weights(t), p1.k, max) for t in highs)
+    s_min = min(v[-1] for v in low_values)
+    s_max = max(_order_value(phi1, _weights(t), p1.k, max)[-1] for t in highs)
 
-    reaching = [w for w, v in zip(low_weights, low_values) if v == s_min]
-    pi1 = _lex_first_order(phi1, p1.k, reaching, s_min, steps)
+    reaching = [(w, v) for w, v in zip(low_weights, low_values) if v[-1] == s_min]
+    steps.charge(len(reaching) * p1.k * (1 << p1.k),
+                 f"the tight steps of {len(reaching)} tables reaching s_min")
+    lattice = _Lattice(p1.k, steps)
+    allowed = [lattice.every] * (p1.k + 1)
+    pi1 = min(lattice.first_order(allowed, _tight_edges(phi1, w, v, p1.k)) for w, v in reaching)
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
     pi2 = min(tables[table] for table in tables if _pair_value(prefix1, table) == s_min)
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
@@ -345,6 +347,7 @@ def phi_vector(pda: PdaArray, perm: tuple[int, ...] | None = None) -> tuple[int,
     """(phi(1), ..., phi(K)) of the array under an optional column permutation."""
     if perm is None:
         perm = tuple(range(pda.k))
+    check_bijection(perm, pda.k)
     masks = pda.code_columns()
     return tuple(sum(1 for m in masks if m & prefix) for prefix in _prefix_masks(perm)[1:])
 

@@ -1,7 +1,9 @@
 """The factorial column-order enumerator, kept as the slow oracle for
 ``sppda.permsearch``.  Every column order of each array is enumerated; orders
 sharing a xi-count vector (first array) or a phi-at-group-width table (second
-array) collapse to their lexicographically first representative."""
+array) collapse to their lexicographically first representative.  For first
+arrays too wide to enumerate, the best first order is rebuilt one position at
+a time with a constrained subset DP per tried position."""
 
 import itertools
 import math
@@ -91,3 +93,46 @@ def check_E1(p1):
 
 def check_E2(p2, profile):
     return _identity_is_minimal(p2, profile.parts)
+
+
+def subset_phi(pda):
+    """phi of every column subset, indexed by bitmask, counted code by code."""
+    cols = code_columns(pda)
+    return [sum(1 for c in cols if any(mask >> col & 1 for col in c)) for mask in range(1 << pda.k)]
+
+
+def weights(table):
+    """S = sum_n (phi1(n) - phi1(n-1)) * a_n = sum_n phi1(n) * (a_n - a_{n+1})."""
+    return [a - b for a, b in zip(table, (*table[1:], 0))]
+
+
+def _constrained_min(phi, weights, k, allowed):
+    """min over the column orders placing a column of ``allowed[p]`` (a bitmask)
+    at each position p of sum_n phi(prefix n) * weights[n-1]; inf when none."""
+    value = [0] + [math.inf] * ((1 << k) - 1)
+    for mask in range(1, 1 << k):
+        n = mask.bit_count()
+        last = mask & allowed[n - 1]
+        prev = [value[mask ^ (1 << c)] for c in range(k) if last >> c & 1]
+        value[mask] = min(prev, default=math.inf) + phi[mask] * weights[n - 1]
+    return value[-1]
+
+
+def best_first_order(phi, k, weight_sets):
+    """The lexicographically first column->position permutation with the least
+    S over ``weight_sets``: each column in turn takes the smallest free
+    position with which some order still reaches that least S."""
+    full = (1 << k) - 1
+    values = [(w, _constrained_min(phi, w, k, [full] * k)) for w in weight_sets]
+    target = min(v for _, v in values)
+    reaching = [w for w, v in values if v == target]
+    placed = {}
+    for c in range(k):
+        for p in sorted(set(range(k)) - set(placed.values())):
+            placed[c] = p
+            free = full & ~sum(1 << col for col in placed)
+            at = {pos: 1 << col for col, pos in placed.items()}
+            allowed = [at.get(q, free) for q in range(k)]
+            if any(_constrained_min(phi, w, k, allowed) == target for w in reaching):
+                break
+    return tuple(placed[c] for c in range(k))

@@ -192,6 +192,10 @@ class TestSearch:
         assert main(["search", "man:14,2", "man:3,1", "--profile",
                      "3,3,3,2,2,2,2,1,1,1,1,1,1,1"]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",1057")
+        # and at K1 = 16
+        assert main(["search", "man:16,2", "man:3,1", "--profile",
+                     "3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2] == "s_min,,1596"
         assert main(["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

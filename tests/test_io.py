@@ -3,7 +3,7 @@
 import pytest
 
 from sppda.arrays import AssociationProfile, InvalidPdaError, PdaArray, man_pda, permute_columns
-from sppda.construct import SpPdaArray, construct_sppda, verify_sppda
+from sppda.construct import SpPdaArray, construct_sppda
 from sppda.textio import (
     FormatError,
     grid_from_text,
@@ -69,8 +69,9 @@ class TestSpPdaText:
         perm = (0, 2, 4, 1, 3)
         scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), perm)
         profile = AssociationProfile((3, 2))
-        witness = verify_sppda(scrambled.grid, profile, 3, search=True).witness
-        sp = SpPdaArray(scrambled, profile, 3, witness)
+        # scrambled column j is GOLDEN_SP's column perm.index(j): its grouped position
+        grouping = tuple(perm.index(j) for j in range(len(perm)))
+        sp = SpPdaArray(scrambled, profile, 3, grouping)
         text = write_sppda(sp)
         assert "pi: " in text and "pi: id" not in text
         back = parse_sppda(text)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import random
 import time
 from pathlib import Path
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sppda.arrays import AssociationProfile, ParameterError, PdaArray, man_pda, permute_columns, phi
+from sppda.arrays import (
+    AssociationProfile,
+    InvalidPermutationError,
+    ParameterError,
+    PdaArray,
+    man_pda,
+    permute_columns,
+    phi,
+)
 from sppda.construct import DimensionMismatchError, s_count
 from sppda.permsearch import (
     BudgetExceededError,
@@ -49,6 +58,25 @@ PARETO_P2 = grid("""
 * 5 3 * *
 """)
 
+# With PARETO_P2 under that profile both tables reach s_min = 26 with this p1,
+# and their lexicographically first orders differ: (0, 1, 3, 2, 4, 5) for the
+# first table, (0, 1, 4, 2, 3, 5) for the second.
+TWO_REACHING_P1 = grid("""
+1 * 2 4 3 *
+* 3 5 6 * 1
+6 4 * * 5 2
+""")
+
+# Under profile (5, 4, 3, 2, 1, 1) PARETO_P2's Pareto-minimal tables are
+# (5, 5, 3, 3, 2, 2) and (5, 5, 4, 2, 2, 2); with this p1 both reach s_min = 23,
+# and the second table's first order, (0, 2, 3, 4, 5, 1), is the smaller one
+# (the first table's is (0, 2, 4, 3, 5, 1)).
+SECOND_WINS_P1 = grid("""
+4 3 * 2 1 *
+6 * 1 5 * 3
+* 5 2 * 6 4
+""")
+
 
 def naive_phi_vector(pda, perm):
     """phi of the physically permuted array, column by column."""
@@ -70,7 +98,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 5482
+        assert result.evaluations == 2618
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -101,12 +129,13 @@ class TestExhaustive:
 
     def test_budget_counts_dp_transitions(self):
         # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
-        # 9 more DPs (6 * 2^6 each) to rebuild pi1, then 340 subsets walked to
-        # rebuild the representative of p2's best table
+        # 6 * 2^6 for the tight steps of the one table reaching s_min, 208 subsets
+        # walked to rebuild pi1, then 340 to rebuild the representative of p2's
+        # best table
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b5482 steps, over the budget of 5481$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=5481)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=5482).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b2618 steps, over the budget of 2617$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2617)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2618).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
@@ -163,6 +192,12 @@ class TestAgainstOracle:
         profile = AssociationProfile((5, 5, 4, 3, 2, 2))
         assert exhaustive_best(p1, p2, profile).s_min == 23
         self.check(p1, p2, profile)
+        p1 = PdaArray.from_grid(TWO_REACHING_P1)
+        assert exhaustive_best(p1, p2, profile).best.pi1 == (0, 1, 3, 2, 4, 5)
+        self.check(p1, p2, profile)
+        p1, profile = PdaArray.from_grid(SECOND_WINS_P1), AssociationProfile((5, 4, 3, 2, 1, 1))
+        assert exhaustive_best(p1, p2, profile).best.pi1 == (0, 2, 3, 4, 5, 1)
+        self.check(p1, p2, profile)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -170,6 +205,25 @@ class TestAgainstOracle:
         p1 = random_pda(rng, max_cols=6, max_rows=20)
         p2 = random_pda(rng, max_cols=6, max_rows=20)
         self.check(p1, p2, random_profile(rng, p1.k, p2.k))
+
+
+class TestBeyondEnumeration:
+    """pi1 against the per-position rebuild in permsearch_oracle, on p1 too wide
+    for the K1! x K2! enumerator."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_best_pi1_matches_per_position_rebuild(self, seed):
+        # a seeded generator, so that redrawing until p1 is wide enough costs
+        # hypothesis no data
+        rng = random.Random(seed)
+        while (p1 := random_pda(rng, max_cols=9, max_rows=20)).k < 7:
+            pass
+        p2 = random_pda(rng, max_cols=5, max_rows=12)
+        profile = random_profile(rng, p1.k, p2.k)
+        tables = oracle.prefix_classes(oracle.subset_phi(p2), p2.k, profile.parts)
+        want = oracle.best_first_order(oracle.subset_phi(p1), p1.k, map(oracle.weights, tables))
+        assert exhaustive_best(p1, p2, profile).best.pi1 == want
 
 
 class TestClasses:
@@ -192,6 +246,9 @@ class TestPhiVector:
     def test_identity_matches_column_scan(self):
         p2 = PdaArray.from_grid(WIDE_P2)
         assert phi_vector(p2) == tuple(phi(p2, c) for c in range(1, 7))
+        for perm in ((0, 0, 1), (0, 1, 5)):
+            with pytest.raises(InvalidPermutationError):
+                phi_vector(man_pda(3, 1), perm)
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -20,7 +20,6 @@ from sppda.arrays import (
 )
 from sppda.construct import (
     DimensionMismatchError,
-    GroupingSearchError,
     ProfileMismatchError,
     SpPdaArray,
     construct_sppda,
@@ -171,19 +170,6 @@ class TestVerifySpPda:
         check = verify_sppda(((1, 1), (0, 0)), AssociationProfile((1, 1)), 0)
         assert not check.ok and not check.pda_check.ok
 
-    def test_search_finds_scattered_grouping(self):
-        # interleave the two column groups; identity grouping then fails
-        scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), (0, 2, 4, 1, 3))
-        profile = AssociationProfile((3, 2))
-        assert not verify_sppda(scrambled.grid, profile, 3).ok
-        check = verify_sppda(scrambled.grid, profile, 3, search=True)
-        assert check.ok and check.witness is not None
-        assert verify_sppda(scrambled.grid, profile, 3, grouping=check.witness).ok
-
-    def test_search_exhaustion_reports_failure(self):
-        check = verify_sppda(man_pda(3, 1).grid, AssociationProfile((2, 1)), 1, search=True)
-        assert not check.ok and check.failures
-
     def test_grid_normalized_once(self, monkeypatch):
         calls = []
 
@@ -199,10 +185,6 @@ class TestVerifySpPda:
         with pytest.raises(NonRectangularError):
             verify_sppda([[0, 1], [1]], AssociationProfile((2,)), 0)
 
-    def test_search_cap(self):
-        with pytest.raises(GroupingSearchError):
-            verify_sppda(man_pda(13, 1).grid, AssociationProfile((13,)), 0, search=True)
-
     def test_profile_length_mismatch(self):
         with pytest.raises(ProfileMismatchError):
             verify_sppda(GOLDEN_SP, AssociationProfile((3, 3)), 1)
@@ -210,8 +192,6 @@ class TestVerifySpPda:
     def test_explicit_witness_accepted(self):
         scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), (0, 2, 4, 1, 3))
         sp = SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
-        assert sp.group_columns(1) == (1, 4, 2)
-        assert sp.group_columns(2) == (5, 3)
         assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 1, 2, 1, 2]
 
 
@@ -288,8 +268,6 @@ class TestSingleArrayAsSpPda:
 class TestSpPdaArray:
     def test_group_columns_identity(self):
         sp = SpPdaArray(PdaArray.from_grid(GOLDEN_SP), AssociationProfile((3, 2)), 3)
-        assert sp.group_columns(1) == (1, 2, 3)
-        assert sp.group_columns(2) == (4, 5)
         assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 1, 1, 2, 2]
 
     def test_rejects_profile_size_mismatch(self):
