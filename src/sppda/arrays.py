@@ -9,9 +9,11 @@ for these arrays; only raw Python indexing into ``grid`` is 0-based.
 This module is the only grid index.  A ``PdaArray`` holds two tables, each
 built at most once: ``star_masks``, per column the bitmask of its star rows,
 and ``code_cells``, per code its cells as (user, row) in row-major order.
-``verify_pda`` builds both while it checks C1-C3.  The column statistics
-here, D2, placement, delivery, construction and column-order search read
-these tables instead of scanning the grid.
+``verify_pda`` builds both while it checks C1-C3.  An unvalidated
+``construct_sppda`` seeds ``star_masks`` from the block product of its two
+arrays' masks instead; a validated one takes both tables from ``verify_pda``.
+The column statistics here, D2, placement, delivery, construction and
+column-order search read these tables instead of scanning the grid.
 """
 
 from __future__ import annotations
@@ -312,7 +314,9 @@ def man_pda(k: int, t: int) -> PdaArray:
 
     Rows are the t-subsets of [K] in lexicographic order; the code at row T,
     column u (u not in T) is the lexicographic rank of T | {u} among the
-    (t+1)-subsets.  Parameters: (K, C(K,t), C(K-1,t-1), C(K,t+1)).
+    (t+1)-subsets.  Each (t+1)-set A first appears at row A - {max A}, column
+    max A, so the codes are already in row-major first-appearance order.
+    Parameters: (K, C(K,t), C(K-1,t-1), C(K,t+1)).
     """
     if k < 1 or not 0 <= t <= k:
         raise ParameterError(f"need K >= 1 and 0 <= t <= K, got K={k}, t={t}")
@@ -327,7 +331,7 @@ def man_pda(k: int, t: int) -> PdaArray:
             else:
                 row.append(rank[tuple(sorted(members | {u}))])
         rows.append(tuple(row))
-    return PdaArray.from_grid(canonicalize_codes(rows))
+    return PdaArray.from_grid(rows)
 
 
 def construction_a_pda(q: int, m: int) -> PdaArray:

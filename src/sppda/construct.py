@@ -185,7 +185,8 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     [S] reserved for s, which holds the codes of p2's first L_{xi(s)} columns.
     Each code's renumbering is one lookup list and each width's cut of p2 one
     flat list, so the rows of a p1 row are assembled by ``map``/``zip`` over
-    those lists without a Python step per cell.
+    those lists without a Python step per cell.  Unless ``validate`` checks the
+    grid, the result's star masks are seeded from p1's and p2's.
     """
     widths, ranks = _pair_tables(p1, p2, profile)
     # per code s of p1, p2 code -> code in s's slice, STAR -> STAR; a p2 code outside
@@ -216,7 +217,28 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     else:
         z = p1.z * p2.f + (p1.f - p1.z) * p2.z
         pda = PdaArray(tuple(rows), profile.num_users, p1.f * p2.f, z, offset)
+        vars(pda).update(star_masks=_block_star_masks(p1, p2, parts))  # seeds the cached table
     return SpPdaArray(pda, profile, zh, None)
+
+
+def _block_star_masks(p1: PdaArray, p2: PdaArray, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The constructed array's star masks, from p1's and p2's: row (f1, f2) is
+    bit f1*F2 + f2, so column (lambda, u) is all F2 rows of each stripe where
+    p1's column lambda has a star, and p2's column u in each stripe where it
+    has a code.  ``spread`` moves bit f1 to bit f1*F2, so every product below
+    sets disjoint F2-bit stripes and carries nothing."""
+    gap = "0" * (p2.f - 1)
+
+    def spread(mask: int) -> int:
+        return int(gap.join(bin(mask)[2:]), 2)
+
+    stripe, every = (1 << p2.f) - 1, (1 << p1.f) - 1
+    masks: list[int] = []
+    for mask, w in zip(p1.star_masks, parts):
+        if w:
+            stars, codes = spread(mask) * stripe, spread(~mask & every)
+            masks.extend(stars | codes * m2 for m2 in p2.star_masks[:w])
+    return tuple(masks)
 
 
 def s_closed_form_man(num_helpers: int, t1: int, profile: AssociationProfile, t2: int) -> int:

@@ -86,12 +86,17 @@ def _prefix_masks(perm: tuple[int, ...]) -> list[int]:
     return [0, *itertools.accumulate(order, or_)]
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _bitmap(members: list[int], size: int) -> int:
-    """The int with bit m set for each m in ``members`` (all below ``size``)."""
-    buf = bytearray((size + 7) // 8)
+    """The int with bit m set for each m in ``members`` (all below ``size``):
+    one 0/1 flag byte per bit, reversed and read as binary digits."""
+    flags = bytearray(size)
     for m in members:
-        buf[m >> 3] |= 1 << (m & 7)
-    return int.from_bytes(buf, "little")
+        flags[m] = 1
+    flags.reverse()
+    return int(flags.translate(_DIGITS), 2)
 
 
 class _Lattice:

@@ -11,6 +11,7 @@ from sppda.analysis import (
     MemoryMismatchError,
     SweepConfig,
     UnrealizableMemoryError,
+    _cross_check,
     compare,
     construction_a_subpacketization,
     man_pair_subpacketization,
@@ -20,7 +21,7 @@ from sppda.analysis import (
     sweep_csv,
 )
 from sppda.arrays import AssociationProfile, ParameterError, binom, construction_a_pda, man_pda
-from sppda.construct import construct_sppda
+from sppda.construct import SpPdaArray, construct_sppda
 from sppda.sim import FileLibrary, sp_run
 
 UNIFORM = AssociationProfile((3,) * 8)
@@ -140,6 +141,17 @@ class TestSweep:
     def test_unknown_scheme(self):
         with pytest.raises(ParameterError):
             sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), ("mystery",)))
+
+    def test_cross_check_rejects_each_mismatch(self):
+        # the golden pair, F=6, S=3, Z^(h)=3, built as the sweep builds it
+        sp = construct_sppda(man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2)),
+                             validate=False)
+        assert _cross_check(sp, 6, 3, 3)
+        for f, s, zh in ((5, 3, 3), (7, 3, 3), (6, 2, 3), (6, 4, 3), (6, 3, 2), (6, 3, 4)):
+            assert not _cross_check(sp, f, s, zh)
+        # 0-based columns 2 and 3 change groups: each group keeps fewer than 3 all-star rows
+        mixed = SpPdaArray(sp.pda, sp.profile, sp.helper_stars, (0, 1, 3, 2, 4))
+        assert not _cross_check(mixed, 6, 3, 3)
 
 
 def test_subpacketization_helpers():

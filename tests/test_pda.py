@@ -232,6 +232,13 @@ class TestManFamily:
             for t in range(0, k):
                 assert regularity(man_pda(k, t)) == t + 1
 
+    def test_codes_in_first_appearance_order(self):
+        # man_pda numbers codes by rank, which canonicalize_codes must leave alone
+        for k in range(1, 11):
+            for t in range(0, k + 1):
+                grid = man_pda(k, t).grid
+                assert canonicalize_codes(grid) == grid
+
     def test_t_zero_is_single_row(self):
         assert man_pda(4, 0).grid == ((1, 2, 3, 4),)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppda.arrays import (
+    STAR,
     AssociationProfile,
     InvalidPermutationError,
     NonRectangularError,
@@ -130,6 +131,10 @@ class TestConstruct:
         grid, z, s, zh = construct_cells(p1, p2, profile)
         fast = construct_sppda(p1, p2, profile, validate=False)
         assert (fast.pda.grid, fast.pda.z, fast.pda.s, fast.helper_stars) == (grid, z, s, zh)
+        # the seeded star masks, built from p1's and p2's, are the oracle grid's
+        assert "star_masks" in vars(fast.pda)
+        assert fast.pda.star_masks == tuple(sum(1 << j for j, e in enumerate(col) if e == STAR)
+                                            for col in zip(*grid))
         assert construct_sppda(p1, p2, profile).pda.grid == grid
 
     @settings(max_examples=60, deadline=None)
