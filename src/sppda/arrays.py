@@ -227,11 +227,6 @@ class PdaArray:
         bit = 1 << (c - 1)
         return frozenset(code for code, mask in enumerate(self.code_columns(), start=1) if mask & bit)
 
-    def star_rows(self, c: int) -> frozenset[int]:
-        """1-based rows where column ``c`` holds a star."""
-        self._check_column(c)
-        return frozenset(mask_rows(self.star_masks[c - 1]))
-
 
 def regularity(pda: PdaArray) -> int | None:
     """g if every code occurs exactly g times, else None.

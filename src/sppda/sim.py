@@ -2,9 +2,11 @@
 a plain PDA and helper+private delivery from an SP-PDA, over an in-memory
 error-free broadcast.  Users, files, rows, and codes are 1-based throughout.
 
-One engine serves both schemes: ``sp_deliver`` and ``sp_decode`` walk the
-array's code->cells table once per code, with subfiles read as ints straight
-from views of the padded files.
+One engine serves both schemes.  ``sp_place`` keeps every cache as a row
+bitmask cut from the array's star masks.  ``sp_deliver`` and ``sp_decode``
+walk the array's code->cells table once per code, with subfiles read as ints
+from bytes slices of the padded files; ``sp_decode`` decides each code with
+one diff and screens the rows its recipients read with K-bit per-row masks.
 """
 
 from __future__ import annotations
@@ -96,14 +98,22 @@ class FileLibrary:
 
 @dataclass(frozen=True)
 class CacheLayout:
-    """Subfile row indices held by each helper cache and each private cache."""
+    """Subfile rows held by each helper cache and each private cache, as
+    bitmasks with bit j-1 set for row j."""
 
-    helper_sets: tuple[frozenset[int], ...]  # per helper, 1-based rows
-    private_sets: tuple[frozenset[int], ...]  # per user, 1-based rows
+    helper_masks: tuple[int, ...]  # per helper
+    private_masks: tuple[int, ...]  # per user
     user_to_helper: tuple[int, ...]  # per user, 1-based helper index
 
-    def accessible_rows(self, user: int) -> frozenset[int]:
-        return self.helper_sets[self.user_to_helper[user - 1] - 1] | self.private_sets[user - 1]
+    @property
+    def helper_sets(self) -> tuple[frozenset[int], ...]:
+        """Per helper, its 1-based rows."""
+        return tuple(frozenset(mask_rows(m)) for m in self.helper_masks)
+
+    @property
+    def private_sets(self) -> tuple[frozenset[int], ...]:
+        """Per user, the 1-based rows of its private cache."""
+        return tuple(frozenset(mask_rows(m)) for m in self.private_masks)
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,13 @@ def _check_demands(demands, k: int, n: int) -> tuple[int, ...]:
     return demands
 
 
+def _lowest_bits(mask: int, n: int) -> int:
+    """The n lowest set bits of ``mask``, which has at least n.  Read from the
+    low end, the digits left after the n-th one are those above the cut."""
+    digits = bin(mask)[:1:-1]
+    return mask & ((1 << len(digits) - len(digits.split("1", n)[-1])) - 1)
+
+
 def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
     """Helper caches take the Z^(h) smallest all-star rows of their column
     group; each user's private cache takes the rest of its star rows."""
@@ -145,38 +162,28 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     zh = sppda.helper_stars
-    helper_sets = []
+    helper_masks = []
     for lam, mask in enumerate(group_star_masks(pda, sppda.profile.parts, sppda.grouping), start=1):
         if mask.bit_count() < zh:
             raise InsufficientStarRowsError(
                 f"group {lam} has {mask.bit_count()} all-star rows, needs Z^(h)={zh}")
-        helper_sets.append(frozenset(mask_rows(mask)[:zh]))
+        helper_masks.append(_lowest_bits(mask, zh))
     user_to_helper = tuple(sppda.helper_of_user(k) for k in range(1, pda.k + 1))
-    private_sets = tuple(
-        pda.star_rows(k) - helper_sets[user_to_helper[k - 1] - 1]
-        for k in range(1, pda.k + 1)
-    )
-    return CacheLayout(tuple(helper_sets), private_sets, user_to_helper)
+    private_masks = tuple(stars & ~helper_masks[h - 1]
+                          for stars, h in zip(pda.star_masks, user_to_helper))
+    return CacheLayout(tuple(helper_masks), private_masks, user_to_helper)
 
 
-def _subfile_views(pda: PdaArray, library: FileLibrary, demands):
-    """Per user, a view of its demanded file, and per row j the slice of subfile
-    j (index 0 unused): user k's subfile j is ``views[k - 1][rows[j]]``, read
-    without copying the file."""
+def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
+    """Per user, its demanded file, and per row j the slice of subfile j
+    (index 0 unused): user k's subfile j is ``files[k - 1][rows[j]]``.  Plain
+    bytes slices: ``int.from_bytes`` would copy a view's bytes anyway."""
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     demands = _check_demands(demands, pda.k, library.n)
     piece = library.piece_size
-    views = [memoryview(library.files[d - 1]) for d in demands]
-    return views, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
-
-
-def _rows_mask(rows) -> int:
-    """The bitmask with bit j-1 set for each 1-based row j in ``rows``."""
-    digits = bytearray(b"0" * max(rows, default=0))
-    for j in rows:
-        digits[-j] = 49  # ord("1")
-    return int(digits, 2) if digits else 0
+    files = [library.files[d - 1] for d in demands]
+    return files, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
 
 
 def _lowest_row(mask: int) -> int:
@@ -185,15 +192,36 @@ def _lowest_row(mask: int) -> int:
 
 def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transmission, ...]:
     """One XOR transmission per code, components in row-major order."""
-    views, rows = _subfile_views(sppda.pda, library, demands)
+    files, rows = _subfile_slices(sppda.pda, library, demands)
     piece = library.piece_size
     out = []
     for code, cells in enumerate(sppda.pda.code_cells, start=1):
         payload = 0
         for k, j in cells:
-            payload ^= int.from_bytes(views[k - 1][rows[j]], "big")
+            payload ^= int.from_bytes(files[k - 1][rows[j]], "big")
         out.append(Transmission(code, payload.to_bytes(piece, "big"), cells))
     return tuple(out)
+
+
+def _lacking(blocked, f: int) -> list[int]:
+    """Per row j (index j, 0 unused), the K-bit mask of the users whose caches
+    miss it (bit k-1 for user k): the per-user masks transposed as digits."""
+    digits = [format(mask, f"0{f}b")[::-1] for mask in reversed(blocked)]  # row 1 first
+    return [0, *(int("".join(column), 2) for column in zip(*digits))]
+
+
+def _check_foreign_rows(cells, blocked) -> None:
+    """Raise on the first recipient of a code whose caches miss a row of
+    another of its components."""
+    bits = [1 << (j - 1) for _, j in cells]
+    code_rows = 0
+    for bit in bits:
+        code_rows |= bit
+    for (k, _), bit in zip(cells, bits):
+        foreign = (code_rows ^ bit) & blocked[k - 1]
+        if foreign:
+            raise MissingComponentError(
+                f"user {k}: foreign subfile row {_lowest_row(foreign)} not cached (C3 violated?)")
 
 
 def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
@@ -201,48 +229,45 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
     """Per user, whether the file it recovers from its caches plus the
     broadcast equals its demanded file.
 
-    Each code is decoded once for all its g recipients: recipient i strips the
-    other components from the payload as ``payload ^ prefix[i] ^ suffix[i+1]``
-    (O(g) per code), reading only rows its helper and private caches hold, and
-    compares the piece with its demanded subfile.  Cached pieces are the
-    library's own bytes, so only the transmitted pieces are compared.
+    Recipient i of a code recovers ``payload ^ XOR(other subfiles)``, which
+    differs from its own subfile by ``diff = payload ^ XOR(all subfiles)``,
+    the same for all g recipients: one diff decides the code (O(g)).  Each
+    recipient may read only rows its helper and private caches hold; a K-bit
+    mask per row (the users lacking it) screens that in small ints, and only
+    a code that fails the screen is checked recipient by recipient.  Cached
+    pieces are the library's own bytes, so only transmitted pieces are
+    compared.
     """
     pda = sppda.pda
-    views, rows = _subfile_views(pda, library, demands)
+    files, rows = _subfile_slices(pda, library, demands)
     piece = library.piece_size
     all_rows = (1 << pda.f) - 1
-    helper_masks = [_rows_mask(r) for r in layout.helper_sets]
     blocked = []  # per user, the rows in neither of its caches
-    for k in range(1, pda.k + 1):
-        reach = helper_masks[layout.user_to_helper[k - 1] - 1] | _rows_mask(layout.private_sets[k - 1])
-        missing = pda.star_masks[k - 1] & ~reach
+    for k, (stars, h) in enumerate(zip(pda.star_masks, layout.user_to_helper), start=1):
+        reach = layout.helper_masks[h - 1] | layout.private_masks[k - 1]
+        missing = stars & ~reach
         if missing:
             raise MissingComponentError(
                 f"user {k}: cached row {_lowest_row(missing)} not in any reachable cache")
         blocked.append(all_rows & ~reach)
+    lacking = _lacking(blocked, pda.f)
+    others = [~(1 << k) for k in range(pda.k)]  # per user k at index k-1, all users but k
     decoded = [True] * pda.k
     for cells, sent in zip(pda.code_cells, transmissions, strict=True):
-        subs = [int.from_bytes(views[k - 1][rows[j]], "big") for k, j in cells]
-        bits = [1 << (j - 1) for _, j in cells]
-        code_rows = 0
-        for bit in bits:
-            code_rows |= bit
-        suffix = [0] * (len(cells) + 1)
-        for i in range(len(cells) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] ^ subs[i]
-        payload = int.from_bytes(sent.payload, "big")
-        prefix = 0
-        for i, (k, j) in enumerate(cells):
-            foreign = (code_rows ^ bits[i]) & blocked[k - 1]  # C3 keeps a code's rows distinct
-            if foreign:
-                raise MissingComponentError(
-                    f"user {k}: foreign subfile row {_lowest_row(foreign)} not cached (C3 violated?)")
-            got = payload ^ prefix ^ suffix[i + 1]
-            if got != subs[i]:
+        diff = int.from_bytes(sent.payload, "big")
+        users = reached = 0
+        for k, j in cells:
+            diff ^= int.from_bytes(files[k - 1][rows[j]], "big")
+            users |= 1 << (k - 1)
+            reached |= lacking[j] & others[k - 1]
+        # with g distinct users, row j's cell user is the one recipient not reading row j
+        if users & reached or users.bit_count() != len(cells):
+            _check_foreign_rows(cells, blocked)
+        if diff:
+            for k, j in cells:
                 padding = j * piece - library.true_length  # bytes outside the verdict
-                if padding <= 0 or (got ^ subs[i]) >> 8 * padding:
+                if padding <= 0 or diff >> 8 * padding:
                     decoded[k - 1] = False
-            prefix ^= subs[i]
     return tuple(decoded)
 
 

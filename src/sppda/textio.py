@@ -39,12 +39,36 @@ class ConditionError(FormatError):
 _HEADERS = {"pda": ("K", "F", "Z", "S"), "sppda": ("K", "Lambda", "F", "Z", "Zh", "S")}
 
 
+class _Memo(dict):
+    """A per-call memo of ``parse``: it runs once per distinct key, so a
+    repeated token or cell costs one dict lookup and equal results share one
+    object."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
+
+
 def _token(e: int) -> str:
     return "*" if e == STAR else str(e)
 
 
+def _cell(token: str) -> int:
+    return STAR if token == "*" else int(token)
+
+
+def _token_rows(grid):
+    """Each row of ``grid`` as an iterator of its tokens."""
+    token = _Memo(_token).__getitem__
+    return (map(token, row) for row in grid)
+
+
 def _grid_lines(grid) -> list[str]:
-    return [" ".join(_token(e) for e in row) for row in grid]
+    return list(map(" ".join, _token_rows(grid)))
 
 
 def parse_ints(tokens, what: str, count: int | None = None) -> tuple[int, ...]:
@@ -60,11 +84,12 @@ def parse_ints(tokens, what: str, count: int | None = None) -> tuple[int, ...]:
 
 
 def _grid(rows) -> tuple[tuple[int, ...], ...]:
+    cell = _Memo(_cell).__getitem__
     grid = []
     for row in rows:
         if row:
             try:
-                grid.append(tuple(STAR if t == "*" else int(t) for t in row))
+                grid.append(tuple(map(cell, row)))
             except ValueError:
                 raise FormatError(f"bad token in grid row {' '.join(row)[:60]!r}") from None
     if not grid:
@@ -181,7 +206,7 @@ def pda_to_json(pda: PdaArray) -> str:
     doc = {
         "type": "pda",
         "k": pda.k, "f": pda.f, "z": pda.z, "s": pda.s,
-        "grid": [[_token(e) for e in row] for row in pda.grid],
+        "grid": list(map(list, _token_rows(pda.grid))),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -198,7 +223,7 @@ def sppda_to_json(sp: SpPdaArray) -> str:
         "zh": p.zh, "s": p.s,
         "profile": list(sp.profile.parts),
         "pi": "id" if sp.grouping is None else [x + 1 for x in sp.grouping],
-        "grid": [[_token(e) for e in row] for row in sp.pda.grid],
+        "grid": list(map(list, _token_rows(sp.pda.grid))),
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -1,7 +1,10 @@
 """Text and JSON serialization round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sppda import textio
 from sppda.arrays import AssociationProfile, InvalidPdaError, PdaArray, man_pda, permute_columns
 from sppda.construct import SpPdaArray, construct_sppda
 from sppda.textio import (
@@ -17,6 +20,7 @@ from sppda.textio import (
     write_sppda,
 )
 
+import textio_oracle as oracle
 from conftest import GOLDEN_SP, GOLDEN_SP_TEXT
 
 
@@ -125,3 +129,43 @@ class TestJson:
         text = sppda_to_json(golden_sp).replace('"s": 3', '"s": 99')
         with pytest.raises(FormatError, match="header"):
             sppda_from_json(text)
+
+
+# tokens int() reads in surprising ways (signs, zero padding, underscores,
+# non-ASCII digits), tokens it refuses, and codes past a machine word
+TOKENS = st.one_of(
+    st.sampled_from(["*", "**", "007", "+3", "1_0", "_1", "1__0", "-1", "0", "x", "\u0663",
+                     "\uff11\uff12", "\u00b2", "12345678901234567890123", "1e3", "0x1"]),
+    st.integers(min_value=-5, max_value=2 ** 70).map(str),
+    st.text(alphabet="*0123456789_+-x\u0663", max_size=4),
+)
+
+
+def _outcome(read, rows):
+    try:
+        return read(rows)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+class TestTokenMemo:
+    """The memoized grid reader and writer against the per-token ones in
+    textio_oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(TOKENS, max_size=6), max_size=6))
+    def test_grid_matches_per_token_reader(self, rows):
+        assert _outcome(textio._grid, rows) == _outcome(oracle.grid, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.just(0), st.integers(1, 12),
+                                       st.integers(1, 2 ** 80)), max_size=6), max_size=6))
+    def test_lines_match_per_token_writer(self, grid):
+        assert textio._grid_lines(grid) == oracle.grid_lines(grid)
+        assert ([list(row) for row in textio._token_rows(grid)]
+                == [[oracle.token(e) for e in row] for row in grid])
+
+    def test_equal_tokens_share_one_int(self):
+        grid = grid_from_text("100000 * 100000\n* 100000 *\n")
+        assert grid == ((100000, 0, 100000), (0, 100000, 0))
+        assert grid[0][0] is grid[0][2] is grid[1][1]

@@ -22,6 +22,7 @@ from sppda.arrays import (
     canonicalize_codes,
     construction_a_pda,
     man_pda,
+    mask_rows,
     normalize_grid,
     permute_columns,
     phi,
@@ -158,7 +159,7 @@ class TestColumnOps:
     def test_column_and_star_rows(self):
         pda = PdaArray.from_grid(GOLDEN_SP)
         assert column(pda, 5) == (1, STAR, 3, STAR, STAR, STAR)
-        assert pda.star_rows(1) == frozenset({1, 2, 3, 4})
+        assert frozenset(mask_rows(pda.star_masks[0])) == frozenset({1, 2, 3, 4})
         assert pda.column_codes(4) == frozenset({1, 2})
         with pytest.raises(IndexOutOfRangeError):
             column(pda, 6)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sppda.arrays import AssociationProfile, ParameterError, PdaArray, man_pda
+from sppda.arrays import STAR, AssociationProfile, ParameterError, PdaArray, man_pda
 from sppda.construct import SpPdaArray, construct_sppda
 from sppda.sim import (
+    CacheLayout,
     DemandOutOfRangeError,
     DimensionError,
     FileLibrary,
@@ -26,6 +27,7 @@ from sppda.sim import (
     sp_run,
 )
 
+import grid_oracle
 import sim_oracle as oracle
 from conftest import GOLDEN_SP, random_pda, random_profile
 
@@ -74,6 +76,8 @@ class TestGoldenReplay:
 
     def test_cache_layout(self, golden_sp, golden_library):
         layout = sp_place(golden_sp, golden_library)
+        assert layout.helper_masks == (0b000111, 0b111000)
+        assert layout.private_masks == tuple(1 << (r - 1) for r in (4, 5, 6, 1, 2))
         assert layout.helper_sets == (frozenset({1, 2, 3}), frozenset({4, 5, 6}))
         assert layout.private_sets == tuple(
             frozenset({r}) for r in (4, 5, 6, 1, 2))
@@ -173,12 +177,21 @@ class TestRoundTrip:
         layout = sp_place(sp, library)
         p = sp.params
         assert all(len(h) == p.zh for h in layout.helper_sets)
+        # closed forms: Z^(h) = Z1*F2 and Z = Z1*F2 + (F1 - Z1)*Z2
+        zh = p1.z * p2.f
+        z = zh + (p1.f - p1.z) * p2.z
+        assert all(h.bit_count() == zh for h in layout.helper_masks)
         for user in range(1, sp.pda.k + 1):
             private = layout.private_sets[user - 1]
             helper = layout.helper_sets[layout.user_to_helper[user - 1] - 1]
             assert len(private) == p.z - p.zh
             assert not private & helper
-            assert private | helper == sp.pda.star_rows(user)
+            assert private | helper == grid_oracle.star_rows(sp.pda, user)
+            private_mask = layout.private_masks[user - 1]
+            helper_mask = layout.helper_masks[layout.user_to_helper[user - 1] - 1]
+            assert private_mask.bit_count() == z - zh
+            assert not private_mask & helper_mask
+            assert private_mask | helper_mask == sp.pda.star_masks[user - 1]
 
 
 class TestAgainstOracle:
@@ -224,9 +237,9 @@ class TestAgainstOracle:
     def test_unreachable_rows_raise(self, golden_sp, golden_library):
         layout = sp_place(golden_sp, golden_library)
         sent = sp_deliver(golden_sp, golden_library, self.DEMANDS)
-        no_helper_row = replace(layout, helper_sets=(frozenset({2, 3}), layout.helper_sets[1]))
+        no_helper_row = replace(layout, helper_masks=(0b110, layout.helper_masks[1]))
         # user 5's private row 2 is first needed as a foreign component of code 1 in row 1
-        no_private_row = replace(layout, private_sets=layout.private_sets[:4] + (frozenset(),))
+        no_private_row = replace(layout, private_masks=layout.private_masks[:4] + (0,))
         for bad in (no_helper_row, no_private_row):
             with pytest.raises(MissingComponentError):
                 sp_decode(bad, sent, golden_sp, golden_library, self.DEMANDS)
@@ -237,7 +250,7 @@ class TestAgainstOracle:
         # an all-star array sends nothing, so only the cached-row check can see a lost row
         all_star = SpPdaArray(man_pda(2, 2), AssociationProfile((1, 1)), 0)
         library = FileLibrary.synthetic(2, 4, 1, seed=0)
-        layout = replace(sp_place(all_star, library), private_sets=(frozenset(), frozenset({1})))
+        layout = replace(sp_place(all_star, library), private_masks=(0, 0b1))
         for decode in (sp_decode, oracle.verdicts):
             with pytest.raises(MissingComponentError, match="cached"):
                 decode(layout, (), all_star, library, (1, 2))
@@ -251,6 +264,83 @@ class TestAgainstOracle:
         sent = oracle.deliver(sp, library, (1, 2))
         with pytest.raises(MissingComponentError, match="foreign"):
             oracle.verdicts(sp_place(sp, library), sent, sp, library, (1, 2))
+
+
+def unchecked_sppda(rng):
+    """An SP-PDA around a grid that is never verified, so a code may repeat a
+    row or a column or lack the stars across (C3 broken): either drawn cell
+    by cell, or a valid array with one or two stars overwritten by codes."""
+    if rng.random() < 0.6:
+        k, f, s = rng.randint(1, 5), rng.randint(1, 8), rng.randint(1, 6)
+        star = rng.uniform(0.4, 0.95)
+        grid = [[STAR if rng.random() < star else rng.randint(1, s) for _ in range(k)]
+                for _ in range(f)]
+    else:
+        pda = random_pda(rng, max_cols=6, max_rows=12)
+        k, f = pda.k, pda.f
+        grid = [list(row) for row in pda.grid]
+        for _ in range(rng.randint(1, 2)):
+            grid[rng.randrange(f)][rng.randrange(k)] = rng.randint(1, max(pda.s, 1))
+    z = min(sum(row[c] == STAR for row in grid) for c in range(k))
+    s = max((e for row in grid for e in row), default=0)
+    return SpPdaArray(PdaArray(tuple(map(tuple, grid)), k, f, z, s), AssociationProfile((1,) * k), 0)
+
+
+def perturbed_layout(rng, layout, f):
+    """The layout, or a random one over the same users, with rows added to
+    some masks and sometimes one row dropped from one mask."""
+    if rng.random() < 0.5:
+        helpers = rng.randint(1, len(layout.user_to_helper))
+        layout = CacheLayout(
+            tuple(rng.getrandbits(f) & rng.getrandbits(f) for _ in range(helpers)),
+            layout.private_masks,
+            tuple(rng.randint(1, helpers) for _ in layout.user_to_helper))
+    masks = [[m | rng.getrandbits(f) if rng.random() < 0.3 else m for m in group]
+             for group in (layout.helper_masks, layout.private_masks)]
+    if rng.random() < 0.3:
+        group = rng.choice(masks)
+        i = rng.randrange(len(group))
+        group[i] &= ~(1 << rng.randrange(f))
+    return CacheLayout(tuple(masks[0]), tuple(masks[1]), layout.user_to_helper)
+
+
+class TestDecodeChecks:
+    """``sp_decode``'s one diff per code and K-bit foreign-row screen against
+    the per-recipient decoder in sim_oracle, on arrays that may break C3."""
+
+    @staticmethod
+    def _outcome(decode, *args):
+        try:
+            return decode(*args)
+        except MissingComponentError as exc:
+            return f"MissingComponentError: {exc}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_per_recipient_decoder(self, rng):
+        for _ in range(3):  # a wrong screen shows only when it passes a failing code: rare
+            self._compare(rng)
+
+    def _compare(self, rng):
+        if rng.random() < 0.8:
+            sp = unchecked_sppda(rng)
+        else:
+            p1 = random_pda(rng, max_cols=3, max_rows=6)
+            p2 = random_pda(rng, max_cols=3, max_rows=6)
+            sp = construct_sppda(p1, p2, random_profile(rng, p1.k, p2.k))
+        f = sp.pda.f
+        library = FileLibrary.synthetic(rng.randint(1, 3), rng.randint(0, 3 * f), f,
+                                        seed=rng.randrange(100))
+        demands = [rng.randint(1, library.n) for _ in range(sp.pda.k)]
+        layout = sp_place(sp, library)
+        if rng.random() < 0.5:
+            layout = perturbed_layout(rng, layout, f)
+        sent = sp_deliver(sp, library, demands)
+        if sent and rng.random() < 0.5:
+            i = rng.randrange(len(sent))
+            sent = sent[:i] + (flip_byte(sent[i], rng.randrange(len(sent[i].payload))),) + sent[i + 1:]
+        args = (layout, sent, sp, library, demands)
+        assert self._outcome(sp_decode, *args) == self._outcome(oracle.per_recipient_verdicts, *args)
 
 
 class TestFileLibrary:
