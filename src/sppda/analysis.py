@@ -2,6 +2,11 @@
 pairings (MaN x MaN versus Construction-A x MaN), plus the sweep that
 regenerates the figure data behind the uniform and skewed profiles.
 
+The sweep cross-checks each closed form under its cap against the
+construction's tables (``construct.block_tables``): F, S, Z^(h) and the
+per-group all-star rows of the block product, read from the two arrays'
+tables without writing out its F x K grid.
+
 All rates are exact rationals; floats appear only in rendered output.
 """
 
@@ -9,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .arrays import (
-    STAR,
     AssociationProfile,
     ParameterError,
     PdaArray,
@@ -21,8 +24,8 @@ from .arrays import (
     man_pda,
 )
 from .construct import (
-    SpPdaArray,
-    construct_sppda,
+    BlockTables,
+    block_tables,
     group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
@@ -153,19 +156,19 @@ _PAIRINGS = {
 }
 
 
-def _cross_check(sp: SpPdaArray, f: int, s: int, zh: int) -> bool:
-    """Check the closed forms against the materialized array: exact F and
-    distinct-code count, and D2 star availability under its grouping."""
-    codes = set(chain.from_iterable(sp.pda.grid)) - {STAR}
-    if sp.pda.f != f or len(codes) != s or sp.helper_stars != zh:
+def _cross_check(tables: BlockTables, parts: tuple[int, ...], f: int, s: int, zh: int) -> bool:
+    """Check the closed forms against the construction's tables: exact F,
+    distinct-code count and Z^(h), and D2 star availability in every column
+    group of sizes ``parts``."""
+    if tables.f != f or tables.s != s or tables.zh != zh:
         return False
-    masks = group_star_masks(sp.pda, sp.profile.parts, sp.grouping)
+    masks = group_star_masks(tables.star_masks, tables.f, parts)
     return all(mask.bit_count() >= zh for mask in masks)
 
 
 def sweep(config: SweepConfig) -> list[SchemePoint]:
     """One point per (scheme, t2); rows with F under the cap are cross-checked
-    against an actually constructed array."""
+    against the construction's tables (``block_tables``), without its rows."""
     profile = config.profile
     l1 = profile.part(1)
     schemes = []
@@ -188,8 +191,8 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
                     firsts[scheme] = family(*first)
                 if p2 is None:
                     p2 = man_pda(l1, t2)
-                sp = construct_sppda(firsts[scheme], p2, profile, validate=False)
-                if not _cross_check(sp, f, s, first_z(*first) * binom(l1, t2)):
+                tables = block_tables(firsts[scheme], p2, profile)
+                if not _cross_check(tables, profile.parts, f, s, first_z(*first) * binom(l1, t2)):
                     raise ParameterError(
                         f"closed form disagrees with construction at {scheme} t2={t2}")
                 verified = True

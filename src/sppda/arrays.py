@@ -287,13 +287,7 @@ def all_star_row_count(pda: PdaArray, columns) -> int:
         raise IndexOutOfRangeError("column set must be nonempty")
     if cols[0] < 1 or cols[-1] > pda.k:
         raise IndexOutOfRangeError(f"columns {cols} not within [1, {pda.k}]")
-    return all_star_rows(pda, cols).bit_count()
-
-
-def all_star_rows(pda: PdaArray, columns) -> int:
-    """Bitmask (bit j-1 for row j) of the rows that are stars in every one of
-    ``columns`` (1-based); every row when ``columns`` is empty."""
-    return reduce(and_, (pda.star_masks[c - 1] for c in columns), (1 << pda.f) - 1)
+    return reduce(and_, (pda.star_masks[c - 1] for c in cols)).bit_count()
 
 
 def canonicalize_codes(rows) -> Grid:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .arrays import (
     STAR,
@@ -14,7 +16,6 @@ from .arrays import (
     ParameterError,
     PdaArray,
     PdaCheck,
-    all_star_rows,
     binom,
     check_bijection,
     man_pda,
@@ -107,17 +108,19 @@ class SpPdaCheck:
         return self.params is not None
 
 
-def group_star_masks(pda: PdaArray, parts: tuple[int, ...],
+def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...],
                      grouping: tuple[int, ...] | None = None) -> list[int]:
     """Condition D2's counts: per helper group, the bitmask (bit j-1 for row j)
-    of the rows that are stars in every column of the group.  Groups are the
-    consecutive runs of sizes ``parts`` in the grouped column order; an empty
-    group keeps every row."""
-    order = range(1, pda.k + 1)
+    of the rows that are stars in every column of the group, from per-column
+    star masks over F rows.  Groups are the consecutive runs of sizes
+    ``parts`` in the grouped column order; an empty group keeps every row."""
+    order = range(len(star_masks))
     if grouping is not None:
-        order = sorted(order, key=lambda c: grouping[c - 1])
+        order = sorted(order, key=grouping.__getitem__)
+    every = (1 << f) - 1
     ends = itertools.accumulate(parts)
-    return [all_star_rows(pda, order[end - width:end]) for width, end in zip(parts, ends)]
+    return [reduce(and_, (star_masks[c] for c in order[end - width:end]), every)
+            for width, end in zip(parts, ends)]
 
 
 def verify_sppda(rows, profile: AssociationProfile, zh: int,
@@ -136,7 +139,7 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
         return SpPdaCheck(None, pda_check, ())
 
     pda = pda_check.array
-    masks = group_star_masks(pda, profile.parts, grouping)
+    masks = group_star_masks(pda.star_masks, pda.f, profile.parts, grouping)
     failures = tuple(GroupFailure(n, mask.bit_count())
                      for n, mask in enumerate(masks, start=1) if mask.bit_count() < zh)
     if failures:
@@ -174,24 +177,14 @@ def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
     return sum(ranks[w][-1] for w in widths)
 
 
-def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
-                    validate: bool = True) -> SpPdaArray:
-    """Build the F1*F2 x K SP-PDA from a Lambda-column PDA and an L_1-column PDA.
-
-    The result is a block product: row (f1, f2) is the concatenation, over p1's
-    columns lambda with L_lambda > 0, of an L_lambda-wide block.  A star of p1
-    gives an all-star block; a code s of p1 gives row f2 of p2 cut to L_lambda
-    columns, with p2's codes renumbered order-preservingly into the slice of
-    [S] reserved for s, which holds the codes of p2's first L_{xi(s)} columns.
-    Each code's renumbering is one lookup list and each width's cut of p2 one
-    flat list, so the rows of a p1 row are assembled by ``map``/``zip`` over
-    those lists without a Python step per cell.  Unless ``validate`` checks the
-    grid, the result's star masks are seeded from p1's and p2's.
-    """
+def _relabels(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> list[list[int]]:
+    """Per code s of p1, the lookup list that renumbers p2's codes into the
+    slice of [S] reserved for s, STAR to STAR.  The slices follow each other
+    in the order of p1's codes, and s's slice holds, ascending, the codes of
+    p2's first L_{xi(s)} columns.  A p2 code outside that domain reads its
+    predecessor's slot, but never occurs in s's blocks, which are at most
+    L_{xi(s)} wide."""
     widths, ranks = _pair_tables(p1, p2, profile)
-    # per code s of p1, p2 code -> code in s's slice, STAR -> STAR; a p2 code outside
-    # the slice's domain reads its predecessor's slot, but never occurs in s's blocks,
-    # which are at most L_{xi(s)} wide
     relabels: list[list[int]] = []
     offset = 0
     for width in widths:
@@ -199,7 +192,56 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
         relabel[STAR] = STAR
         relabels.append(relabel)
         offset += ranks[width][-1]
+    return relabels
 
+
+@dataclass(frozen=True)
+class BlockTables:
+    """The block product of two PDAs under a profile, without its rows: F, Z,
+    Z^(h), the distinct-code count S, and per 0-based column its star mask
+    (bit j-1 for row j)."""
+
+    f: int
+    z: int
+    zh: int
+    s: int
+    star_masks: tuple[int, ...]
+
+
+def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> BlockTables:
+    """The tables of ``construct_sppda(p1, p2, profile)``, from p1's and p2's
+    tables alone.  S counts the codes the construction writes: for each code
+    s of p1 and each width it is cut to, the images under s's relabel list of
+    the codes in p2's first that many columns.  The star masks come from p1's
+    and p2's masks (``_block_star_masks``)."""
+    relabels = _relabels(p1, p2, profile)
+    parts = profile.parts
+    code_columns = p2.code_columns()
+    # per width w, the codes of p2's first w columns
+    domains = {w: [c for c, mask in enumerate(code_columns, start=1) if mask & (1 << w) - 1]
+               for w in set(parts)}
+    written: set[int] = set()
+    for relabel, cells in zip(relabels, p1.code_cells):
+        for w in {parts[k - 1] for k, _ in cells}:
+            written.update(map(relabel.__getitem__, domains[w]))
+    return BlockTables(p1.f * p2.f, p1.z * p2.f + (p1.f - p1.z) * p2.z, p1.z * p2.f,
+                       len(written), _block_star_masks(p1, p2, parts))
+
+
+def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
+                    validate: bool = True) -> SpPdaArray:
+    """Build the F1*F2 x K SP-PDA from a Lambda-column PDA and an L_1-column PDA.
+
+    The result is a block product: row (f1, f2) is the concatenation, over p1's
+    columns lambda with L_lambda > 0, of an L_lambda-wide block.  A star of p1
+    gives an all-star block; a code s of p1 gives row f2 of p2 cut to L_lambda
+    columns, with p2's codes renumbered by s's relabel list (``_relabels``).
+    Each width's cut of p2 is one flat list, so the rows of a p1 row are
+    assembled by ``map``/``zip`` over those lists without a Python step per
+    cell.  Unless ``validate`` checks the grid, the result's Z, S and star
+    masks are seeded from ``block_tables``.
+    """
+    relabels = _relabels(p1, p2, profile)
     parts = profile.parts
     cut = {w: list(itertools.chain.from_iterable(row[:w] for row in p2.grid))
            for w in set(parts) if w}
@@ -211,14 +253,12 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                   for e, w in zip(p1_row, parts) if w]
         rows.extend(map(tuple, map(itertools.chain.from_iterable, zip(*blocks))))
 
-    zh = p1.z * p2.f
     if validate:
-        pda = PdaArray.from_grid(rows)
-    else:
-        z = p1.z * p2.f + (p1.f - p1.z) * p2.z
-        pda = PdaArray(tuple(rows), profile.num_users, p1.f * p2.f, z, offset)
-        vars(pda).update(star_masks=_block_star_masks(p1, p2, parts))  # seeds the cached table
-    return SpPdaArray(pda, profile, zh, None)
+        return SpPdaArray(PdaArray.from_grid(rows), profile, p1.z * p2.f)
+    tables = block_tables(p1, p2, profile)
+    pda = PdaArray(tuple(rows), profile.num_users, tables.f, tables.z, tables.s)
+    vars(pda).update(star_masks=tables.star_masks)  # seeds the cached table
+    return SpPdaArray(pda, profile, tables.zh)
 
 
 def _block_star_masks(p1: PdaArray, p2: PdaArray, parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -163,7 +163,8 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     zh = sppda.helper_stars
     helper_masks = []
-    for lam, mask in enumerate(group_star_masks(pda, sppda.profile.parts, sppda.grouping), start=1):
+    groups = group_star_masks(pda.star_masks, pda.f, sppda.profile.parts, sppda.grouping)
+    for lam, mask in enumerate(groups, start=1):
         if mask.bit_count() < zh:
             raise InsufficientStarRowsError(
                 f"group {lam} has {mask.bit_count()} all-star rows, needs Z^(h)={zh}")

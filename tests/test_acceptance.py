@@ -1,18 +1,21 @@
-"""Acceptance suite: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance suite: ten end-to-end criteria, one pass/fail line per test.
 
 Every test prints a single ``criterion N ... PASS`` line (visible with -s or
-in captured output) and enforces its own wall-clock budget.
+in captured output) and enforces its own wall-clock budget.  Criterion 6 has
+two tests: the closed forms against materialized grids over small profiles,
+and the grids of the reference sweep against the tables the sweep reads.
 """
 
 import random
 import time
 from fractions import Fraction
 
-from sppda.analysis import compare, construction_a_subpacketization, man_pair_subpacketization, \
-    rate_construction_a, rate_man_pair
+from sppda.analysis import SweepConfig, compare, construction_a_subpacketization, \
+    man_pair_subpacketization, rate_construction_a, rate_man_pair, sweep
 from sppda.arrays import (
     AssociationProfile,
     PdaArray,
+    _star_masks,
     all_star_row_count,
     binom,
     construction_a_pda,
@@ -20,7 +23,9 @@ from sppda.arrays import (
 )
 from sppda.cli import main
 from sppda.construct import (
+    block_tables,
     construct_sppda,
+    group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
     s_count,
@@ -178,6 +183,43 @@ def test_criterion_6_closed_form_oracles():
                                                  validate=False)
                             assert s_closed_form_construction_a(q, m, profile, t2) == \
                                 distinct_codes(sp.pda.grid)
+
+
+def test_criterion_6_sweep_reference_grids():
+    # The grid-level check behind the sweep, which reads only the construction's
+    # tables: over exactly the constructions that sweep-reference cross-checks,
+    # the materialized grid agrees with the closed forms and with block_tables.
+    with Budget(6, "sweep-reference grids vs closed forms and tables", 120.0):
+        firsts = {"man_pair": lambda lam, mh: man_pda(lam, int(mh * lam)),
+                  "construction_a_pair": lambda lam, mh: construction_a_pda(
+                      mh.denominator, lam // mh.denominator - 1)}
+        built = 0
+        for parts in ((3,) * 8, (10, 4, 2, 2, 2, 2, 1, 1)):
+            profile = AssociationProfile(parts)
+            l1 = profile.part(1)
+            for mh in (Fraction(1, 2), Fraction(1, 4)):
+                config = SweepConfig(profile, mh, tuple(range(l1 + 1)))
+                for point in sweep(config):
+                    if point.subpacketization > config.verify_cap:
+                        assert not point.verified
+                        continue
+                    assert point.verified
+                    p1 = firsts[point.scheme](profile.num_groups, mh)
+                    p2 = man_pda(l1, point.t2)
+                    tables = block_tables(p1, p2, profile)
+                    sp = construct_sppda(p1, p2, profile, validate=False)
+                    grid = sp.pda.grid
+                    assert distinct_codes(grid) == s_count(p1, p2, profile) == point.s \
+                        == tables.s == sp.pda.s
+                    assert len(grid) == point.subpacketization == tables.f
+                    assert sp.helper_stars == tables.zh == p1.z * p2.f
+                    scanned = _star_masks(grid)
+                    assert scanned == tables.star_masks
+                    groups = group_star_masks(scanned, len(grid), parts)
+                    assert groups == group_star_masks(tables.star_masks, tables.f, parts)
+                    assert min(mask.bit_count() for mask in groups) >= tables.zh
+                    built += 1
+        assert built == 60
 
 
 def test_criterion_7_single_array_star_counts():

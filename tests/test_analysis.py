@@ -1,6 +1,7 @@
 """Closed-form rates, the matched-memory comparison, and sweeps."""
 
 import importlib.util
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from sppda.analysis import (
     sweep_csv,
 )
 from sppda.arrays import AssociationProfile, ParameterError, binom, construction_a_pda, man_pda
-from sppda.construct import SpPdaArray, construct_sppda
+from sppda.construct import block_tables, construct_sppda, group_star_masks
 from sppda.sim import FileLibrary, sp_run
 
 UNIFORM = AssociationProfile((3,) * 8)
@@ -143,15 +144,21 @@ class TestSweep:
             sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), ("mystery",)))
 
     def test_cross_check_rejects_each_mismatch(self):
-        # the golden pair, F=6, S=3, Z^(h)=3, built as the sweep builds it
-        sp = construct_sppda(man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2)),
-                             validate=False)
-        assert _cross_check(sp, 6, 3, 3)
+        # the golden pair, F=6, S=3, Z^(h)=3, read as the sweep reads it
+        parts = (3, 2)
+        tables = block_tables(man_pda(2, 1), man_pda(3, 1), AssociationProfile(parts))
+        assert _cross_check(tables, parts, 6, 3, 3)
         for f, s, zh in ((5, 3, 3), (7, 3, 3), (6, 2, 3), (6, 4, 3), (6, 3, 2), (6, 3, 4)):
-            assert not _cross_check(sp, f, s, zh)
-        # 0-based columns 2 and 3 change groups: each group keeps fewer than 3 all-star rows
-        mixed = SpPdaArray(sp.pda, sp.profile, sp.helper_stars, (0, 1, 3, 2, 4))
-        assert not _cross_check(mixed, 6, 3, 3)
+            assert not _cross_check(tables, parts, f, s, zh)
+        # one all-star row of a group turned into a code row in the group's first
+        # column: that group keeps fewer than 3 all-star rows
+        groups = group_star_masks(tables.star_masks, tables.f, parts)
+        for first, group in ((0, groups[0]), (parts[0], groups[1])):
+            masks = list(tables.star_masks)
+            masks[first] &= ~(group & -group)
+            short = replace(tables, star_masks=tuple(masks))
+            assert min(m.bit_count() for m in group_star_masks(short.star_masks, 6, parts)) == 2
+            assert not _cross_check(short, parts, 6, 3, 3)
 
 
 def test_subpacketization_helpers():

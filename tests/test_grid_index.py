@@ -41,7 +41,7 @@ def test_readers_match_grid_oracle(rng):
     grouping = tuple(rng.sample(range(sp.pda.k), sp.pda.k))
     for g in (None, grouping):
         expected = oracle.group_star_masks(sp.pda, profile.parts, g)
-        assert group_star_masks(sp.pda, profile.parts, g) == expected
+        assert group_star_masks(sp.pda.star_masks, sp.pda.f, profile.parts, g) == expected
 
     library = FileLibrary.synthetic(2, 3 * sp.pda.f, sp.pda.f, seed=rng.randrange(100))
     transmissions = sp_deliver(sp, library, [rng.randint(1, 2) for _ in range(sp.pda.k)])

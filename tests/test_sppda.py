@@ -23,6 +23,7 @@ from sppda.construct import (
     DimensionMismatchError,
     ProfileMismatchError,
     SpPdaArray,
+    block_tables,
     construct_sppda,
     man_sppda,
     man_sppda_params,
@@ -31,7 +32,9 @@ from sppda.construct import (
     s_count,
     verify_sppda,
 )
+from sppda.analysis import rate_man_pair
 from sppda.arrays import construction_a_pda
+from sppda.sim import FileLibrary, dedicated_run, sp_run
 
 from construct_oracle import construct_cells
 from conftest import (
@@ -136,6 +139,31 @@ class TestConstruct:
         assert fast.pda.star_masks == tuple(sum(1 << j for j, e in enumerate(col) if e == STAR)
                                             for col in zip(*grid))
         assert construct_sppda(p1, p2, profile).pda.grid == grid
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_block_tables_match_validated_construction(self, rng):
+        draw = rng.random()
+        if draw < 0.3:
+            p1 = construction_a_pda(rng.randint(2, 3), rng.randint(1, 2))
+        elif draw < 0.5:
+            # k <= t columns of MaN(k0, t): some rows of p1 are all star
+            k0 = rng.randint(3, 6)
+            t = rng.randint(2, k0)
+            cols = rng.sample(range(k0), rng.randint(2, t))
+            p1 = PdaArray.from_grid(canonicalize_codes(
+                [tuple(row[c] for c in cols) for row in man_pda(k0, t).grid]))
+        else:
+            p1 = random_pda(rng, max_cols=4, max_rows=8)
+        p2 = random_pda(rng, max_cols=4, max_rows=8)
+        # group widths below the largest, zero included
+        rest = sorted((rng.randint(0, p2.k) for _ in range(p1.k - 1)), reverse=True)
+        profile = AssociationProfile((p2.k, *rest))
+        tables = block_tables(p1, p2, profile)
+        sp = construct_sppda(p1, p2, profile)
+        assert (tables.f, tables.z, tables.zh, tables.s) == \
+            (sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s)
+        assert tables.star_masks == sp.pda.star_masks
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -289,3 +317,55 @@ class TestSpPdaArray:
     def test_rejects_helper_stars_above_z(self):
         with pytest.raises(ParameterError):
             SpPdaArray(PdaArray.from_grid(GOLDEN_SP), AssociationProfile((3, 2)), 5)
+
+
+class TestSubsumedSchemes:
+    """With no private memory (t2 = 0), the MaN x MaN pairing is the
+    shared-cache scheme of Parrinello, Unsal and Elia (IEEE Trans. IT 2020);
+    with one user per helper it is also the dedicated-cache scheme of
+    Maddah-Ali and Niesen (IEEE Trans. IT 2014).  Each reduction is checked
+    through the closed form and through a bit-exact simulation."""
+
+    @staticmethod
+    def run(sp, seed):
+        k = sp.pda.k
+        library = FileLibrary.synthetic(k, 3 * sp.pda.f, sp.pda.f, seed=seed)
+        demands = [(u + seed) % k + 1 for u in range(k)]  # distinct
+        return library, demands, sp_run(sp, library, demands)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_one_user_per_helper_is_maddah_ali_niesen(self, k):
+        profile = AssociationProfile((1,) * k)
+        for t1 in range(k + 1):
+            s = binom(k, t1 + 1)
+            assert s_closed_form_man(k, t1, profile, 0) == s
+            man = man_pda(k, t1)
+            sp = construct_sppda(man, man_pda(1, 0), profile)
+            assert sp.pda.grid == man.grid
+            assert (sp.pda.f, sp.pda.s, sp.helper_stars) == (binom(k, t1), s, man.z)
+            library, demands, report = self.run(sp, seed=t1)
+            assert report.all_decoded
+            assert report.rate == Fraction(k - t1, t1 + 1)
+            assert (report.mh_ratio, report.mp_ratio) == (Fraction(t1, k), 0)
+            if 1 <= t1 < k:
+                assert rate_man_pair(k, t1, profile, 0) == report.rate
+            # the same transmissions, byte for byte, as the dedicated-cache run
+            assert report.transmissions == dedicated_run(man, library, demands).transmissions
+
+    @pytest.mark.parametrize("lam", range(2, 5))
+    def test_no_private_memory_is_shared_cache_scheme(self, lam):
+        for total in range(lam, 8):
+            for profile in enumerate_profiles(total, lam):
+                for t1 in range(lam + 1):
+                    s = sum(profile.part(n) * binom(lam - n, t1)
+                            for n in range(1, lam - t1 + 1))
+                    assert s_closed_form_man(lam, t1, profile, 0) == s
+                    sp = construct_sppda(man_pda(lam, t1), man_pda(profile.part(1), 0), profile)
+                    assert (sp.pda.f, sp.pda.s) == (binom(lam, t1), s)
+                    _, _, report = self.run(sp, seed=total + t1)
+                    assert report.all_decoded
+                    assert len(report.transmissions) == s
+                    assert report.rate == Fraction(s, binom(lam, t1))
+                    assert (report.mh_ratio, report.mp_ratio) == (Fraction(t1, lam), 0)
+                    if 1 <= t1 < lam:
+                        assert rate_man_pair(lam, t1, profile, 0) == report.rate
