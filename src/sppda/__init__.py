@@ -4,12 +4,9 @@ from .arrays import (
     STAR,
     AssociationProfile,
     PdaArray,
-    all_star_row_count,
     construction_a_pda,
     man_pda,
     permute_columns,
-    phi,
-    regularity,
     verify_pda,
     xi,
 )
@@ -17,8 +14,6 @@ from .construct import (
     SpPdaArray,
     SpPdaParams,
     construct_sppda,
-    man_sppda,
-    man_sppda_params,
     s_closed_form_construction_a,
     s_closed_form_man,
     s_count,
@@ -29,10 +24,9 @@ from .sim import FileLibrary, dedicated_run, sp_deliver, sp_place, sp_run
 
 __all__ = [
     "STAR", "AssociationProfile", "PdaArray", "SpPdaArray", "SpPdaParams",
-    "all_star_row_count", "check_E1", "check_E2", "construct_sppda",
-    "construction_a_pda", "dedicated_run", "exhaustive_best", "FileLibrary",
-    "heuristic_reorder", "man_pda", "man_sppda", "man_sppda_params",
-    "permute_columns", "phi", "regularity", "s_closed_form_construction_a",
+    "check_E1", "check_E2", "construct_sppda", "construction_a_pda",
+    "dedicated_run", "exhaustive_best", "FileLibrary", "heuristic_reorder",
+    "man_pda", "permute_columns", "s_closed_form_construction_a",
     "s_closed_form_man", "s_count", "sp_deliver", "sp_place", "sp_run",
     "verify_pda", "verify_sppda", "xi",
 ]

@@ -6,14 +6,14 @@ cached cell and positive integers are transmission codes.  Rows, columns and
 codes are 1-based in every public signature, matching the usual convention
 for these arrays; only raw Python indexing into ``grid`` is 0-based.
 
-This module is the only grid index.  A ``PdaArray`` holds two tables, each
+This module is the only grid index.  A ``PdaArray`` holds three tables, each
 built at most once: ``star_masks``, per column the bitmask of its star rows,
-and ``code_cells``, per code its cells as (user, row) in row-major order.
-``verify_pda`` builds both while it checks C1-C3.  An unvalidated
-``construct_sppda`` seeds ``star_masks`` from the block product of its two
-arrays' masks instead; a validated one takes both tables from ``verify_pda``.
-The column statistics here, D2, placement, delivery, construction and
-column-order search read these tables instead of scanning the grid.
+``code_cells``, per code its cells as (user, row) in row-major order, and
+``code_columns``, per code the bitmask of its columns.  ``verify_pda``
+builds the first two while it checks C1-C3; ``code_columns`` is read off
+``code_cells``.  The column statistics, D2, placement, delivery,
+construction and column-order search read these tables instead of scanning
+the grid.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
 STAR = 0
 
@@ -214,9 +213,10 @@ class PdaArray:
         """Per code (index code - 1), its cells as (user, row), 1-based, row-major."""
         return _cell_table(_cells_by_code(self.grid))
 
-    def code_columns(self) -> list[int]:
+    @cached_property
+    def code_columns(self) -> tuple[int, ...]:
         """Per code (index code - 1), the bitmask of its columns (bit c-1 for column c)."""
-        return [sum(1 << (k - 1) for k, _ in cells) for cells in self.code_cells]
+        return tuple(sum(1 << (k - 1) for k, _ in cells) for cells in self.code_cells)
 
     def _check_column(self, c: int) -> None:
         if not 1 <= c <= self.k:
@@ -225,16 +225,7 @@ class PdaArray:
     def column_codes(self, c: int) -> frozenset[int]:
         self._check_column(c)
         bit = 1 << (c - 1)
-        return frozenset(code for code, mask in enumerate(self.code_columns(), start=1) if mask & bit)
-
-
-def regularity(pda: PdaArray) -> int | None:
-    """g if every code occurs exactly g times, else None.
-
-    The degenerate all-star array has no codes and no regularity.
-    """
-    values = {len(cells) for cells in pda.code_cells if cells}
-    return values.pop() if len(values) == 1 else None
+        return frozenset(code for code, mask in enumerate(self.code_columns, start=1) if mask & bit)
 
 
 def permute_columns(pda: PdaArray, perm) -> PdaArray:
@@ -262,32 +253,15 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def phi(pda: PdaArray, prefix: int) -> int:
-    """Number of distinct codes in the first ``prefix`` columns (1-based count)."""
-    if not 1 <= prefix <= pda.k:
-        raise IndexOutOfRangeError(f"prefix {prefix} not in [1, {pda.k}]")
-    first = (1 << prefix) - 1
-    return sum(1 for mask in pda.code_columns() if mask & first)
-
-
 def xi(pda: PdaArray, code: int) -> int:
     """Smallest 1-based column index in which ``code`` appears."""
     if not 1 <= code <= pda.s:
         raise CodeAbsentError(f"code {code} not in [1, {pda.s}]")
-    table = pda.code_cells
-    if code > len(table) or not table[code - 1]:
+    table = pda.code_columns
+    mask = table[code - 1] if code <= len(table) else 0
+    if not mask:
         raise CodeAbsentError(f"code {code} missing from a supposedly valid PDA")
-    return min(k for k, _ in table[code - 1])
-
-
-def all_star_row_count(pda: PdaArray, columns) -> int:
-    """Number of rows that are all-star when restricted to ``columns`` (1-based)."""
-    cols = sorted(set(columns))
-    if not cols:
-        raise IndexOutOfRangeError("column set must be nonempty")
-    if cols[0] < 1 or cols[-1] > pda.k:
-        raise IndexOutOfRangeError(f"columns {cols} not within [1, {pda.k}]")
-    return reduce(and_, (pda.star_masks[c - 1] for c in cols)).bit_count()
+    return (mask & -mask).bit_length()  # the lowest set bit
 
 
 def canonicalize_codes(rows) -> Grid:

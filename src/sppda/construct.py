@@ -18,7 +18,6 @@ from .arrays import (
     PdaCheck,
     binom,
     check_bijection,
-    man_pda,
     verify_pda,
     xi,
 )
@@ -165,8 +164,8 @@ def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
     widths = [profile.part(xi(p1, s)) for s in range(1, p1.s + 1)]  # L_{xi(s)} per code s of p1
     # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
     # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
-    code_columns = p2.code_columns()
-    ranks = {w: [0, *itertools.accumulate(1 if mask & (1 << w) - 1 else 0 for mask in code_columns)]
+    ranks = {w: [0, *itertools.accumulate(1 if mask & (1 << w) - 1 else 0
+                                          for mask in p2.code_columns)]
              for w in set(widths)}
     return widths, ranks
 
@@ -216,9 +215,8 @@ def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> Blo
     and p2's masks (``_block_star_masks``)."""
     relabels = _relabels(p1, p2, profile)
     parts = profile.parts
-    code_columns = p2.code_columns()
     # per width w, the codes of p2's first w columns
-    domains = {w: [c for c, mask in enumerate(code_columns, start=1) if mask & (1 << w) - 1]
+    domains = {w: [c for c, mask in enumerate(p2.code_columns, start=1) if mask & (1 << w) - 1]
                for w in set(parts)}
     written: set[int] = set()
     for relabel, cells in zip(relabels, p1.code_cells):
@@ -228,8 +226,7 @@ def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> Blo
                        len(written), _block_star_masks(p1, p2, parts))
 
 
-def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
-                    validate: bool = True) -> SpPdaArray:
+def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> SpPdaArray:
     """Build the F1*F2 x K SP-PDA from a Lambda-column PDA and an L_1-column PDA.
 
     The result is a block product: row (f1, f2) is the concatenation, over p1's
@@ -238,8 +235,7 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     columns, with p2's codes renumbered by s's relabel list (``_relabels``).
     Each width's cut of p2 is one flat list, so the rows of a p1 row are
     assembled by ``map``/``zip`` over those lists without a Python step per
-    cell.  Unless ``validate`` checks the grid, the result's Z, S and star
-    masks are seeded from ``block_tables``.
+    cell.  The grid is checked by ``verify_pda``, which also builds its tables.
     """
     relabels = _relabels(p1, p2, profile)
     parts = profile.parts
@@ -252,13 +248,7 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                   else zip(*[map(relabels[e - 1].__getitem__, cut[w])] * w)
                   for e, w in zip(p1_row, parts) if w]
         rows.extend(map(tuple, map(itertools.chain.from_iterable, zip(*blocks))))
-
-    if validate:
-        return SpPdaArray(PdaArray.from_grid(rows), profile, p1.z * p2.f)
-    tables = block_tables(p1, p2, profile)
-    pda = PdaArray(tuple(rows), profile.num_users, tables.f, tables.z, tables.s)
-    vars(pda).update(star_masks=tables.star_masks)  # seeds the cached table
-    return SpPdaArray(pda, profile, tables.zh)
+    return SpPdaArray(PdaArray.from_grid(rows), profile, p1.z * p2.f)
 
 
 def _block_star_masks(p1: PdaArray, p2: PdaArray, parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -306,25 +296,3 @@ def s_closed_form_construction_a(q: int, m: int, profile: AssociationProfile, t2
         raise ParameterError(f"bad parameters q={q}, m={m}, t2={t2}")
     inner = sum(binom(l1, t2 + 1) - binom(l1 - profile.part(n), t2 + 1) for n in range(1, q + 1))
     return q ** (m - 1) * (q - 1) * inner
-
-
-def man_sppda_params(k: int, t: int, profile: AssociationProfile) -> SpPdaParams:
-    """The MaN(K, t) PDA viewed directly as an SP-PDA.
-
-    Z^(h) = C(K - L_1, t - L_1), which is zero whenever t < L_1 (any column
-    group of size exceeding t pins no common star rows).
-    """
-    if profile.num_users != k:
-        raise ProfileMismatchError(f"profile sums to {profile.num_users}, expected K={k}")
-    if not 0 <= t <= k:
-        raise ParameterError(f"t={t} not in [0, K={k}]")
-    l1 = profile.part(1)
-    return SpPdaParams(k, profile.num_groups, profile,
-                       binom(k, t), binom(k - 1, t - 1), binom(k - l1, t - l1),
-                       binom(k, t + 1))
-
-
-def man_sppda(k: int, t: int, profile: AssociationProfile) -> SpPdaArray:
-    """The MaN(K, t) PDA packaged as an SP-PDA with its natural Z^(h)."""
-    params = man_sppda_params(k, t, profile)
-    return SpPdaArray(man_pda(k, t), profile, params.zh, None)

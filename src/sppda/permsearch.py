@@ -70,7 +70,7 @@ def _subset_phi(pda: PdaArray, steps: _Steps) -> list[int]:
     steps.charge(pda.k << pda.k, f"the {2 ** pda.k}-subset phi table")
     size = 1 << pda.k
     confined = [0] * size
-    for mask in pda.code_columns():
+    for mask in pda.code_columns:
         confined[mask] += 1
     for c in range(pda.k):
         bit = 1 << c
@@ -353,8 +353,8 @@ def phi_vector(pda: PdaArray, perm: tuple[int, ...] | None = None) -> tuple[int,
     if perm is None:
         perm = tuple(range(pda.k))
     check_bijection(perm, pda.k)
-    masks = pda.code_columns()
-    return tuple(sum(1 for m in masks if m & prefix) for prefix in _prefix_masks(perm)[1:])
+    return tuple(sum(1 for m in pda.code_columns if m & prefix)
+                 for prefix in _prefix_masks(perm)[1:])
 
 
 def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,

@@ -20,6 +20,9 @@ from .arrays import AssociationProfile, ParameterError, PdaArray, mask_rows
 from .construct import SpPdaArray, group_star_masks
 
 
+_MAX_SYNTHETIC = 1 << 28  # bytes per synthetic file
+
+
 class DimensionError(ParameterError):
     pass
 
@@ -71,6 +74,8 @@ class FileLibrary:
 
     @classmethod
     def synthetic(cls, n: int, size: int, f: int, seed: int = 0) -> "FileLibrary":
+        if not 0 <= size < _MAX_SYNTHETIC:  # randbytes needs 8 * size to fit a C int
+            raise ParameterError(f"synthetic file size B={size} not in [0, {_MAX_SYNTHETIC})")
         rng = random.Random(seed)
         return cls.from_bytes([rng.randbytes(size) for _ in range(n)], f)
 
@@ -319,9 +324,8 @@ def format_report(report: SimReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_csv_row(report: SimReport, header: bool = True) -> str:
-    head = "subpacketization,transmissions,rate,mh_ratio,mp_ratio,all_decoded\n"
-    row = (f"{report.subpacketization},{len(report.transmissions)},"
-           f"{float(report.rate):.10g},{float(report.mh_ratio):.10g},"
-           f"{float(report.mp_ratio):.10g},{int(report.all_decoded)}\n")
-    return head + row if header else row
+def report_csv_row(report: SimReport) -> str:
+    return ("subpacketization,transmissions,rate,mh_ratio,mp_ratio,all_decoded\n"
+            f"{report.subpacketization},{len(report.transmissions)},"
+            f"{float(report.rate):.10g},{float(report.mh_ratio):.10g},"
+            f"{float(report.mp_ratio):.10g},{int(report.all_decoded)}\n")

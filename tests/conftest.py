@@ -10,11 +10,12 @@ from sppda.arrays import (
     man_pda,
     permute_columns,
 )
-from sppda.textio import grid_from_text
+from sppda.textio import _grid
 
 
 def grid(text):
-    return grid_from_text(text)
+    """Parse a bare grid: rows of '*' / integer tokens, blank lines ignored."""
+    return _grid(line.split() for line in text.splitlines())
 
 
 # The 7-parameter (5, 2, (3,2), 6, 4, 3, 3) array built from the 2-user and

@@ -1,7 +1,7 @@
 """Naive readers that scan the grid cell by cell: the reference for the index
-tables (``star_masks``, ``code_cells``) that ``sppda.arrays`` keeps per array.
-Each takes anything with ``grid``, ``k``, ``f`` and ``s``; rows, columns and
-codes are 1-based as in the package."""
+tables (``star_masks``, ``code_cells``, ``code_columns``) that ``sppda.arrays``
+keeps per array.  Each takes anything with ``grid``, ``k``, ``f`` and ``s``;
+rows, columns and codes are 1-based as in the package."""
 
 from sppda.arrays import STAR
 
@@ -16,6 +16,12 @@ def code_cells(pda):
     """Per code 1..S, its cells as (user, row) in row-major order."""
     return tuple(tuple((k, j) for j, row in enumerate(pda.grid, start=1)
                        for k, e in enumerate(row, start=1) if e == code)
+                 for code in range(1, pda.s + 1))
+
+
+def code_columns(pda):
+    """Per code 1..S, the bitmask of its columns (bit c-1 for column c)."""
+    return tuple(sum(1 << c for c in range(pda.k) if any(row[c] == code for row in pda.grid))
                  for code in range(1, pda.s + 1))
 
 
@@ -45,10 +51,6 @@ def regularity(pda):
                 counts[e] = counts.get(e, 0) + 1
     values = set(counts.values())
     return values.pop() if len(values) == 1 else None
-
-
-def all_star_row_count(pda, columns):
-    return sum(1 for row in pda.grid if all(row[c - 1] == STAR for c in columns))
 
 
 def column_codes(pda, c):

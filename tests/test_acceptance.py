@@ -16,7 +16,6 @@ from sppda.arrays import (
     AssociationProfile,
     PdaArray,
     _star_masks,
-    all_star_row_count,
     binom,
     construction_a_pda,
     man_pda,
@@ -167,8 +166,7 @@ def test_criterion_6_closed_form_oracles():
                     for t1 in range(1, lam):
                         p1 = man_pda(lam, t1)
                         for t2 in range(0, l1 + 1):
-                            sp = construct_sppda(p1, man_pda(l1, t2), profile,
-                                                 validate=False)
+                            sp = construct_sppda(p1, man_pda(l1, t2), profile)
                             assert s_closed_form_man(lam, t1, profile, t2) == \
                                 distinct_codes(sp.pda.grid)
         for q in (2, 3):
@@ -179,8 +177,7 @@ def test_criterion_6_closed_form_oracles():
                     for profile in enumerate_profiles(total, lam):
                         l1 = profile.part(1)
                         for t2 in range(0, l1 + 1):
-                            sp = construct_sppda(p1, man_pda(l1, t2), profile,
-                                                 validate=False)
+                            sp = construct_sppda(p1, man_pda(l1, t2), profile)
                             assert s_closed_form_construction_a(q, m, profile, t2) == \
                                 distinct_codes(sp.pda.grid)
 
@@ -207,7 +204,7 @@ def test_criterion_6_sweep_reference_grids():
                     p1 = firsts[point.scheme](profile.num_groups, mh)
                     p2 = man_pda(l1, point.t2)
                     tables = block_tables(p1, p2, profile)
-                    sp = construct_sppda(p1, p2, profile, validate=False)
+                    sp = construct_sppda(p1, p2, profile)
                     grid = sp.pda.grid
                     assert distinct_codes(grid) == s_count(p1, p2, profile) == point.s \
                         == tables.s == sp.pda.s
@@ -229,8 +226,12 @@ def test_criterion_7_single_array_star_counts():
             for t in range(1, k + 1):
                 pda = man_pda(k, t)
                 for g in range(1, t + 1):
-                    for cols in itertools.combinations(range(1, k + 1), g):
-                        assert all_star_row_count(pda, cols) == binom(k - g, t - g)
+                    for cols in itertools.combinations(range(k), g):
+                        # D2's count for a helper group made of the chosen columns
+                        order = [*cols, *(c for c in range(k) if c not in cols)]
+                        grouping = tuple(map(order.index, range(k)))
+                        group = group_star_masks(pda.star_masks, pda.f, (g, k - g), grouping)[0]
+                        assert group.bit_count() == binom(k - g, t - g)
 
 
 def test_criterion_8_order_optimality_conditions():

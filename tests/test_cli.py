@@ -163,6 +163,15 @@ class TestSimulate:
                      "--demands", "1,a,1,1,1"]) == 2
         assert capsys.readouterr().err.startswith("error: bad --demands")
 
+    @pytest.mark.parametrize("size", ["-1", "99999999999999"])
+    def test_synthetic_size_out_of_range(self, golden_file, capsys, size):
+        # refused before any file is generated
+        assert main(["simulate", str(golden_file), "--synthetic", f"5,{size},1",
+                     "--worst-case"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: synthetic file size B={size} not in [0, 268435456)")
+        assert len(err.splitlines()) == 1
+
     def test_worst_case_needs_enough_files(self, golden_file, capsys):
         assert main(["simulate", str(golden_file), "--synthetic", "3,60,0",
                      "--worst-case"]) == 2

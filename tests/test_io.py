@@ -9,7 +9,6 @@ from sppda.arrays import AssociationProfile, InvalidPdaError, PdaArray, man_pda,
 from sppda.construct import SpPdaArray, construct_sppda
 from sppda.textio import (
     FormatError,
-    grid_from_text,
     parse_pda,
     parse_sppda,
     pda_from_json,
@@ -21,7 +20,7 @@ from sppda.textio import (
 )
 
 import textio_oracle as oracle
-from conftest import GOLDEN_SP, GOLDEN_SP_TEXT
+from conftest import GOLDEN_SP, GOLDEN_SP_TEXT, grid
 
 
 @pytest.fixture
@@ -49,7 +48,7 @@ class TestPdaText:
 
     def test_bad_token(self):
         with pytest.raises(FormatError):
-            grid_from_text("* 1 x\n")
+            grid("* 1 x\n")
 
     def test_missing_header(self):
         with pytest.raises(FormatError):
@@ -58,7 +57,7 @@ class TestPdaText:
             parse_pda("")
 
     def test_blank_lines_ignored(self):
-        assert grid_from_text("\n* 1\n\n1 *\n\n") == ((0, 1), (1, 0))
+        assert grid("\n* 1\n\n1 *\n\n") == ((0, 1), (1, 0))
 
 
 class TestSpPdaText:
@@ -166,6 +165,6 @@ class TestTokenMemo:
                 == [[oracle.token(e) for e in row] for row in grid])
 
     def test_equal_tokens_share_one_int(self):
-        grid = grid_from_text("100000 * 100000\n* 100000 *\n")
-        assert grid == ((100000, 0, 100000), (0, 100000, 0))
-        assert grid[0][0] is grid[0][2] is grid[1][1]
+        rows = grid("100000 * 100000\n* 100000 *\n")
+        assert rows == ((100000, 0, 100000), (0, 100000, 0))
+        assert rows[0][0] is rows[0][2] is rows[1][1]

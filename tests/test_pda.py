@@ -17,7 +17,6 @@ from sppda.arrays import (
     NonRectangularError,
     ParameterError,
     PdaArray,
-    all_star_row_count,
     binom,
     canonicalize_codes,
     construction_a_pda,
@@ -25,13 +24,13 @@ from sppda.arrays import (
     mask_rows,
     normalize_grid,
     permute_columns,
-    phi,
-    regularity,
     verify_pda,
     xi,
 )
+from sppda.construct import group_star_masks
+from sppda.permsearch import phi_vector
 
-from grid_oracle import column
+from grid_oracle import column, regularity
 from conftest import (
     GOLDEN_SP,
     SMALL_P2,
@@ -196,11 +195,9 @@ class TestColumnOps:
 
     def test_phi_golden(self):
         p2 = PdaArray.from_grid(WIDE_P2)
-        assert [phi(p2, c) for c in range(1, 4)] == [2, 4, 6]
+        assert phi_vector(p2)[:3] == (2, 4, 6)
         p2o = PdaArray.from_grid(WIDE_P2_OPT)
-        assert [phi(p2o, c) for c in range(1, 7)] == [2, 3, 4, 5, 6, 6]
-        with pytest.raises(IndexOutOfRangeError):
-            phi(p2, 0)
+        assert phi_vector(p2o) == (2, 3, 4, 5, 6, 6)
 
     def test_xi_golden(self):
         p1 = PdaArray.from_grid(WIDE_P1)
@@ -211,11 +208,11 @@ class TestColumnOps:
 
     def test_all_star_row_count(self):
         pda = PdaArray.from_grid(GOLDEN_SP)
-        assert all_star_row_count(pda, (1, 2, 3)) == 3
-        assert all_star_row_count(pda, (4, 5)) == 3
-        assert all_star_row_count(pda, (1, 4)) == 2
-        with pytest.raises(IndexOutOfRangeError):
-            all_star_row_count(pda, ())
+        groups = group_star_masks(pda.star_masks, pda.f, (3, 2))
+        assert [mask.bit_count() for mask in groups] == [3, 3]
+        # columns 1 and 4 grouped first
+        groups = group_star_masks(pda.star_masks, pda.f, (2, 3), (0, 2, 3, 1, 4))
+        assert groups[0].bit_count() == 2
 
     def test_canonicalize_codes(self):
         assert canonicalize_codes(((STAR, 7), (7, STAR))) == ((STAR, 1), (1, STAR))

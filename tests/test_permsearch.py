@@ -17,7 +17,6 @@ from sppda.arrays import (
     PdaArray,
     man_pda,
     permute_columns,
-    phi,
 )
 from sppda.construct import DimensionMismatchError, s_count
 from sppda.permsearch import (
@@ -34,6 +33,7 @@ from sppda.permsearch import (
     top_pairs,
 )
 
+import grid_oracle
 import permsearch_oracle as oracle
 from conftest import (
     WIDE_P1,
@@ -80,7 +80,7 @@ SECOND_WINS_P1 = grid("""
 
 def naive_phi_vector(pda, perm):
     """phi of the physically permuted array, column by column."""
-    return tuple(phi(permute_columns(pda, perm), c) for c in range(1, pda.k + 1))
+    return tuple(grid_oracle.phi(permute_columns(pda, perm), c) for c in range(1, pda.k + 1))
 
 
 def naive_extremes(p1, p2, profile):
@@ -245,7 +245,7 @@ class TestClasses:
 class TestPhiVector:
     def test_identity_matches_column_scan(self):
         p2 = PdaArray.from_grid(WIDE_P2)
-        assert phi_vector(p2) == tuple(phi(p2, c) for c in range(1, 7))
+        assert phi_vector(p2) == tuple(grid_oracle.phi(p2, c) for c in range(1, 7))
         for perm in ((0, 0, 1), (0, 1, 5)):
             with pytest.raises(InvalidPermutationError):
                 phi_vector(man_pda(3, 1), perm)

@@ -25,8 +25,7 @@ from sppda.construct import (
     SpPdaArray,
     block_tables,
     construct_sppda,
-    man_sppda,
-    man_sppda_params,
+    group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
     s_count,
@@ -92,13 +91,6 @@ class TestConstruct:
         p1o, p2o = PdaArray.from_grid(WIDE_P1_OPT), PdaArray.from_grid(WIDE_P2_OPT)
         assert s_count(p1o, p2o, WIDE_PROFILE) == 18
 
-    def test_unvalidated_equals_validated(self):
-        p1, p2 = man_pda(4, 2), man_pda(3, 1)
-        profile = AssociationProfile((3, 2, 2, 1))
-        a = construct_sppda(p1, p2, profile)
-        b = construct_sppda(p1, p2, profile, validate=False)
-        assert a.pda == b.pda and a.helper_stars == b.helper_stars
-
     def test_argument_order_matters(self):
         # the construction is not symmetric: swapping the arrays (and using the
         # matching profile shape) can change S
@@ -132,13 +124,10 @@ class TestConstruct:
         rest = sorted((rng.randint(0, p2.k) for _ in range(p1.k - 1)), reverse=True)
         profile = AssociationProfile((p2.k, *rest))
         grid, z, s, zh = construct_cells(p1, p2, profile)
-        fast = construct_sppda(p1, p2, profile, validate=False)
+        fast = construct_sppda(p1, p2, profile)
         assert (fast.pda.grid, fast.pda.z, fast.pda.s, fast.helper_stars) == (grid, z, s, zh)
-        # the seeded star masks, built from p1's and p2's, are the oracle grid's
-        assert "star_masks" in vars(fast.pda)
         assert fast.pda.star_masks == tuple(sum(1 << j for j, e in enumerate(col) if e == STAR)
                                             for col in zip(*grid))
-        assert construct_sppda(p1, p2, profile).pda.grid == grid
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -279,23 +268,37 @@ class TestClosedForms:
 
 
 class TestSingleArrayAsSpPda:
+    """The MaN(K, t) PDA viewed directly as an SP-PDA."""
+
+    @staticmethod
+    def man_sppda(k, t, parts):
+        """MaN(K, t) with Z^(h) = C(K - L_1, t - L_1): a group of L_1 columns
+        shares the rows whose t-set contains it, none when t < L_1."""
+        profile = AssociationProfile(parts)
+        l1 = profile.part(1)
+        return SpPdaArray(man_pda(k, t), profile, binom(k - l1, t - l1))
+
     def test_params_formulas(self):
-        p = man_sppda_params(6, 3, AssociationProfile((2, 2, 1, 1)))
+        p = self.man_sppda(6, 3, (2, 2, 1, 1)).params
         assert (p.f, p.z, p.zh, p.s) == (binom(6, 3), binom(5, 2), binom(4, 1), binom(6, 4))
 
     def test_helper_stars_vanish_when_group_exceeds_t(self):
-        p = man_sppda_params(6, 2, AssociationProfile((3, 2, 1)))
-        assert p.zh == 0
+        sp = self.man_sppda(6, 2, (3, 2, 1))
+        assert sp.helper_stars == 0
+        assert group_star_masks(sp.pda.star_masks, sp.pda.f, sp.profile.parts)[0] == 0
 
     def test_materialized_array_is_valid(self):
         for k, t, parts in [(6, 3, (2, 2, 1, 1)), (5, 2, (2, 2, 1)), (4, 2, (2, 1, 1))]:
-            sp = man_sppda(k, t, AssociationProfile(parts))
+            sp = self.man_sppda(k, t, parts)
             check = verify_sppda(sp.pda.grid, sp.profile, sp.helper_stars)
             assert check.ok
+            # Z^(h) is tight: the largest group has exactly that many all-star rows
+            groups = group_star_masks(sp.pda.star_masks, sp.pda.f, sp.profile.parts)
+            assert groups[0].bit_count() == sp.helper_stars
 
     def test_profile_mismatch(self):
         with pytest.raises(ProfileMismatchError):
-            man_sppda_params(5, 2, AssociationProfile((2, 2)))
+            self.man_sppda(5, 2, (2, 2))
 
 
 class TestSpPdaArray:
