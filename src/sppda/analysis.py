@@ -25,7 +25,9 @@ from .arrays import (
 )
 from .construct import (
     BlockTables,
+    InsufficientStarRowsError,
     block_tables,
+    check_helper_stars,
     group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
@@ -162,8 +164,11 @@ def _cross_check(tables: BlockTables, parts: tuple[int, ...], f: int, s: int, zh
     group of sizes ``parts``."""
     if tables.f != f or tables.s != s or tables.zh != zh:
         return False
-    masks = group_star_masks(tables.star_masks, tables.f, parts)
-    return all(mask.bit_count() >= zh for mask in masks)
+    try:
+        check_helper_stars(group_star_masks(tables.star_masks, tables.f, parts), zh)
+    except InsufficientStarRowsError:
+        return False
+    return True
 
 
 def sweep(config: SweepConfig) -> list[SchemePoint]:

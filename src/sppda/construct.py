@@ -5,9 +5,9 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from .arrays import (
@@ -57,8 +57,33 @@ class SpPdaParams:
 
 
 @dataclass(frozen=True)
+class GroupFailure:
+    group: int  # 1-based helper index
+    star_rows: int  # all-star rows found, < requested Z^(h)
+
+
+class InsufficientStarRowsError(ParameterError):
+    """Condition D2 failed; ``failures`` lists every helper group short of Z^(h)."""
+
+    def __init__(self, failures: tuple[GroupFailure, ...], zh: int):
+        self.failures = failures
+        super().__init__("; ".join(f"group {fl.group} has {fl.star_rows} all-star rows, "
+                                   f"needs Z^(h)={zh}" for fl in failures))
+
+
+def check_helper_stars(group_masks, zh: int) -> None:
+    """Condition D2: raise ``InsufficientStarRowsError`` unless every helper
+    group's mask of all-star rows has at least Z^(h) rows."""
+    failures = tuple(GroupFailure(n, mask.bit_count())
+                     for n, mask in enumerate(group_masks, start=1) if mask.bit_count() < zh)
+    if failures:
+        raise InsufficientStarRowsError(failures, zh)
+
+
+@dataclass(frozen=True)
 class SpPdaArray:
-    """A PDA together with a profile, helper-star count, and a column grouping.
+    """A PDA together with a profile, helper-star count, and a column grouping,
+    checked on construction: profile sum K, 0 <= Z^(h) <= F, bijection, D2.
 
     ``grouping`` maps old 0-based column index to its 0-based position in the
     grouped order (None means identity: columns are already consecutive groups
@@ -73,11 +98,17 @@ class SpPdaArray:
     def __post_init__(self):
         if self.profile.num_users != self.pda.k:
             raise ProfileMismatchError(
-                f"profile sums to {self.profile.num_users}, array has {self.pda.k} columns")
-        if not 0 <= self.helper_stars <= self.pda.z:
-            raise ParameterError(f"Z^(h)={self.helper_stars} not in [0, Z={self.pda.z}]")
+                f"profile sums to {self.profile.num_users}, grid has {self.pda.k} columns")
+        if not 0 <= self.helper_stars <= self.pda.f:
+            raise ParameterError(f"Z^(h)={self.helper_stars} not in [0, F={self.pda.f}]")
         if self.grouping is not None:
             check_bijection(self.grouping, self.pda.k, "grouping")
+        check_helper_stars(self.group_masks, self.helper_stars)
+
+    @cached_property
+    def group_masks(self) -> tuple[int, ...]:
+        """Per helper group, the bitmask of its all-star rows (``group_star_masks``)."""
+        return group_star_masks(self.pda.star_masks, self.pda.f, self.profile.parts, self.grouping)
 
     @property
     def params(self) -> SpPdaParams:
@@ -91,16 +122,14 @@ class SpPdaArray:
 
 
 @dataclass(frozen=True)
-class GroupFailure:
-    group: int  # 1-based helper index
-    star_rows: int  # all-star rows found, < requested Z^(h)
-
-
-@dataclass(frozen=True)
 class SpPdaCheck:
+    """Result of ``verify_sppda``: parameters and the checked array on success;
+    otherwise the D1 check and, for a valid PDA, the groups that fail D2."""
+
     params: SpPdaParams | None
     pda_check: PdaCheck
     failures: tuple[GroupFailure, ...]
+    array: SpPdaArray | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -108,7 +137,7 @@ class SpPdaCheck:
 
 
 def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...],
-                     grouping: tuple[int, ...] | None = None) -> list[int]:
+                     grouping: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Condition D2's counts: per helper group, the bitmask (bit j-1 for row j)
     of the rows that are stars in every column of the group, from per-column
     star masks over F rows.  Groups are the consecutive runs of sizes
@@ -118,34 +147,23 @@ def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...]
         order = sorted(order, key=grouping.__getitem__)
     every = (1 << f) - 1
     ends = itertools.accumulate(parts)
-    return [reduce(and_, (star_masks[c] for c in order[end - width:end]), every)
-            for width, end in zip(parts, ends)]
+    return tuple(reduce(and_, (star_masks[c] for c in order[end - width:end]), every)
+                 for width, end in zip(parts, ends))
 
 
 def verify_sppda(rows, profile: AssociationProfile, zh: int,
                  grouping: tuple[int, ...] | None = None) -> SpPdaCheck:
-    """Check D1 (PDA validity) and D2 (Z^(h) all-star rows per column group)
-    under the supplied grouping (default identity)."""
+    """Check D1 (``verify_pda``) first, then build the ``SpPdaArray``, which
+    checks the profile, Z^(h), the grouping (default identity) and D2.  D2
+    failures are returned in ``failures``; the other checks raise."""
     pda_check = verify_pda(rows)
-    f, k = len(pda_check.grid), len(pda_check.grid[0])
-    if profile.num_users != k:
-        raise ProfileMismatchError(f"profile sums to {profile.num_users}, grid has {k} columns")
-    if not 0 <= zh <= f:
-        raise ParameterError(f"Z^(h)={zh} not in [0, F={f}]")
-    if grouping is not None:
-        check_bijection(grouping, k, "grouping")
     if not pda_check.ok:
         return SpPdaCheck(None, pda_check, ())
-
-    pda = pda_check.array
-    masks = group_star_masks(pda.star_masks, pda.f, profile.parts, grouping)
-    failures = tuple(GroupFailure(n, mask.bit_count())
-                     for n, mask in enumerate(masks, start=1) if mask.bit_count() < zh)
-    if failures:
-        return SpPdaCheck(None, pda_check, failures)
-
-    params = SpPdaParams(pda.k, profile.num_groups, profile, pda.f, pda.z, zh, pda.s)
-    return SpPdaCheck(params, pda_check, ())
+    try:
+        array = SpPdaArray(pda_check.array, profile, zh, grouping)
+    except InsufficientStarRowsError as exc:
+        return SpPdaCheck(None, pda_check, exc.failures)
+    return SpPdaCheck(array.params, pda_check, (), array)
 
 
 def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arrays import AssociationProfile, ParameterError, PdaArray, mask_rows
-from .construct import SpPdaArray, group_star_masks
+from .construct import SpPdaArray
 
 
 _MAX_SYNTHETIC = 1 << 28  # bytes per synthetic file
@@ -28,10 +28,6 @@ class DimensionError(ParameterError):
 
 
 class DemandOutOfRangeError(ParameterError):
-    pass
-
-
-class InsufficientStarRowsError(ParameterError):
     pass
 
 
@@ -162,22 +158,15 @@ def _lowest_bits(mask: int, n: int) -> int:
 
 def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
     """Helper caches take the Z^(h) smallest all-star rows of their column
-    group; each user's private cache takes the rest of its star rows."""
+    group (D2); each user's private cache takes the rest of its star rows."""
     pda = sppda.pda
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
-    zh = sppda.helper_stars
-    helper_masks = []
-    groups = group_star_masks(pda.star_masks, pda.f, sppda.profile.parts, sppda.grouping)
-    for lam, mask in enumerate(groups, start=1):
-        if mask.bit_count() < zh:
-            raise InsufficientStarRowsError(
-                f"group {lam} has {mask.bit_count()} all-star rows, needs Z^(h)={zh}")
-        helper_masks.append(_lowest_bits(mask, zh))
+    helper_masks = tuple(_lowest_bits(mask, sppda.helper_stars) for mask in sppda.group_masks)
     user_to_helper = tuple(sppda.helper_of_user(k) for k in range(1, pda.k + 1))
     private_masks = tuple(stars & ~helper_masks[h - 1]
                           for stars, h in zip(pda.star_masks, user_to_helper))
-    return CacheLayout(tuple(helper_masks), private_masks, user_to_helper)
+    return CacheLayout(helper_masks, private_masks, user_to_helper)
 
 
 def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):

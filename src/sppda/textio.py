@@ -97,11 +97,6 @@ def _grid(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(grid)
 
 
-def grid_from_text(text: str):
-    """Parse a bare grid: rows of '*' / integer tokens, blank lines ignored."""
-    return _grid(line.split() for line in text.splitlines())
-
-
 def _checked(kind: str | None, header, rows, profile=None, pi=None):
     """The one checked path of every loader.  ``kind`` is "pda", "sppda", or
     None for a bare grid; the other arguments are the document's string
@@ -113,32 +108,30 @@ def _checked(kind: str | None, header, rows, profile=None, pi=None):
         grouping = None if pi == ["id"] else tuple(x - 1 for x in parse_ints(pi, "grouping"))
         check = verify_sppda(grid, profile, claimed[4], grouping=grouping)
         pda_check = check.pda_check
-        failures = [f"D2: group {fl.group} has {fl.star_rows} all-star rows, needs {claimed[4]}"
-                    for fl in check.failures]
     else:
         claimed = None if kind is None else parse_ints(header, "pda header", 4)
-        pda_check, failures = verify_pda(grid), []
+        check = pda_check = verify_pda(grid)
     if not pda_check.ok:
         raise InvalidPdaError(pda_check.violations)
-    if failures:
-        raise ConditionError(failures)
-    array = pda_check.array
-    actual = pda_check.params
+    if not check.ok:  # with C1-C3 met, only an SP-PDA's D2 is left to fail
+        raise ConditionError(f"D2: group {fl.group} has {fl.star_rows} all-star rows, "
+                             f"needs {claimed[4]}" for fl in check.failures)
+    actual = check.params
     if kind == "sppda":
-        array = SpPdaArray(array, profile, claimed[4], grouping)
-        p = array.params
-        actual = (p.k, p.num_helpers, p.f, p.z, p.zh, p.s)
+        actual = (actual.k, actual.num_helpers, actual.f, actual.z, actual.zh, actual.s)
     if claimed is not None and claimed != actual:
         raise ConditionError([f"header: {kind} header says {','.join(_HEADERS[kind])} = "
                               f"{claimed} but the grid has {actual}"])
-    return array
+    return check.array
 
 
 def read_array(text: str, kind: str | None = None):
-    """Read and check a ``pda`` or ``sppda`` document, or a bare grid when the
-    first token names neither format; with ``kind``, only that format.  Raises
-    FormatError on malformed text, InvalidPdaError when C1-C3 fail, and
-    ConditionError when D2 fails or the header disagrees with the grid."""
+    """Read and check a ``pda`` or ``sppda`` document, text or JSON (leading
+    '{'), or a bare grid when no header names a format; with ``kind``, only
+    that format.  Raises FormatError on malformed text, InvalidPdaError when
+    C1-C3 fail, and ConditionError when D2 fails or the header disagrees."""
+    if text.lstrip().startswith("{"):
+        return _read_json(text, kind)
     lines = [line for line in text.splitlines() if line.strip()]
     head = lines[0].split() if lines else [""]
     found = head[0] if head[0] in _HEADERS else None
@@ -155,15 +148,18 @@ def read_array(text: str, kind: str | None = None):
                     profile[1:], pi[1:])
 
 
-def _read_json(text: str, kind: str):
-    """Read and check a JSON document of type ``kind``.  Its values reach the
-    checked path as strings, so they are parsed exactly as text tokens are."""
+def _read_json(text: str, kind: str | None):
+    """Read and check a JSON document of type ``kind`` (None: either type).
+    Its values reach the checked path as strings, so they are parsed exactly
+    as text tokens are."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"not a json document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("type") != kind:
-        raise FormatError(f"json document is not of type {kind!r}")
+    kinds = (kind,) if kind else tuple(_HEADERS)
+    if not isinstance(doc, dict) or doc.get("type") not in kinds:
+        raise FormatError(f"json document is not of type {' or '.join(map(repr, kinds))}")
+    kind = doc["type"]
     names = ("k", "f", "z", "s") if kind == "pda" else ("k", "num_helpers", "f", "z", "zh", "s")
     try:
         header = [str(doc[name]) for name in names]
@@ -188,12 +184,9 @@ def parse_pda(text: str) -> PdaArray:
 
 def write_sppda(sp: SpPdaArray) -> str:
     p = sp.params
-    lines = [f"sppda {p.k} {p.num_helpers} {p.f} {p.z} {p.zh} {p.s}"]
-    lines.append("L: " + " ".join(str(x) for x in sp.profile.parts))
-    if sp.grouping is None:
-        lines.append("pi: id")
-    else:
-        lines.append("pi: " + " ".join(str(x + 1) for x in sp.grouping))
+    pi = "id" if sp.grouping is None else " ".join(str(x + 1) for x in sp.grouping)
+    lines = [f"sppda {p.k} {p.num_helpers} {p.f} {p.z} {p.zh} {p.s}",
+             "L: " + " ".join(str(x) for x in sp.profile.parts), f"pi: {pi}"]
     lines.extend(_grid_lines(sp.pda.grid))
     return "\n".join(lines) + "\n"
 
@@ -211,10 +204,6 @@ def pda_to_json(pda: PdaArray) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def pda_from_json(text: str) -> PdaArray:
-    return _read_json(text, "pda")
-
-
 def sppda_to_json(sp: SpPdaArray) -> str:
     p = sp.params
     doc = {
@@ -227,6 +216,3 @@ def sppda_to_json(sp: SpPdaArray) -> str:
     }
     return json.dumps(doc, indent=2) + "\n"
 
-
-def sppda_from_json(text: str) -> SpPdaArray:
-    return _read_json(text, "sppda")

@@ -74,7 +74,7 @@ def group_star_masks(pda, parts, grouping=None):
         out.append(sum(1 << j for j, row in enumerate(pda.grid)
                        if all(row[c] == STAR for c in cols)))
         start += width
-    return out
+    return tuple(out)
 
 
 def phi_vector(pda, perm=None):

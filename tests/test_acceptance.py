@@ -32,7 +32,7 @@ from sppda.construct import (
 )
 from sppda.permsearch import check_E1, check_E2, exhaustive_best
 from sppda.sim import FileLibrary, sp_run
-from sppda.textio import parse_sppda, write_pda, write_sppda
+from sppda.textio import write_pda
 
 from conftest import (
     GOLDEN_SP_TEXT,
@@ -232,6 +232,9 @@ def test_criterion_7_single_array_star_counts():
                         grouping = tuple(map(order.index, range(k)))
                         group = group_star_masks(pda.star_masks, pda.f, (g, k - g), grouping)[0]
                         assert group.bit_count() == binom(k - g, t - g)
+                        # and they are the rows whose t-set holds the chosen columns
+                        assert group == sum(1 << j for j, rows in enumerate(
+                            itertools.combinations(range(k), t)) if set(cols) <= set(rows))
 
 
 def test_criterion_8_order_optimality_conditions():

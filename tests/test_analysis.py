@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from sppda.analysis import (
-    ComparisonReport,
     MemoryMismatchError,
     SweepConfig,
     UnrealizableMemoryError,
@@ -21,7 +20,7 @@ from sppda.analysis import (
     sweep,
     sweep_csv,
 )
-from sppda.arrays import AssociationProfile, ParameterError, binom, construction_a_pda, man_pda
+from sppda.arrays import AssociationProfile, ParameterError, binom, man_pda
 from sppda.construct import block_tables, construct_sppda, group_star_masks
 from sppda.sim import FileLibrary, sp_run
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sppda.cli import main
 from sppda.construct import construct_sppda
-from sppda.textio import parse_sppda, sppda_from_json, sppda_to_json, write_pda, write_sppda
+from sppda.textio import parse_sppda, sppda_to_json, write_pda, write_sppda
 from sppda.arrays import PdaArray, PdaError
 
 from conftest import GOLDEN_SP_TEXT, WIDE_P1, WIDE_P2, random_pda, random_profile
@@ -39,6 +39,16 @@ class TestConstruct:
         assert main(["construct", "man:2,1", "man:3,1", "--profile", "3,2",
                      "--json"]) == 0
         assert '"type": "sppda"' in capsys.readouterr().out
+
+    def test_json_file_reads_back(self, golden_file, tmp_path, capsys):
+        doc = tmp_path / "golden.json"
+        assert main(["construct", "man:2,1", "man:3,1", "--profile", "3,2", "--json",
+                     "-o", str(doc)]) == 0
+        for command, *options in (["verify"],
+                                  ["simulate", "--synthetic", "5,60,0", "--worst-case"]):
+            runs = [(main([command, str(path), *options]), capsys.readouterr())
+                    for path in (golden_file, doc)]
+            assert runs[0] == runs[1] and runs[0][0] == 0
 
     def test_file_input(self, tmp_path, capsys):
         p1 = tmp_path / "p1.pda"
@@ -101,6 +111,23 @@ class TestVerify:
         golden_file.write_text(text)
         assert main(["verify", str(golden_file)]) == 1
         assert "violation D2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("old, new, err", [
+        ("sppda 5 2 6 4 3 3", "sppda 5 2 6 4 7 3", "error: Z^(h)=7 not in [0, F=6]\n"),
+        ("L: 3 2", "L: 3 3", "error: profile sums to 6, grid has 5 columns\n"),
+    ])
+    def test_sppda_parameter_errors(self, golden_file, capsys, old, new, err):
+        golden_file.write_text(golden_file.read_text().replace(old, new))
+        assert main(["verify", str(golden_file)]) == 2
+        assert capsys.readouterr() == ("", err)
+
+    def test_invalid_grid_reported_before_profile(self, tmp_path, capsys):
+        # the grid fails C3 and the profile sums to 3 over 2 columns
+        path = tmp_path / "bad.sppda"
+        path.write_text("sppda 2 1 2 0 0 1\nL: 3\npi: id\n1 1\n2 2\n")
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("violation C3a: ") and "profile" not in out
 
     def test_sppda_header_disagreeing_with_grid(self, golden_file, capsys):
         text = golden_file.read_text().replace("sppda 5 2 6 4 3 3", "sppda 5 2 6 4 3 99")
@@ -309,16 +336,18 @@ def _outcome(load, text):
 
 def test_verify_text_and_json_loaders_agree(tmp_path, capsys):
     rng = random.Random(20261017)
-    path = tmp_path / "array.sppda"
     loaded = 0
     for _ in range(150):
         text, doc = _mutated_documents(rng)
         from_text = _outcome(parse_sppda, text)
-        assert _outcome(sppda_from_json, doc) == from_text
-        path.write_text(text)
-        assert (main(["verify", str(path)]) == 0) == (not isinstance(from_text, tuple))
+        assert _outcome(parse_sppda, doc) == from_text
+        runs = []
+        for path, content in ((tmp_path / "array.sppda", text), (tmp_path / "array.json", doc)):
+            path.write_text(content)
+            runs.append((main(["verify", str(path)]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert (runs[0][0] == 0) == (not isinstance(from_text, tuple))
         loaded += not isinstance(from_text, tuple)
-    capsys.readouterr()
     assert 30 < loaded < 120
 
 

@@ -11,9 +11,8 @@ from sppda.textio import (
     FormatError,
     parse_pda,
     parse_sppda,
-    pda_from_json,
     pda_to_json,
-    sppda_from_json,
+    read_array,
     sppda_to_json,
     write_pda,
     write_sppda,
@@ -103,31 +102,41 @@ class TestSpPdaText:
 class TestJson:
     def test_pda_roundtrip(self):
         pda = man_pda(4, 2)
-        assert pda_from_json(pda_to_json(pda)) == pda
+        assert parse_pda(pda_to_json(pda)) == pda
+        assert read_array(pda_to_json(pda)) == pda
 
     def test_sppda_roundtrip(self, golden_sp):
-        assert sppda_from_json(sppda_to_json(golden_sp)) == golden_sp
+        assert parse_sppda(sppda_to_json(golden_sp)) == golden_sp
+        assert read_array(" \n" + sppda_to_json(golden_sp)) == golden_sp
 
     def test_wrong_document_type(self, golden_sp):
-        with pytest.raises(FormatError):
-            pda_from_json(sppda_to_json(golden_sp))
-        with pytest.raises(FormatError):
-            sppda_from_json(pda_to_json(man_pda(3, 1)))
+        with pytest.raises(FormatError, match="not of type 'pda'$"):
+            parse_pda(sppda_to_json(golden_sp))
+        with pytest.raises(FormatError, match="not of type 'sppda'$"):
+            parse_sppda(pda_to_json(man_pda(3, 1)))
+        for doc in ('{"type": "grid"}', '{"type": []}', "{}"):
+            with pytest.raises(FormatError, match="not of type 'pda' or 'sppda'$"):
+                read_array(doc)
+
+    def test_malformed_json(self):
+        for doc in ("{", "{" * 100000, '{"type": "pda", "k": 1}'):
+            with pytest.raises(FormatError):
+                read_array(doc)
 
     def test_pda_json_params_cross_checked(self):
         text = pda_to_json(man_pda(3, 1)).replace('"s": 3', '"s": 7')
         with pytest.raises(FormatError):
-            pda_from_json(text)
+            parse_pda(text)
 
     def test_sppda_json_enforces_d2(self, golden_sp):
         text = sppda_to_json(golden_sp).replace('"zh": 3', '"zh": 4')
         with pytest.raises(FormatError, match="D2"):
-            sppda_from_json(text)
+            parse_sppda(text)
 
     def test_sppda_json_header_cross_checked(self, golden_sp):
         text = sppda_to_json(golden_sp).replace('"s": 3', '"s": 99')
         with pytest.raises(FormatError, match="header"):
-            sppda_from_json(text)
+            read_array(text)
 
 
 # tokens int() reads in surprising ways (signs, zero padding, underscores,

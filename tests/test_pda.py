@@ -1,7 +1,5 @@
 """Validity checking, column statistics, and the two array families."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

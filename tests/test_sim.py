@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppda.arrays import STAR, AssociationProfile, ParameterError, PdaArray, man_pda
-from sppda.construct import SpPdaArray, construct_sppda
+from sppda.construct import InsufficientStarRowsError, SpPdaArray, construct_sppda
 from sppda.sim import (
     CacheLayout,
     DemandOutOfRangeError,
     DimensionError,
     FileLibrary,
-    InsufficientStarRowsError,
     MissingComponentError,
     dedicated_run,
     format_report,
@@ -403,10 +402,9 @@ class TestErrors:
             sp_run(golden_sp, golden_library, (1, 2, 3, 4, 6))
 
     def test_insufficient_all_star_rows(self):
-        sp = SpPdaArray(man_pda(2, 1), AssociationProfile((2,)), 1)
-        library = FileLibrary.synthetic(2, 8, 2, seed=0)
+        # D2 is checked when the SP-PDA is built, so no placement can see it fail
         with pytest.raises(InsufficientStarRowsError):
-            sp_place(sp, library)
+            SpPdaArray(man_pda(2, 1), AssociationProfile((2,)), 1)
 
 
 class TestFormatting:

@@ -21,6 +21,7 @@ from sppda.arrays import (
 )
 from sppda.construct import (
     DimensionMismatchError,
+    InsufficientStarRowsError,
     ProfileMismatchError,
     SpPdaArray,
     block_tables,
@@ -35,6 +36,7 @@ from sppda.analysis import rate_man_pair
 from sppda.arrays import construction_a_pda
 from sppda.sim import FileLibrary, dedicated_run, sp_run
 
+import grid_oracle
 from construct_oracle import construct_cells
 from conftest import (
     GOLDEN_SP,
@@ -192,6 +194,13 @@ class TestVerifySpPda:
         check = verify_sppda(((1, 1), (0, 0)), AssociationProfile((1, 1)), 0)
         assert not check.ok and not check.pda_check.ok
 
+    def test_invalid_pda_reported_before_bad_parameters(self):
+        # the profile, Z^(h) and grouping checks belong to the SP-PDA, which
+        # a grid failing C1-C3 never becomes
+        for profile, zh, grouping in (((3,), 0, None), ((1, 1), 9, None), ((1, 1), 0, (0, 0))):
+            check = verify_sppda(((1, 1), (0, 0)), AssociationProfile(profile), zh, grouping)
+            assert not check.ok and not check.pda_check.ok and check.failures == ()
+
     def test_grid_normalized_once(self, monkeypatch):
         calls = []
 
@@ -213,8 +222,44 @@ class TestVerifySpPda:
 
     def test_explicit_witness_accepted(self):
         scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), (0, 2, 4, 1, 3))
-        sp = SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
-        assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 1, 2, 1, 2]
+        sp = SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 3, 1, 4, 2))
+        assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 2, 1, 2, 1]
+        assert verify_sppda(scrambled.grid, sp.profile, 3, sp.grouping).array == sp
+
+    def test_wrong_witness_refused(self):
+        # grouped by the scrambling itself, group 1 is GOLDEN_SP's columns 1, 4, 5
+        scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), (0, 2, 4, 1, 3))
+        with pytest.raises(InsufficientStarRowsError) as info:
+            SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
+        assert isinstance(info.value, ParameterError)
+        assert [(f.group, f.star_rows) for f in info.value.failures] == [(1, 1)]
+        check = verify_sppda(scrambled.grid, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
+        assert check.failures == info.value.failures and check.array is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_d2_matches_grid_oracle(self, rng):
+        pda = random_pda(rng, max_cols=5, max_rows=8)
+        cuts = sorted(rng.sample(range(1, pda.k), rng.randint(0, pda.k - 1)))
+        parts = sorted((b - a for a, b in zip([0, *cuts], [*cuts, pda.k])), reverse=True)
+        profile = AssociationProfile((*parts, *[0] * rng.randint(0, 1)))
+        grouping = rng.choice((None, tuple(rng.sample(range(pda.k), pda.k))))
+        masks = grid_oracle.group_star_masks(pda, profile.parts, grouping)
+        counts = [mask.bit_count() for mask in masks]
+        zh = rng.choice((min(counts), min(counts) + 1, rng.randint(0, pda.f)))
+        if zh > pda.f:
+            return
+        expected = [(n, c) for n, c in enumerate(counts, start=1) if c < zh]
+        try:
+            sp = SpPdaArray(pda, profile, zh, grouping)
+        except InsufficientStarRowsError as exc:
+            assert [(f.group, f.star_rows) for f in exc.failures] == expected != []
+        else:
+            assert expected == []
+            assert [mask.bit_count() for mask in sp.group_masks] == counts
+        check = verify_sppda(pda.grid, profile, zh, grouping)
+        assert [(f.group, f.star_rows) for f in check.failures] == expected
+        assert check.ok == (expected == [])
 
 
 class TestClosedForms:
@@ -320,6 +365,17 @@ class TestSpPdaArray:
     def test_rejects_helper_stars_above_z(self):
         with pytest.raises(ParameterError):
             SpPdaArray(PdaArray.from_grid(GOLDEN_SP), AssociationProfile((3, 2)), 5)
+
+    def test_parameter_messages(self):
+        golden = PdaArray.from_grid(GOLDEN_SP)
+        with pytest.raises(ProfileMismatchError, match=r"^profile sums to 6, grid has 5 columns$"):
+            SpPdaArray(golden, AssociationProfile((3, 3)), 3)
+        for zh in (-1, 7):
+            with pytest.raises(ParameterError, match=rf"^Z\^\(h\)={zh} not in \[0, F=6\]$"):
+                SpPdaArray(golden, AssociationProfile((3, 2)), zh)
+        with pytest.raises(InsufficientStarRowsError,
+                           match=r"^group 1 has 3 all-star rows, needs Z\^\(h\)=4; group 2 "):
+            SpPdaArray(golden, AssociationProfile((3, 2)), 4)
 
 
 class TestSubsumedSchemes:
