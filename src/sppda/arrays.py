@@ -6,14 +6,15 @@ cached cell and positive integers are transmission codes.  Rows, columns and
 codes are 1-based in every public signature, matching the usual convention
 for these arrays; only raw Python indexing into ``grid`` is 0-based.
 
-This module is the only grid index.  A ``PdaArray`` holds three tables, each
-built at most once: ``star_masks``, per column the bitmask of its star rows,
+This module is the only grid index, and ``PdaArray``'s constructor is the
+only check of conditions C1-C3: it normalizes the grid, builds two tables
+while it checks, ``star_masks``, per column the bitmask of its star rows, and
 ``code_cells``, per code its cells as (user, row) in row-major order, and
-``code_columns``, per code the bitmask of its columns.  ``verify_pda``
-builds the first two while it checks C1-C3; ``code_columns`` is read off
-``code_cells``.  The column statistics, D2, placement, delivery,
-construction and column-order search read these tables instead of scanning
-the grid.
+raises ``InvalidPdaError`` on any violation.  So every ``PdaArray`` is a
+valid PDA.  ``code_columns``, per code the bitmask of its columns, is read
+off ``code_cells`` on first use.  The column statistics, D2, placement,
+delivery, construction and column-order search read these tables instead of
+scanning the grid.
 """
 
 from __future__ import annotations
@@ -87,17 +88,21 @@ class Violation:
 
 @dataclass(frozen=True)
 class PdaCheck:
-    """Result of ``verify_pda``: parameters and the checked array on success,
-    violations otherwise, and the normalized grid that was checked."""
+    """Result of ``verify_pda``: the checked array on success, violations
+    otherwise."""
 
-    params: tuple[int, int, int, int] | None  # (K, F, Z, S)
     violations: tuple[Violation, ...]
-    grid: Grid = field(repr=False, compare=False)
-    array: PdaArray | None = field(default=None, repr=False, compare=False)
+    array: PdaArray | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def params(self) -> tuple[int, int, int, int] | None:
+        """(K, F, Z, S) of the checked array, None on failure."""
+        a = self.array
+        return None if a is None else (a.k, a.f, a.z, a.s)
 
 
 def normalize_grid(rows) -> Grid:
@@ -116,47 +121,13 @@ def normalize_grid(rows) -> Grid:
 
 
 def verify_pda(rows) -> PdaCheck:
-    """Check conditions C1-C3 on a grid.
-
-    Returns the unique (K, F, Z, S) on success.  A grid with no codes at all
-    is accepted as a degenerate PDA with S = 0.
-    """
-    grid = normalize_grid(rows)
-    violations: list[Violation] = []
-
-    # C1: equal star count in every column; Z is fixed by column 1.
-    masks = _star_masks(grid)
-    z = masks[0].bit_count()
-    for c, mask in enumerate(masks, start=1):
-        if mask.bit_count() != z:
-            violations.append(Violation("C1", (), (c,),
-                                        f"column {c} has {mask.bit_count()} stars, column 1 has {z}"))
-
-    # C2: the codes present are exactly {1, ..., S}.
-    cells = _cells_by_code(grid)
-    s = len(cells)
-    if cells:
-        top = max(cells)
-        for missing in range(1, top + 1):
-            if missing not in cells:
-                violations.append(Violation("C2", (), (),
-                                            f"code {missing} absent but code {top} present"))
-
-    # C3: equal codes pairwise occupy distinct rows/columns with stars across.
-    for code, where in cells.items():
-        for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
-            if j1 == j2 or k1 == k2:
-                violations.append(Violation("C3a", (j1, j2), (k1, k2),
-                                            f"code {code} repeats in the same row or column"))
-            elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
-                violations.append(Violation("C3b", (j1, j2), (k1, k2),
-                                            f"code {code}: crossing cells are not both stars"))
-
-    if violations:
-        return PdaCheck(None, tuple(violations), grid)
-    array = PdaArray(grid, len(grid[0]), len(grid), z, s)
-    vars(array).update(star_masks=masks, code_cells=_cell_table(cells))  # seeds the cached tables
-    return PdaCheck((array.k, array.f, z, s), (), grid, array)
+    """Check conditions C1-C3 on a grid: the ``PdaArray`` constructor's check,
+    with the violations returned instead of raised.  A grid with no codes at
+    all is accepted as a degenerate PDA with S = 0."""
+    try:
+        return PdaCheck((), PdaArray(rows))
+    except InvalidPdaError as exc:
+        return PdaCheck(exc.violations)
 
 
 def _star_masks(grid: Grid) -> tuple[int, ...]:
@@ -175,11 +146,6 @@ def _cells_by_code(grid: Grid) -> dict[int, list[tuple[int, int]]]:
     return cells
 
 
-def _cell_table(cells: dict[int, list[tuple[int, int]]]) -> tuple[Cells, ...]:
-    """The cells of codes 1..max(code), indexed by code - 1; () for an absent code."""
-    return tuple(tuple(cells.get(code, ())) for code in range(1, max(cells, default=0) + 1))
-
-
 def mask_rows(mask: int) -> list[int]:
     """The 1-based rows whose bits are set in ``mask``, ascending."""
     return [j for j, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1"]
@@ -187,31 +153,63 @@ def mask_rows(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PdaArray:
-    """A validated (K, F, Z, S) placement delivery array.  Its index tables are
-    built on first use, unless ``verify_pda`` already built them."""
+    """A (K, F, Z, S) placement delivery array.  The constructor takes only
+    the grid and is the one C1-C3 check; K, F, Z, S and both tables are read
+    off the grid while it checks, so no array disagrees with its grid."""
 
     grid: Grid
-    k: int
-    f: int
-    z: int
-    s: int
+    k: int = field(init=False)
+    f: int = field(init=False)
+    z: int = field(init=False)
+    s: int = field(init=False)
+    # per 0-based column, the bitmask of its star rows (bit j-1 for row j)
+    star_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # per code (index code - 1), its cells as (user, row), 1-based, row-major
+    code_cells: tuple[Cells, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        grid = normalize_grid(self.grid)
+        violations: list[Violation] = []
+
+        # C1: equal star count in every column; Z is fixed by column 1.
+        masks = _star_masks(grid)
+        z = masks[0].bit_count()
+        for c, mask in enumerate(masks, start=1):
+            if mask.bit_count() != z:
+                violations.append(Violation("C1", (), (c,),
+                                            f"column {c} has {mask.bit_count()} stars, column 1 has {z}"))
+
+        # C2: the codes present are exactly {1, ..., S}.
+        cells = _cells_by_code(grid)
+        s = len(cells)
+        if cells:
+            top = max(cells)
+            for missing in range(1, top + 1):
+                if missing not in cells:
+                    violations.append(Violation("C2", (), (),
+                                                f"code {missing} absent but code {top} present"))
+
+        # C3: equal codes pairwise occupy distinct rows/columns with stars across.
+        for code, where in cells.items():
+            for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
+                if j1 == j2 or k1 == k2:
+                    violations.append(Violation("C3a", (j1, j2), (k1, k2),
+                                                f"code {code} repeats in the same row or column"))
+                elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
+                    violations.append(Violation("C3b", (j1, j2), (k1, k2),
+                                                f"code {code}: crossing cells are not both stars"))
+
+        if violations:
+            raise InvalidPdaError(tuple(violations))
+        code_cells = tuple(tuple(cells[code]) for code in range(1, s + 1))
+        for name, value in (("grid", grid), ("k", len(grid[0])), ("f", len(grid)), ("z", z),
+                            ("s", s), ("star_masks", masks), ("code_cells", code_cells)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_grid(cls, rows) -> "PdaArray":
-        check = verify_pda(rows)
-        if not check.ok:
-            raise InvalidPdaError(check.violations)
-        return check.array
-
-    @cached_property
-    def star_masks(self) -> tuple[int, ...]:
-        """Per 0-based column, the bitmask of its star rows (bit j-1 for row j)."""
-        return _star_masks(self.grid)
-
-    @cached_property
-    def code_cells(self) -> tuple[Cells, ...]:
-        """Per code (index code - 1), its cells as (user, row), 1-based, row-major."""
-        return _cell_table(_cells_by_code(self.grid))
+        """The checked array of ``rows``, the same as ``PdaArray(rows)``."""
+        return cls(rows)
 
     @cached_property
     def code_columns(self) -> tuple[int, ...]:
@@ -233,11 +231,8 @@ def permute_columns(pda: PdaArray, perm) -> PdaArray:
     old 0-based column ``k``.  Parameters are unchanged (equivalent PDA)."""
     perm = tuple(perm)
     check_bijection(perm, pda.k)
-    grid = tuple(
-        tuple(row[c] for c in _invert(perm))
-        for row in pda.grid
-    )
-    return PdaArray(grid, pda.k, pda.f, pda.z, pda.s)
+    order = _invert(perm)
+    return PdaArray(tuple(tuple(row[c] for c in order) for row in pda.grid))
 
 
 def check_bijection(perm: tuple[int, ...], k: int, what: str = "permutation") -> None:
@@ -257,10 +252,7 @@ def xi(pda: PdaArray, code: int) -> int:
     """Smallest 1-based column index in which ``code`` appears."""
     if not 1 <= code <= pda.s:
         raise CodeAbsentError(f"code {code} not in [1, {pda.s}]")
-    table = pda.code_columns
-    mask = table[code - 1] if code <= len(table) else 0
-    if not mask:
-        raise CodeAbsentError(f"code {code} missing from a supposedly valid PDA")
+    mask = pda.code_columns[code - 1]
     return (mask & -mask).bit_length()  # the lowest set bit
 
 
@@ -294,7 +286,7 @@ def man_pda(k: int, t: int) -> PdaArray:
             else:
                 row.append(rank[tuple(sorted(members | {u}))])
         rows.append(tuple(row))
-    return PdaArray.from_grid(rows)
+    return PdaArray(rows)
 
 
 def construction_a_pda(q: int, m: int) -> PdaArray:
@@ -303,7 +295,8 @@ def construction_a_pda(q: int, m: int) -> PdaArray:
     Rows are indexed by a in {0..q-1}^m; columns come in m+1 groups of q.
     Column (i, j) with i < m is a star at row a iff a_i = j; in group m it is
     a star iff sum(a) = j (mod q).  Group 0 comes first, which makes every
-    code's first column land in the first q columns.
+    code's first column land in the first q columns.  Codes are numbered as
+    the rows are built, so they are in row-major first-appearance order.
     """
     if q < 2 or m < 1:
         raise ParameterError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
@@ -331,7 +324,7 @@ def construction_a_pda(q: int, m: int) -> PdaArray:
                     else:
                         row.append(code_of(a + (j,)))
         rows.append(tuple(row))
-    return PdaArray.from_grid(canonicalize_codes(rows))
+    return PdaArray(rows)
 
 
 @dataclass(frozen=True)

@@ -59,25 +59,28 @@ class SpPdaParams:
 @dataclass(frozen=True)
 class GroupFailure:
     group: int  # 1-based helper index
-    star_rows: int  # all-star rows found, < requested Z^(h)
+    star_rows: int  # all-star rows found
+    needs: int  # the requested Z^(h), more than ``star_rows``
+
+    def __str__(self) -> str:
+        return f"D2: group {self.group} has {self.star_rows} all-star rows, needs {self.needs}"
 
 
 class InsufficientStarRowsError(ParameterError):
     """Condition D2 failed; ``failures`` lists every helper group short of Z^(h)."""
 
-    def __init__(self, failures: tuple[GroupFailure, ...], zh: int):
+    def __init__(self, failures: tuple[GroupFailure, ...]):
         self.failures = failures
-        super().__init__("; ".join(f"group {fl.group} has {fl.star_rows} all-star rows, "
-                                   f"needs Z^(h)={zh}" for fl in failures))
+        super().__init__("; ".join(map(str, failures)))
 
 
 def check_helper_stars(group_masks, zh: int) -> None:
     """Condition D2: raise ``InsufficientStarRowsError`` unless every helper
     group's mask of all-star rows has at least Z^(h) rows."""
-    failures = tuple(GroupFailure(n, mask.bit_count())
+    failures = tuple(GroupFailure(n, mask.bit_count(), zh)
                      for n, mask in enumerate(group_masks, start=1) if mask.bit_count() < zh)
     if failures:
-        raise InsufficientStarRowsError(failures, zh)
+        raise InsufficientStarRowsError(failures)
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     columns, with p2's codes renumbered by s's relabel list (``_relabels``).
     Each width's cut of p2 is one flat list, so the rows of a p1 row are
     assembled by ``map``/``zip`` over those lists without a Python step per
-    cell.  The grid is checked by ``verify_pda``, which also builds its tables.
+    cell.  The grid is checked by ``PdaArray``, which also builds its tables.
     """
     relabels = _relabels(p1, p2, profile)
     parts = profile.parts
@@ -266,7 +269,7 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
                   else zip(*[map(relabels[e - 1].__getitem__, cut[w])] * w)
                   for e, w in zip(p1_row, parts) if w]
         rows.extend(map(tuple, map(itertools.chain.from_iterable, zip(*blocks))))
-    return SpPdaArray(PdaArray.from_grid(rows), profile, p1.z * p2.f)
+    return SpPdaArray(PdaArray(rows), profile, p1.z * p2.f)
 
 
 def _block_star_masks(p1: PdaArray, p2: PdaArray, parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,7 +6,8 @@ One engine serves both schemes.  ``sp_place`` keeps every cache as a row
 bitmask cut from the array's star masks.  ``sp_deliver`` and ``sp_decode``
 walk the array's code->cells table once per code, with subfiles read as ints
 from bytes slices of the padded files; ``sp_decode`` decides each code with
-one diff and screens the rows its recipients read with K-bit per-row masks.
+one diff.  Every ``PdaArray`` meets C3, so a user whose caches hold its own
+star rows holds every row it reads: that is the one check of a layout.
 """
 
 from __future__ import annotations
@@ -139,16 +140,6 @@ class SimReport:
         return all(self.decoded)
 
 
-def _check_demands(demands, k: int, n: int) -> tuple[int, ...]:
-    demands = tuple(demands)
-    if len(demands) != k:
-        raise DimensionError(f"demand vector has length {len(demands)}, expected K={k}")
-    for d in demands:
-        if not 1 <= d <= n:
-            raise DemandOutOfRangeError(f"demand {d} not in [1, {n}]")
-    return demands
-
-
 def _lowest_bits(mask: int, n: int) -> int:
     """The n lowest set bits of ``mask``, which has at least n.  Read from the
     low end, the digits left after the n-th one are those above the cut."""
@@ -175,7 +166,12 @@ def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
     bytes slices: ``int.from_bytes`` would copy a view's bytes anyway."""
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
-    demands = _check_demands(demands, pda.k, library.n)
+    demands = tuple(demands)
+    if len(demands) != pda.k:
+        raise DimensionError(f"demand vector has length {len(demands)}, expected K={pda.k}")
+    for d in demands:
+        if not 1 <= d <= library.n:
+            raise DemandOutOfRangeError(f"demand {d} not in [1, {library.n}]")
     piece = library.piece_size
     files = [library.files[d - 1] for d in demands]
     return files, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
@@ -198,27 +194,6 @@ def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transm
     return tuple(out)
 
 
-def _lacking(blocked, f: int) -> list[int]:
-    """Per row j (index j, 0 unused), the K-bit mask of the users whose caches
-    miss it (bit k-1 for user k): the per-user masks transposed as digits."""
-    digits = [format(mask, f"0{f}b")[::-1] for mask in reversed(blocked)]  # row 1 first
-    return [0, *(int("".join(column), 2) for column in zip(*digits))]
-
-
-def _check_foreign_rows(cells, blocked) -> None:
-    """Raise on the first recipient of a code whose caches miss a row of
-    another of its components."""
-    bits = [1 << (j - 1) for _, j in cells]
-    code_rows = 0
-    for bit in bits:
-        code_rows |= bit
-    for (k, _), bit in zip(cells, bits):
-        foreign = (code_rows ^ bit) & blocked[k - 1]
-        if foreign:
-            raise MissingComponentError(
-                f"user {k}: foreign subfile row {_lowest_row(foreign)} not cached (C3 violated?)")
-
-
 def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
               library: FileLibrary, demands) -> tuple[bool, ...]:
     """Per user, whether the file it recovers from its caches plus the
@@ -227,37 +202,24 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
     Recipient i of a code recovers ``payload ^ XOR(other subfiles)``, which
     differs from its own subfile by ``diff = payload ^ XOR(all subfiles)``,
     the same for all g recipients: one diff decides the code (O(g)).  Each
-    recipient may read only rows its helper and private caches hold; a K-bit
-    mask per row (the users lacking it) screens that in small ints, and only
-    a code that fails the screen is checked recipient by recipient.  Cached
-    pieces are the library's own bytes, so only transmitted pieces are
-    compared.
+    recipient may read only rows its helper and private caches hold.  By C3,
+    the other rows of a code are star rows of each recipient, so it is enough
+    that every user's caches hold its star rows.  Cached pieces are the
+    library's own bytes, so only transmitted pieces are compared.
     """
     pda = sppda.pda
     files, rows = _subfile_slices(pda, library, demands)
     piece = library.piece_size
-    all_rows = (1 << pda.f) - 1
-    blocked = []  # per user, the rows in neither of its caches
     for k, (stars, h) in enumerate(zip(pda.star_masks, layout.user_to_helper), start=1):
-        reach = layout.helper_masks[h - 1] | layout.private_masks[k - 1]
-        missing = stars & ~reach
+        missing = stars & ~(layout.helper_masks[h - 1] | layout.private_masks[k - 1])
         if missing:
             raise MissingComponentError(
                 f"user {k}: cached row {_lowest_row(missing)} not in any reachable cache")
-        blocked.append(all_rows & ~reach)
-    lacking = _lacking(blocked, pda.f)
-    others = [~(1 << k) for k in range(pda.k)]  # per user k at index k-1, all users but k
     decoded = [True] * pda.k
     for cells, sent in zip(pda.code_cells, transmissions, strict=True):
         diff = int.from_bytes(sent.payload, "big")
-        users = reached = 0
         for k, j in cells:
             diff ^= int.from_bytes(files[k - 1][rows[j]], "big")
-            users |= 1 << (k - 1)
-            reached |= lacking[j] & others[k - 1]
-        # with g distinct users, row j's cell user is the one recipient not reading row j
-        if users & reached or users.bit_count() != len(cells):
-            _check_foreign_rows(cells, blocked)
         if diff:
             for k, j in cells:
                 padding = j * piece - library.true_length  # bytes outside the verdict
@@ -266,8 +228,9 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
     return tuple(decoded)
 
 
-def _run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
-    demands = _check_demands(demands, sppda.pda.k, library.n)
+def sp_run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
+    """Place, deliver, and decode for every user; verdicts are byte equality."""
+    demands = tuple(demands)
     layout = sp_place(sppda, library)
     transmissions = sp_deliver(sppda, library, demands)
     decoded = sp_decode(layout, transmissions, sppda, library, demands)
@@ -277,16 +240,11 @@ def _run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
                      len(set(demands)) == len(demands))
 
 
-def sp_run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
-    """Place, deliver, and decode for every user; verdicts are byte equality."""
-    return _run(sppda, library, demands)
-
-
 def dedicated_run(pda: PdaArray, library: FileLibrary, demands) -> SimReport:
     """Dedicated-cache scheme: the shared scheme with one user per helper and
     no helper memory, so each user caches the star rows of its column and the
     server sends one XOR transmission per code."""
-    return _run(SpPdaArray(pda, AssociationProfile((1,) * pda.k), 0), library, demands)
+    return sp_run(SpPdaArray(pda, AssociationProfile((1,) * pda.k), 0), library, demands)
 
 
 def format_transmission_log(transmissions) -> str:

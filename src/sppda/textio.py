@@ -114,8 +114,7 @@ def _checked(kind: str | None, header, rows, profile=None, pi=None):
     if not pda_check.ok:
         raise InvalidPdaError(pda_check.violations)
     if not check.ok:  # with C1-C3 met, only an SP-PDA's D2 is left to fail
-        raise ConditionError(f"D2: group {fl.group} has {fl.star_rows} all-star rows, "
-                             f"needs {claimed[4]}" for fl in check.failures)
+        raise ConditionError(map(str, check.failures))
     actual = check.params
     if kind == "sppda":
         actual = (actual.k, actual.num_helpers, actual.f, actual.z, actual.zh, actual.s)

@@ -6,6 +6,13 @@ rows, columns and codes are 1-based as in the package."""
 from sppda.arrays import STAR
 
 
+def params(grid):
+    """(K, F, Z, S) of a valid grid: its width, its height, the stars of its
+    first column and its distinct codes."""
+    return (len(grid[0]), len(grid), sum(row[0] == STAR for row in grid),
+            len({e for row in grid for e in row if e != STAR}))
+
+
 def column(pda, c):
     """Column ``c`` (1-based) as a tuple."""
     pda._check_column(c)

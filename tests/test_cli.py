@@ -112,6 +112,18 @@ class TestVerify:
         assert main(["verify", str(golden_file)]) == 1
         assert "violation D2" in capsys.readouterr().out
 
+    D2_LINES = ("D2: group 1 has 3 all-star rows, needs 5", "D2: group 2 has 3 all-star rows, needs 5")
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["verify"], 1, "".join(f"violation {line}\n" for line in D2_LINES), ""),
+        (["simulate", "--synthetic", "5,60,0"], 2, "", f"error: {'; '.join(D2_LINES)}\n"),
+    ], ids=["verify", "simulate"])
+    def test_sppda_d2_violation_bytes(self, golden_file, capsys, argv, code, out, err):
+        # both groups of the golden array have 3 all-star rows, short of Z^(h)=5
+        golden_file.write_text(golden_file.read_text().replace("sppda 5 2 6 4 3 3", "sppda 5 2 6 4 5 3"))
+        assert main([argv[0], str(golden_file), *argv[1:]]) == code
+        assert capsys.readouterr() == (out, err)
+
     @pytest.mark.parametrize("old, new, err", [
         ("sppda 5 2 6 4 3 3", "sppda 5 2 6 4 7 3", "error: Z^(h)=7 not in [0, F=6]\n"),
         ("L: 3 2", "L: 3 3", "error: profile sums to 6, grid has 5 columns\n"),

@@ -28,6 +28,7 @@ from sppda.arrays import (
 from sppda.construct import group_star_masks
 from sppda.permsearch import phi_vector
 
+import grid_oracle
 from grid_oracle import column, regularity
 from conftest import (
     GOLDEN_SP,
@@ -66,6 +67,30 @@ def oracle_verify(grid):
                     if grid[j1][c2] != STAR or grid[j2][c1] != STAR:
                         return False
     return True
+
+
+def random_grid(rng):
+    """A grid that may break C1-C3.  Either every column gets the same number
+    of stars and random codes, renumbered to 1..S half the time; or a valid
+    array gets one or two cells overwritten by a star or a code, or one or
+    two pairs of cells swapped within a column, which keeps C1 and C2."""
+    if rng.random() < 0.4:
+        k, f = rng.randint(1, 5), rng.randint(1, 8)
+        z, s = rng.randint(0, f), rng.randint(1, 6)
+        columns = [[STAR if j in stars else rng.randint(1, s) for j in range(f)]
+                   for stars in (set(rng.sample(range(f), z)) for _ in range(k))]
+        grid = tuple(zip(*columns))
+        return canonicalize_codes(grid) if rng.random() < 0.5 else grid
+    pda = random_pda(rng, max_cols=6, max_rows=12)
+    grid = [list(row) for row in pda.grid]
+    swap = rng.random() < 0.5
+    for _ in range(rng.randint(1, 2)):
+        j1, j2, c = rng.randrange(pda.f), rng.randrange(pda.f), rng.randrange(pda.k)
+        if swap:
+            grid[j1][c], grid[j2][c] = grid[j2][c], grid[j1][c]
+        else:
+            grid[j1][c] = rng.randint(STAR, max(pda.s, 1))
+    return tuple(map(tuple, grid))
 
 
 small_grids = st.integers(min_value=2, max_value=4).flatmap(
@@ -144,6 +169,24 @@ class TestVerify:
     @given(small_grids)
     def test_matches_brute_force_oracle(self, grid):
         assert verify_pda(grid).ok == oracle_verify(grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_constructor_is_the_check(self, rng):
+        grid = random_grid(rng)
+        if not oracle_verify(grid):
+            with pytest.raises(InvalidPdaError) as info:
+                PdaArray(grid)
+            assert info.value.violations == verify_pda(grid).violations != ()
+            return
+        pda = PdaArray(grid)
+        assert (pda.k, pda.f, pda.z, pda.s) == grid_oracle.params(grid)
+        assert pda.star_masks == tuple(sum(1 << (j - 1) for j in grid_oracle.star_rows(pda, c))
+                                       for c in range(1, pda.k + 1))
+        assert pda.code_cells == grid_oracle.code_cells(pda)
+        perm = rng.sample(range(pda.k), pda.k)  # old column c moves to position perm[c]
+        moved = tuple(tuple(row[perm.index(c)] for c in range(pda.k)) for row in grid)
+        assert permute_columns(pda, perm) == PdaArray(moved)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -229,11 +272,11 @@ class TestManFamily:
                 assert regularity(man_pda(k, t)) == t + 1
 
     def test_codes_in_first_appearance_order(self):
-        # man_pda numbers codes by rank, which canonicalize_codes must leave alone
-        for k in range(1, 11):
-            for t in range(0, k + 1):
-                grid = man_pda(k, t).grid
-                assert canonicalize_codes(grid) == grid
+        # both families number codes as canonicalize_codes would, so neither calls it
+        grids = [man_pda(k, t).grid for k in range(1, 11) for t in range(0, k + 1)]
+        grids += [construction_a_pda(q, m).grid for q in range(2, 6) for m in range(1, 4)]
+        for grid in grids:
+            assert canonicalize_codes(grid) == grid
 
     def test_t_zero_is_single_row(self):
         assert man_pda(4, 0).grid == ((1, 2, 3, 4),)

@@ -374,7 +374,7 @@ class TestSpPdaArray:
             with pytest.raises(ParameterError, match=rf"^Z\^\(h\)={zh} not in \[0, F=6\]$"):
                 SpPdaArray(golden, AssociationProfile((3, 2)), zh)
         with pytest.raises(InsufficientStarRowsError,
-                           match=r"^group 1 has 3 all-star rows, needs Z\^\(h\)=4; group 2 "):
+                           match=r"^D2: group 1 has 3 all-star rows, needs 4; D2: group 2 "):
             SpPdaArray(golden, AssociationProfile((3, 2)), 4)
 
 

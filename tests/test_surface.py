@@ -37,3 +37,8 @@ def test_traced_functions_resolve():
         namespace = importlib.import_module(f"sppda.{module}")
         func = getattr(namespace, func_name)
         assert inspect.isfunction(func) and func.__module__ == namespace.__name__
+
+
+def test_pda_array_takes_only_its_grid():
+    # K, F, Z, S and the tables are read off the grid by the one C1-C3 check
+    assert list(inspect.signature(sppda.PdaArray).parameters) == ["grid"]
