@@ -10,11 +10,13 @@ This module is the only grid index, and ``PdaArray``'s constructor is the
 only check of conditions C1-C3: it normalizes the grid, builds two tables
 while it checks, ``star_masks``, per column the bitmask of its star rows, and
 ``code_cells``, per code its cells as (user, row) in row-major order, and
-raises ``InvalidPdaError`` on any violation.  So every ``PdaArray`` is a
-valid PDA.  ``code_columns``, per code the bitmask of its columns, is read
-off ``code_cells`` on first use.  The column statistics, D2, placement,
-delivery, construction and column-order search read these tables instead of
-scanning the grid.
+raises ``InvalidPdaError``, whose ``violations`` list every failure.  So
+every ``PdaArray`` is a valid PDA; ``verify_pda`` returns the violations
+instead of raising them.  ``code_columns``, per code the bitmask of its
+columns, is read off ``code_cells`` on first use.  The column statistics,
+D2, placement, delivery, construction and column-order search read these
+tables instead of scanning the grid.  The families refuse, before building,
+a grid of more than ``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 STAR = 0
+
+# The most cells a family or a construction may build, about 20 times the
+# 201 600-cell MaN(8,4) x MaN(10,3) construction.  The families count their
+# rows with r = min(t, K - t) or m cut to _CAP_BITS: C(K, r) >= 2^r and
+# q^m >= 2^m, so the cut count passes the cap exactly when the true one does,
+# and a huge K or m costs no huge integer.
+MAX_CELLS = 1 << 22
+_CAP_BITS = MAX_CELLS.bit_length()
 
 Grid = tuple[tuple[int, ...], ...]
 Cells = tuple[tuple[int, int], ...]  # (user, row) pairs, 1-based, row-major
@@ -69,6 +79,12 @@ class InvalidPdaError(PdaError):
         super().__init__(f"not a valid PDA: {summary}")
 
 
+def check_cells(what: str, cells: int) -> None:
+    """Raise ``ParameterError`` naming the cap if ``cells`` passes ``MAX_CELLS``."""
+    if cells > MAX_CELLS:
+        raise ParameterError(f"{what} would have more than MAX_CELLS = {MAX_CELLS} cells")
+
+
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, zero whenever the pair is out of range."""
     if k < 0 or n < 0 or k > n:
@@ -85,24 +101,8 @@ class Violation:
     cols: tuple[int, ...]
     detail: str
 
-
-@dataclass(frozen=True)
-class PdaCheck:
-    """Result of ``verify_pda``: the checked array on success, violations
-    otherwise."""
-
-    violations: tuple[Violation, ...]
-    array: PdaArray | None = field(default=None, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def params(self) -> tuple[int, int, int, int] | None:
-        """(K, F, Z, S) of the checked array, None on failure."""
-        a = self.array
-        return None if a is None else (a.k, a.f, a.z, a.s)
+    def __str__(self) -> str:
+        return f"{self.kind}: {self.detail} (rows {self.rows}, cols {self.cols})"
 
 
 def normalize_grid(rows) -> Grid:
@@ -120,14 +120,15 @@ def normalize_grid(rows) -> Grid:
     return grid
 
 
-def verify_pda(rows) -> PdaCheck:
-    """Check conditions C1-C3 on a grid: the ``PdaArray`` constructor's check,
-    with the violations returned instead of raised.  A grid with no codes at
-    all is accepted as a degenerate PDA with S = 0."""
+def verify_pda(rows) -> tuple[Violation, ...]:
+    """The C1-C3 violations of a grid, empty when it is a PDA: the
+    ``PdaArray`` constructor's check, with the violations returned instead of
+    raised.  A grid with no codes at all is a degenerate PDA with S = 0."""
     try:
-        return PdaCheck((), PdaArray(rows))
+        PdaArray(rows)
     except InvalidPdaError as exc:
-        return PdaCheck(exc.violations)
+        return exc.violations
+    return ()
 
 
 def _star_masks(grid: Grid) -> tuple[int, ...]:
@@ -216,15 +217,6 @@ class PdaArray:
         """Per code (index code - 1), the bitmask of its columns (bit c-1 for column c)."""
         return tuple(sum(1 << (k - 1) for k, _ in cells) for cells in self.code_cells)
 
-    def _check_column(self, c: int) -> None:
-        if not 1 <= c <= self.k:
-            raise IndexOutOfRangeError(f"column {c} not in [1, {self.k}]")
-
-    def column_codes(self, c: int) -> frozenset[int]:
-        self._check_column(c)
-        bit = 1 << (c - 1)
-        return frozenset(code for code, mask in enumerate(self.code_columns, start=1) if mask & bit)
-
 
 def permute_columns(pda: PdaArray, perm) -> PdaArray:
     """Apply a column permutation; ``perm[k]`` is the new 0-based position of
@@ -275,6 +267,7 @@ def man_pda(k: int, t: int) -> PdaArray:
     """
     if k < 1 or not 0 <= t <= k:
         raise ParameterError(f"need K >= 1 and 0 <= t <= K, got K={k}, t={t}")
+    check_cells(f"MaN({k}, {t})", binom(k, min(t, k - t, _CAP_BITS)) * k)
     rank = {subset: i + 1 for i, subset in enumerate(itertools.combinations(range(1, k + 1), t + 1))}
     rows = []
     for subset in itertools.combinations(range(1, k + 1), t):
@@ -292,38 +285,26 @@ def man_pda(k: int, t: int) -> PdaArray:
 def construction_a_pda(q: int, m: int) -> PdaArray:
     """The (m+1)-regular (q(m+1), q^m, q^{m-1}, q^{m+1}-q^m) PDA.
 
-    Rows are indexed by a in {0..q-1}^m; columns come in m+1 groups of q.
-    Column (i, j) with i < m is a star at row a iff a_i = j; in group m it is
-    a star iff sum(a) = j (mod q).  Group 0 comes first, which makes every
-    code's first column land in the first q columns.  Codes are numbered as
-    the rows are built, so they are in row-major first-appearance order.
+    Rows are indexed by a in {0..q-1}^m, extended by a_m = sum(a) mod q;
+    columns come in m+1 groups of q.  Column (i, j) is a star at row a iff
+    a_i = j, and otherwise holds the code of the extended a with coordinate i
+    set to j.  Group 0 comes first, which makes every code's first column
+    land in the first q columns.  Codes are numbered as the rows are built,
+    so they are in row-major first-appearance order.
     """
     if q < 2 or m < 1:
         raise ParameterError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
+    check_cells(f"Construction A({q}, {m})", q ** min(m, _CAP_BITS) * q * (m + 1))
     code_ids: dict[tuple[int, ...], int] = {}
 
     def code_of(vec: tuple[int, ...]) -> int:
-        if vec not in code_ids:
-            code_ids[vec] = len(code_ids) + 1
-        return code_ids[vec]
+        return code_ids.setdefault(vec, len(code_ids) + 1)
 
     rows = []
     for a in itertools.product(range(q), repeat=m):
-        total = sum(a) % q
-        row = []
-        for i in range(m + 1):
-            for j in range(q):
-                if i < m:
-                    if a[i] == j:
-                        row.append(STAR)
-                    else:
-                        row.append(code_of(a[:i] + (j,) + a[i + 1:] + (total,)))
-                else:
-                    if total == j:
-                        row.append(STAR)
-                    else:
-                        row.append(code_of(a + (j,)))
-        rows.append(tuple(row))
+        a += (sum(a) % q,)
+        rows.append(tuple(STAR if a[i] == j else code_of(a[:i] + (j,) + a[i + 1:])
+                          for i in range(m + 1) for j in range(q)))
     return PdaArray(rows)
 
 

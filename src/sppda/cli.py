@@ -60,22 +60,17 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     try:
         array = textio.read_array(Path(args.file).read_text())
-    except InvalidPdaError as exc:
-        violations = [f"{v.kind}: {v.detail} (rows {v.rows}, cols {v.cols})"
-                      for v in exc.violations]
-    except textio.ConditionError as exc:
-        violations = exc.violations
+    except (InvalidPdaError, textio.ConditionError) as exc:
+        for line in exc.violations:
+            print(f"violation {line}")
+        return 1
+    if isinstance(array, SpPdaArray):
+        p = array.params
+        print(f"valid sppda: K={p.k} Lambda={p.num_helpers} L={p.profile.parts} "
+              f"F={p.f} Z={p.z} Zh={p.zh} S={p.s}")
     else:
-        if isinstance(array, SpPdaArray):
-            p = array.params
-            print(f"valid sppda: K={p.k} Lambda={p.num_helpers} L={p.profile.parts} "
-                  f"F={p.f} Z={p.z} Zh={p.zh} S={p.s}")
-        else:
-            print(f"valid pda: K={array.k} F={array.f} Z={array.z} S={array.s}")
-        return 0
-    for line in violations:
-        print(f"violation {line}")
-    return 1
+        print(f"valid pda: K={array.k} F={array.f} Z={array.z} S={array.s}")
+    return 0
 
 
 def cmd_simulate(args) -> int:

@@ -1,11 +1,17 @@
-"""Shared-and-private PDAs: the two-array construction, validity checking
-(conditions D1/D2), and closed-form code counts for the two family pairings.
+"""Shared-and-private PDAs: the two-array construction, validity (D1, the
+grid's C1-C3, and D2, the helper all-star rows), and closed-form code counts
+for the two family pairings.
+
+``SpPdaArray``'s constructor owns D2: an invalid array raises an error whose
+``violations`` name each failure, ``InvalidPdaError`` from ``PdaArray`` for
+D1 and ``InsufficientStarRowsError`` for D2.  ``verify_sppda`` returns the
+same violations instead of raising them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_
@@ -13,12 +19,13 @@ from operator import and_
 from .arrays import (
     STAR,
     AssociationProfile,
+    InvalidPdaError,
     ParameterError,
     PdaArray,
-    PdaCheck,
+    Violation,
     binom,
     check_bijection,
-    verify_pda,
+    check_cells,
     xi,
 )
 
@@ -67,11 +74,11 @@ class GroupFailure:
 
 
 class InsufficientStarRowsError(ParameterError):
-    """Condition D2 failed; ``failures`` lists every helper group short of Z^(h)."""
+    """Condition D2 failed; ``violations`` lists every helper group short of Z^(h)."""
 
-    def __init__(self, failures: tuple[GroupFailure, ...]):
-        self.failures = failures
-        super().__init__("; ".join(map(str, failures)))
+    def __init__(self, violations: tuple[GroupFailure, ...]):
+        self.violations = violations
+        super().__init__("; ".join(map(str, violations)))
 
 
 def check_helper_stars(group_masks, zh: int) -> None:
@@ -124,21 +131,6 @@ class SpPdaArray:
         return self.profile.group_of_user(pos + 1)
 
 
-@dataclass(frozen=True)
-class SpPdaCheck:
-    """Result of ``verify_sppda``: parameters and the checked array on success;
-    otherwise the D1 check and, for a valid PDA, the groups that fail D2."""
-
-    params: SpPdaParams | None
-    pda_check: PdaCheck
-    failures: tuple[GroupFailure, ...]
-    array: SpPdaArray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.params is not None
-
-
 def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...],
                      grouping: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Condition D2's counts: per helper group, the bitmask (bit j-1 for row j)
@@ -155,18 +147,16 @@ def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...]
 
 
 def verify_sppda(rows, profile: AssociationProfile, zh: int,
-                 grouping: tuple[int, ...] | None = None) -> SpPdaCheck:
-    """Check D1 (``verify_pda``) first, then build the ``SpPdaArray``, which
-    checks the profile, Z^(h), the grouping (default identity) and D2.  D2
-    failures are returned in ``failures``; the other checks raise."""
-    pda_check = verify_pda(rows)
-    if not pda_check.ok:
-        return SpPdaCheck(None, pda_check, ())
+                 grouping: tuple[int, ...] | None = None) -> tuple[Violation | GroupFailure, ...]:
+    """The grid's C1-C3 violations if it has any, otherwise the helper groups
+    that fail D2 under the profile, Z^(h) and grouping (default identity),
+    otherwise (): the ``SpPdaArray`` constructor's check, with the violations
+    returned instead of raised.  A bad profile, Z^(h) or grouping raises."""
     try:
-        array = SpPdaArray(pda_check.array, profile, zh, grouping)
-    except InsufficientStarRowsError as exc:
-        return SpPdaCheck(None, pda_check, exc.failures)
-    return SpPdaCheck(array.params, pda_check, (), array)
+        SpPdaArray(PdaArray(rows), profile, zh, grouping)
+    except (InvalidPdaError, InsufficientStarRowsError) as exc:
+        return exc.violations
+    return ()
 
 
 def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -> None:
@@ -257,8 +247,10 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     Each width's cut of p2 is one flat list, so the rows of a p1 row are
     assembled by ``map``/``zip`` over those lists without a Python step per
     cell.  The grid is checked by ``PdaArray``, which also builds its tables.
+    A result of more than ``MAX_CELLS`` cells raises before any row is built.
     """
     relabels = _relabels(p1, p2, profile)
+    check_cells("the construction", p1.f * p2.f * profile.num_users)
     parts = profile.parts
     cut = {w: list(itertools.chain.from_iterable(row[:w] for row in p2.grid))
            for w in set(parts) if w}

@@ -375,20 +375,7 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
             raise ParameterError("side 'second' needs the association profile")
         check_pair(None, pda, profile)
 
-    col_codes = [pda.column_codes(c + 1) for c in range(pda.k)]
-    remaining = list(range(pda.k))
-    seen: set[int] = set()
-    order: list[int] = []
-    while remaining:
-        chosen = min(remaining, key=lambda c: (len(col_codes[c] - seen), c))
-        order.append(chosen)
-        seen |= col_codes[chosen]
-        remaining.remove(chosen)
-    perm = [0] * pda.k
-    for pos, old in enumerate(order):
-        perm[old] = pos
-    candidate = tuple(perm)
-
+    candidate = _greedy_order(pda)
     base = phi_vector(pda)
     new = phi_vector(pda, candidate)
     if side == "first":
@@ -399,3 +386,22 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
     if not improved:
         return pda
     return permute_columns(pda, candidate)
+
+
+def _greedy_order(pda: PdaArray) -> tuple[int, ...]:
+    """The greedy column order as a permutation: per 0-based column the
+    bitmask of its codes (bit s-1 for code s), then repeatedly the column
+    with the fewest codes not yet seen, ties to the lowest index."""
+    cols = [0] * pda.k
+    for bit, cells in enumerate(pda.code_cells):
+        for k, _ in cells:
+            cols[k - 1] |= 1 << bit
+    remaining = list(range(pda.k))
+    seen = 0
+    perm = [0] * pda.k
+    for pos in range(pda.k):
+        chosen = min(remaining, key=lambda c: ((cols[c] & ~seen).bit_count(), c))
+        perm[chosen] = pos
+        seen |= cols[chosen]
+        remaining.remove(chosen)
+    return tuple(perm)

@@ -11,17 +11,17 @@ SP-PDA text format:
     <grid as above>
 
 Writers are deterministic; reading back a written canonical array reproduces
-the bytes exactly.  Every reader, text or JSON, ends in the same check: the
-grid must satisfy C1-C3 (and D2 for an SP-PDA) and the header must agree
-with it.
+the bytes exactly.  Every reader, text or JSON, ends in the same check: it
+builds ``PdaArray`` (C1-C3) and, for an SP-PDA, ``SpPdaArray`` (D2) from the
+grid, and the header must agree with the array.
 """
 
 from __future__ import annotations
 
 import json
 
-from .arrays import STAR, AssociationProfile, InvalidPdaError, ParameterError, PdaArray, verify_pda
-from .construct import SpPdaArray, verify_sppda
+from .arrays import STAR, AssociationProfile, ParameterError, PdaArray
+from .construct import InsufficientStarRowsError, SpPdaArray
 
 
 class FormatError(ParameterError):
@@ -100,28 +100,28 @@ def _grid(rows) -> tuple[tuple[int, ...], ...]:
 def _checked(kind: str | None, header, rows, profile=None, pi=None):
     """The one checked path of every loader.  ``kind`` is "pda", "sppda", or
     None for a bare grid; the other arguments are the document's string
-    tokens.  The grid is verified once, then compared with the header."""
+    tokens.  The constructors check the grid, which raises InvalidPdaError,
+    and an SP-PDA's D2, which becomes a ConditionError; then the header is
+    compared with the array."""
     grid = _grid(rows)
     if kind == "sppda":
         claimed = parse_ints(header, "sppda header", 6)
         profile = AssociationProfile(parse_ints(profile, "profile"))
         grouping = None if pi == ["id"] else tuple(x - 1 for x in parse_ints(pi, "grouping"))
-        check = verify_sppda(grid, profile, claimed[4], grouping=grouping)
-        pda_check = check.pda_check
+        pda = PdaArray(grid)
+        try:
+            array = SpPdaArray(pda, profile, claimed[4], grouping)
+        except InsufficientStarRowsError as exc:
+            raise ConditionError(map(str, exc.violations)) from None
+        actual = (pda.k, profile.num_groups, pda.f, pda.z, array.helper_stars, pda.s)
     else:
         claimed = None if kind is None else parse_ints(header, "pda header", 4)
-        check = pda_check = verify_pda(grid)
-    if not pda_check.ok:
-        raise InvalidPdaError(pda_check.violations)
-    if not check.ok:  # with C1-C3 met, only an SP-PDA's D2 is left to fail
-        raise ConditionError(map(str, check.failures))
-    actual = check.params
-    if kind == "sppda":
-        actual = (actual.k, actual.num_helpers, actual.f, actual.z, actual.zh, actual.s)
+        array = PdaArray(grid)
+        actual = (array.k, array.f, array.z, array.s)
     if claimed is not None and claimed != actual:
         raise ConditionError([f"header: {kind} header says {','.join(_HEADERS[kind])} = "
                               f"{claimed} but the grid has {actual}"])
-    return check.array
+    return array
 
 
 def read_array(text: str, kind: str | None = None):

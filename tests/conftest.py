@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from sppda.arrays import (
     AssociationProfile,
     PdaArray,
@@ -167,3 +169,16 @@ def enumerate_profiles(total: int, length: int, min_part: int = 1):
 
     for parts in rec(total, length, total):
         yield AssociationProfile(parts)
+
+
+class _NoItertools:
+    def __getattr__(self, name):
+        raise AssertionError(f"itertools.{name} called: the rows are being built")
+
+
+@pytest.fixture
+def no_family_rows(monkeypatch):
+    """Take ``itertools`` away from ``sppda.arrays``, where the families build
+    their rows, so a size check that lets a huge family through fails the
+    test at once instead of allocating the family."""
+    monkeypatch.setattr("sppda.arrays.itertools", _NoItertools())

@@ -3,11 +3,13 @@
 sharing a xi-count vector (first array) or a phi-at-group-width table (second
 array) collapse to their lexicographically first representative.  For first
 arrays too wide to enumerate, the best first order is rebuilt one position at
-a time with a constrained subset DP per tried position."""
+a time with a constrained subset DP per tried position.  The greedy
+reorder's column order is rebuilt from each column's frozenset of codes."""
 
 import itertools
 import math
 
+import grid_oracle
 from sppda.arrays import STAR
 from sppda.permsearch import PermutationPair, SearchResult, _prefix_masks
 
@@ -136,3 +138,22 @@ def best_first_order(phi, k, weight_sets):
             if any(_constrained_min(phi, w, k, allowed) == target for w in reaching):
                 break
     return tuple(placed[c] for c in range(k))
+
+
+def greedy_order(pda):
+    """The greedy column order as a permutation (old column -> position):
+    repeatedly append the column introducing the fewest codes not yet seen,
+    ties to the lowest original index."""
+    col_codes = [grid_oracle.column_codes(pda, c + 1) for c in range(pda.k)]
+    remaining = list(range(pda.k))
+    seen = set()
+    order = []
+    while remaining:
+        chosen = min(remaining, key=lambda c: (len(col_codes[c] - seen), c))
+        order.append(chosen)
+        seen |= col_codes[chosen]
+        remaining.remove(chosen)
+    perm = [0] * pda.k
+    for pos, old in enumerate(order):
+        perm[old] = pos
+    return tuple(perm)

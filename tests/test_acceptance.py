@@ -113,7 +113,7 @@ def test_criterion_3_mixed_profile_construction():
         assert sp.pda.grid == SMALL_Q
         assert (sp.pda.s, sp.pda.f) == (5, 6)
         assert sp.params.rate == Fraction(5, 6)
-        assert verify_sppda(sp.pda.grid, sp.profile, sp.helper_stars).ok
+        assert verify_sppda(sp.pda.grid, sp.profile, sp.helper_stars) == ()
 
 
 def test_criterion_4_permutation_sensitivity(tmp_path):
@@ -149,7 +149,7 @@ def test_criterion_5_construction_property_suite():
             assert p.z == p1.z * p2.f + (p1.f - p1.z) * p2.z
             assert p.zh == p1.z * p2.f
             assert p.s == s_count(p1, p2, profile) <= p1.s * p2.s
-            assert verify_sppda(sp.pda.grid, profile, p.zh).ok
+            assert verify_sppda(sp.pda.grid, profile, p.zh) == ()
             library = FileLibrary.synthetic(p.k, 4 * p.f, p.f, seed=rng.randint(0, 999))
             demands = list(range(1, p.k + 1))
             rng.shuffle(demands)

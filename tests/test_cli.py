@@ -80,6 +80,17 @@ class TestConstruct:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("p1, what", [("man:40,20", "MaN(40, 20)"),
+                                          ("consa:10,9", "Construction A(10, 9)")])
+    def test_family_size_cap(self, capsys, no_family_rows, p1, what):
+        assert main(["construct", p1, "man:3,1", "--profile", "3,2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {what} would have more than MAX_CELLS = 4194304 cells\n")
+
+    def test_construction_size_cap(self, capsys):
+        assert main(["construct", "man:12,6", "man:12,6", "--profile", ",".join(["12"] * 12)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the construction would have more than MAX_CELLS = 4194304 cells\n")
+
 
 class TestVerify:
     def test_valid_sppda(self, golden_file, capsys):

@@ -4,10 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import json
+
 from sppda import textio
-from sppda.arrays import AssociationProfile, InvalidPdaError, PdaArray, man_pda, permute_columns
-from sppda.construct import SpPdaArray, construct_sppda
+from sppda.arrays import (
+    AssociationProfile,
+    InvalidPdaError,
+    PdaArray,
+    man_pda,
+    permute_columns,
+    verify_pda,
+)
+from sppda.construct import SpPdaArray, construct_sppda, verify_sppda
 from sppda.textio import (
+    ConditionError,
     FormatError,
     parse_pda,
     parse_sppda,
@@ -18,8 +28,9 @@ from sppda.textio import (
     write_sppda,
 )
 
+import grid_oracle
 import textio_oracle as oracle
-from conftest import GOLDEN_SP, GOLDEN_SP_TEXT, grid
+from conftest import GOLDEN_SP, GOLDEN_SP_TEXT, grid, random_pda, random_profile
 
 
 @pytest.fixture
@@ -137,6 +148,58 @@ class TestJson:
         text = sppda_to_json(golden_sp).replace('"s": 3', '"s": 99')
         with pytest.raises(FormatError, match="header"):
             read_array(text)
+
+
+
+def _sppda_documents(rng):
+    """A random small SP-PDA document as text and as JSON, and its grid,
+    profile, Z^(h) and grouping.  The grid is a construction's, with a cell
+    overwritten a third of the time; Z^(h) is the construction's, one more,
+    or random, and the grouping random half of the time.  The header holds
+    the grid's own width, height, first-column stars and distinct codes."""
+    p1 = random_pda(rng, max_cols=3, max_rows=6)
+    p2 = random_pda(rng, max_cols=3, max_rows=6)
+    profile = random_profile(rng, p1.k, p2.k)
+    sp = construct_sppda(p1, p2, profile)
+    rows = [list(row) for row in sp.pda.grid]
+    if rng.random() < 1 / 3:
+        rows[rng.randrange(sp.pda.f)][rng.randrange(sp.pda.k)] = rng.randint(0, sp.pda.s)
+    grid = tuple(map(tuple, rows))
+    k, f, z, s = grid_oracle.params(grid)
+    zh = min(f, rng.choice((sp.helper_stars, sp.helper_stars + 1, rng.randint(0, f))))
+    grouping = rng.choice((None, tuple(rng.sample(range(k), k))))
+    pi = "id" if grouping is None else " ".join(str(x + 1) for x in grouping)
+    lines = textio._grid_lines(grid)
+    text = "\n".join([f"sppda {k} {profile.num_groups} {f} {z} {zh} {s}",
+                      "L: " + " ".join(map(str, profile.parts)), f"pi: {pi}", *lines]) + "\n"
+    doc = json.dumps({"type": "sppda", "k": k, "num_helpers": profile.num_groups, "f": f,
+                      "z": z, "zh": zh, "s": s, "profile": list(profile.parts),
+                      "pi": "id" if grouping is None else [x + 1 for x in grouping],
+                      "grid": [line.split() for line in lines]})
+    return (text, doc), grid, profile, zh, grouping
+
+
+class TestLoaderMatchesVerify:
+    """The loader builds the arrays itself, so nothing but this test keeps
+    its verdicts in step with ``verify_pda`` and ``verify_sppda``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_documents(self, rng):
+        documents, grid, profile, zh, grouping = _sppda_documents(rng)
+        violations = verify_pda(grid)
+        failures = () if violations else verify_sppda(grid, profile, zh, grouping)
+        for document in documents:
+            if violations:
+                with pytest.raises(InvalidPdaError) as info:
+                    read_array(document)
+                assert info.value.violations == violations
+            elif failures:
+                with pytest.raises(ConditionError) as info:
+                    read_array(document)
+                assert info.value.violations == tuple(map(str, failures))
+            else:
+                assert read_array(document) == SpPdaArray(PdaArray(grid), profile, zh, grouping)
 
 
 # tokens int() reads in surprising ways (signs, zero padding, underscores,

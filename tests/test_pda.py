@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppda.arrays import (
+    MAX_CELLS,
     STAR,
     AssociationProfile,
     CodeAbsentError,
@@ -104,40 +105,36 @@ small_grids = st.integers(min_value=2, max_value=4).flatmap(
 class TestVerify:
     def test_golden_grids_valid(self):
         for g in (GOLDEN_SP, SMALL_P2, WIDE_P1, WIDE_P2, WIDE_P1_OPT, WIDE_P2_OPT):
-            assert verify_pda(g).ok
+            assert verify_pda(g) == ()
 
     def test_golden_parameters(self):
-        assert verify_pda(GOLDEN_SP).params == (5, 6, 4, 3)
-        assert verify_pda(SMALL_P2).params == (4, 2, 1, 2)
-        assert verify_pda(WIDE_P1).params == (6, 4, 2, 4)
-        assert verify_pda(WIDE_P2).params == (6, 3, 1, 6)
+        for g, params in ((GOLDEN_SP, (5, 6, 4, 3)), (SMALL_P2, (4, 2, 1, 2)),
+                          (WIDE_P1, (6, 4, 2, 4)), (WIDE_P2, (6, 3, 1, 6))):
+            pda = PdaArray(g)
+            assert (pda.k, pda.f, pda.z, pda.s) == params
 
     def test_unequal_star_counts(self):
-        check = verify_pda(((STAR, 1), (1, 2)))
-        assert not check.ok
-        assert any(v.kind == "C1" for v in check.violations)
+        assert any(v.kind == "C1" for v in verify_pda(((STAR, 1), (1, 2))))
 
     def test_missing_code(self):
-        check = verify_pda(((STAR, 2), (2, STAR)))
-        assert not check.ok
-        assert any(v.kind == "C2" for v in check.violations)
+        assert any(v.kind == "C2" for v in verify_pda(((STAR, 2), (2, STAR))))
 
     def test_code_repeated_in_row(self):
-        check = verify_pda(((1, 1), (STAR, STAR)))
-        assert any(v.kind == "C3a" for v in check.violations)
+        assert any(v.kind == "C3a" for v in verify_pda(((1, 1), (STAR, STAR))))
 
     def test_missing_crossing_star(self):
-        check = verify_pda(((STAR, 1, STAR), (1, 2, STAR), (STAR, STAR, 2)))
-        assert not check.ok
-        assert any(v.kind == "C3b" for v in check.violations)
+        violations = verify_pda(((STAR, 1, STAR), (1, 2, STAR), (STAR, STAR, 2)))
+        assert any(v.kind == "C3b" for v in violations)
 
     def test_all_star_degenerate(self):
-        assert verify_pda(((STAR, STAR), (STAR, STAR))).params == (2, 2, 2, 0)
+        assert verify_pda(((STAR, STAR), (STAR, STAR))) == ()
+        pda = PdaArray(((STAR, STAR), (STAR, STAR)))
+        assert (pda.k, pda.f, pda.z, pda.s) == (2, 2, 2, 0)
 
     def test_violation_coordinates_are_one_based(self):
-        check = verify_pda(((1, 1), (STAR, STAR)))
-        v = next(v for v in check.violations if v.kind == "C3a")
+        v = next(v for v in verify_pda(((1, 1), (STAR, STAR))) if v.kind == "C3a")
         assert v.rows == (1, 1) and v.cols == (1, 2)
+        assert str(v) == "C3a: code 1 repeats in the same row or column (rows (1, 1), cols (1, 2))"
 
     def test_ragged_grid_rejected(self):
         with pytest.raises(NonRectangularError):
@@ -168,7 +165,7 @@ class TestVerify:
     @settings(max_examples=300, deadline=None)
     @given(small_grids)
     def test_matches_brute_force_oracle(self, grid):
-        assert verify_pda(grid).ok == oracle_verify(grid)
+        assert (verify_pda(grid) == ()) == oracle_verify(grid)
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -177,7 +174,7 @@ class TestVerify:
         if not oracle_verify(grid):
             with pytest.raises(InvalidPdaError) as info:
                 PdaArray(grid)
-            assert info.value.violations == verify_pda(grid).violations != ()
+            assert info.value.violations == verify_pda(grid) != ()
             return
         pda = PdaArray(grid)
         assert (pda.k, pda.f, pda.z, pda.s) == grid_oracle.params(grid)
@@ -192,7 +189,8 @@ class TestVerify:
     @given(st.randoms(use_true_random=False))
     def test_accepts_random_valid_arrays(self, rng):
         pda = random_pda(rng, max_cols=6, max_rows=30)
-        assert verify_pda(pda.grid).params == (pda.k, pda.f, pda.z, pda.s)
+        assert verify_pda(pda.grid) == ()
+        assert PdaArray(pda.grid) == pda
 
 
 class TestColumnOps:
@@ -200,9 +198,7 @@ class TestColumnOps:
         pda = PdaArray.from_grid(GOLDEN_SP)
         assert column(pda, 5) == (1, STAR, 3, STAR, STAR, STAR)
         assert frozenset(mask_rows(pda.star_masks[0])) == frozenset({1, 2, 3, 4})
-        assert pda.column_codes(4) == frozenset({1, 2})
-        with pytest.raises(IndexOutOfRangeError):
-            column(pda, 6)
+        assert [s for s, mask in enumerate(pda.code_columns, start=1) if mask >> 3 & 1] == [1, 2]
 
     def test_regularity(self):
         assert regularity(man_pda(4, 1)) == 2
@@ -222,7 +218,7 @@ class TestColumnOps:
         pda = PdaArray.from_grid(WIDE_P2)
         out = permute_columns(pda, (5, 4, 3, 2, 1, 0))
         assert (out.k, out.f, out.z, out.s) == (pda.k, pda.f, pda.z, pda.s)
-        assert verify_pda(out.grid).ok
+        assert verify_pda(out.grid) == ()
 
     def test_permute_columns_inverse_roundtrip(self):
         pda = PdaArray.from_grid(WIDE_P1)
@@ -316,6 +312,28 @@ class TestConstructionAFamily:
             construction_a_pda(1, 2)
         with pytest.raises(ParameterError):
             construction_a_pda(2, 0)
+
+
+class TestSizeCap:
+    def test_families_refused_before_building(self, no_family_rows):
+        for build, args in ((man_pda, (40, 20)), (construction_a_pda, (10, 9)),
+                            (man_pda, (10 ** 9, 5 * 10 ** 8)), (construction_a_pda, (2, 10 ** 9))):
+            with pytest.raises(ParameterError, match=f"more than MAX_CELLS = {MAX_CELLS} cells$"):
+                build(*args)
+
+    def test_families_at_a_small_cap(self, monkeypatch):
+        # every member whose grid fits under the cap is built, every other one raises
+        monkeypatch.setattr("sppda.arrays.MAX_CELLS", 2000)
+        sizes = [(man_pda, (k, t), binom(k, t) * k) for k in range(1, 16) for t in range(k + 1)]
+        sizes += [(construction_a_pda, (q, m), q ** m * q * (m + 1))
+                  for q in range(2, 8) for m in range(1, 7)]
+        for build, args, cells in sizes:
+            if cells > 2000:
+                with pytest.raises(ParameterError, match="MAX_CELLS = 2000"):
+                    build(*args)
+            else:
+                pda = build(*args)
+                assert pda.f * pda.k == cells
 
 
 class TestAssociationProfile:

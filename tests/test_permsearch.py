@@ -24,6 +24,7 @@ from sppda.permsearch import (
     PermutationPair,
     _Classes,
     _Steps,
+    _greedy_order,
     _subset_phi,
     check_E1,
     check_E2,
@@ -328,6 +329,18 @@ class TestHeuristic:
         after = s_count(heuristic_reorder(p1, side="first"),
                         heuristic_reorder(p2, profile, side="second"), profile)
         assert after <= before
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_order_matches_frozenset_greedy(self, rng):
+        pda = random_pda(rng, max_cols=6, max_rows=30)
+        if rng.random() < 0.3:
+            base = man_pda(rng.randint(4, 9), rng.randint(1, 3))
+            pda = permute_columns(base, rng.sample(range(base.k), base.k))
+        order = oracle.greedy_order(pda)
+        assert _greedy_order(pda) == order
+        out = heuristic_reorder(pda, side="first")
+        assert out is pda or out == permute_columns(pda, order)
 
     def test_parameters_preserved(self):
         out = heuristic_reorder(PdaArray.from_grid(WIDE_P2), WIDE_PROFILE, side="second")

@@ -261,7 +261,7 @@ class TestAgainstOracle:
         with pytest.raises(InvalidPdaError) as info:
             PdaArray(grid)
         assert [v.kind for v in info.value.violations] == ["C3b", "C3b"]
-        assert info.value.violations == verify_pda(grid).violations
+        assert info.value.violations == verify_pda(grid)
 
 
 def perturbed_layout(rng, layout, f):

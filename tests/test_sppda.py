@@ -18,9 +18,11 @@ from sppda.arrays import (
     man_pda,
     normalize_grid,
     permute_columns,
+    verify_pda,
 )
 from sppda.construct import (
     DimensionMismatchError,
+    GroupFailure,
     InsufficientStarRowsError,
     ProfileMismatchError,
     SpPdaArray,
@@ -169,37 +171,46 @@ class TestConstruct:
         assert p.zh == p1.z * p2.f
         assert p.s == s_count(p1, p2, profile) == distinct_codes(sp.pda.grid)
         assert p.s <= p1.s * p2.s
-        check = verify_sppda(sp.pda.grid, profile, p.zh)
-        assert check.ok
+        assert verify_sppda(sp.pda.grid, profile, p.zh) == ()
+
+
+    def test_size_cap(self, monkeypatch):
+        p = man_pda(12, 6)
+        with pytest.raises(ParameterError, match="^the construction would have more than MAX_CELLS"):
+            construct_sppda(p, p, AssociationProfile((12,) * 12))
+        # the golden construction has F * K = 6 * 5 cells
+        monkeypatch.setattr("sppda.arrays.MAX_CELLS", 30)
+        assert construct_sppda(man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2))).pda.grid == GOLDEN_SP
+        monkeypatch.setattr("sppda.arrays.MAX_CELLS", 29)
+        with pytest.raises(ParameterError, match="MAX_CELLS = 29"):
+            construct_sppda(man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2)))
 
 
 class TestVerifySpPda:
     def test_golden_is_valid(self):
-        check = verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), 3)
-        assert check.ok
-        p = check.params
+        assert verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), 3) == ()
+        p = SpPdaArray(PdaArray(GOLDEN_SP), AssociationProfile((3, 2)), 3).params
         assert (p.k, p.num_helpers, p.f, p.z, p.zh, p.s) == (5, 2, 6, 4, 3, 3)
 
     def test_smaller_helper_requirement_still_valid(self):
         # lowering Z^(h) can only relax the all-star requirement
         for zh in (0, 1, 2, 3):
-            assert verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), zh).ok
+            assert verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), zh) == ()
 
     def test_too_large_helper_requirement_fails(self):
-        check = verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), 4)
-        assert not check.ok
-        assert {(f.group, f.star_rows) for f in check.failures} == {(1, 3), (2, 3)}
+        failures = verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), 4)
+        assert failures == (GroupFailure(1, 3, 4), GroupFailure(2, 3, 4))
 
     def test_invalid_pda_reported_first(self):
-        check = verify_sppda(((1, 1), (0, 0)), AssociationProfile((1, 1)), 0)
-        assert not check.ok and not check.pda_check.ok
+        violations = verify_sppda(((1, 1), (0, 0)), AssociationProfile((1, 1)), 0)
+        assert violations == verify_pda(((1, 1), (0, 0))) != ()
 
     def test_invalid_pda_reported_before_bad_parameters(self):
         # the profile, Z^(h) and grouping checks belong to the SP-PDA, which
         # a grid failing C1-C3 never becomes
         for profile, zh, grouping in (((3,), 0, None), ((1, 1), 9, None), ((1, 1), 0, (0, 0))):
-            check = verify_sppda(((1, 1), (0, 0)), AssociationProfile(profile), zh, grouping)
-            assert not check.ok and not check.pda_check.ok and check.failures == ()
+            violations = verify_sppda(((1, 1), (0, 0)), AssociationProfile(profile), zh, grouping)
+            assert violations == verify_pda(((1, 1), (0, 0))) != ()
 
     def test_grid_normalized_once(self, monkeypatch):
         calls = []
@@ -210,8 +221,7 @@ class TestVerifySpPda:
 
         for module in ("sppda.arrays", "sppda.construct"):
             monkeypatch.setattr(f"{module}.normalize_grid", counted, raising=False)
-        check = verify_sppda([list(row) for row in GOLDEN_SP], AssociationProfile((3, 2)), 3)
-        assert check.ok and check.params.s == 3
+        assert verify_sppda([list(row) for row in GOLDEN_SP], AssociationProfile((3, 2)), 3) == ()
         assert len(calls) == 1
         with pytest.raises(NonRectangularError):
             verify_sppda([[0, 1], [1]], AssociationProfile((2,)), 0)
@@ -224,7 +234,7 @@ class TestVerifySpPda:
         scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), (0, 2, 4, 1, 3))
         sp = SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 3, 1, 4, 2))
         assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 2, 1, 2, 1]
-        assert verify_sppda(scrambled.grid, sp.profile, 3, sp.grouping).array == sp
+        assert verify_sppda(scrambled.grid, sp.profile, 3, sp.grouping) == ()
 
     def test_wrong_witness_refused(self):
         # grouped by the scrambling itself, group 1 is GOLDEN_SP's columns 1, 4, 5
@@ -232,9 +242,9 @@ class TestVerifySpPda:
         with pytest.raises(InsufficientStarRowsError) as info:
             SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
         assert isinstance(info.value, ParameterError)
-        assert [(f.group, f.star_rows) for f in info.value.failures] == [(1, 1)]
-        check = verify_sppda(scrambled.grid, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
-        assert check.failures == info.value.failures and check.array is None
+        assert [(f.group, f.star_rows) for f in info.value.violations] == [(1, 1)]
+        violations = verify_sppda(scrambled.grid, AssociationProfile((3, 2)), 3, (0, 2, 4, 1, 3))
+        assert violations == info.value.violations
 
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -253,13 +263,12 @@ class TestVerifySpPda:
         try:
             sp = SpPdaArray(pda, profile, zh, grouping)
         except InsufficientStarRowsError as exc:
-            assert [(f.group, f.star_rows) for f in exc.failures] == expected != []
+            assert [(f.group, f.star_rows) for f in exc.violations] == expected != []
         else:
             assert expected == []
             assert [mask.bit_count() for mask in sp.group_masks] == counts
-        check = verify_sppda(pda.grid, profile, zh, grouping)
-        assert [(f.group, f.star_rows) for f in check.failures] == expected
-        assert check.ok == (expected == [])
+        failures = verify_sppda(pda.grid, profile, zh, grouping)
+        assert [(f.group, f.star_rows) for f in failures] == expected
 
 
 class TestClosedForms:
@@ -335,8 +344,7 @@ class TestSingleArrayAsSpPda:
     def test_materialized_array_is_valid(self):
         for k, t, parts in [(6, 3, (2, 2, 1, 1)), (5, 2, (2, 2, 1)), (4, 2, (2, 1, 1))]:
             sp = self.man_sppda(k, t, parts)
-            check = verify_sppda(sp.pda.grid, sp.profile, sp.helper_stars)
-            assert check.ok
+            assert verify_sppda(sp.pda.grid, sp.profile, sp.helper_stars) == ()
             # Z^(h) is tight: the largest group has exactly that many all-star rows
             groups = group_star_masks(sp.pda.star_masks, sp.pda.f, sp.profile.parts)
             assert groups[0].bit_count() == sp.helper_stars
