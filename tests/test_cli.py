@@ -1,6 +1,7 @@
 """Command-line interface: one test per subcommand plus error paths."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import random
@@ -391,3 +392,26 @@ def test_arbitrary_bytes_never_raise(data):
             assert main(["verify", str(path)]) in (0, 1, 2)
             assert main(["simulate", str(path), "--synthetic", "5,60,0",
                          "--worst-case"]) in (0, 1, 2)
+
+
+def _load_ledger_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_ledger.py"
+    spec = importlib.util.spec_from_file_location("cli_ledger", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+_LEDGER_SCRIPT = _load_ledger_script()
+
+
+@pytest.mark.parametrize("session", json.loads(_LEDGER_SCRIPT.LEDGER.read_text())["sessions"],
+                         ids=lambda session: session["name"])
+def test_cli_transcript(session, tmp_path):
+    """Replaying a session of tests/cli_transcripts.json through ``main``
+    reproduces its exit codes, stdout, stderr and written files byte for
+    byte.  ``scripts/cli_ledger.py --write`` re-records the ledger."""
+    commands = [run["argv"] for run in session["runs"]]
+    replay = _LEDGER_SCRIPT.transcript(session["name"], session["inputs"], commands,
+                                       tmp_path / "session")
+    assert replay == session
