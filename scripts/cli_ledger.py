@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record or check the CLI transcript ledger, ``tests/cli_transcripts.json``.
+"""Record the CLI transcript ledger, ``tests/cli_transcripts.json``.
 
 The ledger pins the bytes the command line produces.  Each session starts in
 a fresh directory holding its input files and runs its commands there, in
@@ -8,10 +8,10 @@ earlier one wrote.  Per command the ledger keeps the argv, the exit code,
 stdout, stderr, and each file the command wrote or changed.  Text under 4 KB
 is kept verbatim, longer text as its SHA-256 and byte length.
 
-    python3 scripts/cli_ledger.py --write   # record the ledger from the current code
-    python3 scripts/cli_ledger.py           # exit 1 if the current code differs from it
+    PYTHONPATH=src python3 scripts/cli_ledger.py --write   # rewrite the ledger
+    PYTHONPATH=src python3 scripts/cli_ledger.py           # print it instead
 
-``tests/test_cli.py`` replays the ledger the same way.
+``tests/test_cli.py::test_cli_transcript`` replays the ledger the same way.
 """
 
 import argparse
@@ -23,6 +23,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+from sppda import cli
 
 LEDGER = Path(__file__).resolve().parents[1] / "tests" / "cli_transcripts.json"
 VERBATIM_BYTES = 4096
@@ -109,6 +111,18 @@ SESSIONS = [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],
         ["formulas", "consa", "--profile", "2,2,1,1", "--q", "2", "--m", "1", "--t2", "1"],
     ]),
+    ("json-strings-for-lists", {
+        "grid.json": '{"type": "pda", "k": 1, "f": 2, "z": 0, "s": 2, "grid": "12"}\n',
+        "rows.json": _golden_json(grid=GOLDEN_JSON_ROWS, profile="32"),
+        "profile.json": _golden_json(profile="32"),
+        "pi.json": _golden_json(pi="12345"),
+    }, [
+        ["verify", "grid.json"],
+        ["verify", "rows.json"],
+        ["simulate", "rows.json", *GOLDEN_SIM],
+        ["verify", "profile.json"],
+        ["verify", "pi.json"],
+    ]),
 ]
 
 
@@ -127,8 +141,6 @@ def _snapshot(directory: Path) -> dict[str, bytes]:
 def transcript(name: str, inputs: dict[str, str], commands, directory: Path) -> dict:
     """Run ``commands`` in ``directory`` (created, and seeded with ``inputs``)
     and return the session's ledger entry."""
-    from sppda.cli import main
-
     directory.mkdir(parents=True)
     for file, text in inputs.items():
         (directory / file).write_text(text)
@@ -140,7 +152,7 @@ def transcript(name: str, inputs: dict[str, str], commands, directory: Path) -> 
             before = _snapshot(directory)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(list(argv))
+                code = cli.main(list(argv))
             written = {file: _kept(data.decode()) for file, data in sorted(_snapshot(directory).items())
                        if before.get(file) != data}
             runs.append({"argv": list(argv), "exit": code, "stdout": _kept(out.getvalue()),
@@ -150,30 +162,24 @@ def transcript(name: str, inputs: dict[str, str], commands, directory: Path) -> 
     return {"name": name, "inputs": dict(inputs), "runs": runs}
 
 
-def record(sessions=SESSIONS) -> dict:
+def record() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {"sessions": [transcript(name, inputs, commands, Path(tmp) / name)
-                             for name, inputs, commands in sessions]}
+                             for name, inputs, commands in SESSIONS]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--write", action="store_true",
-                        help=f"rewrite {LEDGER.name} instead of checking it")
+                        help=f"rewrite {LEDGER.name} instead of printing the ledger")
     args = parser.parse_args(argv)
-    ledger = record()
+    text = json.dumps(record(), indent=1) + "\n"
     if args.write:
-        LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
-        print(f"wrote {LEDGER} ({sum(len(s['runs']) for s in ledger['sessions'])} commands)")
-        return 0
-    recorded = json.loads(LEDGER.read_text())
-    differ = [new["name"] for new, old in zip(ledger["sessions"], recorded["sessions"]) if new != old]
-    if len(ledger["sessions"]) != len(recorded["sessions"]):
-        differ.append("the session list")
-    for name in differ:
-        print(f"differs from the ledger: {name}")
-    return 1 if differ else 0
+        LEDGER.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from .arrays import (
 )
 from .construct import (
     SpPdaArray,
-    SpPdaParams,
     construct_sppda,
     s_closed_form_construction_a,
     s_closed_form_man,
@@ -23,7 +22,7 @@ from .permsearch import check_E1, check_E2, exhaustive_best, heuristic_reorder
 from .sim import FileLibrary, dedicated_run, sp_deliver, sp_place, sp_run
 
 __all__ = [
-    "STAR", "AssociationProfile", "PdaArray", "SpPdaArray", "SpPdaParams",
+    "STAR", "AssociationProfile", "PdaArray", "SpPdaArray",
     "check_E1", "check_E2", "construct_sppda", "construction_a_pda",
     "dedicated_run", "exhaustive_best", "FileLibrary", "heuristic_reorder",
     "man_pda", "permute_columns", "s_closed_form_construction_a",

@@ -60,10 +60,6 @@ class ParameterError(PdaError):
     pass
 
 
-class IndexOutOfRangeError(PdaError):
-    pass
-
-
 class CodeAbsentError(PdaError):
     pass
 
@@ -343,12 +339,3 @@ class AssociationProfile:
     def part(self, n: int) -> int:
         """L_n, 1-based."""
         return self.parts[n - 1]
-
-    def group_of_user(self, k: int) -> int:
-        """1-based group index of the 1-based user position k (grouped order)."""
-        upto = 0
-        for n, p in enumerate(self.parts, start=1):
-            upto += p
-            if k <= upto:
-                return n
-        raise IndexOutOfRangeError(f"user {k} not in [1, {self.num_users}]")

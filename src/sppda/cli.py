@@ -65,9 +65,9 @@ def cmd_verify(args) -> int:
             print(f"violation {line}")
         return 1
     if isinstance(array, SpPdaArray):
-        p = array.params
-        print(f"valid sppda: K={p.k} Lambda={p.num_helpers} L={p.profile.parts} "
-              f"F={p.f} Z={p.z} Zh={p.zh} S={p.s}")
+        pda, profile = array.pda, array.profile
+        print(f"valid sppda: K={pda.k} Lambda={profile.num_groups} L={profile.parts} "
+              f"F={pda.f} Z={pda.z} Zh={array.helper_stars} S={pda.s}")
     else:
         print(f"valid pda: K={array.k} F={array.f} Z={array.z} S={array.s}")
     return 0

@@ -2,6 +2,13 @@
 grid's C1-C3, and D2, the helper all-star rows), and closed-form code counts
 for the two family pairings.
 
+``SpPdaArray`` is the one record of an SP-PDA.  The parameters (K, Lambda,
+L, F, Z, Z^(h), S) are read off it: K, F, Z and S from ``pda``, Lambda and L
+from ``profile``, Z^(h) from ``helper_stars``; ``rate``, ``mh_ratio`` and
+``mp_ratio`` derive from them.  ``_column_helpers`` is the one user-to-helper
+map, read by ``SpPdaArray.helpers`` (and so by placement) and by
+``group_star_masks``.
+
 ``SpPdaArray``'s constructor owns D2: an invalid array raises an error whose
 ``violations`` name each failure, ``InvalidPdaError`` from ``PdaArray`` for
 D1 and ``InsufficientStarRowsError`` for D2.  ``verify_sppda`` returns the
@@ -13,8 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
 from .arrays import (
     STAR,
@@ -36,31 +42,6 @@ class ProfileMismatchError(ParameterError):
 
 class DimensionMismatchError(ParameterError):
     pass
-
-
-@dataclass(frozen=True)
-class SpPdaParams:
-    """Parameters (K, Lambda, L, F, Z, Z^(h), S) plus derived memory ratios."""
-
-    k: int
-    num_helpers: int
-    profile: AssociationProfile
-    f: int
-    z: int
-    zh: int
-    s: int
-
-    @property
-    def mh_ratio(self) -> Fraction:
-        return Fraction(self.zh, self.f)
-
-    @property
-    def mp_ratio(self) -> Fraction:
-        return Fraction(self.z - self.zh, self.f)
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.s, self.f)
 
 
 @dataclass(frozen=True)
@@ -120,15 +101,33 @@ class SpPdaArray:
         """Per helper group, the bitmask of its all-star rows (``group_star_masks``)."""
         return group_star_masks(self.pda.star_masks, self.pda.f, self.profile.parts, self.grouping)
 
-    @property
-    def params(self) -> SpPdaParams:
-        return SpPdaParams(self.pda.k, self.profile.num_groups, self.profile,
-                           self.pda.f, self.pda.z, self.helper_stars, self.pda.s)
+    @cached_property
+    def helpers(self) -> tuple[int, ...]:
+        """Per 0-based column (user), its 1-based helper."""
+        return _column_helpers(self.profile.parts, self.grouping)
 
-    def helper_of_user(self, k: int) -> int:
-        """1-based helper group of 1-based user (column) k."""
-        pos = k - 1 if self.grouping is None else self.grouping[k - 1]
-        return self.profile.group_of_user(pos + 1)
+    @property
+    def rate(self) -> Fraction:
+        """S/F."""
+        return Fraction(self.pda.s, self.pda.f)
+
+    @property
+    def mh_ratio(self) -> Fraction:
+        """Z^(h)/F, the helper memory ratio."""
+        return Fraction(self.helper_stars, self.pda.f)
+
+    @property
+    def mp_ratio(self) -> Fraction:
+        """(Z - Z^(h))/F, the private memory ratio."""
+        return Fraction(self.pda.z - self.helper_stars, self.pda.f)
+
+
+def _column_helpers(parts: tuple[int, ...], grouping: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The one user-to-helper map: per 0-based column, the 1-based helper whose
+    consecutive run of ``parts`` in the grouped column order holds the
+    column's position (``grouping``, None for identity)."""
+    by_position = tuple(n for n, width in enumerate(parts, start=1) for _ in range(width))
+    return by_position if grouping is None else tuple(map(by_position.__getitem__, grouping))
 
 
 def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...],
@@ -137,13 +136,10 @@ def group_star_masks(star_masks: tuple[int, ...], f: int, parts: tuple[int, ...]
     of the rows that are stars in every column of the group, from per-column
     star masks over F rows.  Groups are the consecutive runs of sizes
     ``parts`` in the grouped column order; an empty group keeps every row."""
-    order = range(len(star_masks))
-    if grouping is not None:
-        order = sorted(order, key=grouping.__getitem__)
-    every = (1 << f) - 1
-    ends = itertools.accumulate(parts)
-    return tuple(reduce(and_, (star_masks[c] for c in order[end - width:end]), every)
-                 for width, end in zip(parts, ends))
+    masks = [(1 << f) - 1] * len(parts)
+    for mask, n in zip(star_masks, _column_helpers(parts, grouping)):
+        masks[n - 1] &= mask
+    return tuple(masks)
 
 
 def verify_sppda(rows, profile: AssociationProfile, zh: int,

@@ -154,10 +154,9 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     helper_masks = tuple(_lowest_bits(mask, sppda.helper_stars) for mask in sppda.group_masks)
-    user_to_helper = tuple(sppda.helper_of_user(k) for k in range(1, pda.k + 1))
     private_masks = tuple(stars & ~helper_masks[h - 1]
-                          for stars, h in zip(pda.star_masks, user_to_helper))
-    return CacheLayout(helper_masks, private_masks, user_to_helper)
+                          for stars, h in zip(pda.star_masks, sppda.helpers))
+    return CacheLayout(helper_masks, private_masks, sppda.helpers)
 
 
 def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
@@ -234,9 +233,8 @@ def sp_run(sppda: SpPdaArray, library: FileLibrary, demands) -> SimReport:
     layout = sp_place(sppda, library)
     transmissions = sp_deliver(sppda, library, demands)
     decoded = sp_decode(layout, transmissions, sppda, library, demands)
-    params = sppda.params
-    return SimReport(params.rate, params.mh_ratio, params.mp_ratio,
-                     decoded, transmissions, params.f,
+    return SimReport(sppda.rate, sppda.mh_ratio, sppda.mp_ratio,
+                     decoded, transmissions, sppda.pda.f,
                      len(set(demands)) == len(demands))
 
 

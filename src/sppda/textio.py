@@ -10,10 +10,14 @@ SP-PDA text format:
     pi: id                (or the 1-based positions of each column)
     <grid as above>
 
+The JSON documents hold the same values under the keys of ``_JSON_KEYS``;
+their grid, rows and profile are lists, and ``pi`` is "id" or a list.
+
 Writers are deterministic; reading back a written canonical array reproduces
 the bytes exactly.  Every reader, text or JSON, ends in the same check: it
 builds ``PdaArray`` (C1-C3) and, for an SP-PDA, ``SpPdaArray`` (D2) from the
-grid, and the header must agree with the array.
+grid, and the header must agree with the array.  ``_header`` is the one
+source of an array's header values, for the writers and for that check.
 """
 
 from __future__ import annotations
@@ -36,7 +40,18 @@ class ConditionError(FormatError):
         super().__init__("; ".join(self.violations))
 
 
+# A document's header values, under their text names and their JSON keys; the
+# values themselves come from ``_header``.
 _HEADERS = {"pda": ("K", "F", "Z", "S"), "sppda": ("K", "Lambda", "F", "Z", "Zh", "S")}
+_JSON_KEYS = {"pda": ("k", "f", "z", "s"), "sppda": ("k", "num_helpers", "f", "z", "zh", "s")}
+
+
+def _header(array) -> tuple[int, ...]:
+    """The header values of a ``PdaArray`` or ``SpPdaArray``, in ``_HEADERS`` order."""
+    if isinstance(array, SpPdaArray):
+        pda = array.pda
+        return pda.k, array.profile.num_groups, pda.f, pda.z, array.helper_stars, pda.s
+    return array.k, array.f, array.z, array.s
 
 
 class _Memo(dict):
@@ -104,21 +119,17 @@ def _checked(kind: str | None, header, rows, profile=None, pi=None):
     and an SP-PDA's D2, which becomes a ConditionError; then the header is
     compared with the array."""
     grid = _grid(rows)
+    claimed = None if kind is None else parse_ints(header, f"{kind} header", len(_HEADERS[kind]))
     if kind == "sppda":
-        claimed = parse_ints(header, "sppda header", 6)
         profile = AssociationProfile(parse_ints(profile, "profile"))
         grouping = None if pi == ["id"] else tuple(x - 1 for x in parse_ints(pi, "grouping"))
-        pda = PdaArray(grid)
         try:
-            array = SpPdaArray(pda, profile, claimed[4], grouping)
+            array = SpPdaArray(PdaArray(grid), profile, claimed[4], grouping)
         except InsufficientStarRowsError as exc:
             raise ConditionError(map(str, exc.violations)) from None
-        actual = (pda.k, profile.num_groups, pda.f, pda.z, array.helper_stars, pda.s)
     else:
-        claimed = None if kind is None else parse_ints(header, "pda header", 4)
         array = PdaArray(grid)
-        actual = (array.k, array.f, array.z, array.s)
-    if claimed is not None and claimed != actual:
+    if claimed is not None and claimed != (actual := _header(array)):
         raise ConditionError([f"header: {kind} header says {','.join(_HEADERS[kind])} = "
                               f"{claimed} but the grid has {actual}"])
     return array
@@ -147,10 +158,19 @@ def read_array(text: str, kind: str | None = None):
                     profile[1:], pi[1:])
 
 
+def _list(value, what: str) -> list:
+    """``value`` if it is a JSON list, else TypeError: a string must not be
+    read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} is {type(value).__name__}, not a list")
+    return value
+
+
 def _read_json(text: str, kind: str | None):
     """Read and check a JSON document of type ``kind`` (None: either type).
     Its values reach the checked path as strings, so they are parsed exactly
-    as text tokens are."""
+    as text tokens are.  The grid, each of its rows and the profile must be
+    lists, and ``pi`` must be "id" or a list."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -159,22 +179,30 @@ def _read_json(text: str, kind: str | None):
     if not isinstance(doc, dict) or doc.get("type") not in kinds:
         raise FormatError(f"json document is not of type {' or '.join(map(repr, kinds))}")
     kind = doc["type"]
-    names = ("k", "f", "z", "s") if kind == "pda" else ("k", "num_helpers", "f", "z", "zh", "s")
     try:
-        header = [str(doc[name]) for name in names]
-        rows = [[str(t) for t in row] for row in doc["grid"]]
+        header = [str(doc[name]) for name in _JSON_KEYS[kind]]
+        rows = [[str(t) for t in _list(row, "grid row")] for row in _list(doc["grid"], "grid")]
         sections = () if kind == "pda" else (
-            [str(x) for x in doc["profile"]],
-            ["id"] if doc["pi"] == "id" else [str(x) for x in doc["pi"]])
+            [str(x) for x in _list(doc["profile"], "profile")],
+            ["id"] if doc["pi"] == "id" else [str(x) for x in _list(doc["pi"], "pi")])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed json {kind}: {exc!r}") from None
     return _checked(kind, header, rows, *sections)
 
 
-def write_pda(pda: PdaArray) -> str:
-    lines = [f"pda {pda.k} {pda.f} {pda.z} {pda.s}"]
-    lines.extend(_grid_lines(pda.grid))
+def _write(kind: str, array, grid, *sections: str) -> str:
+    lines = [" ".join(map(str, (kind, *_header(array)))), *sections, *_grid_lines(grid)]
     return "\n".join(lines) + "\n"
+
+
+def _to_json(kind: str, array, grid, **sections) -> str:
+    doc = {"type": kind, **dict(zip(_JSON_KEYS[kind], _header(array))), **sections,
+           "grid": list(map(list, _token_rows(grid)))}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_pda(pda: PdaArray) -> str:
+    return _write("pda", pda, pda.grid)
 
 
 def parse_pda(text: str) -> PdaArray:
@@ -182,12 +210,9 @@ def parse_pda(text: str) -> PdaArray:
 
 
 def write_sppda(sp: SpPdaArray) -> str:
-    p = sp.params
     pi = "id" if sp.grouping is None else " ".join(str(x + 1) for x in sp.grouping)
-    lines = [f"sppda {p.k} {p.num_helpers} {p.f} {p.z} {p.zh} {p.s}",
-             "L: " + " ".join(str(x) for x in sp.profile.parts), f"pi: {pi}"]
-    lines.extend(_grid_lines(sp.pda.grid))
-    return "\n".join(lines) + "\n"
+    return _write("sppda", sp, sp.pda.grid,
+                  "L: " + " ".join(map(str, sp.profile.parts)), f"pi: {pi}")
 
 
 def parse_sppda(text: str) -> SpPdaArray:
@@ -195,23 +220,10 @@ def parse_sppda(text: str) -> SpPdaArray:
 
 
 def pda_to_json(pda: PdaArray) -> str:
-    doc = {
-        "type": "pda",
-        "k": pda.k, "f": pda.f, "z": pda.z, "s": pda.s,
-        "grid": list(map(list, _token_rows(pda.grid))),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _to_json("pda", pda, pda.grid)
 
 
 def sppda_to_json(sp: SpPdaArray) -> str:
-    p = sp.params
-    doc = {
-        "type": "sppda",
-        "k": p.k, "num_helpers": p.num_helpers, "f": p.f, "z": p.z,
-        "zh": p.zh, "s": p.s,
-        "profile": list(sp.profile.parts),
-        "pi": "id" if sp.grouping is None else [x + 1 for x in sp.grouping],
-        "grid": list(map(list, _token_rows(sp.pda.grid))),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _to_json("sppda", sp, sp.pda.grid, profile=list(sp.profile.parts),
+                    pi="id" if sp.grouping is None else [x + 1 for x in sp.grouping])
 

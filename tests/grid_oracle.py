@@ -67,20 +67,25 @@ def star_rows(pda, c):
     return frozenset(j + 1 for j, row in enumerate(pda.grid) if row[c - 1] == STAR)
 
 
-def group_star_masks(pda, parts, grouping=None):
-    """Per helper group (consecutive runs of ``parts`` in the grouped order),
-    the bitmask of the rows that are stars in every column of the group."""
-    order = list(range(pda.k))
+def group_columns(k, parts, grouping=None):
+    """Per helper group, its 0-based columns: the consecutive runs of
+    ``parts`` in the grouped column order."""
+    order = list(range(k))
     if grouping is not None:
         order.sort(key=lambda c: grouping[c])
     out = []
     start = 0
     for width in parts:
-        cols = order[start:start + width]
-        out.append(sum(1 << j for j, row in enumerate(pda.grid)
-                       if all(row[c] == STAR for c in cols)))
+        out.append(order[start:start + width])
         start += width
-    return tuple(out)
+    return out
+
+
+def group_star_masks(pda, parts, grouping=None):
+    """Per helper group, the bitmask of the rows that are stars in every
+    column of the group."""
+    return tuple(sum(1 << j for j, row in enumerate(pda.grid) if all(row[c] == STAR for c in cols))
+                 for cols in group_columns(pda.k, parts, grouping))
 
 
 def phi_vector(pda, perm=None):

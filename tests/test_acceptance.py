@@ -112,7 +112,7 @@ def test_criterion_3_mixed_profile_construction():
                              AssociationProfile((4, 2, 1)))
         assert sp.pda.grid == SMALL_Q
         assert (sp.pda.s, sp.pda.f) == (5, 6)
-        assert sp.params.rate == Fraction(5, 6)
+        assert sp.rate == Fraction(5, 6)
         assert verify_sppda(sp.pda.grid, sp.profile, sp.helper_stars) == ()
 
 
@@ -144,12 +144,12 @@ def test_criterion_5_construction_property_suite():
             p2 = random_pda(rng, max_cols=4, max_rows=8)
             profile = random_profile(rng, p1.k, p2.k)
             sp = construct_sppda(p1, p2, profile)
-            p = sp.params
+            p = sp.pda
             assert p.f == p1.f * p2.f <= 64
             assert p.z == p1.z * p2.f + (p1.f - p1.z) * p2.z
-            assert p.zh == p1.z * p2.f
+            assert sp.helper_stars == p1.z * p2.f
             assert p.s == s_count(p1, p2, profile) <= p1.s * p2.s
-            assert verify_sppda(sp.pda.grid, profile, p.zh) == ()
+            assert verify_sppda(p.grid, profile, sp.helper_stars) == ()
             library = FileLibrary.synthetic(p.k, 4 * p.f, p.f, seed=rng.randint(0, 999))
             demands = list(range(1, p.k + 1))
             rng.shuffle(demands)

@@ -321,7 +321,7 @@ class TestFormulas:
 
 def test_constructed_file_parses_back(golden_file):
     sp = parse_sppda(golden_file.read_text())
-    assert sp.params.s == 3
+    assert sp.pda.s == 3
 
 
 def _mutated_documents(rng: random.Random) -> tuple[str, str]:

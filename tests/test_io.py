@@ -149,6 +149,17 @@ class TestJson:
         with pytest.raises(FormatError, match="header"):
             read_array(text)
 
+    def test_string_for_list_refused(self, golden_sp):
+        # read one character at a time, each string would pass as the list
+        doc = json.loads(sppda_to_json(golden_sp))
+        for bad, what in (({"type": "pda", "k": 1, "f": 2, "z": 0, "s": 2, "grid": "12"}, "grid"),
+                          ({**doc, "grid": ["".join(row) for row in doc["grid"]]}, "grid row"),
+                          ({**doc, "profile": "32"}, "profile"),
+                          ({**doc, "pi": "12345"}, "pi")):
+            with pytest.raises(FormatError, match=f"'{what} is str, not a list'"):
+                read_array(json.dumps(bad))
+        assert read_array(json.dumps({**doc, "pi": [1, 2, 3, 4, 5]})).helpers == (1, 1, 1, 2, 2)
+
 
 
 def _sppda_documents(rng):

@@ -9,7 +9,6 @@ from sppda.arrays import (
     STAR,
     AssociationProfile,
     CodeAbsentError,
-    IndexOutOfRangeError,
     InvalidPdaError,
     InvalidPermutationError,
     NonPositiveCodeError,
@@ -342,11 +341,6 @@ class TestAssociationProfile:
         assert p.parts == (6, 3, 2, 1, 1, 1)
         assert (p.num_groups, p.num_users) == (6, 14)
         assert p.part(2) == 3
-        assert [p.group_of_user(k) for k in (1, 6, 7, 9, 10, 14)] == [1, 1, 2, 2, 3, 6]
-
-    def test_group_of_user_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            AssociationProfile((2, 1)).group_of_user(4)
 
     def test_rejects_increasing(self):
         with pytest.raises(ParameterError):

@@ -174,8 +174,7 @@ class TestRoundTrip:
         sp = construct_sppda(p1, p2, profile)
         library = FileLibrary.synthetic(3, 4 * sp.pda.f, sp.pda.f, seed=0)
         layout = sp_place(sp, library)
-        p = sp.params
-        assert all(len(h) == p.zh for h in layout.helper_sets)
+        assert all(len(h) == sp.helper_stars for h in layout.helper_sets)
         # closed forms: Z^(h) = Z1*F2 and Z = Z1*F2 + (F1 - Z1)*Z2
         zh = p1.z * p2.f
         z = zh + (p1.f - p1.z) * p2.z
@@ -183,7 +182,7 @@ class TestRoundTrip:
         for user in range(1, sp.pda.k + 1):
             private = layout.private_sets[user - 1]
             helper = layout.helper_sets[layout.user_to_helper[user - 1] - 1]
-            assert len(private) == p.z - p.zh
+            assert len(private) == sp.pda.z - sp.helper_stars
             assert not private & helper
             assert private | helper == grid_oracle.star_rows(sp.pda, user)
             private_mask = layout.private_masks[user - 1]

@@ -36,7 +36,7 @@ from sppda.construct import (
 )
 from sppda.analysis import rate_man_pair
 from sppda.arrays import construction_a_pda
-from sppda.sim import FileLibrary, dedicated_run, sp_run
+from sppda.sim import FileLibrary, dedicated_run, sp_place, sp_run
 
 import grid_oracle
 from construct_oracle import construct_cells
@@ -65,9 +65,9 @@ class TestConstruct:
     def test_golden_small(self):
         sp = construct_sppda(man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2)))
         assert sp.pda.grid == GOLDEN_SP
-        p = sp.params
-        assert (p.k, p.num_helpers, p.f, p.z, p.zh, p.s) == (5, 2, 6, 4, 3, 3)
-        assert (p.mh_ratio, p.mp_ratio, p.rate) == (
+        assert (sp.pda.k, sp.profile.num_groups, sp.pda.f, sp.pda.z, sp.helper_stars,
+                sp.pda.s) == (5, 2, 6, 4, 3, 3)
+        assert (sp.mh_ratio, sp.mp_ratio, sp.rate) == (
             Fraction(1, 2), Fraction(1, 6), Fraction(1, 2))
 
     def test_golden_mixed_profile(self):
@@ -80,8 +80,7 @@ class TestConstruct:
         sp = construct_sppda(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                              WIDE_PROFILE)
         assert sp.pda.grid == WIDE_Q
-        p = sp.params
-        assert (p.k, p.f, p.z, p.zh, p.s) == (14, 12, 8, 6, 24)
+        assert (sp.pda.k, sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s) == (14, 12, 8, 6, 24)
 
     def test_golden_wide_pair_reordered(self):
         sp = construct_sppda(PdaArray.from_grid(WIDE_P1_OPT), PdaArray.from_grid(WIDE_P2_OPT),
@@ -165,13 +164,13 @@ class TestConstruct:
         p2 = random_pda(rng, max_cols=4, max_rows=8)
         profile = random_profile(rng, p1.k, p2.k)
         sp = construct_sppda(p1, p2, profile)
-        p = sp.params
+        p = sp.pda
         assert p.f == p1.f * p2.f
         assert p.z == p1.z * p2.f + (p1.f - p1.z) * p2.z
-        assert p.zh == p1.z * p2.f
-        assert p.s == s_count(p1, p2, profile) == distinct_codes(sp.pda.grid)
+        assert sp.helper_stars == p1.z * p2.f
+        assert p.s == s_count(p1, p2, profile) == distinct_codes(p.grid)
         assert p.s <= p1.s * p2.s
-        assert verify_sppda(sp.pda.grid, profile, p.zh) == ()
+        assert verify_sppda(p.grid, profile, sp.helper_stars) == ()
 
 
     def test_size_cap(self, monkeypatch):
@@ -189,8 +188,9 @@ class TestConstruct:
 class TestVerifySpPda:
     def test_golden_is_valid(self):
         assert verify_sppda(GOLDEN_SP, AssociationProfile((3, 2)), 3) == ()
-        p = SpPdaArray(PdaArray(GOLDEN_SP), AssociationProfile((3, 2)), 3).params
-        assert (p.k, p.num_helpers, p.f, p.z, p.zh, p.s) == (5, 2, 6, 4, 3, 3)
+        sp = SpPdaArray(PdaArray(GOLDEN_SP), AssociationProfile((3, 2)), 3)
+        assert (sp.pda.k, sp.profile.num_groups, sp.pda.f, sp.pda.z, sp.helper_stars,
+                sp.pda.s) == (5, 2, 6, 4, 3, 3)
 
     def test_smaller_helper_requirement_still_valid(self):
         # lowering Z^(h) can only relax the all-star requirement
@@ -233,7 +233,7 @@ class TestVerifySpPda:
     def test_explicit_witness_accepted(self):
         scrambled = permute_columns(PdaArray.from_grid(GOLDEN_SP), (0, 2, 4, 1, 3))
         sp = SpPdaArray(scrambled, AssociationProfile((3, 2)), 3, (0, 3, 1, 4, 2))
-        assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 2, 1, 2, 1]
+        assert sp.helpers == (1, 2, 1, 2, 1)
         assert verify_sppda(scrambled.grid, sp.profile, 3, sp.grouping) == ()
 
     def test_wrong_witness_refused(self):
@@ -256,6 +256,10 @@ class TestVerifySpPda:
         grouping = rng.choice((None, tuple(rng.sample(range(pda.k), pda.k))))
         masks = grid_oracle.group_star_masks(pda, profile.parts, grouping)
         counts = [mask.bit_count() for mask in masks]
+        helpers = [0] * pda.k
+        for n, cols in enumerate(grid_oracle.group_columns(pda.k, profile.parts, grouping), start=1):
+            for c in cols:
+                helpers[c] = n
         zh = rng.choice((min(counts), min(counts) + 1, rng.randint(0, pda.f)))
         if zh > pda.f:
             return
@@ -267,6 +271,9 @@ class TestVerifySpPda:
         else:
             assert expected == []
             assert [mask.bit_count() for mask in sp.group_masks] == counts
+            assert sp.helpers == tuple(helpers)
+            library = FileLibrary.synthetic(1, pda.f, pda.f, seed=pda.k)
+            assert sp_place(sp, library).user_to_helper == sp.helpers
         failures = verify_sppda(pda.grid, profile, zh, grouping)
         assert [(f.group, f.star_rows) for f in failures] == expected
 
@@ -333,8 +340,9 @@ class TestSingleArrayAsSpPda:
         return SpPdaArray(man_pda(k, t), profile, binom(k - l1, t - l1))
 
     def test_params_formulas(self):
-        p = self.man_sppda(6, 3, (2, 2, 1, 1)).params
-        assert (p.f, p.z, p.zh, p.s) == (binom(6, 3), binom(5, 2), binom(4, 1), binom(6, 4))
+        sp = self.man_sppda(6, 3, (2, 2, 1, 1))
+        assert (sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s) == (
+            binom(6, 3), binom(5, 2), binom(4, 1), binom(6, 4))
 
     def test_helper_stars_vanish_when_group_exceeds_t(self):
         sp = self.man_sppda(6, 2, (3, 2, 1))
@@ -357,7 +365,7 @@ class TestSingleArrayAsSpPda:
 class TestSpPdaArray:
     def test_group_columns_identity(self):
         sp = SpPdaArray(PdaArray.from_grid(GOLDEN_SP), AssociationProfile((3, 2)), 3)
-        assert [sp.helper_of_user(k) for k in range(1, 6)] == [1, 1, 1, 2, 2]
+        assert sp.helpers == (1, 1, 1, 2, 2)
 
     def test_rejects_profile_size_mismatch(self):
         with pytest.raises(ProfileMismatchError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import sppda
 
 SURFACE = {
-    "STAR", "AssociationProfile", "PdaArray", "SpPdaArray", "SpPdaParams",
+    "STAR", "AssociationProfile", "PdaArray", "SpPdaArray",
     "check_E1", "check_E2", "construct_sppda", "construction_a_pda",
     "dedicated_run", "exhaustive_best", "FileLibrary", "heuristic_reorder",
     "man_pda", "permute_columns", "s_closed_form_construction_a",
@@ -20,7 +20,7 @@ SURFACE = {
 
 
 def test_all_is_the_trimmed_surface():
-    assert len(sppda.__all__) == len(SURFACE) == 24
+    assert len(sppda.__all__) == len(SURFACE) == 23
     assert set(sppda.__all__) == SURFACE
     for name in sppda.__all__:
         assert getattr(sppda, name) is not None
