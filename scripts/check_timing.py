@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Time the C1-C3 check on the F=8400 grid of MaN(8,4) x MaN(10,3) under the
+profile 10,4,2,2,2,2,1,1 and print the median and quartiles, in seconds, of:
+``accept_s``, ``PdaArray(grid)``; ``reject_s``, ``verify_pda(one_swap(grid))``,
+whose ``PdaArray`` raises ``InvalidPdaError``; ``code_cells_s``, a fresh
+array's first ``code_cells`` read.  It reports only and sets no time limit.
+
+    PYTHONPATH=src python3 scripts/check_timing.py --repeat 21
+"""
+
+import argparse
+import json
+import statistics
+import time
+
+from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, verify_pda
+from sppda.construct import construct_sppda
+
+
+def skewed_grid():
+    profile = AssociationProfile((10, 4, 2, 2, 2, 2, 1, 1))
+    return construct_sppda(man_pda(8, 4), man_pda(10, 3), profile).pda.grid
+
+
+def one_swap(grid):
+    """``grid`` with the first two codes of its first row holding two codes
+    swapped: C1 and C2 still hold, C3b does not."""
+    rows = [list(row) for row in grid]
+    j = next(j for j, row in enumerate(rows) if sum(e != STAR for e in row) >= 2)
+    c1, c2 = [c for c, e in enumerate(rows[j]) if e != STAR][:2]
+    rows[j][c1], rows[j][c2] = rows[j][c2], rows[j][c1]
+    return tuple(map(tuple, rows))
+
+
+def sample(step, repeat, setup):
+    """Median and quartiles of the seconds of ``step(setup())``, ``setup`` untimed."""
+    times = []
+    for _ in range(repeat):
+        arg = setup()
+        start = time.perf_counter()
+        step(arg)
+        times.append(time.perf_counter() - start)
+    # quantiles needs two values, so a single run is counted twice
+    q1, median, q3 = statistics.quantiles(times * 2 if repeat == 1 else times, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=11, help="runs of each step (default 11)")
+    repeat = parser.parse_args().repeat
+    grid = skewed_grid()
+    broken = one_swap(grid)
+    assert verify_pda(broken), "the one-swap grid was accepted"
+    print(json.dumps({"repeat": repeat, "accept_s": sample(PdaArray, repeat, lambda: grid),
+                      "reject_s": sample(verify_pda, repeat, lambda: broken),
+                      "code_cells_s": sample(lambda pda: pda.code_cells, repeat,
+                                             lambda: PdaArray(grid))}))

@@ -123,6 +123,20 @@ SESSIONS = [
         ["verify", "profile.json"],
         ["verify", "pi.json"],
     ]),
+    ("json-header-types", {
+        "strings.json": '{"type": "pda", "k": "1", "f": " 2", "z": "0", "s": "2", "grid": [["1"], ["2"]]}\n',
+        "bool.json": '{"type": "pda", "k": true, "f": 2, "z": 0, "s": 2, "grid": [["1"], ["2"]]}\n',
+        "float.json": '{"type": "pda", "k": 1, "f": 2.0, "z": 0, "s": 2, "grid": [["1"], ["2"]]}\n',
+        "int-tokens.json": '{"type": "pda", "k": 1, "f": 2, "z": 0, "s": 2, "grid": [[1], [2]]}\n',
+        "zh.json": _golden_json(zh="3"),
+    }, [
+        ["verify", "strings.json"],
+        ["verify", "bool.json"],
+        ["verify", "float.json"],
+        ["verify", "int-tokens.json"],
+        ["verify", "zh.json"],
+        ["simulate", "zh.json", *GOLDEN_SIM],
+    ]),
 ]
 
 

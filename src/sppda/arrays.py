@@ -7,15 +7,18 @@ codes are 1-based in every public signature, matching the usual convention
 for these arrays; only raw Python indexing into ``grid`` is 0-based.
 
 This module is the only grid index, and ``PdaArray``'s constructor is the
-only check of conditions C1-C3: it normalizes the grid, builds two tables
-while it checks, ``star_masks``, per column the bitmask of its star rows, and
-``code_cells``, per code its cells as (user, row) in row-major order, and
-raises ``InvalidPdaError``, whose ``violations`` list every failure.  So
+only check of conditions C1-C3.  It normalizes the grid and checks it on one
+of two paths.  The accept path, ``_accept``, runs at C speed and builds no
+per-cell object; it builds two tables, ``star_masks``, per column the bitmask
+of its star rows, and ``code_columns``, per code the bitmask of its columns.
+Only a grid it refuses reaches the reject path, ``_violations``, whose
+cell-level loops list every failure in ``InvalidPdaError.violations``.  So
 every ``PdaArray`` is a valid PDA; ``verify_pda`` returns the violations
-instead of raising them.  ``code_columns``, per code the bitmask of its
-columns, is read off ``code_cells`` on first use.  The column statistics,
-D2, placement, delivery, construction and column-order search read these
-tables instead of scanning the grid.  The families refuse, before building,
+instead of raising them.  ``code_cells``, per code its cells as (user, row)
+in row-major order, is built on first use: delivery, decoding, the
+construction and the greedy order read it, the check does not.  The column
+statistics, D2, placement, delivery, construction and column-order search
+read these tables instead of scanning the grid.  The families refuse, before building,
 a grid of more than ``MAX_CELLS`` cells.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -102,11 +106,18 @@ class Violation:
 
 
 def normalize_grid(rows) -> Grid:
-    """Freeze ``rows`` into a Grid, rejecting ragged or non-positive entries."""
-    grid = tuple(tuple(row) for row in rows)
+    """Freeze ``rows`` into a Grid, rejecting ragged or non-positive entries.
+    A rectangular grid of plain nonnegative ``int``s is accepted at C speed;
+    any other grid goes through the per-cell loop, which also accepts ``bool``
+    and other ``int`` subclasses and names the first bad cell."""
+    grid = tuple(map(tuple, rows))
     if not grid or not grid[0]:
         raise NonRectangularError("grid must have at least one row and column")
     width = len(grid[0])
+    if ({width}.issuperset(map(len, grid))
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(grid)))
+            and min(map(min, grid)) >= 0):
+        return grid
     for j, row in enumerate(grid):
         if len(row) != width:
             raise NonRectangularError(f"row {j + 1} has {len(row)} entries, expected {width}")
@@ -143,6 +154,80 @@ def _cells_by_code(grid: Grid) -> dict[int, list[tuple[int, int]]]:
     return cells
 
 
+def _accept(grid: Grid) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
+    """``(z, s, star_masks, code_columns)`` of a grid that meets C1-C3, None
+    for any other grid.  Builds no per-cell object: the only per-cell Python
+    step sets each code's column mask ``cm[e]`` (bit c-1 for column c)."""
+    masks = _star_masks(grid)
+    z = masks[0].bit_count()
+    if any(mask.bit_count() != z for mask in masks):  # C1
+        return None
+    codes = set(itertools.chain.from_iterable(grid))
+    codes.discard(STAR)
+    s = len(codes)
+    if codes and max(codes) != s:  # C2, before anything of size S is allocated
+        return None
+    width = len(grid[0])
+    bits = [1 << c for c in range(width)]
+    cm = [0] * (s + 1)  # cm[STAR] stays 0
+    for bit, col in zip(bits, zip(*grid)):
+        for e in itertools.compress(col, col):
+            cm[e] |= bit
+    # C3.  A code in g cells spans at most g columns, and exactly g when no
+    # two of its cells share a column; the g's sum to the (F - Z) K cells
+    # that hold a code.
+    if sum(map(int.bit_count, cm)) != (len(grid) - z) * width:
+        return None
+    # For a cell (k, j) holding e, cm[e] & N_j holds bit k-1, where N_j is the
+    # mask of row j's codes, and nothing else exactly when e's other columns
+    # are stars in row j.  So the sum over the cells holding codes equals the
+    # sum of the N_j exactly when every crossing cell is a star and no code
+    # repeats in a row.
+    chain = itertools.chain.from_iterable
+    row_masks = list(map(sum, map(itertools.compress, itertools.repeat(bits), grid)))
+    per_cell = chain(map(itertools.repeat, row_masks, map(int.bit_count, row_masks)))
+    in_row_order = itertools.compress(chain(grid), chain(grid))
+    if sum(map(operator.and_, map(cm.__getitem__, in_row_order), per_cell)) != sum(row_masks):
+        return None
+    # codes with equal masks share one int object, which keeps the table's
+    # memory down: the F=8400 skewed array has 4649 masks for 11115 codes
+    return z, s, masks, tuple(map(dict(zip(cm, cm)).__getitem__, cm[1:]))
+
+
+def _violations(grid: Grid) -> tuple[Violation, ...]:
+    """Every C1-C3 violation of a grid, by cell-level loops: the reject path,
+    run only when ``_accept`` refuses the grid."""
+    violations: list[Violation] = []
+
+    # C1: equal star count in every column; Z is fixed by column 1.
+    masks = _star_masks(grid)
+    z = masks[0].bit_count()
+    for c, mask in enumerate(masks, start=1):
+        if mask.bit_count() != z:
+            violations.append(Violation("C1", (), (c,),
+                                        f"column {c} has {mask.bit_count()} stars, column 1 has {z}"))
+
+    # C2: the codes present are exactly {1, ..., S}.
+    cells = _cells_by_code(grid)
+    if cells:
+        top = max(cells)
+        for missing in range(1, top + 1):
+            if missing not in cells:
+                violations.append(Violation("C2", (), (),
+                                            f"code {missing} absent but code {top} present"))
+
+    # C3: equal codes pairwise occupy distinct rows/columns with stars across.
+    for code, where in cells.items():
+        for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
+            if j1 == j2 or k1 == k2:
+                violations.append(Violation("C3a", (j1, j2), (k1, k2),
+                                            f"code {code} repeats in the same row or column"))
+            elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
+                violations.append(Violation("C3b", (j1, j2), (k1, k2),
+                                            f"code {code}: crossing cells are not both stars"))
+    return tuple(violations)
+
+
 def mask_rows(mask: int) -> list[int]:
     """The 1-based rows whose bits are set in ``mask``, ascending."""
     return [j for j, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1"]
@@ -151,8 +236,9 @@ def mask_rows(mask: int) -> list[int]:
 @dataclass(frozen=True)
 class PdaArray:
     """A (K, F, Z, S) placement delivery array.  The constructor takes only
-    the grid and is the one C1-C3 check; K, F, Z, S and both tables are read
-    off the grid while it checks, so no array disagrees with its grid."""
+    the grid and is the one C1-C3 check; K, F, Z, S, ``star_masks`` and
+    ``code_columns`` are read off the grid while it checks, so no array
+    disagrees with its grid.  ``code_cells`` is built on first use."""
 
     grid: Grid
     k: int = field(init=False)
@@ -161,46 +247,17 @@ class PdaArray:
     s: int = field(init=False)
     # per 0-based column, the bitmask of its star rows (bit j-1 for row j)
     star_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # per code (index code - 1), its cells as (user, row), 1-based, row-major
-    code_cells: tuple[Cells, ...] = field(init=False, repr=False, compare=False)
+    # per code (index code - 1), the bitmask of its columns (bit c-1 for column c)
+    code_columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = normalize_grid(self.grid)
-        violations: list[Violation] = []
-
-        # C1: equal star count in every column; Z is fixed by column 1.
-        masks = _star_masks(grid)
-        z = masks[0].bit_count()
-        for c, mask in enumerate(masks, start=1):
-            if mask.bit_count() != z:
-                violations.append(Violation("C1", (), (c,),
-                                            f"column {c} has {mask.bit_count()} stars, column 1 has {z}"))
-
-        # C2: the codes present are exactly {1, ..., S}.
-        cells = _cells_by_code(grid)
-        s = len(cells)
-        if cells:
-            top = max(cells)
-            for missing in range(1, top + 1):
-                if missing not in cells:
-                    violations.append(Violation("C2", (), (),
-                                                f"code {missing} absent but code {top} present"))
-
-        # C3: equal codes pairwise occupy distinct rows/columns with stars across.
-        for code, where in cells.items():
-            for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
-                if j1 == j2 or k1 == k2:
-                    violations.append(Violation("C3a", (j1, j2), (k1, k2),
-                                                f"code {code} repeats in the same row or column"))
-                elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
-                    violations.append(Violation("C3b", (j1, j2), (k1, k2),
-                                                f"code {code}: crossing cells are not both stars"))
-
-        if violations:
-            raise InvalidPdaError(tuple(violations))
-        code_cells = tuple(tuple(cells[code]) for code in range(1, s + 1))
+        tables = _accept(grid)
+        if tables is None:
+            raise InvalidPdaError(_violations(grid))
+        z, s, masks, code_columns = tables
         for name, value in (("grid", grid), ("k", len(grid[0])), ("f", len(grid)), ("z", z),
-                            ("s", s), ("star_masks", masks), ("code_cells", code_cells)):
+                            ("s", s), ("star_masks", masks), ("code_columns", code_columns)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -209,9 +266,11 @@ class PdaArray:
         return cls(rows)
 
     @cached_property
-    def code_columns(self) -> tuple[int, ...]:
-        """Per code (index code - 1), the bitmask of its columns (bit c-1 for column c)."""
-        return tuple(sum(1 << (k - 1) for k, _ in cells) for cells in self.code_cells)
+    def code_cells(self) -> tuple[Cells, ...]:
+        """Per code (index code - 1), its cells as (user, row), 1-based, in
+        row-major order."""
+        cells = _cells_by_code(self.grid)
+        return tuple(tuple(cells[code]) for code in range(1, self.s + 1))
 
 
 def permute_columns(pda: PdaArray, perm) -> PdaArray:

@@ -11,7 +11,8 @@ SP-PDA text format:
     <grid as above>
 
 The JSON documents hold the same values under the keys of ``_JSON_KEYS``;
-their grid, rows and profile are lists, and ``pi`` is "id" or a list.
+their header values are integers, their grid, rows and profile are lists,
+and ``pi`` is "id" or a list.
 
 Writers are deterministic; reading back a written canonical array reproduces
 the bytes exactly.  Every reader, text or JSON, ends in the same check: it
@@ -168,9 +169,10 @@ def _list(value, what: str) -> list:
 
 def _read_json(text: str, kind: str | None):
     """Read and check a JSON document of type ``kind`` (None: either type).
-    Its values reach the checked path as strings, so they are parsed exactly
-    as text tokens are.  The grid, each of its rows and the profile must be
-    lists, and ``pi`` must be "id" or a list."""
+    Its header values must be JSON integers, as the writer writes them; its
+    other values reach the checked path as strings, so they are parsed
+    exactly as text tokens are.  The grid, each of its rows and the profile
+    must be lists, and ``pi`` must be "id" or a list."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -180,14 +182,17 @@ def _read_json(text: str, kind: str | None):
         raise FormatError(f"json document is not of type {' or '.join(map(repr, kinds))}")
     kind = doc["type"]
     try:
-        header = [str(doc[name]) for name in _JSON_KEYS[kind]]
+        header = [doc[name] for name in _JSON_KEYS[kind]]
         rows = [[str(t) for t in _list(row, "grid row")] for row in _list(doc["grid"], "grid")]
         sections = () if kind == "pda" else (
             [str(x) for x in _list(doc["profile"], "profile")],
             ["id"] if doc["pi"] == "id" else [str(x) for x in _list(doc["pi"], "pi")])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed json {kind}: {exc!r}") from None
-    return _checked(kind, header, rows, *sections)
+    for name, value in zip(_JSON_KEYS[kind], header):
+        if type(value) is not int:  # bool is an int subclass
+            raise FormatError(f"bad json {kind} header: {name} is {json.dumps(value)}, expected an integer")
+    return _checked(kind, list(map(str, header)), rows, *sections)
 
 
 def _write(kind: str, array, grid, *sections: str) -> str:

@@ -1,6 +1,8 @@
 """Shared golden arrays and random-instance generators for the test suite."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,15 @@ from sppda.arrays import (
     permute_columns,
 )
 from sppda.textio import _grid
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, which is not a package."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def grid(text):

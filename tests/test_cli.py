@@ -1,7 +1,6 @@
 """Command-line interface: one test per subcommand plus error paths."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import random
@@ -17,7 +16,7 @@ from sppda.construct import construct_sppda
 from sppda.textio import parse_sppda, sppda_to_json, write_pda, write_sppda
 from sppda.arrays import PdaArray, PdaError
 
-from conftest import GOLDEN_SP_TEXT, WIDE_P1, WIDE_P2, random_pda, random_profile
+from conftest import GOLDEN_SP_TEXT, WIDE_P1, WIDE_P2, load_script, random_pda, random_profile
 
 
 @pytest.fixture
@@ -394,15 +393,7 @@ def test_arbitrary_bytes_never_raise(data):
                          "--worst-case"]) in (0, 1, 2)
 
 
-def _load_ledger_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_ledger.py"
-    spec = importlib.util.spec_from_file_location("cli_ledger", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
-_LEDGER_SCRIPT = _load_ledger_script()
+_LEDGER_SCRIPT = load_script("cli_ledger")
 
 
 @pytest.mark.parametrize("session", json.loads(_LEDGER_SCRIPT.LEDGER.read_text())["sessions"],

@@ -160,6 +160,18 @@ class TestJson:
                 read_array(json.dumps(bad))
         assert read_array(json.dumps({**doc, "pi": [1, 2, 3, 4, 5]})).helpers == (1, 1, 1, 2, 2)
 
+    def test_header_values_are_json_integers(self, golden_sp):
+        # the writer writes integers; a string, bool, float or null is refused,
+        # while grid tokens may still be strings or integers
+        doc = json.loads(sppda_to_json(golden_sp))
+        for key, value, shown in (("k", "5", '"5"'), ("f", " 6", '" 6"'), ("zh", True, "true"),
+                                  ("s", 3.0, "3.0"), ("num_helpers", None, "null")):
+            with pytest.raises(FormatError, match=f"^bad json sppda header: {key} is {shown}, "
+                                                  "expected an integer$"):
+                read_array(json.dumps({**doc, key: value}))
+        pda = {"type": "pda", "k": 1, "f": 2, "z": 0, "s": 2, "grid": [[1], ["2"]]}
+        assert read_array(json.dumps(pda)) == PdaArray(((1,), (2,)))
+
 
 
 def _sppda_documents(rng):

@@ -1,5 +1,10 @@
 """Validity checking, column statistics, and the two array families."""
 
+import contextlib
+import io
+from enum import IntEnum
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +20,7 @@ from sppda.arrays import (
     NonRectangularError,
     ParameterError,
     PdaArray,
+    PdaError,
     binom,
     canonicalize_codes,
     construction_a_pda,
@@ -24,14 +30,19 @@ from sppda.arrays import (
     permute_columns,
     verify_pda,
     xi,
+    _accept,
+    _cells_by_code,
+    _violations,
 )
-from sppda.construct import group_star_masks
+from sppda.cli import main
+from sppda.construct import construct_sppda, group_star_masks
 from sppda.permsearch import phi_vector
 
 import grid_oracle
 from grid_oracle import column, regularity
 from conftest import (
     GOLDEN_SP,
+    GOLDEN_SP_TEXT,
     SMALL_P2,
     WIDE_P1,
     WIDE_P1_OPT,
@@ -40,6 +51,7 @@ from conftest import (
     WIDE_P2_OPT,
     WIDE_P2_PERM,
     enumerate_profiles,
+    load_script,
     random_pda,
 )
 
@@ -114,6 +126,9 @@ class TestVerify:
 
     def test_unequal_star_counts(self):
         assert any(v.kind == "C1" for v in verify_pda(((STAR, 1), (1, 2))))
+        # only C1 fails, and the star counts 1, 0, 2 average column 1's, so
+        # the accept path's C3 sums alone would pass this grid
+        assert {v.kind for v in verify_pda(((STAR, 2, STAR), (1, 3, STAR)))} == {"C1"}
 
     def test_missing_code(self):
         assert any(v.kind == "C2" for v in verify_pda(((STAR, 2), (2, STAR))))
@@ -190,6 +205,163 @@ class TestVerify:
         pda = random_pda(rng, max_cols=6, max_rows=30)
         assert verify_pda(pda.grid) == ()
         assert PdaArray(pda.grid) == pda
+
+
+def mutated_family_grid(rng):
+    """A MaN, Construction A or random valid array with 0-2 mutations, each a
+    swap of two cells in a row or in a column, a cell overwritten by a code,
+    or a star flipped to a code or a code to a star."""
+    roll = rng.random()
+    if roll < 0.35:
+        k = rng.randint(1, 6)
+        pda = man_pda(k, rng.randint(0, k))
+    elif roll < 0.7:
+        pda = construction_a_pda(rng.randint(2, 3), rng.randint(1, 2))
+    else:
+        pda = random_pda(rng, max_cols=6, max_rows=12)
+    grid = [list(row) for row in pda.grid]
+    top = max(pda.s, 1)
+    for _ in range(rng.randint(0, 2)):
+        j1, j2 = rng.randrange(pda.f), rng.randrange(pda.f)
+        c1, c2 = rng.randrange(pda.k), rng.randrange(pda.k)
+        kind = rng.randrange(4)
+        if kind == 0:
+            grid[j1][c1], grid[j1][c2] = grid[j1][c2], grid[j1][c1]
+        elif kind == 1:
+            grid[j1][c1], grid[j2][c1] = grid[j2][c1], grid[j1][c1]
+        elif kind == 2:
+            grid[j1][c1] = rng.randint(1, top)
+        else:
+            grid[j1][c1] = rng.randint(1, top) if grid[j1][c1] == STAR else STAR
+    return tuple(map(tuple, grid))
+
+
+def per_cell_normalize(rows):
+    """The per-cell loop of ``normalize_grid`` alone, for every grid."""
+    grid = tuple(tuple(row) for row in rows)
+    if not grid or not grid[0]:
+        raise NonRectangularError("grid must have at least one row and column")
+    width = len(grid[0])
+    for j, row in enumerate(grid):
+        if len(row) != width:
+            raise NonRectangularError(f"row {j + 1} has {len(row)} entries, expected {width}")
+        for k, e in enumerate(row):
+            if not isinstance(e, int) or e < 0:
+                raise NonPositiveCodeError(f"entry at ({j + 1},{k + 1}) is {e!r}; codes must be positive integers")
+    return grid
+
+
+class Code(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def _outcome(fn, rows):
+    """The grid ``fn`` returns with the type of each cell, or its exception's
+    type and message."""
+    try:
+        grid = fn(rows)
+    except PdaError as exc:
+        return type(exc), str(exc)
+    return grid, tuple(type(e) for row in grid for e in row)
+
+
+odd_cells = st.sampled_from([True, False, Code.ONE, Code.TWO, -1, 1.0, 0.5, "1", "*", None])
+
+
+@st.composite
+def mixed_grids(draw):
+    """Small grids of nonnegative ints with up to two odd cells, and a last
+    row cut short or made longer a quarter of the time."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    rows = draw(st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=width, max_size=width),
+                         min_size=0, max_size=4))
+    if rows and width:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            j, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+            rows[j][c] = draw(odd_cells)
+        if draw(st.integers(0, 3)) == 0:
+            rows[-1] = rows[-1][:-1] if draw(st.booleans()) else rows[-1] + [1]
+    return rows
+
+
+class TestAcceptPath:
+    """``_accept`` is the check on valid grids; ``_violations``, the cell-level
+    loops, runs only on the grids it refuses."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_accept_and_violations_agree(self, rng):
+        grid = mutated_family_grid(rng)
+        tables = _accept(grid)
+        violations = _violations(grid)
+        assert (tables is not None) == (violations == ()) == oracle_verify(grid)
+        if tables is None:
+            return
+        k, f, z, s = grid_oracle.params(grid)
+        view = SimpleNamespace(grid=grid, k=k, f=f, s=s)
+        masks = tuple(sum(1 << (j - 1) for j in grid_oracle.star_rows(view, c)) for c in range(1, k + 1))
+        assert tables == (z, s, masks, grid_oracle.code_columns(view))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_grids())
+    def test_normalize_fast_check_matches_the_loop(self, rows):
+        assert _outcome(normalize_grid, rows) == _outcome(per_cell_normalize, rows)
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 2), (1,)), ((True, False), (False, True)), ((Code.ONE, STAR), (STAR, Code.ONE)),
+        ((-1, STAR),), ((1.0, STAR),), (("1", STAR),), ((STAR, 1), (1, STAR)),
+    ])
+    def test_normalize_cases(self, rows):
+        assert _outcome(normalize_grid, rows) == _outcome(per_cell_normalize, rows)
+
+    def test_code_cells_built_on_first_use(self):
+        pda = PdaArray(GOLDEN_SP)
+        assert "code_cells" not in vars(pda)
+        assert pda.code_cells == grid_oracle.code_cells(pda)
+        assert pda.code_cells is pda.code_cells
+
+    def test_valid_grids_never_reach_the_loops(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("the cell-level loops ran on a valid grid")
+
+        monkeypatch.setattr("sppda.arrays._violations", refuse)
+        for grid in (GOLDEN_SP, SMALL_P2, WIDE_P1, WIDE_P2, ((STAR, STAR), (STAR, STAR))):
+            PdaArray(grid)
+        man_pda(6, 2)
+        construction_a_pda(3, 2)
+
+    def test_cli_cells_by_code_calls(self, tmp_path, monkeypatch):
+        # verify never builds code_cells; simulate builds them once
+        calls = []
+
+        def counted(grid):
+            calls.append(len(grid))
+            return _cells_by_code(grid)
+
+        monkeypatch.setattr("sppda.arrays._cells_by_code", counted)
+        path = tmp_path / "golden.sppda"
+        path.write_text(GOLDEN_SP_TEXT)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", str(path)]) == 0
+            assert calls == []
+            assert main(["simulate", str(path), "--synthetic", "5,60,0", "--worst-case"]) == 0
+        assert calls == [6]
+
+    def test_one_swap_large_grid_violations(self):
+        # the F=8400 skewed reference grid's one-swap copy, as the timing script builds it
+        timing = load_script("check_timing")
+        grid = timing.one_swap(timing.skewed_grid())
+        assert _accept(grid) is None
+        with pytest.raises(InvalidPdaError) as info:
+            PdaArray(grid)
+        violations = info.value.violations
+        assert len(violations) == 8 and {v.kind for v in violations} == {"C3b"}
+        assert list(map(str, violations[:3])) == [
+            "C3b: code 211: crossing cells are not both stars (rows (9, 249), cols (20, 18))",
+            "C3b: code 211: crossing cells are not both stars (rows (9, 729), cols (20, 16))",
+            "C3b: code 211: crossing cells are not both stars (rows (9, 1929), cols (20, 12))",
+        ]
 
 
 class TestColumnOps:
