@@ -1,24 +1,36 @@
 #!/usr/bin/env python3
-"""Time the C1-C3 check on the F=8400 grid of MaN(8,4) x MaN(10,3) under the
-profile 10,4,2,2,2,2,1,1 and print the median and quartiles, in seconds, of:
-``accept_s``, ``PdaArray(grid)``; ``reject_s``, ``verify_pda(one_swap(grid))``,
-whose ``PdaArray`` raises ``InvalidPdaError``; ``code_cells_s``, a fresh
-array's first ``code_cells`` read.  It reports only and sets no time limit.
+"""Time the C1-C3 check and the CLI pipeline on the F=8400 grid of
+MaN(8,4) x MaN(10,3) under the profile 10,4,2,2,2,2,1,1 and print the
+median and quartiles, in seconds, of: ``accept_s``, ``PdaArray(grid)``;
+``reject_s``, ``verify_pda(one_swap(grid))``, whose ``PdaArray`` raises
+``InvalidPdaError``; ``code_cells_s``, a fresh array's first ``code_cells``
+read; ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
+array through ``sppda.cli.main`` in a temporary directory.  It also prints
+``gc_collections``, the collections of each generation during one pipeline,
+counted with ``gc.callbacks``.  It reports only and sets no time limit.
 
     PYTHONPATH=src python3 scripts/check_timing.py --repeat 21
 """
 
 import argparse
+import contextlib
+import gc
+import io
 import json
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
+from sppda import cli
 from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, verify_pda
 from sppda.construct import construct_sppda
 
+PROFILE = "10,4,2,2,2,2,1,1"
+
 
 def skewed_grid():
-    profile = AssociationProfile((10, 4, 2, 2, 2, 2, 1, 1))
+    profile = AssociationProfile.parse(PROFILE)
     return construct_sppda(man_pda(8, 4), man_pda(10, 3), profile).pda.grid
 
 
@@ -30,6 +42,35 @@ def one_swap(grid):
     c1, c2 = [c for c, e in enumerate(rows[j]) if e != STAR][:2]
     rows[j][c1], rows[j][c2] = rows[j][c2], rows[j][c1]
     return tuple(map(tuple, rows))
+
+
+def pipeline(directory):
+    """``construct``, ``verify`` and ``simulate`` of the array through the
+    command line, in ``directory``; each command must exit 0."""
+    path = str(Path(directory) / "skewed.sppda")
+    for argv in (["construct", "man:8,4", "man:10,3", "--profile", PROFILE, "-o", path],
+                 ["verify", path],
+                 ["simulate", path, "--synthetic", "24,16384,7", "--worst-case"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            raise SystemExit(f"{argv[0]} exited {code}")
+
+
+def gc_collections(directory):
+    """Per generation, the collections the collector ran during one pipeline."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        pipeline(directory)
+    finally:
+        gc.callbacks.remove(count)
+    return dict(enumerate(counts))
 
 
 def sample(step, repeat, setup):
@@ -52,7 +93,10 @@ if __name__ == "__main__":
     grid = skewed_grid()
     broken = one_swap(grid)
     assert verify_pda(broken), "the one-swap grid was accepted"
-    print(json.dumps({"repeat": repeat, "accept_s": sample(PdaArray, repeat, lambda: grid),
-                      "reject_s": sample(verify_pda, repeat, lambda: broken),
-                      "code_cells_s": sample(lambda pda: pda.code_cells, repeat,
-                                             lambda: PdaArray(grid))}))
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({"repeat": repeat, "accept_s": sample(PdaArray, repeat, lambda: grid),
+                          "reject_s": sample(verify_pda, repeat, lambda: broken),
+                          "code_cells_s": sample(lambda pda: pda.code_cells, repeat,
+                                                 lambda: PdaArray(grid)),
+                          "pipeline_s": sample(pipeline, repeat, lambda: tmp),
+                          "gc_collections": gc_collections(tmp)}))

@@ -67,6 +67,18 @@ SESSIONS = [
         ["verify", "broken.pda"],
         ["simulate", "broken.pda", "--synthetic", "2,60,0", "--worst-case"],
     ]),
+    ("violation-cap", {
+        "exact.txt": "101\n",
+        "huge.txt": "1000000000\n",
+        "ones.txt": "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n" * 16,
+        "huge.sppda": "sppda 1 1 1 0 0 1\nL: 1\npi: id\n1000000000\n",
+    }, [
+        ["verify", "exact.txt"],
+        ["verify", "huge.txt"],
+        ["verify", "ones.txt"],
+        ["verify", "huge.sppda"],
+        ["simulate", "huge.sppda", "--synthetic", "1,60,0", "--worst-case"],
+    ]),
     ("golden-variants", {
         "zh5.sppda": GOLDEN.replace(" 4 3 3", " 4 5 3") + GOLDEN_GRID,
         "zh7.sppda": GOLDEN.replace(" 4 3 3", " 4 7 3") + GOLDEN_GRID,

@@ -12,14 +12,15 @@ of two paths.  The accept path, ``_accept``, runs at C speed and builds no
 per-cell object; it builds two tables, ``star_masks``, per column the bitmask
 of its star rows, and ``code_columns``, per code the bitmask of its columns.
 Only a grid it refuses reaches the reject path, ``_violations``, whose
-cell-level loops list every failure in ``InvalidPdaError.violations``.  So
-every ``PdaArray`` is a valid PDA; ``verify_pda`` returns the violations
-instead of raising them.  ``code_cells``, per code its cells as (user, row)
-in row-major order, is built on first use: delivery, decoding, the
-construction and the greedy order read it, the check does not.  The column
-statistics, D2, placement, delivery, construction and column-order search
-read these tables instead of scanning the grid.  The families refuse, before building,
-a grid of more than ``MAX_CELLS`` cells.
+cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
+``InvalidPdaError.violations``.  So every ``PdaArray`` is a valid PDA;
+``verify_pda`` returns the violations instead of raising them.
+``code_cells``, per code its cells as (user, row) in row-major order, is
+built on first use: delivery, decoding, the construction and the greedy
+order read it, the check does not.  The column statistics, D2, placement,
+delivery, construction and column-order search read these tables instead of
+scanning the grid.  The families refuse, before building, a grid of more
+than ``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ STAR = 0
 # and a huge K or m costs no huge integer.
 MAX_CELLS = 1 << 22
 _CAP_BITS = MAX_CELLS.bit_length()
+
+# The most violations a refused grid lists.  A small grid can break C2 or C3
+# far more often than it has cells: one cell holding code 10^9 leaves 10^9 - 1
+# codes absent, and an n x n grid of one code has C(n^2, 2) bad pairs.
+MAX_VIOLATIONS = 100
 
 Grid = tuple[tuple[int, ...], ...]
 Cells = tuple[tuple[int, int], ...]  # (user, row) pairs, 1-based, row-major
@@ -69,12 +75,16 @@ class CodeAbsentError(PdaError):
 
 
 class InvalidPdaError(PdaError):
-    """A grid offered as a PDA failed validation."""
+    """A grid offered as a PDA failed validation.  ``violations`` keeps the
+    first ``MAX_VIOLATIONS``; ``capped`` says whether more were found."""
 
     def __init__(self, violations: tuple["Violation", ...]):
-        self.violations = violations
+        self.violations = violations[:MAX_VIOLATIONS]
+        self.capped = len(violations) > MAX_VIOLATIONS
         summary = "; ".join(v.detail for v in violations[:5])
-        if len(violations) > 5:
+        if self.capped:
+            summary += f"; ... (stopped at MAX_VIOLATIONS = {MAX_VIOLATIONS})"
+        elif len(violations) > 5:
             summary += f"; ... ({len(violations)} total)"
         super().__init__(f"not a valid PDA: {summary}")
 
@@ -148,9 +158,9 @@ def _cells_by_code(grid: Grid) -> dict[int, list[tuple[int, int]]]:
     order; codes are keyed in order of first appearance."""
     cells: dict[int, list[tuple[int, int]]] = {}
     for j, row in enumerate(grid, start=1):
-        for k, e in enumerate(row, start=1):
-            if e != STAR:
-                cells.setdefault(e, []).append((k, j))
+        # compress drops the star cells at C speed, about 2/3 of a typical grid
+        for k, e in itertools.compress(enumerate(row, start=1), row):
+            cells.setdefault(e, []).append((k, j))
     return cells
 
 
@@ -195,17 +205,21 @@ def _accept(grid: Grid) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | N
 
 
 def _violations(grid: Grid) -> tuple[Violation, ...]:
-    """Every C1-C3 violation of a grid, by cell-level loops: the reject path,
-    run only when ``_accept`` refuses the grid."""
-    violations: list[Violation] = []
+    """The C1-C3 violations of a grid, by cell-level loops: the reject path,
+    run only when ``_accept`` refuses the grid.  It stops after
+    ``MAX_VIOLATIONS + 1``, one past the cap, so ``InvalidPdaError`` can tell
+    a capped list from a complete one."""
+    return tuple(itertools.islice(_each_violation(grid), MAX_VIOLATIONS + 1))
 
+
+def _each_violation(grid: Grid):
     # C1: equal star count in every column; Z is fixed by column 1.
     masks = _star_masks(grid)
     z = masks[0].bit_count()
     for c, mask in enumerate(masks, start=1):
         if mask.bit_count() != z:
-            violations.append(Violation("C1", (), (c,),
-                                        f"column {c} has {mask.bit_count()} stars, column 1 has {z}"))
+            yield Violation("C1", (), (c,),
+                            f"column {c} has {mask.bit_count()} stars, column 1 has {z}")
 
     # C2: the codes present are exactly {1, ..., S}.
     cells = _cells_by_code(grid)
@@ -213,19 +227,17 @@ def _violations(grid: Grid) -> tuple[Violation, ...]:
         top = max(cells)
         for missing in range(1, top + 1):
             if missing not in cells:
-                violations.append(Violation("C2", (), (),
-                                            f"code {missing} absent but code {top} present"))
+                yield Violation("C2", (), (), f"code {missing} absent but code {top} present")
 
     # C3: equal codes pairwise occupy distinct rows/columns with stars across.
     for code, where in cells.items():
         for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
             if j1 == j2 or k1 == k2:
-                violations.append(Violation("C3a", (j1, j2), (k1, k2),
-                                            f"code {code} repeats in the same row or column"))
+                yield Violation("C3a", (j1, j2), (k1, k2),
+                                f"code {code} repeats in the same row or column")
             elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
-                violations.append(Violation("C3b", (j1, j2), (k1, k2),
-                                            f"code {code}: crossing cells are not both stars"))
-    return tuple(violations)
+                yield Violation("C3b", (j1, j2), (k1, k2),
+                                f"code {code}: crossing cells are not both stars")
 
 
 def mask_rows(mask: int) -> list[int]:

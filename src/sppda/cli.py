@@ -3,17 +3,26 @@
 Subcommands: construct, verify, simulate, search, sweep, formulas.
 PDA inputs are either files in the text format or family specs
 ``man:K,t`` / ``consa:q,m``.
+
+``main`` runs its one command with the collector's generation-0 threshold
+raised to ``GC_THRESHOLD``: a command builds many long-lived containers (the
+grid's rows, the code->cells table, the transmissions) and frees them only
+at exit, so frequent young collections find almost nothing to free.  The
+previous thresholds come back when the command returns or raises, so library
+callers of ``sim``, ``construct`` and the rest run at their own settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, permsearch, sim, textio
 from .arrays import (
+    MAX_VIOLATIONS,
     AssociationProfile,
     InvalidPdaError,
     ParameterError,
@@ -32,6 +41,9 @@ from .construct import (
 
 
 _FAMILIES = {"man": man_pda, "consa": construction_a_pda}
+
+# generation-0 threshold while a command runs (CPython 3.10-3.12 default to 700)
+GC_THRESHOLD = 100_000
 
 
 def _load_pda(spec: str) -> PdaArray:
@@ -63,6 +75,8 @@ def cmd_verify(args) -> int:
     except (InvalidPdaError, textio.ConditionError) as exc:
         for line in exc.violations:
             print(f"violation {line}")
+        if isinstance(exc, InvalidPdaError) and exc.capped:
+            print(f"stopped at MAX_VIOLATIONS = {MAX_VIOLATIONS}: more violations not listed")
         return 1
     if isinstance(array, SpPdaArray):
         pda, profile = array.pda, array.profile
@@ -224,11 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(GC_THRESHOLD, *thresholds[1:])
     try:
         return args.func(args)
     except (PdaError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

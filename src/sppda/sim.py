@@ -5,9 +5,15 @@ error-free broadcast.  Users, files, rows, and codes are 1-based throughout.
 One engine serves both schemes.  ``sp_place`` keeps every cache as a row
 bitmask cut from the array's star masks.  ``sp_deliver`` and ``sp_decode``
 walk the array's code->cells table once per code, with subfiles read as ints
-from bytes slices of the padded files; ``sp_decode`` decides each code with
-one diff.  Every ``PdaArray`` meets C3, so a user whose caches hold its own
-star rows holds every row it reads: that is the one check of a layout.
+from bytes slices of the padded files, indexed by 1-based user and row
+exactly as the cells name them; ``sp_decode`` decides each code with one
+diff.  Every ``PdaArray`` meets C3, so a user whose caches hold its own star
+rows holds every row it reads: that is the one check of a layout.
+
+A run makes one ``Transmission`` per code, so ``Transmission`` has slots and
+no per-instance dict.  The module leaves the collector alone: it runs at the
+caller's settings, and the command line raises the generation-0 threshold
+around each command (``cli.GC_THRESHOLD``).
 """
 
 from __future__ import annotations
@@ -118,7 +124,7 @@ class CacheLayout:
         return tuple(frozenset(mask_rows(m)) for m in self.private_masks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transmission:
     code: int
     payload: bytes
@@ -160,9 +166,10 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
 
 
 def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
-    """Per user, its demanded file, and per row j the slice of subfile j
-    (index 0 unused): user k's subfile j is ``files[k - 1][rows[j]]``.  Plain
-    bytes slices: ``int.from_bytes`` would copy a view's bytes anyway."""
+    """Per user k, its demanded file, and per row j the slice of subfile j,
+    both 1-based (index 0 unused): user k's subfile j is
+    ``files[k][rows[j]]``.  Plain bytes slices: ``int.from_bytes`` would copy
+    a view's bytes anyway."""
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     demands = tuple(demands)
@@ -172,7 +179,7 @@ def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
         if not 1 <= d <= library.n:
             raise DemandOutOfRangeError(f"demand {d} not in [1, {library.n}]")
     piece = library.piece_size
-    files = [library.files[d - 1] for d in demands]
+    files = [None, *(library.files[d - 1] for d in demands)]
     return files, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
 
 
@@ -184,11 +191,12 @@ def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transm
     """One XOR transmission per code, components in row-major order."""
     files, rows = _subfile_slices(sppda.pda, library, demands)
     piece = library.piece_size
+    from_bytes = int.from_bytes
     out = []
     for code, cells in enumerate(sppda.pda.code_cells, start=1):
         payload = 0
         for k, j in cells:
-            payload ^= int.from_bytes(files[k - 1][rows[j]], "big")
+            payload ^= from_bytes(files[k][rows[j]], "big")
         out.append(Transmission(code, payload.to_bytes(piece, "big"), cells))
     return tuple(out)
 
@@ -215,10 +223,11 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
             raise MissingComponentError(
                 f"user {k}: cached row {_lowest_row(missing)} not in any reachable cache")
     decoded = [True] * pda.k
+    from_bytes = int.from_bytes
     for cells, sent in zip(pda.code_cells, transmissions, strict=True):
-        diff = int.from_bytes(sent.payload, "big")
+        diff = from_bytes(sent.payload, "big")
         for k, j in cells:
-            diff ^= int.from_bytes(files[k - 1][rows[j]], "big")
+            diff ^= from_bytes(files[k][rows[j]], "big")
         if diff:
             for k, j in cells:
                 padding = j * piece - library.true_length  # bytes outside the verdict

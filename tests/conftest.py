@@ -1,5 +1,6 @@
 """Shared golden arrays and random-instance generators for the test suite."""
 
+import gc
 import importlib.util
 import random
 from pathlib import Path
@@ -193,3 +194,21 @@ def no_family_rows(monkeypatch):
     their rows, so a size check that lets a huge family through fails the
     test at once instead of allocating the family."""
     monkeypatch.setattr("sppda.arrays.itertools", _NoItertools())
+
+
+# a collector state no test run starts in, so a restored state is told apart
+# from one left at the interpreter's default
+ODD_GC_THRESHOLD = (1234, 5, 6)
+
+
+@pytest.fixture
+def odd_gc_state():
+    """Run the test under ``ODD_GC_THRESHOLD`` with the collector disabled,
+    then put back the state it found."""
+    thresholds, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(*ODD_GC_THRESHOLD)
+    gc.disable()
+    yield
+    gc.set_threshold(*thresholds)
+    if enabled:
+        gc.enable()

@@ -1,6 +1,7 @@
 """Command-line interface: one test per subcommand plus error paths."""
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sppda import cli
 from sppda.cli import main
 from sppda.construct import construct_sppda
 from sppda.textio import parse_sppda, sppda_to_json, write_pda, write_sppda
-from sppda.arrays import PdaArray, PdaError
+from sppda.arrays import MAX_VIOLATIONS, PdaArray, PdaError
 
-from conftest import GOLDEN_SP_TEXT, WIDE_P1, WIDE_P2, load_script, random_pda, random_profile
+from conftest import (GOLDEN_SP_TEXT, ODD_GC_THRESHOLD, WIDE_P1, WIDE_P2, load_script, random_pda,
+                      random_profile)
 
 
 @pytest.fixture
@@ -116,6 +119,23 @@ class TestVerify:
         path.write_text("1 1\n* *\n")
         assert main(["verify", str(path)]) == 1
         assert "violation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, capped", [
+        ("101\n", False),  # codes 1..100 absent: exactly the cap
+        ("102\n", True),
+        ("1000000000\n", True),
+        ("\n".join([" ".join(["1"] * 200)] * 200) + "\n", True),
+    ])
+    def test_violations_stop_at_the_cap(self, tmp_path, capsys, text, capped):
+        path = tmp_path / "grid.txt"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == MAX_VIOLATIONS + capped
+        assert all(line.startswith("violation ") for line in lines[:MAX_VIOLATIONS])
+        if capped:
+            assert lines[-1] == (f"stopped at MAX_VIOLATIONS = {MAX_VIOLATIONS}: "
+                                 "more violations not listed")
 
     def test_sppda_d2_violation(self, golden_file, capsys):
         text = golden_file.read_text().replace("sppda 5 2 6 4 3 3", "sppda 5 2 6 4 4 3")
@@ -225,6 +245,37 @@ class TestSimulate:
     def test_worst_case_needs_enough_files(self, golden_file, capsys):
         assert main(["simulate", str(golden_file), "--synthetic", "3,60,0",
                      "--worst-case"]) == 2
+
+
+@pytest.mark.usefixtures("odd_gc_state")
+class TestGcScope:
+    """``main`` runs its command at ``GC_THRESHOLD`` and gives back the
+    caller's thresholds and enabled flag however the command ends."""
+
+    def assert_restored(self):
+        assert gc.get_threshold() == ODD_GC_THRESHOLD
+        assert not gc.isenabled()
+
+    def test_exit_0(self, golden_file, capsys):
+        assert main(["verify", str(golden_file)]) == 0
+        self.assert_restored()
+
+    def test_exit_2(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path / "missing.sppda")]) == 2
+        self.assert_restored()
+
+    def test_unexpected_exception(self, golden_file, monkeypatch):
+        seen = []
+
+        def crash(args):
+            seen.append(gc.get_threshold())
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_verify", crash)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["verify", str(golden_file)])
+        assert seen == [(cli.GC_THRESHOLD, *ODD_GC_THRESHOLD[1:])]
+        self.assert_restored()
 
 
 class TestSearch:

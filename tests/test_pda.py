@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import time
 from enum import IntEnum
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from sppda.arrays import (
     MAX_CELLS,
+    MAX_VIOLATIONS,
     STAR,
     AssociationProfile,
     CodeAbsentError,
@@ -347,6 +349,29 @@ class TestAcceptPath:
             assert calls == []
             assert main(["simulate", str(path), "--synthetic", "5,60,0", "--worst-case"]) == 0
         assert calls == [6]
+
+    @pytest.mark.parametrize("grid", [((10 ** 9,),), ((1,) * 60,) * 60],
+                             ids=["one-huge-code", "60x60-ones"])
+    def test_hostile_grids_stop_at_the_cap(self, grid):
+        # unbounded, these list 10^9 - 1 C2 and 6 478 200 C3 violations
+        start = time.perf_counter()
+        violations = verify_pda(grid)
+        assert time.perf_counter() - start < 1
+        assert len(violations) == MAX_VIOLATIONS
+        with pytest.raises(InvalidPdaError) as info:
+            PdaArray(grid)
+        assert info.value.capped and info.value.violations == violations
+
+    @pytest.mark.parametrize("top, capped",
+                             [(MAX_VIOLATIONS + 1, False), (MAX_VIOLATIONS + 2, True)])
+    def test_cap_boundary(self, top, capped):
+        with pytest.raises(InvalidPdaError) as info:
+            PdaArray(((top,),))
+        assert info.value.capped == capped
+        assert [v.detail for v in info.value.violations] == [
+            f"code {c} absent but code {top} present" for c in range(1, MAX_VIOLATIONS + 1)]
+        assert str(info.value).endswith(
+            f"(stopped at MAX_VIOLATIONS = {MAX_VIOLATIONS})" if capped else f"({MAX_VIOLATIONS} total)")
 
     def test_one_swap_large_grid_violations(self):
         # the F=8400 skewed reference grid's one-swap copy, as the timing script builds it

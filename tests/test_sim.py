@@ -1,5 +1,6 @@
 """Bit-exact delivery and decoding for both cache architectures."""
 
+import gc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -28,7 +29,7 @@ from sppda.sim import (
 
 import grid_oracle
 import sim_oracle as oracle
-from conftest import GOLDEN_SP, random_pda, random_profile
+from conftest import GOLDEN_SP, ODD_GC_THRESHOLD, random_pda, random_profile
 
 
 def xor_all(chunks):
@@ -96,6 +97,23 @@ class TestGoldenReplay:
             expected = xor_all([oracle.subfile(golden_library, self.DEMANDS[k - 1], j)
                                 for k, j in t.components])
             assert t.payload == expected
+
+    def test_transmissions_have_no_dict(self, golden_sp, golden_library):
+        txs = sp_deliver(golden_sp, golden_library, self.DEMANDS)
+        assert not any(hasattr(t, "__dict__") for t in txs)
+
+    @pytest.mark.usefixtures("odd_gc_state")
+    def test_runs_at_the_callers_gc_threshold(self, golden_sp, golden_library, monkeypatch):
+        # only the command line raises the threshold; a library call keeps the caller's
+        seen = []
+
+        def deliver(*args):
+            seen.append(gc.get_threshold())
+            return sp_deliver(*args)
+
+        monkeypatch.setattr("sppda.sim.sp_deliver", deliver)
+        assert sp_run(golden_sp, golden_library, self.DEMANDS).all_decoded
+        assert seen == [ODD_GC_THRESHOLD]
 
     def test_full_run(self, golden_sp, golden_library):
         report = sp_run(golden_sp, golden_library, self.DEMANDS)
