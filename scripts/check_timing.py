@@ -5,9 +5,12 @@ median and quartiles, in seconds, of: ``accept_s``, ``PdaArray(grid)``;
 ``reject_s``, ``verify_pda(one_swap(grid))``, whose ``PdaArray`` raises
 ``InvalidPdaError``; ``code_cells_s``, a fresh array's first ``code_cells``
 read; ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
-array through ``sppda.cli.main`` in a temporary directory.  It also prints
-``gc_collections``, the collections of each generation during one pipeline,
-counted with ``gc.callbacks``.  It reports only and sets no time limit.
+array through ``sppda.cli.main`` in a temporary directory; ``families_s``,
+the 34 MaN builds of the sweeps below; ``sweep_s``, ``analysis.sweep`` of the
+uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2.  It also
+prints ``gc_collections``, the collections of each generation during one
+pipeline, counted with ``gc.callbacks``.  It reports only and sets no time
+limit.
 
     PYTHONPATH=src python3 scripts/check_timing.py --repeat 21
 """
@@ -20,13 +23,17 @@ import json
 import statistics
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
-from sppda import cli
+from sppda import analysis, cli
 from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, verify_pda
 from sppda.construct import construct_sppda
 
 PROFILE = "10,4,2,2,2,2,1,1"
+SWEEP_CONFIGS = [analysis.SweepConfig(profile, mh, tuple(range(profile.part(1) + 1)))
+                 for profile in map(AssociationProfile.parse, ("3,3,3,3,3,3,3,3", PROFILE))
+                 for mh in (Fraction(1, 2), Fraction(1, 4))]
 
 
 def skewed_grid():
@@ -55,6 +62,21 @@ def pipeline(directory):
             code = cli.main(argv)
         if code:
             raise SystemExit(f"{argv[0]} exited {code}")
+
+
+def families(configs):
+    """The MaN arrays the sweeps of ``configs`` build: per config, the first
+    array MaN(Lambda, Lambda M_h/N) and MaN(L_1, t2) at every t2."""
+    for config in configs:
+        lam = config.profile.num_groups
+        man_pda(lam, int(lam * config.mh_ratio))
+        for t2 in config.t2_values:
+            man_pda(config.profile.part(1), t2)
+
+
+def sweeps(configs):
+    for config in configs:
+        analysis.sweep(config)
 
 
 def gc_collections(directory):
@@ -99,4 +121,6 @@ if __name__ == "__main__":
                           "code_cells_s": sample(lambda pda: pda.code_cells, repeat,
                                                  lambda: PdaArray(grid)),
                           "pipeline_s": sample(pipeline, repeat, lambda: tmp),
+                          "families_s": sample(families, repeat, lambda: SWEEP_CONFIGS),
+                          "sweep_s": sample(sweeps, repeat, lambda: SWEEP_CONFIGS),
                           "gc_collections": gc_collections(tmp)}))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,10 @@ STAR = 0
 # and a huge K or m costs no huge integer.
 MAX_CELLS = 1 << 22
 _CAP_BITS = MAX_CELLS.bit_length()
+
+# Python hashes an int modulo a prime, 2^61 - 1 on 64-bit builds, so a column
+# mask of fewer columns than the prime's bit length is its own hash.
+_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 # The most violations a refused grid lists.  A small grid can break C2 or C3
 # far more often than it has cells: one cell holding code 10^9 leaves 10^9 - 1
@@ -200,8 +205,14 @@ def _accept(grid: Grid) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | N
     if sum(map(operator.and_, map(cm.__getitem__, in_row_order), per_cell)) != sum(row_masks):
         return None
     # codes with equal masks share one int object, which keeps the table's
-    # memory down: the F=8400 skewed array has 4649 masks for 11115 codes
-    return z, s, masks, tuple(map(dict(zip(cm, cm)).__getitem__, cm[1:]))
+    # memory down: the F=8400 skewed array has 4649 masks for 11115 codes.
+    # Only masks that are their own hash are interned: a wider mask hashes as
+    # if its bit positions were taken modulo 61, so many collide, and a dict
+    # of them took seconds for MaN(800,1)
+    columns = cm[1:]
+    if width < _HASH_BITS:
+        columns = map(dict(zip(cm, cm)).__getitem__, columns)
+    return z, s, masks, tuple(columns)
 
 
 def _violations(grid: Grid) -> tuple[Violation, ...]:
@@ -331,22 +342,30 @@ def man_pda(k: int, t: int) -> PdaArray:
     (t+1)-subsets.  Each (t+1)-set A first appears at row A - {max A}, column
     max A, so the codes are already in row-major first-appearance order.
     Parameters: (K, C(K,t), C(K-1,t-1), C(K,t+1)).
+
+    The grid is built column by column.  Two t-subsets that lack u compare,
+    in lexicographic order, by the least element of their symmetric
+    difference, and adding u to both leaves that difference as it is.  So
+    T -> T | {u} keeps the order, and column u's codes, read down its
+    non-star rows, are the ranks of the (t+1)-subsets holding u, ascending.
+    One pass over the (t+1)-subsets lists those ranks per user; a column
+    reads its list at the running count of its non-star rows, and a star
+    row reads index 0, which holds STAR.
     """
     if k < 1 or not 0 <= t <= k:
         raise ParameterError(f"need K >= 1 and 0 <= t <= K, got K={k}, t={t}")
     check_cells(f"MaN({k}, {t})", binom(k, min(t, k - t, _CAP_BITS)) * k)
-    rank = {subset: i + 1 for i, subset in enumerate(itertools.combinations(range(1, k + 1), t + 1))}
-    rows = []
-    for subset in itertools.combinations(range(1, k + 1), t):
-        members = set(subset)
-        row = []
-        for u in range(1, k + 1):
-            if u in members:
-                row.append(STAR)
-            else:
-                row.append(rank[tuple(sorted(members | {u}))])
-        rows.append(tuple(row))
-    return PdaArray(rows)
+    users = range(1, k + 1)
+    codes = [[STAR] for _ in range(k + 1)]  # per user u, STAR then its ranks ascending
+    for rank, subset in enumerate(itertools.combinations(users, t + 1), start=1):
+        for u in subset:
+            codes[u].append(rank)
+    rows = list(itertools.combinations(users, t))
+    columns = []
+    for u in users:
+        free = list(map(operator.not_, map(operator.contains, rows, itertools.repeat(u))))
+        columns.append(map(codes[u].__getitem__, map(operator.mul, itertools.accumulate(free), free)))
+    return PdaArray(zip(*columns))
 
 
 def construction_a_pda(q: int, m: int) -> PdaArray:

@@ -18,6 +18,8 @@ same violations instead of raising them.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -166,13 +168,18 @@ def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -
             f"second PDA has {p2.k} columns, largest group is {profile.part(1)}")
 
 
+def _in_first_columns(p2: PdaArray, width: int):
+    """Per code of p2, in code order, nonzero exactly when the code occurs in
+    p2's first ``width`` columns."""
+    return map(operator.and_, p2.code_columns, itertools.repeat((1 << width) - 1))
+
+
 def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
     check_pair(p1, p2, profile)
     widths = [profile.part(xi(p1, s)) for s in range(1, p1.s + 1)]  # L_{xi(s)} per code s of p1
     # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
     # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
-    ranks = {w: [0, *itertools.accumulate(1 if mask & (1 << w) - 1 else 0
-                                          for mask in p2.code_columns)]
+    ranks = {w: list(itertools.accumulate(map(bool, _in_first_columns(p2, w)), initial=0))
              for w in set(widths)}
     return widths, ranks
 
@@ -183,22 +190,16 @@ def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
     return sum(ranks[w][-1] for w in widths)
 
 
-def _relabels(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> list[list[int]]:
-    """Per code s of p1, the lookup list that renumbers p2's codes into the
-    slice of [S] reserved for s, STAR to STAR.  The slices follow each other
-    in the order of p1's codes, and s's slice holds, ascending, the codes of
-    p2's first L_{xi(s)} columns.  A p2 code outside that domain reads its
-    predecessor's slot, but never occurs in s's blocks, which are at most
-    L_{xi(s)} wide."""
-    widths, ranks = _pair_tables(p1, p2, profile)
-    relabels: list[list[int]] = []
+def _relabels(widths: list[int], ranks: dict[int, list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """Per code s of p1, ``(offset, ranks[L_{xi(s)}])``: s's relabel renumbers
+    p2's code c to ``offset + ranks[L_{xi(s)}][c]``, into the slice of [S]
+    reserved for s.  The slices follow each other in the order of p1's codes,
+    and s's slice holds, ascending, the codes of p2's first L_{xi(s)}
+    columns, its domain.  ``widths`` and ``ranks`` are ``_pair_tables``'."""
     offset = 0
     for width in widths:
-        relabel = list(map(offset.__add__, ranks[width]))
-        relabel[STAR] = STAR
-        relabels.append(relabel)
+        yield offset, ranks[width]
         offset += ranks[width][-1]
-    return relabels
 
 
 @dataclass(frozen=True)
@@ -217,20 +218,20 @@ class BlockTables:
 def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> BlockTables:
     """The tables of ``construct_sppda(p1, p2, profile)``, from p1's and p2's
     tables alone.  S counts the codes the construction writes: for each code
-    s of p1 and each width it is cut to, the images under s's relabel list of
-    the codes in p2's first that many columns.  The star masks come from p1's
-    and p2's masks (``_block_star_masks``)."""
-    relabels = _relabels(p1, p2, profile)
-    parts = profile.parts
+    s of p1, its relabel (``_relabels``) of the codes in its domain, p2's
+    first L_{xi(s)} columns.  A block of s is cut to the width of its p1
+    column, and the profile is non-increasing, so s's first column is its
+    widest and the domains of its other columns lie inside that one.  The
+    star masks come from p1's and p2's masks (``_block_star_masks``)."""
+    widths, ranks = _pair_tables(p1, p2, profile)
     # per width w, the codes of p2's first w columns
-    domains = {w: [c for c, mask in enumerate(p2.code_columns, start=1) if mask & (1 << w) - 1]
-               for w in set(parts)}
+    codes = range(1, p2.s + 1)
+    domains = {w: list(itertools.compress(codes, _in_first_columns(p2, w))) for w in ranks}
     written: set[int] = set()
-    for relabel, cells in zip(relabels, p1.code_cells):
-        for w in {parts[k - 1] for k, _ in cells}:
-            written.update(map(relabel.__getitem__, domains[w]))
+    for width, (offset, rank) in zip(widths, _relabels(widths, ranks)):
+        written.update(map(offset.__add__, map(rank.__getitem__, domains[width])))
     return BlockTables(p1.f * p2.f, p1.z * p2.f + (p1.f - p1.z) * p2.z, p1.z * p2.f,
-                       len(written), _block_star_masks(p1, p2, parts))
+                       len(written), _block_star_masks(p1, p2, profile.parts))
 
 
 def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> SpPdaArray:
@@ -239,14 +240,22 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     The result is a block product: row (f1, f2) is the concatenation, over p1's
     columns lambda with L_lambda > 0, of an L_lambda-wide block.  A star of p1
     gives an all-star block; a code s of p1 gives row f2 of p2 cut to L_lambda
-    columns, with p2's codes renumbered by s's relabel list (``_relabels``).
+    columns, with p2's codes renumbered by s's relabel (``_relabels``), as a
+    lookup list that maps STAR to STAR.  A p2 code outside s's domain reads
+    its predecessor's slot, but never occurs in s's blocks, which are at most
+    L_{xi(s)} wide.
     Each width's cut of p2 is one flat list, so the rows of a p1 row are
     assembled by ``map``/``zip`` over those lists without a Python step per
     cell.  The grid is checked by ``PdaArray``, which also builds its tables.
     A result of more than ``MAX_CELLS`` cells raises before any row is built.
     """
-    relabels = _relabels(p1, p2, profile)
+    widths, ranks = _pair_tables(p1, p2, profile)
     check_cells("the construction", p1.f * p2.f * profile.num_users)
+    relabels = []
+    for offset, rank in _relabels(widths, ranks):
+        relabel = list(map(offset.__add__, rank))
+        relabel[STAR] = STAR
+        relabels.append(relabel)
     parts = profile.parts
     cut = {w: list(itertools.chain.from_iterable(row[:w] for row in p2.grid))
            for w in set(parts) if w}

@@ -1,9 +1,30 @@
 """Naive readers that scan the grid cell by cell: the reference for the index
 tables (``star_masks``, ``code_cells``, ``code_columns``) that ``sppda.arrays``
-keeps per array.  Each takes anything with ``grid``, ``k``, ``f`` and ``s``;
+keeps per array, and a per-cell builder of the MaN grid, the reference for
+``man_pda``.  Each takes anything with ``grid``, ``k``, ``f`` and ``s``;
 rows, columns and codes are 1-based as in the package."""
 
+import itertools
+
 from sppda.arrays import STAR
+
+
+def man_grid(k, t):
+    """The MaN(k, t) grid cell by cell: rows are the t-subsets of [k] in
+    lexicographic order, and the cell at row T, column u not in T holds the
+    1-based lexicographic rank of T | {u} among the (t+1)-subsets."""
+    rank = {subset: i + 1 for i, subset in enumerate(itertools.combinations(range(1, k + 1), t + 1))}
+    rows = []
+    for subset in itertools.combinations(range(1, k + 1), t):
+        members = set(subset)
+        row = []
+        for u in range(1, k + 1):
+            if u in members:
+                row.append(STAR)
+            else:
+                row.append(rank[tuple(sorted(members | {u}))])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def params(grid):

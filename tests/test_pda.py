@@ -317,6 +317,12 @@ class TestAcceptPath:
     def test_normalize_cases(self, rows):
         assert _outcome(normalize_grid, rows) == _outcome(per_cell_normalize, rows)
 
+    def test_equal_code_masks_share_one_object(self):
+        sp = construct_sppda(man_pda(4, 2), man_pda(6, 2), AssociationProfile((6, 4, 2, 1)))
+        masks = [mask for mask in sp.pda.code_columns if mask > 256]  # not cached small ints
+        assert len(set(masks)) < len(masks)
+        assert len(set(map(id, masks))) == len(set(masks))
+
     def test_code_cells_built_on_first_use(self):
         pda = PdaArray(GOLDEN_SP)
         assert "code_cells" not in vars(pda)
@@ -479,6 +485,20 @@ class TestManFamily:
 
     def test_known_small_instance(self):
         assert man_pda(3, 1).grid == ((STAR, 1, 2), (1, STAR, 3), (2, 3, STAR))
+
+    def test_matches_per_cell_builder(self):
+        for k in range(1, 13):
+            for t in range(0, k + 1):
+                assert man_pda(k, t).grid == grid_oracle.man_grid(k, t), (k, t)
+
+    def test_many_users_check_in_time(self):
+        # masks of 61 or more columns are not interned: two-bit masks collide
+        # in Python's int hash, which made the check of MaN(800, 1) take seconds
+        grid = man_pda(800, 1).grid
+        start = time.perf_counter()
+        pda = PdaArray(grid)
+        assert time.perf_counter() - start < 2
+        assert (pda.k, pda.f, pda.z, pda.s) == (800, 800, 1, 319600)
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
