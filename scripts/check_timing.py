@@ -7,7 +7,10 @@ median and quartiles, in seconds, of: ``accept_s``, ``PdaArray(grid)``;
 read; ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
 array through ``sppda.cli.main`` in a temporary directory; ``families_s``,
 the 34 MaN builds of the sweeps below; ``sweep_s``, ``analysis.sweep`` of the
-uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2.  It also
+uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2;
+``search_s``, ``permsearch.exhaustive_best`` and ``top_pairs`` of MaN(16,2)
+and MaN(3,1) under the profile 3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1, the README's
+``sppda search`` example.  It also
 prints ``gc_collections``, the collections of each generation during one
 pipeline, counted with ``gc.callbacks``.  It reports only and sets no time
 limit.
@@ -26,11 +29,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from sppda import analysis, cli
+from sppda import analysis, cli, permsearch
 from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, verify_pda
 from sppda.construct import construct_sppda
 
 PROFILE = "10,4,2,2,2,2,1,1"
+SEARCH_PROFILE = "3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1"
 SWEEP_CONFIGS = [analysis.SweepConfig(profile, mh, tuple(range(profile.part(1) + 1)))
                  for profile in map(AssociationProfile.parse, ("3,3,3,3,3,3,3,3", PROFILE))
                  for mh in (Fraction(1, 2), Fraction(1, 4))]
@@ -79,6 +83,13 @@ def sweeps(configs):
         analysis.sweep(config)
 
 
+def search(arrays):
+    """What ``sppda search`` runs on ``arrays``, the first and second array."""
+    profile = AssociationProfile.parse(SEARCH_PROFILE)
+    permsearch.exhaustive_best(*arrays, profile)
+    permsearch.top_pairs(*arrays, profile)
+
+
 def gc_collections(directory):
     """Per generation, the collections the collector ran during one pipeline."""
     counts = [0, 0, 0]
@@ -123,4 +134,5 @@ if __name__ == "__main__":
                           "pipeline_s": sample(pipeline, repeat, lambda: tmp),
                           "families_s": sample(families, repeat, lambda: SWEEP_CONFIGS),
                           "sweep_s": sample(sweeps, repeat, lambda: SWEEP_CONFIGS),
+                          "search_s": sample(search, repeat, lambda: (man_pda(16, 2), man_pda(3, 1))),
                           "gc_collections": gc_collections(tmp)}))

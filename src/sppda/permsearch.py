@@ -6,7 +6,8 @@ Permutations are tuples mapping old 0-based column index to new 0-based
 position; ties go to the lexicographically smallest, for determinism.
 
 Everything exact reads one table per array: ``phi[mask]``, the number of
-distinct codes in the columns of ``mask`` (bit c for 0-based column c).  The
+distinct codes in the columns of ``mask`` (bit c for 0-based column c), from
+one sum-over-subsets pass run on the 64-bit lanes of a single int.  The
 count S of a pairing is a sum of prefix phi values of the first array with
 non-negative weights set by the second array's phi at the group widths, and
 a prefix's phi depends only on its set of columns, so the best column order
@@ -15,16 +16,19 @@ prefix values that an array's orders can take come from a walk up the same
 subset lattice (``_Classes``), so no search enumerates the K! orders.  One
 chain walk (``_Lattice.first_order``) turns constraints on subsets and steps
 into the lexicographically first order, both for a class representative and
-for the best order along the DP's tight steps.
+for the best order along the DP's tight steps; it finds the subsets on
+allowed chains once, and after placing each column walks again only up from
+the column's position and down from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import ge, itemgetter, le, or_
+from operator import ge, itemgetter, le, mul, or_
 
 from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns
 from .construct import check_pair
@@ -66,16 +70,25 @@ class _Steps:
 def _subset_phi(pda: PdaArray, steps: _Steps) -> list[int]:
     """phi of every column subset, indexed by bitmask: the codes meeting the
     subset are all codes minus those confined to its complement, and one
-    sum-over-subsets pass (K * 2^K steps) counts the codes confined to each."""
-    steps.charge(pda.k << pda.k, f"the {2 ** pda.k}-subset phi table")
-    size = 1 << pda.k
+    sum-over-subsets pass (K * 2^K steps) counts the codes confined to each.
+    The pass runs on one int with a 64-bit lane per subset, lane m at bits
+    64m to 64m + 63: per column c, every lane lacking c is added 2^c lanes
+    up.  No count exceeds S, so no lane carries into the next."""
+    k, size = pda.k, 1 << pda.k
+    steps.charge(k << k, f"the {size}-subset phi table")
     confined = [0] * size
     for mask in pda.code_columns:
         confined[mask] += 1
-    for c in range(pda.k):
-        bit = 1 << c
-        confined = [n + confined[m ^ bit] if m & bit else n for m, n in enumerate(confined)]
-    return [pda.s - n for n in reversed(confined)]
+    lanes = int.from_bytes(struct.pack(f"<{size}Q", *confined), "little")
+    for c in range(k):
+        # the lanes lacking column c: 2^c lanes set then 2^c clear, repeated
+        run = 8 << c
+        lacks = int.from_bytes((b"\xff" * run + bytes(run)) * (size >> c + 1), "little")
+        lanes += (lanes & lacks) << (64 << c)
+    # lane m of S - lanes is phi of m's complement, so the lanes from the top
+    # one down are phi in mask order
+    ones = int.from_bytes(struct.pack("<Q", 1) * size, "little")
+    return list(struct.unpack(f">{size}Q", (pda.s * ones - lanes).to_bytes(8 * size, "big")))
 
 
 def _prefix_masks(perm: tuple[int, ...]) -> list[int]:
@@ -110,6 +123,8 @@ class _Lattice:
         self.k, self.steps = k, steps
         self.what = f"walking the {2 ** k}-subset lattice"
         self.every = (1 << (1 << k)) - 1
+        # subset m | c is subset m moved up 2^c bits, for m lacking column c
+        self.shifts = [1 << c for c in range(k)]
         # the subsets with column c: 2^c bits clear then 2^c set, repeated
         self.has = [self.every // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
                     for c in range(k)]
@@ -119,16 +134,16 @@ class _Lattice:
         """The subsets one column larger than some subset in ``sets`` along ``edges``."""
         self.steps.charge(sets.bit_count(), self.what)
         out = 0
-        for c, grows in enumerate(edges):
-            out |= (sets & grows) << (1 << c)
+        for shift, grows in zip(self.shifts, edges):
+            out |= (sets & grows) << shift
         return out
 
     def shrink(self, sets: int, edges: list[int]) -> int:
         """The subsets one column smaller than some subset in ``sets`` along ``edges``."""
         self.steps.charge(sets.bit_count(), self.what)
         out = 0
-        for c, grows in enumerate(edges):
-            out |= (sets >> (1 << c)) & grows
+        for shift, grows in zip(self.shifts, edges):
+            out |= (sets >> shift) & grows
         return out
 
     def chains(self, allowed: list[int], edges: list[int]) -> list[int]:
@@ -147,15 +162,32 @@ class _Lattice:
         smallest position at which it enters such a chain that places the
         earlier columns where they were put.  The constraints are all on single
         subsets and steps, so a step between two subsets on such chains lies on
-        one: one pass over the chains per column finds the position."""
-        order = []
-        for c in range(self.k):
-            good = self.chains(allowed, edges)
-            p = next(n for n in range(self.k)
-                     if (good[n] & edges[c]) << (1 << c) & good[n + 1])
-            order.append(p)
-            allowed = [sets & (self.has[c] if n > p else self.lacks[c])
-                       for n, sets in enumerate(good)]
+        one, and the position is the first width whose good subsets step to
+        good subsets along the column.
+
+        The good subsets are found once.  Placing column c at position p keeps
+        those of width up to p that lack c and those wider than p that have c.
+        A kept subset of width up to p still has its whole chain down to no
+        column, as every subset on it is a subset of it and so lacks c; a kept
+        subset wider than p likewise still has its whole chain up to all
+        columns.  So one pass up over the widths above p and one pass down over
+        the widths from p to 0 leave exactly the subsets on good chains.  Once
+        these form a single chain, that chain is the order."""
+        good = self.chains(allowed, edges)
+        for c, shift in enumerate(self.shifts):
+            if sum(sets.bit_count() for sets in good) == self.k + 1:
+                break
+            p = next(n for n in range(self.k) if (good[n] & edges[c]) << shift & good[n + 1])
+            good = [sets & (self.has[c] if n > p else self.lacks[c]) for n, sets in enumerate(good)]
+            for n in range(p + 1, self.k + 1):
+                good[n] &= self.grow(good[n - 1], edges)
+            for n in range(p, -1, -1):
+                good[n] &= self.shrink(good[n + 1], edges)
+        # one subset per width is left, and each step adds the column it places
+        masks = [sets.bit_length() - 1 for sets in good]
+        order = [0] * self.k
+        for n, (below, above) in enumerate(itertools.pairwise(masks)):
+            order[(above ^ below).bit_length() - 1] = n
         return tuple(order)
 
 
@@ -214,11 +246,6 @@ def _weights(table: tuple[int, ...]) -> list[int]:
     at the group widths, a_n = phi2(L_n): by Abel summation they are
     a_n - a_{n+1} >= 0 (a_{K1+1} = 0)."""
     return [a - b for a, b in zip(table, (*table[1:], 0))]
-
-
-def _pair_value(phi1: tuple[int, ...], table: tuple[int, ...]) -> int:
-    """S from p1's prefix phi values (widths 1..K1) and p2's phi table."""
-    return sum(v * w for v, w in zip(phi1, _weights(table)))
 
 
 def _order_value(phi: list[int], weights: list[int], k: int, pick) -> list[int]:
@@ -292,7 +319,8 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     allowed = [lattice.every] * (p1.k + 1)
     pi1 = min(lattice.first_order(allowed, _tight_edges(phi1, w, v, p1.k)) for w, v in reaching)
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
-    pi2 = min(tables[table] for table in tables if _pair_value(prefix1, table) == s_min)
+    pi2 = min(tables[table] for table in tables
+              if sum(map(mul, prefix1, _weights(table))) == s_min)
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
 
 
@@ -314,8 +342,9 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
     steps.charge(len(classes1) * len(tables),
                  f"scoring {len(classes1)} x {len(tables)} class pairs")
-    scored = sorted(((_pair_value(prefix1, table), prefix1, table)
-                     for prefix1 in classes1 for table in tables), key=itemgetter(0))
+    weighted = [(table, _weights(table)) for table in tables]
+    scored = sorted(((sum(map(mul, prefix1, weights)), prefix1, table)
+                     for prefix1 in classes1 for table, weights in weighted), key=itemgetter(0))
     cut = scored[min(limit, len(scored)) - 1][0]
     pairs = [PermutationPair(classes1[prefix1], tables[table], s)
              for s, prefix1, table in scored if s <= cut]

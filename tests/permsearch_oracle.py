@@ -103,6 +103,19 @@ def subset_phi(pda):
     return [sum(1 for c in cols if any(mask >> col & 1 for col in c)) for mask in range(1 << pda.k)]
 
 
+def first_order(k, allowed, edges):
+    """The lexicographically first column->position permutation whose prefix of
+    each width n is in the set ``allowed[n]`` and that grows by each column c
+    only from a prefix in the set ``edges[c]`` (sets as bitmaps over column
+    bitmasks), found by trying all K! permutations in order; None if none does."""
+    for perm in itertools.permutations(range(k)):
+        prefix = [sum(1 << c for c in range(k) if perm[c] < n) for n in range(k + 1)]
+        if (all(allowed[n] >> prefix[n] & 1 for n in range(k + 1))
+                and all(edges[c] >> prefix[perm[c]] & 1 for c in range(k))):
+            return perm
+    return None
+
+
 def weights(table):
     """S = sum_n (phi1(n) - phi1(n-1)) * a_n = sum_n phi1(n) * (a_n - a_{n+1})."""
     return [a - b for a, b in zip(table, (*table[1:], 0))]

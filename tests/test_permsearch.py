@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppda.arrays import (
+    STAR,
     AssociationProfile,
     InvalidPermutationError,
     ParameterError,
@@ -23,6 +24,7 @@ from sppda.permsearch import (
     BudgetExceededError,
     PermutationPair,
     _Classes,
+    _Lattice,
     _Steps,
     _greedy_order,
     _subset_phi,
@@ -99,7 +101,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 2618
+        assert result.evaluations == 2468
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -130,13 +132,13 @@ class TestExhaustive:
 
     def test_budget_counts_dp_transitions(self):
         # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
-        # 6 * 2^6 for the tight steps of the one table reaching s_min, 208 subsets
-        # walked to rebuild pi1, then 340 to rebuild the representative of p2's
-        # best table
+        # 6 * 2^6 for the tight steps of the one table reaching s_min, 156 subsets
+        # walked to rebuild pi1, then 121 for each of the two representatives of
+        # p2's tables that reach s_min with pi1
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b2618 steps, over the budget of 2617$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2617)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2618).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b2468 steps, over the budget of 2467$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2467)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2468).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
@@ -241,6 +243,66 @@ class TestClasses:
                        [rng.randint(0, pda.k) for _ in range(rng.randint(1, 2 * pda.k))]):
             classes = _Classes(table, pda.k, widths, _Steps(10 ** 9))
             assert dict(classes.items()) == oracle.prefix_classes(table, pda.k, widths)
+
+
+def code_per_row_pda(k, column_sets):
+    """The array with one code per set in ``column_sets`` and one row per
+    column of it, holding the code there and stars elsewhere.  Codes in one
+    column are added until every column holds as many codes, so C1 holds, and
+    C3 holds because no row holds two codes."""
+    counts = [sum(c in cols for cols in column_sets) for c in range(k)]
+    column_sets = [*column_sets, *({c} for c in range(k) for _ in range(max(counts) - counts[c]))]
+    return PdaArray.from_grid([tuple(code if j == c else STAR for j in range(k))
+                               for code, cols in enumerate(column_sets, 1) for c in sorted(cols)])
+
+
+class TestSubsetPhi:
+    """The lane-packed sum over subsets against a code-by-code count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_matches_code_by_code_count(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 10)
+        pda = code_per_row_pda(k, [set(rng.sample(range(k), rng.randint(1, k)))
+                                   for _ in range(rng.randint(1, 40))])
+        assert _subset_phi(pda, _Steps(10 ** 9)) == oracle.subset_phi(pda)
+
+    def test_counts_past_sixteen_bits(self):
+        # S = 70000 does not fit 16-bit lanes, and the column pairs meet 60000,
+        # 60000 and 40000 codes, so lanes read in the wrong order show
+        pda = code_per_row_pda(3, [{0}] * 30000 + [{1}] * 10000 + [{2}] * 10000 + [{1, 2}] * 20000)
+        phi = _subset_phi(pda, _Steps(10 ** 9))
+        assert phi == oracle.subset_phi(pda)
+        assert phi == [0, 30000, 30000, 60000, 30000, 60000, 40000, 70000]
+
+
+def random_constraints(rng, k):
+    """Random ``allowed`` and ``edges`` for ``_Lattice.first_order``: per width
+    any subsets, per column c only subsets lacking c, each kept with one
+    probability drawn per instance."""
+    keep = rng.choice((0.5, 0.7, 0.9))
+
+    def some(subsets):
+        return sum(1 << m for m in subsets if rng.random() < keep)
+
+    return ([some(range(1 << k)) for _ in range(k + 1)],
+            [some(m for m in range(1 << k) if not m >> c & 1) for c in range(k)])
+
+
+class TestLattice:
+    """The chain walk against trying every column->position permutation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_first_order_matches_enumeration(self, seed):
+        # a seeded generator, so that redrawing until a chain exists costs
+        # hypothesis no data
+        rng = random.Random(seed)
+        k = rng.randint(1, 6)
+        while (want := oracle.first_order(k, *(constraints := random_constraints(rng, k)))) is None:
+            pass
+        assert _Lattice(k, _Steps(10 ** 9)).first_order(*constraints) == want
 
 
 class TestPhiVector:
