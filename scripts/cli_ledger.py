@@ -112,6 +112,7 @@ SESSIONS = [
     ("sweep", {}, [
         ["sweep", "--profile", "3,3,3,3,3,3,3,3", "--mh-ratio", "1/2"],
         ["sweep", "--profile", "10,4,2,2,2,2,1,1", "--mh-ratio", "1/4"],
+        ["sweep", "--profile", ",".join(["4"] * 16), "--mh-ratio", "1/2"],
     ]),
     ("search", {}, [
         ["search", "man:4,1", "man:3,1", *SEARCH],

@@ -5,7 +5,10 @@ regenerates the figure data behind the uniform and skewed profiles.
 The sweep cross-checks each closed form under its cap against the
 construction's tables (``construct.block_tables``): F, S, Z^(h) and the
 per-group all-star rows of the block product, read from the two arrays'
-tables without writing out its F x K grid.
+tables without writing out its F x K grid.  S is the sum of the relabel
+slice sizes (``construct.s_count``), counted per code of the first array,
+and the star masks take one bit spread per column of the first array, so
+a check costs about what building the two arrays does.
 
 All rates are exact rationals; floats appear only in rendered output.
 """
@@ -83,11 +86,6 @@ class ComparisonReport:
     rate_a: Fraction
     rate_ratio: Fraction | None  # rate_man / rate_a; None when rate_a == 0
     uniform: bool
-
-    @property
-    def rate_ratio_uniform(self) -> Fraction:
-        """t1 / (t1 + 1); exact only for uniform profiles."""
-        return Fraction(self.t1, self.t1 + 1)
 
 
 def compare(q: int, m: int, t2: int, profile: AssociationProfile) -> ComparisonReport:

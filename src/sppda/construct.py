@@ -168,19 +168,15 @@ def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -
             f"second PDA has {p2.k} columns, largest group is {profile.part(1)}")
 
 
-def _in_first_columns(p2: PdaArray, width: int):
-    """Per code of p2, in code order, nonzero exactly when the code occurs in
-    p2's first ``width`` columns."""
-    return map(operator.and_, p2.code_columns, itertools.repeat((1 << width) - 1))
-
-
 def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
     check_pair(p1, p2, profile)
     widths = [profile.part(xi(p1, s)) for s in range(1, p1.s + 1)]  # L_{xi(s)} per code s of p1
     # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
     # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
-    ranks = {w: list(itertools.accumulate(map(bool, _in_first_columns(p2, w)), initial=0))
-             for w in set(widths)}
+    ranks = {}
+    for w in set(widths):
+        in_first = map(operator.and_, p2.code_columns, itertools.repeat((1 << w) - 1))
+        ranks[w] = list(itertools.accumulate(map(bool, in_first), initial=0))
     return widths, ranks
 
 
@@ -217,21 +213,16 @@ class BlockTables:
 
 def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> BlockTables:
     """The tables of ``construct_sppda(p1, p2, profile)``, from p1's and p2's
-    tables alone.  S counts the codes the construction writes: for each code
-    s of p1, its relabel (``_relabels``) of the codes in its domain, p2's
-    first L_{xi(s)} columns.  A block of s is cut to the width of its p1
-    column, and the profile is non-increasing, so s's first column is its
-    widest and the domains of its other columns lie inside that one.  The
-    star masks come from p1's and p2's masks (``_block_star_masks``)."""
-    widths, ranks = _pair_tables(p1, p2, profile)
-    # per width w, the codes of p2's first w columns
-    codes = range(1, p2.s + 1)
-    domains = {w: list(itertools.compress(codes, _in_first_columns(p2, w))) for w in ranks}
-    written: set[int] = set()
-    for width, (offset, rank) in zip(widths, _relabels(widths, ranks)):
-        written.update(map(offset.__add__, map(rank.__getitem__, domains[width])))
+    tables alone.  S is ``s_count``, the sum of the slice sizes: for each
+    code s of p1 the construction writes its relabel (``_relabels``) of the
+    codes in its domain, p2's first L_{xi(s)} columns.  The domain and the
+    rank table come from the same column mask, so the relabel maps the
+    domain onto all of s's slice, and the slices are disjoint.  (A block of s is cut to the width of its p1 column, and the
+    profile is non-increasing, so s's first column is its widest and the
+    domains of its other columns lie inside that one.)  The star masks come
+    from p1's and p2's masks (``_block_star_masks``)."""
     return BlockTables(p1.f * p2.f, p1.z * p2.f + (p1.f - p1.z) * p2.z, p1.z * p2.f,
-                       len(written), _block_star_masks(p1, p2, profile.parts))
+                       s_count(p1, p2, profile), _block_star_masks(p1, p2, profile.parts))
 
 
 def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> SpPdaArray:
@@ -274,17 +265,21 @@ def _block_star_masks(p1: PdaArray, p2: PdaArray, parts: tuple[int, ...]) -> tup
     bit f1*F2 + f2, so column (lambda, u) is all F2 rows of each stripe where
     p1's column lambda has a star, and p2's column u in each stripe where it
     has a code.  ``spread`` moves bit f1 to bit f1*F2, so every product below
-    sets disjoint F2-bit stripes and carries nothing."""
+    sets disjoint F2-bit stripes and carries nothing.  A column's code rows
+    and star rows in p1 are disjoint and make up all F1 rows, so its code
+    rows spread to ``every ^ spread(mask)``, where ``every`` is all F1 rows
+    spread once: one ``spread`` per column of p1."""
     gap = "0" * (p2.f - 1)
 
     def spread(mask: int) -> int:
         return int(gap.join(bin(mask)[2:]), 2)
 
-    stripe, every = (1 << p2.f) - 1, (1 << p1.f) - 1
+    stripe, every = (1 << p2.f) - 1, spread((1 << p1.f) - 1)
     masks: list[int] = []
     for mask, w in zip(p1.star_masks, parts):
         if w:
-            stars, codes = spread(mask) * stripe, spread(~mask & every)
+            spread_mask = spread(mask)
+            stars, codes = spread_mask * stripe, every ^ spread_mask
             masks.extend(stars | codes * m2 for m2 in p2.star_masks[:w])
     return tuple(masks)
 

@@ -171,15 +171,18 @@ class _Lattice:
         column, as every subset on it is a subset of it and so lacks c; a kept
         subset wider than p likewise still has its whole chain up to all
         columns.  So one pass up over the widths above p and one pass down over
-        the widths from p to 0 leave exactly the subsets on good chains.  Once
-        these form a single chain, that chain is the order."""
+        the widths from p to 0 leave exactly the subsets on good chains.  The
+        pass up starts at width p + 2: a kept subset of width p + 1 has c, and
+        as no good chain steps along c below width p, its good chain entered c
+        at step p, from a kept subset of width p that lacks c.  Once the good
+        subsets form a single chain, that chain is the order."""
         good = self.chains(allowed, edges)
         for c, shift in enumerate(self.shifts):
             if sum(sets.bit_count() for sets in good) == self.k + 1:
                 break
             p = next(n for n in range(self.k) if (good[n] & edges[c]) << shift & good[n + 1])
             good = [sets & (self.has[c] if n > p else self.lacks[c]) for n, sets in enumerate(good)]
-            for n in range(p + 1, self.k + 1):
+            for n in range(p + 2, self.k + 1):
                 good[n] &= self.grow(good[n - 1], edges)
             for n in range(p, -1, -1):
                 good[n] &= self.shrink(good[n + 1], edges)

@@ -26,6 +26,7 @@ from sppda.construct import (
     InsufficientStarRowsError,
     ProfileMismatchError,
     SpPdaArray,
+    _block_star_masks,
     block_tables,
     construct_sppda,
     group_star_masks,
@@ -155,7 +156,18 @@ class TestConstruct:
         sp = construct_sppda(p1, p2, profile)
         assert (tables.f, tables.z, tables.zh, tables.s) == \
             (sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s)
+        assert tables.s == s_count(p1, p2, profile)
         assert tables.star_masks == sp.pda.star_masks
+
+    # p1: no stars, all stars, mixed; p2: F2 = 1 with codes or stars only, F2 > 1
+    @pytest.mark.parametrize("p1", [man_pda(3, 0), man_pda(3, 3), man_pda(3, 1)],
+                             ids=["p1-no-stars", "p1-all-stars", "p1-mixed"])
+    @pytest.mark.parametrize("p2", [man_pda(2, 0), man_pda(2, 2), man_pda(2, 1)],
+                             ids=["p2-f1-codes", "p2-f1-stars", "p2-mixed"])
+    @pytest.mark.parametrize("parts", [(2, 2, 2), (2, 1, 0), (2, 0, 0)])
+    def test_block_star_masks_edge_cases(self, p1, p2, parts):
+        sp = construct_sppda(p1, p2, AssociationProfile(parts))
+        assert _block_star_masks(p1, p2, parts) == sp.pda.star_masks
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
