@@ -35,13 +35,20 @@ from sppda.construct import construct_sppda
 
 PROFILE = "10,4,2,2,2,2,1,1"
 SEARCH_PROFILE = "3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1"
+
+
+def profile_of(text):
+    """The profile whose parts ``text`` lists, separated by commas."""
+    return AssociationProfile(tuple(map(int, text.split(","))))
+
+
 SWEEP_CONFIGS = [analysis.SweepConfig(profile, mh, tuple(range(profile.part(1) + 1)))
-                 for profile in map(AssociationProfile.parse, ("3,3,3,3,3,3,3,3", PROFILE))
+                 for profile in map(profile_of, ("3,3,3,3,3,3,3,3", PROFILE))
                  for mh in (Fraction(1, 2), Fraction(1, 4))]
 
 
 def skewed_grid():
-    profile = AssociationProfile.parse(PROFILE)
+    profile = profile_of(PROFILE)
     return construct_sppda(man_pda(8, 4), man_pda(10, 3), profile).pda.grid
 
 
@@ -85,7 +92,7 @@ def sweeps(configs):
 
 def search(arrays):
     """What ``sppda search`` runs on ``arrays``, the first and second array."""
-    profile = AssociationProfile.parse(SEARCH_PROFILE)
+    profile = profile_of(SEARCH_PROFILE)
     permsearch.exhaustive_best(*arrays, profile)
     permsearch.top_pairs(*arrays, profile)
 

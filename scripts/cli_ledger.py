@@ -124,6 +124,13 @@ SESSIONS = [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],
         ["formulas", "consa", "--profile", "2,2,1,1", "--q", "2", "--m", "1", "--t2", "1"],
     ]),
+    ("bad-profile", {}, [
+        ["construct", "man:2,1", "man:3,1", "--profile", "3,x"],
+        ["search", "man:4,1", "man:3,1", "--profile", ""],
+        ["sweep", "--profile", "3 3,x", "--mh-ratio", "1/2"],
+        ["formulas", "man", "--profile", "3,x", "--t1", "1", "--t2", "1"],
+        ["formulas", "man", "--profile", "3 2", "--t1", "1", "--t2", "1"],
+    ]),
     ("json-strings-for-lists", {
         "grid.json": '{"type": "pda", "k": 1, "f": 2, "z": 0, "s": 2, "grid": "12"}\n',
         "rows.json": _golden_json(grid=GOLDEN_JSON_ROWS, profile="32"),

@@ -178,6 +178,8 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
     for scheme in config.schemes:
         if scheme not in _PAIRINGS:
             raise ParameterError(f"unknown scheme {scheme!r}")
+        if config.schemes.count(scheme) > 1:
+            raise ParameterError(f"scheme {scheme!r} repeated")
         parameters, *pairing = _PAIRINGS[scheme]
         schemes.append((scheme, parameters(config), *pairing))
     firsts: dict[str, PdaArray] = {}  # per scheme, its first array once one is needed

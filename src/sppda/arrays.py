@@ -16,11 +16,10 @@ cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
 ``InvalidPdaError.violations``.  So every ``PdaArray`` is a valid PDA;
 ``verify_pda`` returns the violations instead of raising them.
 ``code_cells``, per code its cells as (user, row) in row-major order, is
-built on first use: delivery, decoding, the construction and the greedy
-order read it, the check does not.  The column statistics, D2, placement,
-delivery, construction and column-order search read these tables instead of
-scanning the grid.  The families refuse, before building, a grid of more
-than ``MAX_CELLS`` cells.
+built on first use, and only delivery and decoding read it.  The column
+statistics, D2, placement, delivery, construction and column-order search
+read these tables instead of scanning the grid.  The families refuse,
+before building, a grid of more than ``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,10 +39,6 @@ STAR = 0
 # and a huge K or m costs no huge integer.
 MAX_CELLS = 1 << 22
 _CAP_BITS = MAX_CELLS.bit_length()
-
-# Python hashes an int modulo a prime, 2^61 - 1 on 64-bit builds, so a column
-# mask of fewer columns than the prime's bit length is its own hash.
-_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 # The most violations a refused grid lists.  A small grid can break C2 or C3
 # far more often than it has cells: one cell holding code 10^9 leaves 10^9 - 1
@@ -204,15 +198,7 @@ def _accept(grid: Grid) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | N
     in_row_order = itertools.compress(chain(grid), chain(grid))
     if sum(map(operator.and_, map(cm.__getitem__, in_row_order), per_cell)) != sum(row_masks):
         return None
-    # codes with equal masks share one int object, which keeps the table's
-    # memory down: the F=8400 skewed array has 4649 masks for 11115 codes.
-    # Only masks that are their own hash are interned: a wider mask hashes as
-    # if its bit positions were taken modulo 61, so many collide, and a dict
-    # of them took seconds for MaN(800,1)
-    columns = cm[1:]
-    if width < _HASH_BITS:
-        columns = map(dict(zip(cm, cm)).__getitem__, columns)
-    return z, s, masks, tuple(columns)
+    return z, s, masks, tuple(cm[1:])
 
 
 def _violations(grid: Grid) -> tuple[Violation, ...]:
@@ -249,6 +235,11 @@ def _each_violation(grid: Grid):
             elif grid[j1 - 1][k2 - 1] != STAR or grid[j2 - 1][k1 - 1] != STAR:
                 yield Violation("C3b", (j1, j2), (k1, k2),
                                 f"code {code}: crossing cells are not both stars")
+
+
+def _lowest_bit(mask: int) -> int:
+    """The 1-based index of the lowest set bit of ``mask``, 0 for no bit."""
+    return (mask & -mask).bit_length()
 
 
 def mask_rows(mask: int) -> list[int]:
@@ -322,8 +313,7 @@ def xi(pda: PdaArray, code: int) -> int:
     """Smallest 1-based column index in which ``code`` appears."""
     if not 1 <= code <= pda.s:
         raise CodeAbsentError(f"code {code} not in [1, {pda.s}]")
-    mask = pda.code_columns[code - 1]
-    return (mask & -mask).bit_length()  # the lowest set bit
+    return _lowest_bit(pda.code_columns[code - 1])
 
 
 def canonicalize_codes(rows) -> Grid:
@@ -409,14 +399,6 @@ class AssociationProfile:
                 raise ParameterError(f"profile parts must be nonnegative integers, got {p!r}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ParameterError(f"profile {self.parts} is not non-increasing")
-
-    @classmethod
-    def parse(cls, text: str) -> "AssociationProfile":
-        try:
-            parts = tuple(int(x) for x in text.replace(",", " ").split())
-        except ValueError:
-            raise ParameterError(f"bad profile {text!r}: expected integers") from None
-        return cls(parts)
 
     @property
     def num_groups(self) -> int:

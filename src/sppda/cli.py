@@ -53,6 +53,11 @@ def _load_pda(spec: str) -> PdaArray:
     return textio.parse_pda(Path(spec).read_text())
 
 
+def _profile(text: str) -> AssociationProfile:
+    """The ``--profile`` parts, separated by commas or spaces."""
+    return AssociationProfile(textio.parse_ints(text.replace(",", " ").split(), "--profile"))
+
+
 def _emit(text: str, output: str | None):
     if output:
         Path(output).write_text(text)
@@ -61,7 +66,7 @@ def _emit(text: str, output: str | None):
 
 
 def cmd_construct(args) -> int:
-    profile = AssociationProfile.parse(args.profile)
+    profile = _profile(args.profile)
     p1 = _load_pda(args.p1)
     p2 = _load_pda(args.p2)
     sp = construct_sppda(p1, p2, profile)
@@ -114,7 +119,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    profile = AssociationProfile.parse(args.profile)
+    profile = _profile(args.profile)
     p1 = _load_pda(args.p1)
     p2 = _load_pda(args.p2)
     if args.greedy:
@@ -142,7 +147,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    profile = AssociationProfile.parse(args.profile)
+    profile = _profile(args.profile)
     l1 = profile.part(1)
     if args.t2:
         lo, hi = textio.parse_ints(args.t2.split(":"), "--t2", 2)
@@ -163,7 +168,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    profile = AssociationProfile.parse(args.profile)
+    profile = _profile(args.profile)
     if args.family == "man":
         if args.t1 is None:
             raise ParameterError("man formulas need --t1")

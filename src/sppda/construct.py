@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,10 +30,10 @@ from .arrays import (
     ParameterError,
     PdaArray,
     Violation,
+    _lowest_bit,
     binom,
     check_bijection,
     check_cells,
-    xi,
 )
 
 
@@ -170,7 +169,7 @@ def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -
 
 def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
     check_pair(p1, p2, profile)
-    widths = [profile.part(xi(p1, s)) for s in range(1, p1.s + 1)]  # L_{xi(s)} per code s of p1
+    widths = list(map(profile.part, map(_lowest_bit, p1.code_columns)))  # L_{xi(s)} per code s of p1
     # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
     # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
     ranks = {}
@@ -184,18 +183,6 @@ def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
     """Distinct-code count of the constructed SP-PDA, without materializing it."""
     widths, ranks = _pair_tables(p1, p2, profile)
     return sum(ranks[w][-1] for w in widths)
-
-
-def _relabels(widths: list[int], ranks: dict[int, list[int]]) -> Iterator[tuple[int, list[int]]]:
-    """Per code s of p1, ``(offset, ranks[L_{xi(s)}])``: s's relabel renumbers
-    p2's code c to ``offset + ranks[L_{xi(s)}][c]``, into the slice of [S]
-    reserved for s.  The slices follow each other in the order of p1's codes,
-    and s's slice holds, ascending, the codes of p2's first L_{xi(s)}
-    columns, its domain.  ``widths`` and ``ranks`` are ``_pair_tables``'."""
-    offset = 0
-    for width in widths:
-        yield offset, ranks[width]
-        offset += ranks[width][-1]
 
 
 @dataclass(frozen=True)
@@ -214,10 +201,11 @@ class BlockTables:
 def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> BlockTables:
     """The tables of ``construct_sppda(p1, p2, profile)``, from p1's and p2's
     tables alone.  S is ``s_count``, the sum of the slice sizes: for each
-    code s of p1 the construction writes its relabel (``_relabels``) of the
-    codes in its domain, p2's first L_{xi(s)} columns.  The domain and the
-    rank table come from the same column mask, so the relabel maps the
-    domain onto all of s's slice, and the slices are disjoint.  (A block of s is cut to the width of its p1 column, and the
+    code s of p1 the construction writes its relabel (see
+    ``construct_sppda``) of the codes in its domain, p2's first L_{xi(s)}
+    columns.  The domain and the rank table come from the same column mask,
+    so the relabel maps the domain onto all of s's slice, and the slices are
+    disjoint.  (A block of s is cut to the width of its p1 column, and the
     profile is non-increasing, so s's first column is its widest and the
     domains of its other columns lie inside that one.)  The star masks come
     from p1's and p2's masks (``_block_star_masks``)."""
@@ -231,10 +219,11 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     The result is a block product: row (f1, f2) is the concatenation, over p1's
     columns lambda with L_lambda > 0, of an L_lambda-wide block.  A star of p1
     gives an all-star block; a code s of p1 gives row f2 of p2 cut to L_lambda
-    columns, with p2's codes renumbered by s's relabel (``_relabels``), as a
-    lookup list that maps STAR to STAR.  A p2 code outside s's domain reads
-    its predecessor's slot, but never occurs in s's blocks, which are at most
-    L_{xi(s)} wide.
+    columns, renumbered by s's relabel: a lookup list that maps STAR to STAR
+    and p2's code c to ``offset + ranks[L_{xi(s)}][c]``, in the slice of [S]
+    reserved for s.  The slices follow each other in the order of p1's codes;
+    s's slice holds, ascending, the codes of p2's first L_{xi(s)} columns, its
+    domain, and s's blocks, at most L_{xi(s)} wide, hold no other p2 code.
     Each width's cut of p2 is one flat list, so the rows of a p1 row are
     assembled by ``map``/``zip`` over those lists without a Python step per
     cell.  The grid is checked by ``PdaArray``, which also builds its tables.
@@ -243,10 +232,12 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     widths, ranks = _pair_tables(p1, p2, profile)
     check_cells("the construction", p1.f * p2.f * profile.num_users)
     relabels = []
-    for offset, rank in _relabels(widths, ranks):
-        relabel = list(map(offset.__add__, rank))
+    offset = 0
+    for width in widths:
+        relabel = list(map(offset.__add__, ranks[width]))
         relabel[STAR] = STAR
         relabels.append(relabel)
+        offset += ranks[width][-1]
     parts = profile.parts
     cut = {w: list(itertools.chain.from_iterable(row[:w] for row in p2.grid))
            for w in set(parts) if w}

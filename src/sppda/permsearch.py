@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import ge, itemgetter, le, mul, or_
 
@@ -102,7 +102,7 @@ def _prefix_masks(perm: tuple[int, ...]) -> list[int]:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _bitmap(members: list[int], size: int) -> int:
+def _bitmap(members: Iterable[int], size: int) -> int:
     """The int with bit m set for each m in ``members`` (all below ``size``):
     one 0/1 flag byte per bit, reversed and read as binary digits."""
     flags = bytearray(size)
@@ -422,12 +422,10 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
 
 def _greedy_order(pda: PdaArray) -> tuple[int, ...]:
     """The greedy column order as a permutation: per 0-based column the
-    bitmask of its codes (bit s-1 for code s), then repeatedly the column
-    with the fewest codes not yet seen, ties to the lowest index."""
-    cols = [0] * pda.k
-    for bit, cells in enumerate(pda.code_cells):
-        for k, _ in cells:
-            cols[k - 1] |= 1 << bit
+    bitmask of its codes (bit s-1 for code s: ``_bitmap`` sets bit s, and the
+    shift drops bit 0, the stars), then repeatedly the column with the fewest
+    codes not yet seen, ties to the lowest index."""
+    cols = [_bitmap(col, pda.s + 1) >> 1 for col in zip(*pda.grid)]
     remaining = list(range(pda.k))
     seen = 0
     perm = [0] * pda.k

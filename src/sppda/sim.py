@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arrays import AssociationProfile, ParameterError, PdaArray, mask_rows
+from .arrays import AssociationProfile, ParameterError, PdaArray, _lowest_bit, mask_rows
 from .construct import SpPdaArray
 
 
@@ -183,10 +183,6 @@ def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
     return files, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
 
 
-def _lowest_row(mask: int) -> int:
-    return (mask & -mask).bit_length()
-
-
 def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transmission, ...]:
     """One XOR transmission per code, components in row-major order."""
     files, rows = _subfile_slices(sppda.pda, library, demands)
@@ -221,7 +217,7 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
         missing = stars & ~(layout.helper_masks[h - 1] | layout.private_masks[k - 1])
         if missing:
             raise MissingComponentError(
-                f"user {k}: cached row {_lowest_row(missing)} not in any reachable cache")
+                f"user {k}: cached row {_lowest_bit(missing)} not in any reachable cache")
     decoded = [True] * pda.k
     from_bytes = int.from_bytes
     for cells, sent in zip(pda.code_cells, transmissions, strict=True):

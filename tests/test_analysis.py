@@ -142,6 +142,10 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), ("mystery",)))
 
+    def test_repeated_scheme(self):
+        with pytest.raises(ParameterError, match="'man_pair' repeated"):
+            sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), ("man_pair", "man_pair")))
+
     def test_cross_check_rejects_each_mismatch(self):
         # the golden pair, F=6, S=3, Z^(h)=3, read as the sweep reads it
         parts = (3, 2)

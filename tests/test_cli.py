@@ -348,6 +348,32 @@ class TestSweep:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("schemes", ["man,man", "man,man_pair", "consa,man,construction_a_pair"])
+    def test_repeated_scheme(self, capsys, schemes):
+        assert main(["sweep", "--profile", "3,3,3,3", "--mh-ratio", "1/2",
+                     "--schemes", schemes]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: scheme ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "man:2,1", "man:3,1"],
+    ["search", "man:4,1", "man:3,1"],
+    ["sweep", "--mh-ratio", "1/2"],
+    ["formulas", "man", "--t1", "1", "--t2", "1"],
+])
+@pytest.mark.parametrize("profile", ["3,x", "", " , "])
+def test_bad_profile(capsys, command, profile):
+    assert main([*command, "--profile", profile]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad --profile ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("profile", ["3,2", "3 2", "3, 2", " 3,,2 "])
+def test_profile_separators(capsys, profile):
+    assert main(["formulas", "man", "--profile", profile, "--t1", "1", "--t2", "1"]) == 0
+    assert "S = 3" in capsys.readouterr().out
+
 
 class TestFormulas:
     def test_man(self, capsys):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grid_oracle as oracle
-from conftest import random_pda, random_profile
-from sppda.arrays import mask_rows, permute_columns, xi
-from sppda.construct import construct_sppda, group_star_masks
-from sppda.permsearch import phi_vector
+from conftest import WIDE_P1, WIDE_P2, WIDE_PROFILE, random_pda, random_profile
+from sppda.arrays import PdaArray, mask_rows, permute_columns, xi
+from sppda.construct import block_tables, construct_sppda, group_star_masks, s_count
+from sppda.permsearch import (check_E1, check_E2, exhaustive_best, heuristic_reorder, phi_vector,
+                              top_pairs)
 from sppda.sim import FileLibrary, sp_deliver
 
 
@@ -44,3 +45,25 @@ def test_readers_match_grid_oracle(rng):
     assert tuple(t.components for t in transmissions) == oracle.code_cells(sp.pda)
     # the components are the table's own tuples, not copies
     assert all(t.components is cells for t, cells in zip(transmissions, sp.pda.code_cells))
+
+
+def test_only_delivery_builds_code_cells():
+    """The search, the construction and its tables read ``star_masks`` and
+    ``code_columns``; ``code_cells`` stays unbuilt on the arrays they read
+    and on those they return."""
+    p1, p2, profile = PdaArray(WIDE_P1), PdaArray(WIDE_P2), WIDE_PROFILE
+    returned = [
+        heuristic_reorder(p1, side="first"),
+        heuristic_reorder(p2, profile, side="second"),
+        construct_sppda(p1, p2, profile).pda,
+    ]
+    exhaustive_best(p1, p2, profile)
+    top_pairs(p1, p2, profile)
+    check_E1(p1)
+    check_E2(p2, profile)
+    s_count(p1, p2, profile)
+    block_tables(p1, p2, profile)
+    phi_vector(p1)
+    assert returned[0] != p1 and returned[1] != p2  # the greedy order moved columns
+    for pda in (p1, p2, *returned):
+        assert "code_cells" not in vars(pda)

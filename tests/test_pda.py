@@ -317,12 +317,6 @@ class TestAcceptPath:
     def test_normalize_cases(self, rows):
         assert _outcome(normalize_grid, rows) == _outcome(per_cell_normalize, rows)
 
-    def test_equal_code_masks_share_one_object(self):
-        sp = construct_sppda(man_pda(4, 2), man_pda(6, 2), AssociationProfile((6, 4, 2, 1)))
-        masks = [mask for mask in sp.pda.code_columns if mask > 256]  # not cached small ints
-        assert len(set(masks)) < len(masks)
-        assert len(set(map(id, masks))) == len(set(masks))
-
     def test_code_cells_built_on_first_use(self):
         pda = PdaArray(GOLDEN_SP)
         assert "code_cells" not in vars(pda)
@@ -554,7 +548,7 @@ class TestSizeCap:
 
 class TestAssociationProfile:
     def test_parse_and_accessors(self):
-        p = AssociationProfile.parse("6,3,2,1,1,1")
+        p = AssociationProfile((6, 3, 2, 1, 1, 1))
         assert p.parts == (6, 3, 2, 1, 1, 1)
         assert (p.num_groups, p.num_users) == (6, 14)
         assert p.part(2) == 3

@@ -404,6 +404,16 @@ class TestHeuristic:
         out = heuristic_reorder(pda, side="first")
         assert out is pda or out == permute_columns(pda, order)
 
+    @pytest.mark.parametrize("rows, order", [
+        (((STAR, STAR), (STAR, STAR)), (0, 1)),  # S = 0: no column has a code
+        (((1, STAR, STAR), (STAR, 1, STAR), (STAR, STAR, 1)), (0, 1, 2)),  # S = 1
+    ])
+    def test_fewest_codes(self, rows, order):
+        pda = PdaArray(rows)
+        assert _greedy_order(pda) == oracle.greedy_order(pda) == order
+        assert heuristic_reorder(pda, side="first") == pda
+        assert heuristic_reorder(pda, AssociationProfile((pda.k,)), side="second") == pda
+
     def test_parameters_preserved(self):
         out = heuristic_reorder(PdaArray.from_grid(WIDE_P2), WIDE_PROFILE, side="second")
         src = PdaArray.from_grid(WIDE_P2)
