@@ -4,7 +4,8 @@ MaN(8,4) x MaN(10,3) under the profile 10,4,2,2,2,2,1,1 and print the
 median and quartiles, in seconds, of: ``accept_s``, ``PdaArray(grid)``;
 ``reject_s``, ``verify_pda(one_swap(grid))``, whose ``PdaArray`` raises
 ``InvalidPdaError``; ``code_cells_s``, a fresh array's first ``code_cells``
-read; ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
+read, and ``code_cells_MiB``, the memory that read keeps (tracemalloc, one
+run); ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
 array through ``sppda.cli.main`` in a temporary directory; ``families_s``,
 the 34 MaN builds of the sweeps below; ``sweep_s``, ``analysis.sweep`` of the
 uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2;
@@ -26,6 +27,7 @@ import json
 import statistics
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +115,16 @@ def gc_collections(directory):
     return dict(enumerate(counts))
 
 
+def code_cells_mib(pda):
+    """MiB that ``pda``'s first ``code_cells`` read keeps, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        pda.code_cells
+        return round(tracemalloc.get_traced_memory()[0] / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
+
+
 def sample(step, repeat, setup):
     """Median and quartiles of the seconds of ``step(setup())``, ``setup`` untimed."""
     times = []
@@ -131,6 +143,8 @@ if __name__ == "__main__":
     parser.add_argument("--repeat", type=int, default=11, help="runs of each step (default 11)")
     repeat = parser.parse_args().repeat
     grid = skewed_grid()
+    # first: tuples that later runs free are reused from free lists, untraced
+    cells_mib = code_cells_mib(PdaArray(grid))
     broken = one_swap(grid)
     assert verify_pda(broken), "the one-swap grid was accepted"
     with tempfile.TemporaryDirectory() as tmp:
@@ -138,6 +152,7 @@ if __name__ == "__main__":
                           "reject_s": sample(verify_pda, repeat, lambda: broken),
                           "code_cells_s": sample(lambda pda: pda.code_cells, repeat,
                                                  lambda: PdaArray(grid)),
+                          "code_cells_MiB": cells_mib,
                           "pipeline_s": sample(pipeline, repeat, lambda: tmp),
                           "families_s": sample(families, repeat, lambda: SWEEP_CONFIGS),
                           "sweep_s": sample(sweeps, repeat, lambda: SWEEP_CONFIGS),

@@ -15,8 +15,10 @@ Only a grid it refuses reaches the reject path, ``_violations``, whose
 cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
 ``InvalidPdaError.violations``.  So every ``PdaArray`` is a valid PDA;
 ``verify_pda`` returns the violations instead of raising them.
-``code_cells``, per code its cells as (user, row) in row-major order, is
-built on first use, and only delivery and decoding read it.  The column
+``code_cells``, per code one flat tuple of its cells' (user, row) ints,
+``(k1, j1, k2, j2, ...)`` in row-major order, is built on first use, and only
+delivery and decoding read it.  It makes no object per cell: a pair tuple
+per cell would take more memory than the rest of the table.  The column
 statistics, D2, placement, delivery, construction and column-order search
 read these tables instead of scanning the grid.  The families refuse,
 before building, a grid of more than ``MAX_CELLS`` cells.
@@ -46,7 +48,7 @@ _CAP_BITS = MAX_CELLS.bit_length()
 MAX_VIOLATIONS = 100
 
 Grid = tuple[tuple[int, ...], ...]
-Cells = tuple[tuple[int, int], ...]  # (user, row) pairs, 1-based, row-major
+Cells = tuple[int, ...]  # flat (user, row, user, row, ...), 1-based, row-major
 
 
 class PdaError(ValueError):
@@ -152,14 +154,15 @@ def _star_masks(grid: Grid) -> tuple[int, ...]:
     return tuple(int("".join(["0" if e else "1" for e in col[::-1]]), 2) for col in zip(*grid))
 
 
-def _cells_by_code(grid: Grid) -> dict[int, list[tuple[int, int]]]:
-    """Per code present, its cells as (user, row), 1-based, in row-major
-    order; codes are keyed in order of first appearance."""
-    cells: dict[int, list[tuple[int, int]]] = {}
+def _cells_by_code(grid: Grid) -> dict[int, list[int]]:
+    """Per code present, one flat list of its cells' (user, row) ints,
+    ``[k1, j1, k2, j2, ...]``, 1-based, in row-major order; codes are keyed
+    in order of first appearance."""
+    cells: dict[int, list[int]] = {}
     for j, row in enumerate(grid, start=1):
         # compress drops the star cells at C speed, about 2/3 of a typical grid
         for k, e in itertools.compress(enumerate(row, start=1), row):
-            cells.setdefault(e, []).append((k, j))
+            cells.setdefault(e, []).extend((k, j))
     return cells
 
 
@@ -228,7 +231,8 @@ def _each_violation(grid: Grid):
 
     # C3: equal codes pairwise occupy distinct rows/columns with stars across.
     for code, where in cells.items():
-        for (k1, j1), (k2, j2) in itertools.combinations(where, 2):
+        it = iter(where)
+        for (k1, j1), (k2, j2) in itertools.combinations(zip(it, it), 2):
             if j1 == j2 or k1 == k2:
                 yield Violation("C3a", (j1, j2), (k1, k2),
                                 f"code {code} repeats in the same row or column")
@@ -281,10 +285,12 @@ class PdaArray:
 
     @cached_property
     def code_cells(self) -> tuple[Cells, ...]:
-        """Per code (index code - 1), its cells as (user, row), 1-based, in
-        row-major order."""
+        """Per code (index code - 1), one flat tuple of plain ints
+        ``(k1, j1, k2, j2, ...)``: its cells as (user, row), 1-based, in
+        row-major order.  Each list is popped as its tuple is made, so the
+        build never holds both forms of a code."""
         cells = _cells_by_code(self.grid)
-        return tuple(tuple(cells[code]) for code in range(1, self.s + 1))
+        return tuple(map(tuple, map(cells.pop, range(1, self.s + 1))))
 
 
 def permute_columns(pda: PdaArray, perm) -> PdaArray:

@@ -4,16 +4,18 @@ error-free broadcast.  Users, files, rows, and codes are 1-based throughout.
 
 One engine serves both schemes.  ``sp_place`` keeps every cache as a row
 bitmask cut from the array's star masks.  ``sp_deliver`` and ``sp_decode``
-walk the array's code->cells table once per code, with subfiles read as ints
+walk the array's code->cells table once per code, pairing each code's flat
+``(k1, j1, k2, j2, ...)`` tuple up as they go, with subfiles read as ints
 from bytes slices of the padded files, indexed by 1-based user and row
 exactly as the cells name them; ``sp_decode`` decides each code with one
 diff.  Every ``PdaArray`` meets C3, so a user whose caches hold its own star
 rows holds every row it reads: that is the one check of a layout.
 
 A run makes one ``Transmission`` per code, so ``Transmission`` has slots and
-no per-instance dict.  The module leaves the collector alone: it runs at the
-caller's settings, and the command line raises the generation-0 threshold
-around each command (``cli.GC_THRESHOLD``).
+no per-instance dict, and its ``cells`` is the table's own flat tuple;
+``components`` pairs it up on each read.  The module leaves the collector
+alone: it runs at the caller's settings, and the command line raises the
+generation-0 threshold around each command (``cli.GC_THRESHOLD``).
 """
 
 from __future__ import annotations
@@ -128,7 +130,13 @@ class CacheLayout:
 class Transmission:
     code: int
     payload: bytes
-    components: tuple[tuple[int, int], ...]  # (user k, row j), row-major order
+    cells: tuple[int, ...]  # flat (user k, row j, ...), row-major: the array's code_cells entry
+
+    @property
+    def components(self) -> tuple[tuple[int, int], ...]:
+        """The cells as (user k, row j) pairs, row-major, built on each read."""
+        it = iter(self.cells)
+        return tuple(zip(it, it))
 
 
 @dataclass(frozen=True)
@@ -180,18 +188,20 @@ def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
             raise DemandOutOfRangeError(f"demand {d} not in [1, {library.n}]")
     piece = library.piece_size
     files = [None, *(library.files[d - 1] for d in demands)]
-    return files, [slice((j - 1) * piece, j * piece) for j in range(pda.f + 1)]
+    bounds = list(range(-piece, (pda.f + 1) * piece, piece))  # adjacent slices share a bound
+    return files, list(map(slice, bounds, bounds[1:]))
 
 
 def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transmission, ...]:
-    """One XOR transmission per code, components in row-major order."""
+    """One XOR transmission per code, its cells the array's own flat tuple."""
     files, rows = _subfile_slices(sppda.pda, library, demands)
     piece = library.piece_size
     from_bytes = int.from_bytes
     out = []
     for code, cells in enumerate(sppda.pda.code_cells, start=1):
         payload = 0
-        for k, j in cells:
+        it = iter(cells)
+        for k, j in zip(it, it):
             payload ^= from_bytes(files[k][rows[j]], "big")
         out.append(Transmission(code, payload.to_bytes(piece, "big"), cells))
     return tuple(out)
@@ -222,10 +232,12 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
     from_bytes = int.from_bytes
     for cells, sent in zip(pda.code_cells, transmissions, strict=True):
         diff = from_bytes(sent.payload, "big")
-        for k, j in cells:
+        it = iter(cells)
+        for k, j in zip(it, it):
             diff ^= from_bytes(files[k][rows[j]], "big")
         if diff:
-            for k, j in cells:
+            it = iter(cells)
+            for k, j in zip(it, it):
                 padding = j * piece - library.true_length  # bytes outside the verdict
                 if padding <= 0 or diff >> 8 * padding:
                     decoded[k - 1] = False

@@ -46,6 +46,12 @@ def code_cells(pda):
                  for code in range(1, pda.s + 1))
 
 
+def flat(cells):
+    """Each code's (user, row) pairs as one flat tuple ``(k1, j1, k2, j2, ...)``,
+    the layout of ``PdaArray.code_cells``."""
+    return tuple(tuple(itertools.chain.from_iterable(pairs)) for pairs in cells)
+
+
 def code_columns(pda):
     """Per code 1..S, the bitmask of its columns (bit c-1 for column c)."""
     return tuple(sum(1 << c for c in range(pda.k) if any(row[c] == code for row in pda.grid))

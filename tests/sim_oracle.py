@@ -37,10 +37,11 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 def deliver(sppda, library, demands):
     """One transmission per code: the XOR of its components' subfiles."""
+    cells = grid_oracle.code_cells(sppda.pda)
     return tuple(
-        Transmission(code, reduce(_xor, (subfile(library, demands[k - 1], j) for k, j in cells),
-                                  bytes(library.piece_size)), cells)
-        for code, cells in enumerate(grid_oracle.code_cells(sppda.pda), start=1))
+        Transmission(code, reduce(_xor, (subfile(library, demands[k - 1], j) for k, j in pairs),
+                                  bytes(library.piece_size)), flat)
+        for code, (pairs, flat) in enumerate(zip(cells, grid_oracle.flat(cells)), start=1))
 
 
 def decode(user, layout, transmissions, sppda, library, demands) -> bytes:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import time
+import tracemalloc
 from enum import IntEnum
 from types import SimpleNamespace
 
@@ -196,7 +197,7 @@ class TestVerify:
         assert (pda.k, pda.f, pda.z, pda.s) == grid_oracle.params(grid)
         assert pda.star_masks == tuple(sum(1 << (j - 1) for j in grid_oracle.star_rows(pda, c))
                                        for c in range(1, pda.k + 1))
-        assert pda.code_cells == grid_oracle.code_cells(pda)
+        assert pda.code_cells == grid_oracle.flat(grid_oracle.code_cells(pda))
         perm = rng.sample(range(pda.k), pda.k)  # old column c moves to position perm[c]
         moved = tuple(tuple(row[perm.index(c)] for c in range(pda.k)) for row in grid)
         assert permute_columns(pda, perm) == PdaArray(moved)
@@ -320,8 +321,23 @@ class TestAcceptPath:
     def test_code_cells_built_on_first_use(self):
         pda = PdaArray(GOLDEN_SP)
         assert "code_cells" not in vars(pda)
-        assert pda.code_cells == grid_oracle.code_cells(pda)
+        assert pda.code_cells == grid_oracle.flat(grid_oracle.code_cells(pda))
         assert pda.code_cells is pda.code_cells
+
+    def test_code_cells_memory(self):
+        # one flat int tuple per code: the F=8400 skewed array's table keeps
+        # about 1.75 MiB and peaks at about 2.9 MiB while it is built; a pair
+        # tuple per cell kept 5.0 MiB and peaked at 6.9 MiB
+        pda = construct_sppda(man_pda(8, 4), man_pda(10, 3),
+                              AssociationProfile((10, 4, 2, 2, 2, 2, 1, 1))).pda
+        tracemalloc.start()
+        try:
+            pda.code_cells
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (pda.f, pda.s) == (8400, 11115)
+        assert kept < 2.5 * 2 ** 20 and peak < 3.5 * 2 ** 20
 
     def test_valid_grids_never_reach_the_loops(self, monkeypatch):
         def refuse(grid):

@@ -232,6 +232,19 @@ class TestAgainstOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans())
+    def test_cells_are_flat_and_components_pair_them(self, rng, dedicated):
+        sp, _, _, report = random_run(rng, dedicated)
+        for t, cells in zip(report.transmissions, sp.pda.code_cells, strict=True):
+            assert t.cells is cells
+            assert t.components == tuple(zip(t.cells[::2], t.cells[1::2]))
+            assert len(t.components) == len(t.cells) // 2
+            assert type(cells) is tuple and len(cells) % 2 == 0
+            assert {int}.issuperset(map(type, cells))
+            rows = cells[1::2]
+            assert list(rows) == sorted(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
     def test_broadcast_bytes_match_rate(self, rng, dedicated):
         sp, library, _, report = random_run(rng, dedicated)
         sent = sum(len(t.payload) for t in report.transmissions)
