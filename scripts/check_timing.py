@@ -3,7 +3,9 @@
 MaN(8,4) x MaN(10,3) under the profile 10,4,2,2,2,2,1,1 and print the
 median and quartiles, in seconds, of: ``accept_s``, ``PdaArray(grid)``;
 ``reject_s``, ``verify_pda(one_swap(grid))``, whose ``PdaArray`` raises
-``InvalidPdaError``; ``code_cells_s``, a fresh array's first ``code_cells``
+``InvalidPdaError``; ``read_s``, ``textio.read_array`` of the array's
+``sppda`` text, the loader ``verify`` and ``simulate`` each run;
+``code_cells_s``, a fresh array's first ``code_cells``
 read, and ``code_cells_MiB``, the memory that read keeps (tracemalloc, one
 run); ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
 array through ``sppda.cli.main`` in a temporary directory; ``families_s``,
@@ -31,7 +33,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-from sppda import analysis, cli, permsearch
+from sppda import analysis, cli, permsearch, textio
 from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, verify_pda
 from sppda.construct import construct_sppda
 
@@ -49,9 +51,12 @@ SWEEP_CONFIGS = [analysis.SweepConfig(profile, mh, tuple(range(profile.part(1) +
                  for mh in (Fraction(1, 2), Fraction(1, 4))]
 
 
+def skewed_array():
+    return construct_sppda(man_pda(8, 4), man_pda(10, 3), profile_of(PROFILE))
+
+
 def skewed_grid():
-    profile = profile_of(PROFILE)
-    return construct_sppda(man_pda(8, 4), man_pda(10, 3), profile).pda.grid
+    return skewed_array().pda.grid
 
 
 def one_swap(grid):
@@ -142,7 +147,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=11, help="runs of each step (default 11)")
     repeat = parser.parse_args().repeat
-    grid = skewed_grid()
+    array = skewed_array()
+    grid, text = array.pda.grid, textio.write_sppda(array)
     # first: tuples that later runs free are reused from free lists, untraced
     cells_mib = code_cells_mib(PdaArray(grid))
     broken = one_swap(grid)
@@ -150,6 +156,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps({"repeat": repeat, "accept_s": sample(PdaArray, repeat, lambda: grid),
                           "reject_s": sample(verify_pda, repeat, lambda: broken),
+                          "read_s": sample(textio.read_array, repeat, lambda: text),
                           "code_cells_s": sample(lambda pda: pda.code_cells, repeat,
                                                  lambda: PdaArray(grid)),
                           "code_cells_MiB": cells_mib,

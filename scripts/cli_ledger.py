@@ -109,6 +109,13 @@ SESSIONS = [
         ["verify", "header.pda"],
         ["verify", "bare.txt"],
     ]),
+    ("negative-entry", {
+        "negative.pda": "pda 3 3 1 3\n* 1 -2\n1 * 3\n-2 -3 *\n",
+        "negative.txt": "1 2\n2 -1\n",
+    }, [
+        ["verify", "negative.pda"],
+        ["verify", "negative.txt"],
+    ]),
     ("sweep", {}, [
         ["sweep", "--profile", "3,3,3,3,3,3,3,3", "--mh-ratio", "1/2"],
         ["sweep", "--profile", "10,4,2,2,2,2,1,1", "--mh-ratio", "1/4"],

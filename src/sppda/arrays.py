@@ -7,10 +7,13 @@ codes are 1-based in every public signature, matching the usual convention
 for these arrays; only raw Python indexing into ``grid`` is 0-based.
 
 This module is the only grid index, and ``PdaArray``'s constructor is the
-only check of conditions C1-C3.  It normalizes the grid and checks it on one
-of two paths.  The accept path, ``_accept``, runs at C speed and builds no
-per-cell object; it builds two tables, ``star_masks``, per column the bitmask
-of its star rows, and ``code_columns``, per code the bitmask of its columns.
+only check of conditions C1-C3.  It normalizes the grid (a type pass, then
+the set of distinct entries, whose least one shows a negative entry) and
+checks it on one of two paths.  The accept path, ``_accept``, builds no
+per-cell object; it builds two tables, ``star_masks``, per column the
+bitmask of its star rows, transposed at C speed from each row's mask of its
+code columns, and ``code_columns``, per code the bitmask of its columns, in
+the check's only per-cell Python step.
 Only a grid it refuses reaches the reject path, ``_violations``, whose
 cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
 ``InvalidPdaError.violations``.  So every ``PdaArray`` is a valid PDA;
@@ -116,26 +119,29 @@ class Violation:
         return f"{self.kind}: {self.detail} (rows {self.rows}, cols {self.cols})"
 
 
-def normalize_grid(rows) -> Grid:
-    """Freeze ``rows`` into a Grid, rejecting ragged or non-positive entries.
-    A rectangular grid of plain nonnegative ``int``s is accepted at C speed;
-    any other grid goes through the per-cell loop, which also accepts ``bool``
-    and other ``int`` subclasses and names the first bad cell."""
+def normalize_grid(rows) -> tuple[Grid, set[int]]:
+    """Freeze ``rows`` into a Grid, rejecting ragged or negative entries, and
+    return it with the set of its distinct entries.  A rectangular grid of
+    plain nonnegative ``int``s is accepted at C speed: one type pass over the
+    cells, then the set, whose least value is the grid's.  Any other grid
+    goes through the per-cell loop, which also accepts ``bool`` and other
+    ``int`` subclasses and names the first bad cell in row-major order."""
     grid = tuple(map(tuple, rows))
     if not grid or not grid[0]:
         raise NonRectangularError("grid must have at least one row and column")
     width = len(grid[0])
-    if ({width}.issuperset(map(len, grid))
-            and {int}.issuperset(map(type, itertools.chain.from_iterable(grid)))
-            and min(map(min, grid)) >= 0):
-        return grid
+    chain = itertools.chain.from_iterable
+    if {width}.issuperset(map(len, grid)) and {int}.issuperset(map(type, chain(grid))):
+        values = set(chain(grid))
+        if min(values) >= 0:
+            return grid, values
     for j, row in enumerate(grid):
         if len(row) != width:
             raise NonRectangularError(f"row {j + 1} has {len(row)} entries, expected {width}")
         for k, e in enumerate(row):
             if not isinstance(e, int) or e < 0:
                 raise NonPositiveCodeError(f"entry at ({j + 1},{k + 1}) is {e!r}; codes must be positive integers")
-    return grid
+    return grid, set(chain(grid))
 
 
 def verify_pda(rows) -> tuple[Violation, ...]:
@@ -149,9 +155,24 @@ def verify_pda(rows) -> tuple[Violation, ...]:
     return ()
 
 
-def _star_masks(grid: Grid) -> tuple[int, ...]:
-    """Per column, the bitmask of the rows holding a star (bit j-1 for row j)."""
-    return tuple(int("".join(["0" if e else "1" for e in col[::-1]]), 2) for col in zip(*grid))
+def _row_masks(grid: Grid) -> list[int]:
+    """Per row, the bitmask of its code columns (bit c-1 for column c)."""
+    bits = [1 << c for c in range(len(grid[0]))]
+    return list(map(sum, map(itertools.compress, itertools.repeat(bits), grid)))
+
+
+_STAR_DIGITS = str.maketrans("01", "10")
+
+
+def _star_masks(row_masks: list[int], width: int) -> tuple[int, ...]:
+    """Per column, the bitmask of its star rows (bit j-1 for row j), read off
+    the rows' code-column masks: their ``width``-digit binary forms, joined
+    row after row with a star as "1", hold column c's digit of row j at
+    ``(j - 1) * width + width - c``, so a slice stepping back ``width`` from
+    the last row's digit reads column c from row F down to row 1."""
+    digits = "".join(map(format, row_masks, itertools.repeat(f"0{width}b"))).translate(_STAR_DIGITS)
+    last = len(digits) - 1
+    return tuple(int(digits[last - c::-width], 2) for c in range(width))
 
 
 def _cells_by_code(grid: Grid) -> dict[int, list[int]]:
@@ -166,23 +187,31 @@ def _cells_by_code(grid: Grid) -> dict[int, list[int]]:
     return cells
 
 
-def _accept(grid: Grid) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
+def _accept(grid: Grid, values: set[int]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
     """``(z, s, star_masks, code_columns)`` of a grid that meets C1-C3, None
-    for any other grid.  Builds no per-cell object: the only per-cell Python
-    step sets each code's column mask ``cm[e]`` (bit c-1 for column c)."""
-    masks = _star_masks(grid)
+    for any other grid.  ``values`` is the set of the grid's distinct entries
+    that ``normalize_grid`` returns; C2 reads its size and largest code, and
+    then it is cleared, so its table is freed before the masks are built.
+    Builds no per-cell object.  It makes four passes over the cells: the
+    rows' code-column masks, which C3 reads; their transposition into star
+    masks for C1, through one string of a digit per cell; the column
+    scatter, the only per-cell Python step, which sets each code's column
+    mask ``cm[e]`` (bit c-1 for column c); and C3's row-order sum.  All but
+    the scatter run at C speed."""
+    values.discard(STAR)
+    s, top = len(values), max(values, default=STAR)
+    values.clear()
+    if top != s:  # C2, before anything of size S is allocated
+        return None
+    width = len(grid[0])
+    row_masks = _row_masks(grid)
+    masks = _star_masks(row_masks, width)
     z = masks[0].bit_count()
     if any(mask.bit_count() != z for mask in masks):  # C1
         return None
-    codes = set(itertools.chain.from_iterable(grid))
-    codes.discard(STAR)
-    s = len(codes)
-    if codes and max(codes) != s:  # C2, before anything of size S is allocated
-        return None
-    width = len(grid[0])
-    bits = [1 << c for c in range(width)]
     cm = [0] * (s + 1)  # cm[STAR] stays 0
-    for bit, col in zip(bits, zip(*grid)):
+    for c, col in enumerate(zip(*grid)):
+        bit = 1 << c
         for e in itertools.compress(col, col):
             cm[e] |= bit
     # C3.  A code in g cells spans at most g columns, and exactly g when no
@@ -196,7 +225,6 @@ def _accept(grid: Grid) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | N
     # sum of the N_j exactly when every crossing cell is a star and no code
     # repeats in a row.
     chain = itertools.chain.from_iterable
-    row_masks = list(map(sum, map(itertools.compress, itertools.repeat(bits), grid)))
     per_cell = chain(map(itertools.repeat, row_masks, map(int.bit_count, row_masks)))
     in_row_order = itertools.compress(chain(grid), chain(grid))
     if sum(map(operator.and_, map(cm.__getitem__, in_row_order), per_cell)) != sum(row_masks):
@@ -214,7 +242,7 @@ def _violations(grid: Grid) -> tuple[Violation, ...]:
 
 def _each_violation(grid: Grid):
     # C1: equal star count in every column; Z is fixed by column 1.
-    masks = _star_masks(grid)
+    masks = _star_masks(_row_masks(grid), len(grid[0]))
     z = masks[0].bit_count()
     for c, mask in enumerate(masks, start=1):
         if mask.bit_count() != z:
@@ -269,8 +297,8 @@ class PdaArray:
     code_columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = normalize_grid(self.grid)
-        tables = _accept(grid)
+        grid, values = normalize_grid(self.grid)
+        tables = _accept(grid, values)
         if tables is None:
             raise InvalidPdaError(_violations(grid))
         z, s, masks, code_columns = tables
@@ -324,7 +352,7 @@ def xi(pda: PdaArray, code: int) -> int:
 
 def canonicalize_codes(rows) -> Grid:
     """Renumber codes to 1..S in row-major first-appearance order."""
-    grid = normalize_grid(rows)
+    grid, _ = normalize_grid(rows)
     first_seen = dict.fromkeys(e for row in grid for e in row if e != STAR)
     relabel = {code: new for new, code in enumerate(first_seen, start=1)}
     return tuple(tuple(relabel.get(e, STAR) for e in row) for row in grid)

@@ -94,6 +94,12 @@ def star_rows(pda, c):
     return frozenset(j + 1 for j, row in enumerate(pda.grid) if row[c - 1] == STAR)
 
 
+def star_masks(pda):
+    """Per column, the bitmask of its star rows (bit j-1 for row j), from
+    ``star_rows``."""
+    return tuple(sum(1 << (j - 1) for j in star_rows(pda, c)) for c in range(1, len(pda.grid[0]) + 1))
+
+
 def group_columns(k, parts, grouping=None):
     """Per helper group, its 0-based columns: the consecutive runs of
     ``parts`` in the grouped column order."""

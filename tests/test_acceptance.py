@@ -15,7 +15,6 @@ from sppda.analysis import SweepConfig, compare, construction_a_subpacketization
 from sppda.arrays import (
     AssociationProfile,
     PdaArray,
-    _star_masks,
     binom,
     construction_a_pda,
     man_pda,
@@ -34,6 +33,7 @@ from sppda.permsearch import check_E1, check_E2, exhaustive_best
 from sppda.sim import FileLibrary, sp_run
 from sppda.textio import write_pda
 
+import grid_oracle
 from conftest import (
     GOLDEN_SP_TEXT,
     SMALL_P2,
@@ -210,7 +210,7 @@ def test_criterion_6_sweep_reference_grids():
                         == tables.s == sp.pda.s
                     assert len(grid) == point.subpacketization == tables.f
                     assert sp.helper_stars == tables.zh == p1.z * p2.f
-                    scanned = _star_masks(grid)
+                    scanned = grid_oracle.star_masks(sp.pda)
                     assert scanned == tables.star_masks
                     groups = group_star_masks(scanned, len(grid), parts)
                     assert groups == group_star_masks(tables.star_masks, tables.f, parts)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import time
 import tracemalloc
 from enum import IntEnum
@@ -35,6 +36,8 @@ from sppda.arrays import (
     xi,
     _accept,
     _cells_by_code,
+    _row_masks,
+    _star_masks,
     _violations,
 )
 from sppda.cli import main
@@ -259,6 +262,14 @@ class Code(IntEnum):
     TWO = 2
 
 
+def normalized_grid(rows):
+    """The grid ``normalize_grid`` returns, after checking that the set it
+    returns with it holds the grid's distinct entries."""
+    grid, values = normalize_grid(rows)
+    assert values == set(itertools.chain.from_iterable(grid))
+    return grid
+
+
 def _outcome(fn, rows):
     """The grid ``fn`` returns with the type of each cell, or its exception's
     type and message."""
@@ -296,7 +307,7 @@ class TestAcceptPath:
     @given(st.randoms(use_true_random=False))
     def test_accept_and_violations_agree(self, rng):
         grid = mutated_family_grid(rng)
-        tables = _accept(grid)
+        tables = _accept(*normalize_grid(grid))
         violations = _violations(grid)
         assert (tables is not None) == (violations == ()) == oracle_verify(grid)
         if tables is None:
@@ -309,14 +320,14 @@ class TestAcceptPath:
     @settings(max_examples=300, deadline=None)
     @given(mixed_grids())
     def test_normalize_fast_check_matches_the_loop(self, rows):
-        assert _outcome(normalize_grid, rows) == _outcome(per_cell_normalize, rows)
+        assert _outcome(normalized_grid, rows) == _outcome(per_cell_normalize, rows)
 
     @pytest.mark.parametrize("rows", [
         ((1, 2), (1,)), ((True, False), (False, True)), ((Code.ONE, STAR), (STAR, Code.ONE)),
         ((-1, STAR),), ((1.0, STAR),), (("1", STAR),), ((STAR, 1), (1, STAR)),
     ])
     def test_normalize_cases(self, rows):
-        assert _outcome(normalize_grid, rows) == _outcome(per_cell_normalize, rows)
+        assert _outcome(normalized_grid, rows) == _outcome(per_cell_normalize, rows)
 
     def test_code_cells_built_on_first_use(self):
         pda = PdaArray(GOLDEN_SP)
@@ -393,7 +404,7 @@ class TestAcceptPath:
         # the F=8400 skewed reference grid's one-swap copy, as the timing script builds it
         timing = load_script("check_timing")
         grid = timing.one_swap(timing.skewed_grid())
-        assert _accept(grid) is None
+        assert _accept(*normalize_grid(grid)) is None
         with pytest.raises(InvalidPdaError) as info:
             PdaArray(grid)
         violations = info.value.violations
@@ -403,6 +414,71 @@ class TestAcceptPath:
             "C3b: code 211: crossing cells are not both stars (rows (9, 729), cols (20, 16))",
             "C3b: code 211: crossing cells are not both stars (rows (9, 1929), cols (20, 12))",
         ]
+
+
+def edge_grids():
+    """Valid grids of shapes the random grids seldom reach, by name: K in
+    {1, 2, 63, 64, 65, 130} (MaN(K, K - 1), one row of K codes, and MaN(K, 1)
+    below 130 columns, where the oracle's code scan stays fast), one column,
+    and MaN(70, 1)."""
+    man_grid = grid_oracle.man_grid
+    grids = {"MaN(1,1)": man_grid(1, 1), "one-column": ((1,), (STAR,), (2,), (STAR,), (3,))}
+    for n in (1, 2, 63, 64, 65, 130):
+        grids[f"MaN({n},{n - 1})"] = man_grid(n, n - 1)
+        grids[f"one-row-{n}"] = (tuple(range(1, n + 1)),)
+    for n in (63, 64, 65, 70):
+        grids[f"MaN({n},1)"] = man_grid(n, 1)
+    return grids
+
+
+EDGE_GRIDS = edge_grids()
+
+
+class TestEdgeShapes:
+    """The accept path's tables against the per-cell oracle on the edge
+    shapes, and C1 caught wherever the one odd star sits."""
+
+    @pytest.mark.parametrize("name", EDGE_GRIDS)
+    def test_tables_match_the_oracle(self, name):
+        grid = EDGE_GRIDS[name]
+        pda = PdaArray(grid)
+        assert (pda.k, pda.f, pda.z, pda.s) == grid_oracle.params(grid)
+        assert pda.star_masks == grid_oracle.star_masks(pda)
+        assert pda.code_columns == grid_oracle.code_columns(pda)
+
+    @pytest.mark.parametrize("name", [name for name, grid in EDGE_GRIDS.items() if len(grid[0]) > 1])
+    @pytest.mark.parametrize("row", ["first", "last"])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_one_odd_star_breaks_c1(self, name, row, pick):
+        # turn the first or last code of row 1 or row F into a star: only
+        # its column's star count changes
+        rows = [list(r) for r in EDGE_GRIDS[name]]
+        j = 0 if row == "first" else len(rows) - 1
+        codes = [c for c, e in enumerate(rows[j]) if e != STAR]
+        rows[j][codes[0] if pick == "first" else codes[-1]] = STAR
+        grid = tuple(map(tuple, rows))
+        view = SimpleNamespace(grid=grid)
+        masks = grid_oracle.star_masks(view)
+        assert _star_masks(_row_masks(grid), len(grid[0])) == masks
+        assert _accept(*normalize_grid(grid)) is None
+        z = masks[0].bit_count()
+        odd = [(c,) for c, mask in enumerate(masks, start=1) if mask.bit_count() != z]
+        c1 = [v.cols for v in verify_pda(grid) if v.kind == "C1"]
+        assert odd and c1 == odd[:MAX_VIOLATIONS]
+
+    @pytest.mark.parametrize("rows, detail", [
+        (((1, 2, -1), (-5, STAR, -2)), "entry at (1,3) is -1"),
+        (((STAR, -7), (-1, 1)), "entry at (1,2) is -7"),
+        (((STAR, True, -3), (-9, 2, -2)), "entry at (1,3) is -3"),
+    ], ids=["ints", "ints-first-not-least", "with-bool"])
+    def test_first_negative_entry_is_named(self, rows, detail):
+        # plain ints fail the fast check on the least distinct value, a bool
+        # sends the grid to the loop at once; either way the loop names the
+        # first negative cell in row-major order, not the least value
+        for check in (PdaArray, verify_pda, normalize_grid, canonicalize_codes):
+            with pytest.raises(NonPositiveCodeError) as info:
+                check(rows)
+            assert str(info.value) == f"{detail}; codes must be positive integers"
 
 
 class TestColumnOps:
