@@ -81,7 +81,6 @@ class ComparisonReport:
     t2: int
     profile: AssociationProfile
     f_ratio_exact: Fraction  # C(Lambda, t1) / q^m
-    f_ratio_approx: int  # Lambda * t1^(t1-1), the loose asymptotic
     rate_man: Fraction
     rate_a: Fraction
     rate_ratio: Fraction | None  # rate_man / rate_a; None when rate_a == 0
@@ -101,7 +100,6 @@ def compare(q: int, m: int, t2: int, profile: AssociationProfile) -> ComparisonR
     uniform = len(set(profile.parts)) == 1
     return ComparisonReport(q, m, t1, t2, profile,
                             Fraction(binom(num_helpers, t1), q ** m),
-                            num_helpers * t1 ** (t1 - 1),
                             rate_man, rate_a, ratio, uniform)
 
 

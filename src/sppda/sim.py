@@ -5,11 +5,12 @@ error-free broadcast.  Users, files, rows, and codes are 1-based throughout.
 One engine serves both schemes.  ``sp_place`` keeps every cache as a row
 bitmask cut from the array's star masks.  ``sp_deliver`` and ``sp_decode``
 walk the array's code->cells table once per code, pairing each code's flat
-``(k1, j1, k2, j2, ...)`` tuple up as they go, with subfiles read as ints
-from bytes slices of the padded files, indexed by 1-based user and row
-exactly as the cells name them; ``sp_decode`` decides each code with one
-diff.  Every ``PdaArray`` meets C3, so a user whose caches hold its own star
-rows holds every row it reads: that is the one check of a layout.
+``(k1, j1, k2, j2, ...)`` tuple up as they go, with subfiles read as
+little-endian ints from bytes slices of the unpadded files, indexed by
+1-based user and row exactly as the cells name them: a slice cut short by a
+file's end reads as its zero-padded piece.  ``sp_decode`` decides each code
+with one diff.  Every ``PdaArray`` meets C3, so a user whose caches hold its
+own star rows holds every row it reads: that is the one check of a layout.
 
 A run makes one ``Transmission`` per code, so ``Transmission`` has slots and
 no per-instance dict, and its ``cells`` is the table's own flat tuple;
@@ -46,14 +47,16 @@ class MissingComponentError(ParameterError):
 
 @dataclass(frozen=True)
 class FileLibrary:
-    """N equal-length files, zero-padded so each splits into F equal subfiles."""
+    """N equal-length files, each split into F subfiles of ``piece_size``
+    bytes, the last ones zero-padded.  The padding is implicit: each file is
+    kept as given, so libraries over the same files for different F share
+    them, and a subfile read past the end is short or empty."""
 
     files: tuple[bytes, ...]
     f: int
     true_length: int
 
     def __post_init__(self):
-        # a piece-by-piece verdict is sound only if the F subfiles tile each file
         if self.f < 1:
             raise ParameterError(f"library must split into F >= 1 subfiles, got F={self.f}")
         if not self.files:
@@ -61,21 +64,14 @@ class FileLibrary:
         lengths = {len(x) for x in self.files}
         if len(lengths) != 1:
             raise ParameterError(f"files must have equal length, got lengths {sorted(lengths)}")
-        padded = lengths.pop()
-        if padded % self.f:
-            raise ParameterError(f"file length {padded} is not a multiple of F={self.f}")
-        if not 0 <= self.true_length <= padded:
-            raise ParameterError(f"true length {self.true_length} not in [0, {padded}]")
+        length = lengths.pop()
+        if not 0 <= self.true_length <= length:
+            raise ParameterError(f"true length {self.true_length} not in [0, {length}]")
 
     @classmethod
     def from_bytes(cls, files, f: int) -> "FileLibrary":
-        files = tuple(bytes(x) for x in files)
-        lengths = {len(x) for x in files}
-        if len(lengths) > 1:  # checked here because padding would hide it
-            raise ParameterError(f"files must have equal length, got lengths {sorted(lengths)}")
-        true_length = lengths.pop() if lengths else 0
-        padded = -(-max(true_length, 1) // f) * f if f >= 1 else true_length  # __post_init__ refuses F < 1
-        return cls(tuple(x.ljust(padded, b"\0") for x in files), f, true_length)
+        files = tuple(bytes(x) for x in files)  # a bytes object is kept, not copied
+        return cls(files, f, len(files[0]) if files else 0)
 
     @classmethod
     def synthetic(cls, n: int, size: int, f: int, seed: int = 0) -> "FileLibrary":
@@ -98,12 +94,12 @@ class FileLibrary:
         return len(self.files)
 
     @property
-    def padded_length(self) -> int:
-        return len(self.files[0])
+    def piece_size(self) -> int:
+        return -(-max(len(self.files[0]), 1) // self.f)
 
     @property
-    def piece_size(self) -> int:
-        return self.padded_length // self.f
+    def padded_length(self) -> int:
+        return self.piece_size * self.f
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,8 @@ def sp_place(sppda: SpPdaArray, library: FileLibrary) -> CacheLayout:
 def _subfile_slices(pda: PdaArray, library: FileLibrary, demands):
     """Per user k, its demanded file, and per row j the slice of subfile j,
     both 1-based (index 0 unused): user k's subfile j is
-    ``files[k][rows[j]]``.  Plain bytes slices: ``int.from_bytes`` would copy
-    a view's bytes anyway."""
+    ``files[k][rows[j]]``, short or empty past the file's end.  Plain bytes
+    slices: ``int.from_bytes`` would copy a view's bytes anyway."""
     if library.f != pda.f:
         raise DimensionError(f"library split into {library.f} subfiles, array has F={pda.f}")
     demands = tuple(demands)
@@ -202,8 +198,8 @@ def sp_deliver(sppda: SpPdaArray, library: FileLibrary, demands) -> tuple[Transm
         payload = 0
         it = iter(cells)
         for k, j in zip(it, it):
-            payload ^= from_bytes(files[k][rows[j]], "big")
-        out.append(Transmission(code, payload.to_bytes(piece, "big"), cells))
+            payload ^= from_bytes(files[k][rows[j]], "little")
+        out.append(Transmission(code, payload.to_bytes(piece, "little"), cells))
     return tuple(out)
 
 
@@ -231,15 +227,15 @@ def sp_decode(layout: CacheLayout, transmissions, sppda: SpPdaArray,
     decoded = [True] * pda.k
     from_bytes = int.from_bytes
     for cells, sent in zip(pda.code_cells, transmissions, strict=True):
-        diff = from_bytes(sent.payload, "big")
+        diff = from_bytes(sent.payload, "little")
         it = iter(cells)
         for k, j in zip(it, it):
-            diff ^= from_bytes(files[k][rows[j]], "big")
+            diff ^= from_bytes(files[k][rows[j]], "little")
         if diff:
             it = iter(cells)
             for k, j in zip(it, it):
-                padding = j * piece - library.true_length  # bytes outside the verdict
-                if padding <= 0 or diff >> 8 * padding:
+                real = library.true_length - (j - 1) * piece  # the piece's low bytes in the verdict
+                if diff & ~(-1 << 8 * max(real, 0)):
                     decoded[k - 1] = False
     return tuple(decoded)
 

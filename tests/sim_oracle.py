@@ -15,9 +15,9 @@ import grid_oracle
 
 
 def subfile(library, n: int, j: int) -> bytes:
-    """Subfile j of file n (both 1-based)."""
+    """Subfile j of file n (both 1-based), zero-padded to the piece size."""
     piece = library.piece_size
-    return library.files[n - 1][(j - 1) * piece: j * piece]
+    return library.files[n - 1][(j - 1) * piece: j * piece].ljust(piece, b"\0")
 
 
 def original(library, n: int) -> bytes:

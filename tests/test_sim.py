@@ -1,6 +1,7 @@
 """Bit-exact delivery and decoding for both cache architectures."""
 
 import gc
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -349,6 +350,83 @@ class TestDecodeChecks:
         assert self._outcome(sp_decode, *args) == self._outcome(oracle.per_recipient_verdicts, *args)
 
 
+def tampered_verdicts(sent, code, index, library, users):
+    """The verdicts after payload byte ``index`` of ``code`` is flipped: a
+    recipient fails iff that byte is one of its piece's real bytes, the
+    piece's first ``true_length - (j - 1) * piece`` ones."""
+    piece = library.piece_size
+    failed = {k for k, j in sent[code - 1].components
+              if index < library.true_length - (j - 1) * piece}
+    return tuple(k not in failed for k in range(1, users + 1))
+
+
+class TestUnpaddedLibrary:
+    """A library keeps its files unpadded and reads the missing tail as zeros:
+    it must behave exactly as its explicitly zero-padded twin."""
+
+    @staticmethod
+    def twins(rng, f, n):
+        piece_count = rng.randint(1, 3)
+        length = rng.choice((0, 1, rng.randrange(f) if f > 1 else 0, piece_count * f,
+                             piece_count * f + rng.randint(1, f - 1) if f > 1 else f))
+        files = [rng.randbytes(length) for _ in range(n)]
+        unpadded = FileLibrary.from_bytes(files, f)
+        size = unpadded.piece_size * f
+        padded = FileLibrary(tuple(x.ljust(size, b"\0") for x in files), f, length)
+        assert padded.piece_size == unpadded.piece_size
+        return unpadded, padded
+
+    def check_last_piece_flips(self, sp, library, demands):
+        """Flip each byte of every code that carries a piece of the last row,
+        or of the row that holds the last real byte."""
+        layout = sp_place(sp, library)
+        sent = sp_deliver(sp, library, demands)
+        rows = {sp.pda.f, -(-library.true_length // library.piece_size)}
+        for t in sent:
+            if rows.isdisjoint(t.cells[1::2]):
+                continue
+            for index in range(len(t.payload)):
+                tampered = sent[:t.code - 1] + (flip_byte(t, index),) + sent[t.code:]
+                expected = tampered_verdicts(sent, t.code, index, library, sp.pda.k)
+                assert sp_decode(layout, tampered, sp, library, demands) == expected
+                assert oracle.verdicts(layout, tampered, sp, library, demands) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_matches_padded_twin_and_oracle(self, rng, dedicated):
+        if dedicated:
+            pda = random_pda(rng, max_cols=5, max_rows=10)
+            sp = SpPdaArray(pda, AssociationProfile((1,) * pda.k), 0)
+        else:
+            p1 = random_pda(rng, max_cols=4, max_rows=8)
+            p2 = random_pda(rng, max_cols=4, max_rows=8)
+            sp = construct_sppda(p1, p2, random_profile(rng, p1.k, p2.k))
+        libraries = self.twins(rng, sp.pda.f, rng.randint(1, sp.pda.k))
+        demands = [rng.randint(1, libraries[0].n) for _ in range(sp.pda.k)]
+        reports = [dedicated_run(sp.pda, lib, demands) if dedicated else sp_run(sp, lib, demands)
+                   for lib in libraries]
+        assert reports[0].transmissions == reports[1].transmissions
+        assert reports[0].decoded == reports[1].decoded
+        for library, report in zip(libraries, reports):
+            layout = sp_place(sp, library)
+            sent = oracle.deliver(sp, library, demands)
+            assert report.transmissions == sent
+            assert report.decoded == oracle.verdicts(layout, sent, sp, library, demands)
+            assert report.all_decoded
+            self.check_last_piece_flips(sp, library, demands)
+
+    def test_golden_last_piece(self, golden_sp):
+        # 16 bytes over F=6: pieces of 3, and row 6 keeps one real byte and two zeros
+        library = FileLibrary.synthetic(5, 16, 6, seed=2)
+        assert (library.piece_size, len(library.files[0])) == (3, 16)
+        demands = (1, 2, 3, 4, 5)
+        sent = sp_deliver(golden_sp, library, demands)
+        code = next(t.code for t in sent if (1, 6) in t.components)
+        assert tampered_verdicts(sent, code, 0, library, 5)[0] is False
+        assert tampered_verdicts(sent, code, 1, library, 5)[0] is True
+        self.check_last_piece_flips(golden_sp, library, demands)
+
+
 class TestFileLibrary:
     def test_padding_and_true_length(self):
         lib = FileLibrary.from_bytes([b"0123456789", b"abcdefghij"], f=4)
@@ -367,8 +445,7 @@ class TestFileLibrary:
             FileLibrary.from_bytes([], f=2)
 
     def test_inconsistent_fields_rejected(self):
-        for make in (lambda: FileLibrary((b"abcde", b"fghij"), 2, 5),  # 5 bytes, F=2
-                     lambda: FileLibrary.from_bytes([b"ab"], 0),
+        for make in (lambda: FileLibrary.from_bytes([b"ab"], 0),
                      lambda: FileLibrary((b"abcd",), 0, 4),
                      lambda: FileLibrary((b"ab", b"abcd"), 2, 2),
                      lambda: FileLibrary((b"abcd",), 2, 5),
@@ -376,6 +453,24 @@ class TestFileLibrary:
                      lambda: FileLibrary((), 2, 0)):
             with pytest.raises(ParameterError):
                 make()
+
+    def test_length_need_not_be_a_multiple_of_f(self):
+        lib = FileLibrary((b"abcde", b"fghij"), 2, 5)  # 5 bytes, F=2: the padding is implicit
+        assert lib.piece_size == 3
+        assert lib.padded_length == 6
+
+    def test_files_are_shared_not_copied(self):
+        data = [bytes([i]) * (1 << 20) for i in range(24)]
+        a = FileLibrary.from_bytes(data, 7)
+        b = FileLibrary.from_bytes(data, 210)
+        assert all(x is y is z for x, y, z in zip(a.files, b.files, data, strict=True))
+        tracemalloc.start()
+        try:
+            FileLibrary.from_bytes(data, 8400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_synthetic_is_seeded(self):
         assert FileLibrary.synthetic(3, 32, 4, seed=9) == FileLibrary.synthetic(3, 32, 4, seed=9)
