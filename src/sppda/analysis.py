@@ -5,10 +5,13 @@ regenerates the figure data behind the uniform and skewed profiles.
 The sweep cross-checks each closed form under its cap against the
 construction's tables (``construct.block_tables``): F, S, Z^(h) and the
 per-group all-star rows of the block product, read from the two arrays'
-tables without writing out its F x K grid.  S is the sum of the relabel
-slice sizes (``construct.s_count``), counted per code of the first array,
-and the star masks take one bit spread per column of the first array, so
-a check costs about what building the two arrays does.
+tables without writing out its F x K grid.  The first array's share is
+built once per scheme: its codes' widths, and so the count of codes of each
+width, and, once per distinct F2, its star masks spread to F2-row stripes.
+A point then adds only the second array's share: S is the sum over the
+distinct widths w of (codes of width w) x phi2(w), and each helper group's
+mask takes two products, so a check costs about what building the second
+array does.
 
 All rates are exact rationals; floats appear only in rendered output.
 """
@@ -21,7 +24,6 @@ from fractions import Fraction
 from .arrays import (
     AssociationProfile,
     ParameterError,
-    PdaArray,
     binom,
     construction_a_pda,
     man_pda,
@@ -29,9 +31,8 @@ from .arrays import (
 from .construct import (
     BlockTables,
     InsufficientStarRowsError,
-    block_tables,
+    _FirstShare,
     check_helper_stars,
-    group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
 )
@@ -154,14 +155,14 @@ _PAIRINGS = {
 }
 
 
-def _cross_check(tables: BlockTables, parts: tuple[int, ...], f: int, s: int, zh: int) -> bool:
+def _cross_check(tables: BlockTables, f: int, s: int, zh: int) -> bool:
     """Check the closed forms against the construction's tables: exact F,
-    distinct-code count and Z^(h), and D2 star availability in every column
-    group of sizes ``parts``."""
+    distinct-code count and Z^(h), and D2 star availability in every helper
+    group."""
     if tables.f != f or tables.s != s or tables.zh != zh:
         return False
     try:
-        check_helper_stars(group_star_masks(tables.star_masks, tables.f, parts), zh)
+        check_helper_stars(tables.group_masks, zh)
     except InsufficientStarRowsError:
         return False
     return True
@@ -169,7 +170,8 @@ def _cross_check(tables: BlockTables, parts: tuple[int, ...], f: int, s: int, zh
 
 def sweep(config: SweepConfig) -> list[SchemePoint]:
     """One point per (scheme, t2); rows with F under the cap are cross-checked
-    against the construction's tables (``block_tables``), without its rows."""
+    against the construction's tables (``block_tables``), without its rows.
+    Each scheme's first array and its share of the tables are built once."""
     profile = config.profile
     l1 = profile.part(1)
     schemes = []
@@ -180,7 +182,7 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
             raise ParameterError(f"scheme {scheme!r} repeated")
         parameters, *pairing = _PAIRINGS[scheme]
         schemes.append((scheme, parameters(config), *pairing))
-    firsts: dict[str, PdaArray] = {}  # per scheme, its first array once one is needed
+    firsts: dict[str, _FirstShare] = {}  # per scheme, its first array's share once one is needed
     points = []
     for t2 in config.t2_values:
         mp = (1 - config.mh_ratio) * Fraction(t2, l1)
@@ -191,11 +193,11 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
             verified = False
             if f <= config.verify_cap:
                 if scheme not in firsts:
-                    firsts[scheme] = family(*first)
+                    firsts[scheme] = _FirstShare(family(*first), profile)
                 if p2 is None:
                     p2 = man_pda(l1, t2)
-                tables = block_tables(firsts[scheme], p2, profile)
-                if not _cross_check(tables, profile.parts, f, s, first_z(*first) * binom(l1, t2)):
+                tables = firsts[scheme].tables(p2)
+                if not _cross_check(tables, f, s, first_z(*first) * binom(l1, t2)):
                     raise ParameterError(
                         f"closed form disagrees with construction at {scheme} t2={t2}")
                 verified = True

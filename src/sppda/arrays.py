@@ -163,14 +163,20 @@ def _row_masks(grid: Grid) -> list[int]:
 
 _STAR_DIGITS = str.maketrans("01", "10")
 
+_JOIN_ROWS = 1024  # rows whose binary forms ``_star_masks`` joins at a time
+
 
 def _star_masks(row_masks: list[int], width: int) -> tuple[int, ...]:
     """Per column, the bitmask of its star rows (bit j-1 for row j), read off
     the rows' code-column masks: their ``width``-digit binary forms, joined
     row after row with a star as "1", hold column c's digit of row j at
     ``(j - 1) * width + width - c``, so a slice stepping back ``width`` from
-    the last row's digit reads column c from row F down to row 1."""
-    digits = "".join(map(format, row_masks, itertools.repeat(f"0{width}b"))).translate(_STAR_DIGITS)
+    the last row's digit reads column c from row F down to row 1.  The forms
+    are joined ``_JOIN_ROWS`` rows at a time, then the blocks, so a tall
+    grid's transposition never holds one string per row."""
+    form = itertools.repeat(f"0{width}b")
+    digits = "".join(["".join(map(format, row_masks[i:i + _JOIN_ROWS], form))
+                      for i in range(0, len(row_masks), _JOIN_ROWS)]).translate(_STAR_DIGITS)
     last = len(digits) - 1
     return tuple(int(digits[last - c::-width], 2) for c in range(width))
 
@@ -196,8 +202,9 @@ def _accept(grid: Grid, values: set[int]) -> tuple[int, int, tuple[int, ...], tu
     rows' code-column masks, which C3 reads; their transposition into star
     masks for C1, through one string of a digit per cell; the column
     scatter, the only per-cell Python step, which sets each code's column
-    mask ``cm[e]`` (bit c-1 for column c); and C3's row-order sum.  All but
-    the scatter run at C speed."""
+    mask ``cm[e]`` (bit c-1 for column c); and C3's sum, column by column,
+    of each code cell's ``cm[e]`` masked by its row's mask.  All but the
+    scatter run at C speed, with one Python step per column."""
     values.discard(STAR)
     s, top = len(values), max(values, default=STAR)
     values.clear()
@@ -221,13 +228,13 @@ def _accept(grid: Grid, values: set[int]) -> tuple[int, int, tuple[int, ...], tu
         return None
     # For a cell (k, j) holding e, cm[e] & N_j holds bit k-1, where N_j is the
     # mask of row j's codes, and nothing else exactly when e's other columns
-    # are stars in row j.  So the sum over the cells holding codes equals the
-    # sum of the N_j exactly when every crossing cell is a star and no code
-    # repeats in a row.
-    chain = itertools.chain.from_iterable
-    per_cell = chain(map(itertools.repeat, row_masks, map(int.bit_count, row_masks)))
-    in_row_order = itertools.compress(chain(grid), chain(grid))
-    if sum(map(operator.and_, map(cm.__getitem__, in_row_order), per_cell)) != sum(row_masks):
+    # are stars in row j.  So the sum over the cells holding codes, taken
+    # column by column, equals the sum of the N_j exactly when every crossing
+    # cell is a star and no code repeats in a row.
+    compress = itertools.compress
+    by_column = (sum(map(operator.and_, map(cm.__getitem__, compress(col, col)), compress(row_masks, col)))
+                 for col in zip(*grid))
+    if sum(by_column) != sum(row_masks):
         return None
     return z, s, masks, tuple(cm[1:])
 

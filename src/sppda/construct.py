@@ -17,6 +17,7 @@ same violations instead of raising them.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from .arrays import (
     ParameterError,
     PdaArray,
     Violation,
-    _lowest_bit,
     binom,
     check_bijection,
     check_cells,
@@ -156,46 +156,81 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
     return ()
 
 
-def check_pair(p1: PdaArray | None, p2: PdaArray, profile: AssociationProfile) -> None:
+def check_pair(p1: PdaArray | None, p2: PdaArray | None, profile: AssociationProfile) -> None:
     """Raise ``DimensionMismatchError`` unless p1 (when given) has one column
-    per helper group and p2 one column per user of the largest group."""
+    per helper group and p2 (when given) one column per user of the largest
+    group."""
     if p1 is not None and p1.k != profile.num_groups:
         raise DimensionMismatchError(
             f"first PDA has {p1.k} columns, profile has {profile.num_groups} groups")
-    if p2.k != profile.part(1):
+    if p2 is not None and p2.k != profile.part(1):
         raise DimensionMismatchError(
             f"second PDA has {p2.k} columns, largest group is {profile.part(1)}")
-
-
-def _pair_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile):
-    check_pair(p1, p2, profile)
-    widths = list(map(profile.part, map(_lowest_bit, p1.code_columns)))  # L_{xi(s)} per code s of p1
-    # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
-    # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
-    ranks = {}
-    for w in set(widths):
-        in_first = map(operator.and_, p2.code_columns, itertools.repeat((1 << w) - 1))
-        ranks[w] = list(itertools.accumulate(map(bool, in_first), initial=0))
-    return widths, ranks
-
-
-def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
-    """Distinct-code count of the constructed SP-PDA, without materializing it."""
-    widths, ranks = _pair_tables(p1, p2, profile)
-    return sum(ranks[w][-1] for w in widths)
 
 
 @dataclass(frozen=True)
 class BlockTables:
     """The block product of two PDAs under a profile, without its rows: F, Z,
-    Z^(h), the distinct-code count S, and per 0-based column its star mask
-    (bit j-1 for row j)."""
+    Z^(h), the distinct-code count S, and per helper group the bitmask of its
+    all-star rows (bit j-1 for row j), as ``SpPdaArray.group_masks``."""
 
     f: int
     z: int
     zh: int
     s: int
-    star_masks: tuple[int, ...]
+    group_masks: tuple[int, ...]
+
+
+def _spread_masks(masks, f2: int) -> list[int]:
+    """Each mask with its bit f1 moved to bit f1*F2, the first row of the
+    F2-row stripe that row f1 of p1 becomes in the block product."""
+    gap = "0" * (f2 - 1)
+    return [int(gap.join(bin(mask)[2:]), 2) for mask in masks]
+
+
+def _in_first(p2: PdaArray, width: int):
+    """Per code of p2, whether it is in p2's first ``width`` columns."""
+    return map(bool, map(operator.and_, p2.code_columns, itertools.repeat((1 << width) - 1)))
+
+
+class _FirstShare:
+    """The first array's share of the block product under a profile, built
+    once for any number of second arrays: per code s of p1 its width
+    L_{xi(s)}, read through the parts at the lowest bit of its column mask;
+    the count of codes of each width; and, once per F2, the star masks of
+    p1's columns and of all its rows spread to F2-row stripes."""
+
+    def __init__(self, p1: PdaArray, profile: AssociationProfile):
+        check_pair(p1, None, profile)
+        self.p1, self.profile = p1, profile
+        by_bit, masks = (0, *profile.parts), p1.code_columns
+        lowest = map(int.bit_length, map(operator.and_, masks, map(operator.neg, masks)))
+        self.widths = list(map(by_bit.__getitem__, lowest))
+        self.counts = collections.Counter(self.widths)
+        self._spreads: dict[int, list[int]] = {}
+
+    def s_count(self, p2: PdaArray) -> int:
+        """``s_count(p1, p2, profile)``: each of p1's codes of width w takes a
+        slice of phi2(w) codes, the codes of p2's first w columns."""
+        check_pair(None, p2, self.profile)
+        return sum(count * sum(_in_first(p2, w)) for w, count in self.counts.items())
+
+    def tables(self, p2: PdaArray) -> BlockTables:
+        """``block_tables(p1, p2, profile)``."""
+        p1, f2 = self.p1, p2.f
+        s = self.s_count(p2)
+        if f2 not in self._spreads:
+            self._spreads[f2] = _spread_masks(((1 << p1.f) - 1, *p1.star_masks), f2)
+        every, *spreads = self._spreads[f2]
+        stripe = (1 << f2) - 1
+        g2 = (stripe, *itertools.accumulate(p2.star_masks, operator.and_))  # indexed by width
+        masks = tuple(every * g2[w] | spread * stripe for spread, w in zip(spreads, self.profile.parts))
+        return BlockTables(p1.f * f2, p1.z * f2 + (p1.f - p1.z) * p2.z, p1.z * f2, s, masks)
+
+
+def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
+    """Distinct-code count of the constructed SP-PDA, without materializing it."""
+    return _FirstShare(p1, profile).s_count(p2)
 
 
 def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> BlockTables:
@@ -207,10 +242,18 @@ def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> Blo
     so the relabel maps the domain onto all of s's slice, and the slices are
     disjoint.  (A block of s is cut to the width of its p1 column, and the
     profile is non-increasing, so s's first column is its widest and the
-    domains of its other columns lie inside that one.)  The star masks come
-    from p1's and p2's masks (``_block_star_masks``)."""
-    return BlockTables(p1.f * p2.f, p1.z * p2.f + (p1.f - p1.z) * p2.z, p1.z * p2.f,
-                       s_count(p1, p2, profile), _block_star_masks(p1, p2, profile.parts))
+    domains of its other columns lie inside that one.)
+
+    Row (f1, f2) of the product is bit f1*F2 + f2, so group lambda, of width
+    w, is all-star in every row of a stripe where p1's column lambda has a
+    star, and, in a stripe where it has a code, in the rows where p2's first
+    w columns all have stars, the AND ``g2`` of their masks.  Those rows lie
+    inside the stripe, so the group's mask is ``every * g2 | spread *
+    stripe``, with ``every`` all F1 rows and ``spread`` the column's star
+    rows spread to stripes; the products set disjoint F2-bit stripes and
+    carry nothing.  A zero-width group has ``g2 = stripe``, the AND of no
+    masks, and so keeps every row."""
+    return _FirstShare(p1, profile).tables(p2)
 
 
 def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> SpPdaArray:
@@ -229,11 +272,15 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     cell.  The grid is checked by ``PdaArray``, which also builds its tables.
     A result of more than ``MAX_CELLS`` cells raises before any row is built.
     """
-    widths, ranks = _pair_tables(p1, p2, profile)
+    first = _FirstShare(p1, profile)
+    check_pair(None, p2, profile)
     check_cells("the construction", p1.f * p2.f * profile.num_users)
+    # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
+    # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
+    ranks = {w: list(itertools.accumulate(_in_first(p2, w), initial=0)) for w in first.counts}
     relabels = []
     offset = 0
-    for width in widths:
+    for width in first.widths:
         relabel = list(map(offset.__add__, ranks[width]))
         relabel[STAR] = STAR
         relabels.append(relabel)
@@ -249,30 +296,6 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
                   for e, w in zip(p1_row, parts) if w]
         rows.extend(map(tuple, map(itertools.chain.from_iterable, zip(*blocks))))
     return SpPdaArray(PdaArray(rows), profile, p1.z * p2.f)
-
-
-def _block_star_masks(p1: PdaArray, p2: PdaArray, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The constructed array's star masks, from p1's and p2's: row (f1, f2) is
-    bit f1*F2 + f2, so column (lambda, u) is all F2 rows of each stripe where
-    p1's column lambda has a star, and p2's column u in each stripe where it
-    has a code.  ``spread`` moves bit f1 to bit f1*F2, so every product below
-    sets disjoint F2-bit stripes and carries nothing.  A column's code rows
-    and star rows in p1 are disjoint and make up all F1 rows, so its code
-    rows spread to ``every ^ spread(mask)``, where ``every`` is all F1 rows
-    spread once: one ``spread`` per column of p1."""
-    gap = "0" * (p2.f - 1)
-
-    def spread(mask: int) -> int:
-        return int(gap.join(bin(mask)[2:]), 2)
-
-    stripe, every = (1 << p2.f) - 1, spread((1 << p1.f) - 1)
-    masks: list[int] = []
-    for mask, w in zip(p1.star_masks, parts):
-        if w:
-            spread_mask = spread(mask)
-            stars, codes = spread_mask * stripe, every ^ spread_mask
-            masks.extend(stars | codes * m2 for m2 in p2.star_masks[:w])
-    return tuple(masks)
 
 
 def s_closed_form_man(num_helpers: int, t1: int, profile: AssociationProfile, t2: int) -> int:

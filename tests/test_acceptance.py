@@ -211,9 +211,10 @@ def test_criterion_6_sweep_reference_grids():
                     assert len(grid) == point.subpacketization == tables.f
                     assert sp.helper_stars == tables.zh == p1.z * p2.f
                     scanned = grid_oracle.star_masks(sp.pda)
-                    assert scanned == tables.star_masks
+                    assert scanned == sp.pda.star_masks
                     groups = group_star_masks(scanned, len(grid), parts)
-                    assert groups == group_star_masks(tables.star_masks, tables.f, parts)
+                    assert groups == grid_oracle.group_star_masks(sp.pda, parts) \
+                        == tables.group_masks == sp.group_masks
                     assert min(mask.bit_count() for mask in groups) >= tables.zh
                     built += 1
         assert built == 60

@@ -1,5 +1,6 @@
 """Closed-form rates, the matched-memory comparison, and sweeps."""
 
+import hashlib
 import importlib.util
 from dataclasses import replace
 from fractions import Fraction
@@ -21,8 +22,11 @@ from sppda.analysis import (
     sweep_csv,
 )
 from sppda.arrays import AssociationProfile, ParameterError, binom, man_pda
-from sppda.construct import block_tables, construct_sppda, group_star_masks
+from sppda import construct
+from sppda.construct import block_tables, construct_sppda
 from sppda.sim import FileLibrary, sp_run
+
+import grid_oracle
 
 UNIFORM = AssociationProfile((3,) * 8)
 SKEWED = AssociationProfile((10, 4, 2, 2, 2, 2, 1, 1))
@@ -147,20 +151,57 @@ class TestSweep:
 
     def test_cross_check_rejects_each_mismatch(self):
         # the golden pair, F=6, S=3, Z^(h)=3, read as the sweep reads it
-        parts = (3, 2)
-        tables = block_tables(man_pda(2, 1), man_pda(3, 1), AssociationProfile(parts))
-        assert _cross_check(tables, parts, 6, 3, 3)
+        p1, p2, profile = man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2))
+        tables = block_tables(p1, p2, profile)
+        sp = construct_sppda(p1, p2, profile)
+        assert tables.group_masks == sp.group_masks \
+            == grid_oracle.group_star_masks(sp.pda, profile.parts)
+        assert _cross_check(tables, 6, 3, 3)
         for f, s, zh in ((5, 3, 3), (7, 3, 3), (6, 2, 3), (6, 4, 3), (6, 3, 2), (6, 3, 4)):
-            assert not _cross_check(tables, parts, f, s, zh)
-        # one all-star row of a group turned into a code row in the group's first
-        # column: that group keeps fewer than 3 all-star rows
-        groups = group_star_masks(tables.star_masks, tables.f, parts)
-        for first, group in ((0, groups[0]), (parts[0], groups[1])):
-            masks = list(tables.star_masks)
-            masks[first] &= ~(group & -group)
-            short = replace(tables, star_masks=tuple(masks))
-            assert min(m.bit_count() for m in group_star_masks(short.star_masks, 6, parts)) == 2
-            assert not _cross_check(short, parts, 6, 3, 3)
+            assert not _cross_check(tables, f, s, zh)
+        # one all-star row of a group turned into a code row: that group
+        # keeps fewer than 3 all-star rows
+        for n, group in enumerate(tables.group_masks):
+            masks = list(tables.group_masks)
+            masks[n] &= ~(group & -group)
+            short = replace(tables, group_masks=tuple(masks))
+            assert min(m.bit_count() for m in short.group_masks) == 2
+            assert not _cross_check(short, 6, 3, 3)
+
+    def test_first_array_share_built_once_per_sweep(self, monkeypatch):
+        # within one sweep, each scheme's first-array share, which reads its
+        # codes' widths, is built once, and its star masks are spread once per
+        # distinct F2 of the points it checks
+        calls = {"shares": 0, "spreads": []}
+        share_init, spread_masks = construct._FirstShare.__init__, construct._spread_masks
+
+        def count_shares(share, p1, profile):
+            calls["shares"] += 1
+            share_init(share, p1, profile)
+
+        def count_spreads(masks, f2):
+            calls["spreads"].append(f2)
+            return spread_masks(masks, f2)
+
+        monkeypatch.setattr(construct._FirstShare, "__init__", count_shares)
+        monkeypatch.setattr(construct, "_spread_masks", count_spreads)
+        config = SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11)))
+        points = sweep(config)
+        checked = {(p.scheme, binom(10, p.t2)) for p in points if p.verified}
+        assert len(checked) == 2 * 6  # C(10, t2) takes 6 values over t2 = 0..10
+        assert calls["shares"] == 2
+        assert sorted(calls["spreads"]) == sorted(f2 for _, f2 in checked)
+
+
+def test_reference_sweep_bytes_pinned():
+    # sha256 of the four reference sweep_csv outputs, concatenated in this
+    # order; bench/workloads.py pins the same digest
+    digest = hashlib.sha256()
+    for profile in (UNIFORM, SKEWED):
+        for mh in (Fraction(1, 2), Fraction(1, 4)):
+            config = SweepConfig(profile, mh, tuple(range(profile.part(1) + 1)))
+            digest.update(sweep_csv(sweep(config)).encode())
+    assert digest.hexdigest() == "5994d26689cced05a6e8400e05537a5ce8023603f1429d9d7ebe528850cb5a08"
 
 
 def test_subpacketization_helpers():

@@ -40,6 +40,7 @@ from sppda.arrays import (
     _star_masks,
     _violations,
 )
+from sppda import arrays
 from sppda.cli import main
 from sppda.construct import construct_sppda, group_star_masks
 from sppda.permsearch import phi_vector
@@ -349,6 +350,35 @@ class TestAcceptPath:
             tracemalloc.stop()
         assert (pda.f, pda.s) == (8400, 11115)
         assert kept < 2.5 * 2 ** 20 and peak < 3.5 * 2 ** 20
+
+    def test_star_masks_transient(self, monkeypatch):
+        # the F=8400 skewed array's star masks are joined in blocks of rows, so
+        # the transposition peaks at about 0.4 MiB; one string per row held at
+        # once took it to 0.85 MiB
+        grid = construct_sppda(man_pda(8, 4), man_pda(10, 3),
+                               AssociationProfile((10, 4, 2, 2, 2, 2, 1, 1))).pda.grid
+        expected = grid_oracle.star_masks(SimpleNamespace(grid=grid))
+        row_masks = _row_masks(grid)
+        tracemalloc.start()
+        try:
+            masks = _star_masks(row_masks, len(grid[0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 8400 and masks == expected
+        assert peak <= 0.6 * 2 ** 20
+        # the accept path and both passes of the reject path read the same masks
+        seen = []
+        star_masks = arrays._star_masks
+        monkeypatch.setattr(arrays, "_star_masks", lambda *a: seen.append(star_masks(*a)) or seen[-1])
+        PdaArray(grid)
+        # a row's first code repeated in its second code's cell: C3a, stars untouched
+        j = next(j for j, row in enumerate(grid) if sum(map(bool, row)) >= 2)
+        first, second = [c for c, e in enumerate(grid[j]) if e != STAR][:2]
+        broken = list(grid)
+        broken[j] = grid[j][:second] + (grid[j][first],) + grid[j][second + 1:]
+        assert [v.kind for v in verify_pda(broken)][:1] == ["C3a"]
+        assert seen == [expected] * 3
 
     def test_valid_grids_never_reach_the_loops(self, monkeypatch):
         def refuse(grid):

@@ -26,7 +26,7 @@ from sppda.construct import (
     InsufficientStarRowsError,
     ProfileMismatchError,
     SpPdaArray,
-    _block_star_masks,
+    _FirstShare,
     block_tables,
     construct_sppda,
     group_star_masks,
@@ -35,6 +35,7 @@ from sppda.construct import (
     s_count,
     verify_sppda,
 )
+from sppda import construct
 from sppda.analysis import rate_man_pair
 from sppda.arrays import construction_a_pda
 from sppda.sim import FileLibrary, dedicated_run, sp_place, sp_run
@@ -157,9 +158,11 @@ class TestConstruct:
         assert (tables.f, tables.z, tables.zh, tables.s) == \
             (sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s)
         assert tables.s == s_count(p1, p2, profile)
-        assert tables.star_masks == sp.pda.star_masks
+        assert tables.group_masks == sp.group_masks \
+            == grid_oracle.group_star_masks(sp.pda, profile.parts)
 
-    # p1: no stars, all stars, mixed; p2: F2 = 1 with codes or stars only, F2 > 1
+    # p1: no stars, all stars, mixed; p2: F2 = 1 with codes or stars only, F2 > 1;
+    # every group wide, and one or two groups of width 0
     @pytest.mark.parametrize("p1", [man_pda(3, 0), man_pda(3, 3), man_pda(3, 1)],
                              ids=["p1-no-stars", "p1-all-stars", "p1-mixed"])
     @pytest.mark.parametrize("p2", [man_pda(2, 0), man_pda(2, 2), man_pda(2, 1)],
@@ -167,7 +170,32 @@ class TestConstruct:
     @pytest.mark.parametrize("parts", [(2, 2, 2), (2, 1, 0), (2, 0, 0)])
     def test_block_star_masks_edge_cases(self, p1, p2, parts):
         sp = construct_sppda(p1, p2, AssociationProfile(parts))
-        assert _block_star_masks(p1, p2, parts) == sp.pda.star_masks
+        masks = block_tables(p1, p2, AssociationProfile(parts)).group_masks
+        assert masks == sp.group_masks == grid_oracle.group_star_masks(sp.pda, parts)
+        # a group of width 0 keeps every row
+        assert all(mask == (1 << sp.pda.f) - 1 for mask, w in zip(masks, parts) if not w)
+
+    def test_first_share_reused_over_second_arrays(self, monkeypatch):
+        # one first-array share paired with several second arrays gives what
+        # fresh block_tables calls give, and spreads p1's masks once per F2
+        spreads = []
+        spread_masks = construct._spread_masks
+        monkeypatch.setattr(construct, "_spread_masks",
+                            lambda masks, f2: spreads.append(f2) or spread_masks(masks, f2))
+        p1, profile = man_pda(4, 2), AssociationProfile((3, 3, 2, 0))
+        # two arrays with F = 3 whose first two columns share different star rows
+        m32 = man_pda(3, 2)
+        shifted = permute_columns(m32, (1, 2, 0))
+        seconds = (m32, shifted, man_pda(3, 0), man_pda(3, 1), m32, man_pda(3, 3))
+        first = _FirstShare(p1, profile)
+        shared = [first.tables(p2) for p2 in seconds]
+        assert spreads == [3, 1]  # once per distinct F2, on its first use
+        assert shared[0].group_masks != shared[1].group_masks
+        for tables, p2 in zip(shared, seconds):
+            sp = construct_sppda(p1, p2, profile)
+            assert tables == block_tables(p1, p2, profile)
+            assert tables.group_masks == sp.group_masks \
+                == grid_oracle.group_star_masks(sp.pda, profile.parts)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
