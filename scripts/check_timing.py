@@ -8,8 +8,10 @@ median and quartiles, in seconds, of: ``accept_s``, ``PdaArray(grid)``;
 ``code_cells_s``, a fresh array's first ``code_cells``
 read, and ``code_cells_MiB``, the memory that read keeps (tracemalloc, one
 run); ``pipeline_s``, ``construct``, ``verify`` and ``simulate`` of that
-array through ``sppda.cli.main`` in a temporary directory; ``families_s``,
-the 34 MaN builds of the sweeps below; ``sweep_s``, ``analysis.sweep`` of the
+array through ``sppda.cli.main`` in a temporary directory; ``man_tables_s``,
+``arrays.man_tables`` of the 34 MaN arrays that the sweeps below read, the
+first array MaN(Lambda, Lambda M_h/N) of each sweep and MaN(L_1, t2) at every
+t2 (no sweep builds their grids); ``sweep_s``, ``analysis.sweep`` of the
 uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2;
 ``search_s``, ``permsearch.exhaustive_best`` and ``top_pairs`` of MaN(16,2)
 and MaN(3,1) under the profile 3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1, the README's
@@ -34,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sppda import analysis, cli, permsearch, textio
-from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, verify_pda
+from sppda.arrays import STAR, AssociationProfile, PdaArray, man_pda, man_tables, verify_pda
 from sppda.construct import construct_sppda
 
 PROFILE = "10,4,2,2,2,2,1,1"
@@ -82,14 +84,14 @@ def pipeline(directory):
             raise SystemExit(f"{argv[0]} exited {code}")
 
 
-def families(configs):
-    """The MaN arrays the sweeps of ``configs`` build: per config, the first
-    array MaN(Lambda, Lambda M_h/N) and MaN(L_1, t2) at every t2."""
+def tables(configs):
+    """The MaN tables the sweeps of ``configs`` read: per config, those of the
+    first array MaN(Lambda, Lambda M_h/N) and of MaN(L_1, t2) at every t2."""
     for config in configs:
         lam = config.profile.num_groups
-        man_pda(lam, int(lam * config.mh_ratio))
+        man_tables(lam, int(lam * config.mh_ratio))
         for t2 in config.t2_values:
-            man_pda(config.profile.part(1), t2)
+            man_tables(config.profile.part(1), t2)
 
 
 def sweeps(configs):
@@ -161,7 +163,7 @@ if __name__ == "__main__":
                                                  lambda: PdaArray(grid)),
                           "code_cells_MiB": cells_mib,
                           "pipeline_s": sample(pipeline, repeat, lambda: tmp),
-                          "families_s": sample(families, repeat, lambda: SWEEP_CONFIGS),
+                          "man_tables_s": sample(tables, repeat, lambda: SWEEP_CONFIGS),
                           "sweep_s": sample(sweeps, repeat, lambda: SWEEP_CONFIGS),
                           "search_s": sample(search, repeat, lambda: (man_pda(16, 2), man_pda(3, 1))),
                           "gc_collections": gc_collections(tmp)}))

@@ -121,6 +121,10 @@ SESSIONS = [
         ["sweep", "--profile", "10,4,2,2,2,2,1,1", "--mh-ratio", "1/4"],
         ["sweep", "--profile", ",".join(["4"] * 16), "--mh-ratio", "1/2"],
     ]),
+    ("sweep-empty-inputs", {}, [
+        ["sweep", "--profile", "3,3,3,3", "--mh-ratio", "1/2", "--t2", "2:1"],
+        ["sweep", "--profile", "3,3,3,3", "--mh-ratio", "1/2", "--verify-cap", "-5"],
+    ]),
     ("search", {}, [
         ["search", "man:4,1", "man:3,1", *SEARCH],
         ["search", "man:4,1", "man:3,1", *SEARCH, "--greedy"],

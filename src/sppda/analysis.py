@@ -5,13 +5,15 @@ regenerates the figure data behind the uniform and skewed profiles.
 The sweep cross-checks each closed form under its cap against the
 construction's tables (``construct.block_tables``): F, S, Z^(h) and the
 per-group all-star rows of the block product, read from the two arrays'
-tables without writing out its F x K grid.  The first array's share is
-built once per scheme: its codes' widths, and so the count of codes of each
-width, and, once per distinct F2, its star masks spread to F2-row stripes.
-A point then adds only the second array's share: S is the sum over the
-distinct widths w of (codes of width w) x phi2(w), and each helper group's
-mask takes two products, so a check costs about what building the second
-array does.
+tables without writing out its F x K grid.  Every MaN array, first or
+second, is its tables read off the family's definition (``man_tables``),
+with no grid built or checked; only Construction A's small first arrays are
+built and checked.  The first array's share is built once per scheme: its
+codes' widths, and so the count of codes of each width, and, once per
+distinct F2, its star masks spread to F2-row stripes.  A point then adds
+only the second array's share: S is the sum over the distinct widths w of
+(codes of width w) x phi2(w), and each helper group's mask takes two
+products, so a check costs about what the second array's tables do.
 
 All rates are exact rationals; floats appear only in rendered output.
 """
@@ -26,7 +28,7 @@ from .arrays import (
     ParameterError,
     binom,
     construction_a_pda,
-    man_pda,
+    man_tables,
 )
 from .construct import (
     BlockTables,
@@ -143,11 +145,12 @@ def _construction_a_parameters(config: SweepConfig) -> tuple[int, int]:
     return q, lam // q - 1
 
 
-# Per scheme: the first array's parameters (Lambda, t1) or (q, m) for a config, its family,
-# F and closed-form S of the pairing with MaN(L_1, t2), and the first array's Z, so that
-# Z^(h) = Z C(L_1, t2).  Since t1/Lambda = 1/q = M_h/N, M_p/N = (1 - M_h/N) t2/L_1.
+# Per scheme: the first array's parameters (Lambda, t1) or (q, m) for a config, its family
+# (MaN's as tables), F and closed-form S of the pairing with MaN(L_1, t2), and the first
+# array's Z, so that Z^(h) = Z C(L_1, t2).  Since t1/Lambda = 1/q = M_h/N,
+# M_p/N = (1 - M_h/N) t2/L_1.
 _PAIRINGS = {
-    "man_pair": (_man_parameters, man_pda, man_pair_subpacketization, s_closed_form_man,
+    "man_pair": (_man_parameters, man_tables, man_pair_subpacketization, s_closed_form_man,
                  lambda lam, t1: binom(lam - 1, t1 - 1)),
     "construction_a_pair": (_construction_a_parameters, construction_a_pda,
                             construction_a_subpacketization, s_closed_form_construction_a,
@@ -171,7 +174,14 @@ def _cross_check(tables: BlockTables, f: int, s: int, zh: int) -> bool:
 def sweep(config: SweepConfig) -> list[SchemePoint]:
     """One point per (scheme, t2); rows with F under the cap are cross-checked
     against the construction's tables (``block_tables``), without its rows.
-    Each scheme's first array and its share of the tables are built once."""
+    Each scheme's first array and its share of the tables are built once;
+    a MaN array, first or second, is its ``man_tables``.  An empty
+    ``t2_values`` (a reversed t2 range) or a negative ``verify_cap``, which
+    would sweep or verify nothing, raises ``ParameterError``."""
+    if not config.t2_values:
+        raise ParameterError("t2_values is empty (a --t2 range lo:hi needs lo <= hi)")
+    if config.verify_cap < 0:
+        raise ParameterError(f"verify_cap is {config.verify_cap} (--verify-cap must be >= 0)")
     profile = config.profile
     l1 = profile.part(1)
     schemes = []
@@ -186,7 +196,7 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
     points = []
     for t2 in config.t2_values:
         mp = (1 - config.mh_ratio) * Fraction(t2, l1)
-        p2 = None  # MaN(L_1, t2), built once and shared by the schemes
+        p2 = None  # MaN(L_1, t2)'s tables, built once and shared by the schemes
         for scheme, first, family, subpacketization, s_closed_form, first_z in schemes:
             f = subpacketization(*first, l1, t2)
             s = s_closed_form(*first, profile, t2)
@@ -195,7 +205,7 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
                 if scheme not in firsts:
                     firsts[scheme] = _FirstShare(family(*first), profile)
                 if p2 is None:
-                    p2 = man_pda(l1, t2)
+                    p2 = man_tables(l1, t2)
                 tables = firsts[scheme].tables(p2)
                 if not _cross_check(tables, f, s, first_z(*first) * binom(l1, t2)):
                     raise ParameterError(

@@ -23,12 +23,15 @@ cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
 delivery and decoding read it.  It makes no object per cell: a pair tuple
 per cell would take more memory than the rest of the table.  The column
 statistics, D2, placement, delivery, construction and column-order search
-read these tables instead of scanning the grid.  The families refuse,
-before building, a grid of more than ``MAX_CELLS`` cells.
+read these tables instead of scanning the grid.  ``man_tables`` gives
+MaN's K, F, Z, S and tables straight from its definition, with no grid, for
+readers of the tables alone (the sweep).  The families and ``man_tables``
+refuse, before building, a grid of more than ``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -365,6 +368,13 @@ def canonicalize_codes(rows) -> Grid:
     return tuple(tuple(relabel.get(e, STAR) for e in row) for row in grid)
 
 
+def _check_man(k: int, t: int) -> None:
+    """MaN(k, t)'s parameter and ``MAX_CELLS`` checks."""
+    if k < 1 or not 0 <= t <= k:
+        raise ParameterError(f"need K >= 1 and 0 <= t <= K, got K={k}, t={t}")
+    check_cells(f"MaN({k}, {t})", binom(k, min(t, k - t, _CAP_BITS)) * k)
+
+
 def man_pda(k: int, t: int) -> PdaArray:
     """The (t+1)-regular MaN PDA with K = k users.
 
@@ -383,9 +393,7 @@ def man_pda(k: int, t: int) -> PdaArray:
     reads its list at the running count of its non-star rows, and a star
     row reads index 0, which holds STAR.
     """
-    if k < 1 or not 0 <= t <= k:
-        raise ParameterError(f"need K >= 1 and 0 <= t <= K, got K={k}, t={t}")
-    check_cells(f"MaN({k}, {t})", binom(k, min(t, k - t, _CAP_BITS)) * k)
+    _check_man(k, t)
     users = range(1, k + 1)
     codes = [[STAR] for _ in range(k + 1)]  # per user u, STAR then its ranks ascending
     for rank, subset in enumerate(itertools.combinations(users, t + 1), start=1):
@@ -397,6 +405,33 @@ def man_pda(k: int, t: int) -> PdaArray:
         free = list(map(operator.not_, map(operator.contains, rows, itertools.repeat(u))))
         columns.append(map(codes[u].__getitem__, map(operator.mul, itertools.accumulate(free), free)))
     return PdaArray(zip(*columns))
+
+
+# MaN(K, t)'s K, F, Z, S, star_masks and code_columns, the PdaArray fields of
+# the same names, without its grid (``man_tables``)
+ManTables = collections.namedtuple("ManTables", "k f z s star_masks code_columns")
+
+
+def man_tables(k: int, t: int) -> ManTables:
+    """The tables of ``man_pda(k, t)`` straight from MaN's definition, with no
+    grid built or checked; the same parameter and ``MAX_CELLS`` checks apply.
+
+    Row j is the j-th t-subset of [K] in lexicographic order, a star in the
+    columns it holds, and code r is the r-th (t+1)-subset, whose column mask
+    is its members.  With bit u-1 for user u, a subset's mask is the sum of
+    its members' bits, so ``combinations`` of the bits lists the rows' star
+    columns and the codes' column masks in that order.  ``_star_masks``
+    transposes the rows' code columns, the complements, into per-column star
+    masks.  So F = C(K,t), Z = C(K-1,t-1), the rows holding user 1, and
+    S = C(K,t+1).
+    """
+    _check_man(k, t)
+    bits = [1 << u for u in range(k)]
+    every = (1 << k) - 1
+    row_masks = list(map(every.__xor__, map(sum, itertools.combinations(bits, t))))
+    code_columns = tuple(map(sum, itertools.combinations(bits, t + 1)))
+    return ManTables(k, len(row_masks), binom(k - 1, t - 1), len(code_columns),
+                     _star_masks(row_masks, k), code_columns)
 
 
 def construction_a_pda(q: int, m: int) -> PdaArray:

@@ -28,6 +28,7 @@ from .arrays import (
     STAR,
     AssociationProfile,
     InvalidPdaError,
+    ManTables,
     ParameterError,
     PdaArray,
     Violation,
@@ -156,7 +157,8 @@ def verify_sppda(rows, profile: AssociationProfile, zh: int,
     return ()
 
 
-def check_pair(p1: PdaArray | None, p2: PdaArray | None, profile: AssociationProfile) -> None:
+def check_pair(p1: PdaArray | ManTables | None, p2: PdaArray | ManTables | None,
+               profile: AssociationProfile) -> None:
     """Raise ``DimensionMismatchError`` unless p1 (when given) has one column
     per helper group and p2 (when given) one column per user of the largest
     group."""
@@ -188,7 +190,7 @@ def _spread_masks(masks, f2: int) -> list[int]:
     return [int(gap.join(bin(mask)[2:]), 2) for mask in masks]
 
 
-def _in_first(p2: PdaArray, width: int):
+def _in_first(p2: PdaArray | ManTables, width: int):
     """Per code of p2, whether it is in p2's first ``width`` columns."""
     return map(bool, map(operator.and_, p2.code_columns, itertools.repeat((1 << width) - 1)))
 
@@ -198,9 +200,12 @@ class _FirstShare:
     once for any number of second arrays: per code s of p1 its width
     L_{xi(s)}, read through the parts at the lowest bit of its column mask;
     the count of codes of each width; and, once per F2, the star masks of
-    p1's columns and of all its rows spread to F2-row stripes."""
+    p1's columns and of all its rows spread to F2-row stripes.  It and
+    ``tables`` read only each array's k, f, z, ``star_masks`` and
+    ``code_columns``, so either array may be a ``PdaArray`` or MaN's
+    ``ManTables``."""
 
-    def __init__(self, p1: PdaArray, profile: AssociationProfile):
+    def __init__(self, p1: PdaArray | ManTables, profile: AssociationProfile):
         check_pair(p1, None, profile)
         self.p1, self.profile = p1, profile
         by_bit, masks = (0, *profile.parts), p1.code_columns
@@ -209,13 +214,13 @@ class _FirstShare:
         self.counts = collections.Counter(self.widths)
         self._spreads: dict[int, list[int]] = {}
 
-    def s_count(self, p2: PdaArray) -> int:
+    def s_count(self, p2: PdaArray | ManTables) -> int:
         """``s_count(p1, p2, profile)``: each of p1's codes of width w takes a
         slice of phi2(w) codes, the codes of p2's first w columns."""
         check_pair(None, p2, self.profile)
         return sum(count * sum(_in_first(p2, w)) for w, count in self.counts.items())
 
-    def tables(self, p2: PdaArray) -> BlockTables:
+    def tables(self, p2: PdaArray | ManTables) -> BlockTables:
         """``block_tables(p1, p2, profile)``."""
         p1, f2 = self.p1, p2.f
         s = self.s_count(p2)
@@ -252,7 +257,8 @@ def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> Blo
     stripe``, with ``every`` all F1 rows and ``spread`` the column's star
     rows spread to stripes; the products set disjoint F2-bit stripes and
     carry nothing.  A zero-width group has ``g2 = stripe``, the AND of no
-    masks, and so keeps every row."""
+    masks, and so keeps every row.  As only these tables are read, p1 and p2
+    may also be ``arrays.man_tables`` records, as ``analysis.sweep`` passes."""
     return _FirstShare(p1, profile).tables(p2)
 
 

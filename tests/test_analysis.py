@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -22,11 +23,12 @@ from sppda.analysis import (
     sweep_csv,
 )
 from sppda.arrays import AssociationProfile, ParameterError, binom, man_pda
-from sppda import construct
+from sppda import arrays, construct
 from sppda.construct import block_tables, construct_sppda
 from sppda.sim import FileLibrary, sp_run
 
 import grid_oracle
+import sweep_oracle
 
 UNIFORM = AssociationProfile((3,) * 8)
 SKEWED = AssociationProfile((10, 4, 2, 2, 2, 2, 1, 1))
@@ -149,6 +151,14 @@ class TestSweep:
         with pytest.raises(ParameterError, match="'man_pair' repeated"):
             sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), ("man_pair", "man_pair")))
 
+    def test_empty_inputs_refused(self):
+        # a reversed t2 range sweeps no point and a negative cap verifies none
+        with pytest.raises(ParameterError, match="t2_values is empty"):
+            sweep(SweepConfig(UNIFORM, Fraction(1, 2), tuple(range(2, 2))))
+        with pytest.raises(ParameterError, match="verify_cap is -1"):
+            sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), verify_cap=-1))
+        assert not any(p.verified for p in sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), verify_cap=0)))
+
     def test_cross_check_rejects_each_mismatch(self):
         # the golden pair, F=6, S=3, Z^(h)=3, read as the sweep reads it
         p1, p2, profile = man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2))
@@ -191,6 +201,59 @@ class TestSweep:
         assert len(checked) == 2 * 6  # C(10, t2) takes 6 values over t2 = 0..10
         assert calls["shares"] == 2
         assert sorted(calls["spreads"]) == sorted(f2 for _, f2 in checked)
+
+
+def random_profile(rng):
+    """A non-increasing profile of at most 8 groups of at most 8 users, the
+    first group not empty."""
+    l1 = rng.randint(1, 8)
+    return AssociationProfile((l1, *sorted((rng.randint(0, l1) for _ in range(rng.randint(0, 7))),
+                                           reverse=True)))
+
+
+class TestSweepAgainstCheckedGrids:
+    SCHEMES = (("man_pair",), ("construction_a_pair",), ("man_pair", "construction_a_pair"))
+
+    def test_random_profiles_match_the_grid_oracle(self):
+        # every realizable M_h/N in {1/2, 1/3, 1/4}, each scheme alone and
+        # both, every t2, under a cap that verifies all, some or none
+        rng = random.Random(20261020)
+        compared = refused = 0
+        verified = set()
+        for _ in range(100):
+            profile = random_profile(rng)
+            t2_values = tuple(range(profile.part(1) + 1))
+            for mh in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
+                for schemes in self.SCHEMES:
+                    cap = rng.choice((10 ** 5, rng.randrange(200)))
+                    config = SweepConfig(profile, mh, t2_values, schemes, cap)
+                    try:
+                        expected = sweep_oracle.sweep(config)
+                    except UnrealizableMemoryError:
+                        with pytest.raises(UnrealizableMemoryError):
+                            sweep(config)
+                        refused += 1
+                        continue
+                    assert sweep(config) == expected, (profile.parts, mh, schemes, cap)
+                    compared += 1
+                    verified.update(p.verified for p in expected)
+        assert compared > 200 and refused > 200 and verified == {False, True}
+
+    def test_man_only_sweep_builds_no_array(self, monkeypatch):
+        # MaN's tables come from its definition: a MaN-only sweep checks no
+        # grid, and one with Construction A checks only that first array
+        built = []
+        post_init = arrays.PdaArray.__post_init__
+
+        def count(pda):
+            post_init(pda)
+            built.append((pda.k, pda.f))
+
+        monkeypatch.setattr(arrays.PdaArray, "__post_init__", count)
+        points = sweep(SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11)), ("man_pair",)))
+        assert all(p.verified for p in points) and built == []
+        points = sweep(SweepConfig(UNIFORM, Fraction(1, 2), tuple(range(4))))
+        assert all(p.verified for p in points) and built == [(8, 8)]  # ConstructionA(2, 3)
 
 
 def test_reference_sweep_bytes_pinned():

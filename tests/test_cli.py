@@ -347,6 +347,13 @@ class TestSweep:
             assert main(["sweep", "--profile", "3,3,3,3", "--mh-ratio", mh, "--t2", t2]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+        # a reversed t2 range and a negative cap would sweep or verify nothing
+        for option, value in (("--t2", "2:1"), ("--verify-cap", "-5")):
+            capsys.readouterr()
+            assert main(["sweep", "--profile", "3,3,3,3", "--mh-ratio", "1/2", option, value]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert option in err
 
     @pytest.mark.parametrize("schemes", ["man,man", "man,man_pair", "consa,man,construction_a_pair"])
     def test_repeated_scheme(self, capsys, schemes):

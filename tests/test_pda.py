@@ -29,6 +29,7 @@ from sppda.arrays import (
     canonicalize_codes,
     construction_a_pda,
     man_pda,
+    man_tables,
     mask_rows,
     normalize_grid,
     permute_columns,
@@ -607,6 +608,18 @@ class TestManFamily:
             for t in range(0, k + 1):
                 assert man_pda(k, t).grid == grid_oracle.man_grid(k, t), (k, t)
 
+    def test_tables_match_checked_array(self):
+        # the sweep reads MaN's tables from its definition; they must be the
+        # tables of the built and checked array for every MaN(k, t) up to k = 16
+        start = time.monotonic()
+        for k in range(1, 17):
+            for t in range(0, k + 1):
+                pda = man_pda(k, t)
+                assert man_tables(k, t) == (pda.k, pda.f, pda.z, pda.s, pda.star_masks, pda.code_columns), \
+                    (k, t)
+        elapsed = time.monotonic() - start
+        assert elapsed < 20, f"MaN tables against checked arrays took {elapsed:.1f}s"
+
     def test_many_users_check_in_time(self):
         # masks of 61 or more columns are not interned: two-bit masks collide
         # in Python's int hash, which made the check of MaN(800, 1) take seconds
@@ -617,10 +630,10 @@ class TestManFamily:
         assert (pda.k, pda.f, pda.z, pda.s) == (800, 800, 1, 319600)
 
     def test_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            man_pda(3, 4)
-        with pytest.raises(ParameterError):
-            man_pda(0, 0)
+        for build in (man_pda, man_tables):
+            for k, t in ((3, 4), (0, 0), (3, -1)):
+                with pytest.raises(ParameterError, match=f"got K={k}, t={t}$"):
+                    build(k, t)
 
 
 class TestConstructionAFamily:
@@ -649,14 +662,16 @@ class TestConstructionAFamily:
 class TestSizeCap:
     def test_families_refused_before_building(self, no_family_rows):
         for build, args in ((man_pda, (40, 20)), (construction_a_pda, (10, 9)),
-                            (man_pda, (10 ** 9, 5 * 10 ** 8)), (construction_a_pda, (2, 10 ** 9))):
+                            (man_pda, (10 ** 9, 5 * 10 ** 8)), (construction_a_pda, (2, 10 ** 9)),
+                            (man_tables, (40, 20)), (man_tables, (10 ** 9, 5 * 10 ** 8))):
             with pytest.raises(ParameterError, match=f"more than MAX_CELLS = {MAX_CELLS} cells$"):
                 build(*args)
 
     def test_families_at_a_small_cap(self, monkeypatch):
         # every member whose grid fits under the cap is built, every other one raises
         monkeypatch.setattr("sppda.arrays.MAX_CELLS", 2000)
-        sizes = [(man_pda, (k, t), binom(k, t) * k) for k in range(1, 16) for t in range(k + 1)]
+        sizes = [(build, (k, t), binom(k, t) * k)
+                 for build in (man_pda, man_tables) for k in range(1, 16) for t in range(k + 1)]
         sizes += [(construction_a_pda, (q, m), q ** m * q * (m + 1))
                   for q in range(2, 8) for m in range(1, 7)]
         for build, args, cells in sizes:
