@@ -19,14 +19,15 @@ cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
 ``InvalidPdaError.violations``.  So every ``PdaArray`` is a valid PDA;
 ``verify_pda`` returns the violations instead of raising them.
 ``code_cells``, per code one flat tuple of its cells' (user, row) ints,
-``(k1, j1, k2, j2, ...)`` in row-major order, is built on first use, and only
-delivery and decoding read it.  It makes no object per cell: a pair tuple
-per cell would take more memory than the rest of the table.  The column
-statistics, D2, placement, delivery, construction and column-order search
-read these tables instead of scanning the grid.  ``man_tables`` gives
-MaN's K, F, Z, S and tables straight from its definition, with no grid, for
-readers of the tables alone (the sweep).  The families and ``man_tables``
-refuse, before building, a grid of more than ``MAX_CELLS`` cells.
+``(k1, j1, k2, j2, ...)`` in row-major order, is built on first use, in a
+list indexed by code, and only delivery and decoding read it.  It makes no
+object per cell: a pair tuple per cell would take more memory than the rest
+of the table.  The column statistics, D2, placement, delivery, construction
+and column-order search read these tables instead of scanning the grid.
+``man_tables`` gives MaN's K, F, Z, S and tables straight from its
+definition, with no grid, for readers of the tables alone (the sweep).  The
+families and ``man_tables`` refuse, before building, a grid of more than
+``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -184,15 +185,19 @@ def _star_masks(row_masks: list[int], width: int) -> tuple[int, ...]:
     return tuple(int(digits[last - c::-width], 2) for c in range(width))
 
 
-def _cells_by_code(grid: Grid) -> dict[int, list[int]]:
-    """Per code present, one flat list of its cells' (user, row) ints,
-    ``[k1, j1, k2, j2, ...]``, 1-based, in row-major order; codes are keyed
-    in order of first appearance."""
-    cells: dict[int, list[int]] = {}
+def _cells_by_code(grid: Grid, cells):
+    """Fill ``cells``, indexed by code, with each code's flat list of its
+    cells' (user, row) ints, ``[k1, j1, k2, j2, ...]``, 1-based, in row-major
+    order, and return it.  ``cells[e]`` must give code e's list: a list of
+    empty lists when the codes are known to be 1..S, a ``defaultdict(list)``,
+    keyed in order of first appearance, when they are not.  Each cell costs
+    two appends and no other object."""
     for j, row in enumerate(grid, start=1):
         # compress drops the star cells at C speed, about 2/3 of a typical grid
         for k, e in itertools.compress(enumerate(row, start=1), row):
-            cells.setdefault(e, []).extend((k, j))
+            where = cells[e]
+            where.append(k)
+            where.append(j)
     return cells
 
 
@@ -260,7 +265,7 @@ def _each_violation(grid: Grid):
                             f"column {c} has {mask.bit_count()} stars, column 1 has {z}")
 
     # C2: the codes present are exactly {1, ..., S}.
-    cells = _cells_by_code(grid)
+    cells = _cells_by_code(grid, collections.defaultdict(list))
     if cells:
         top = max(cells)
         for missing in range(1, top + 1):
@@ -325,10 +330,14 @@ class PdaArray:
     def code_cells(self) -> tuple[Cells, ...]:
         """Per code (index code - 1), one flat tuple of plain ints
         ``(k1, j1, k2, j2, ...)``: its cells as (user, row), 1-based, in
-        row-major order.  Each list is popped as its tuple is made, so the
-        build never holds both forms of a code."""
-        cells = _cells_by_code(self.grid)
-        return tuple(map(tuple, map(cells.pop, range(1, self.s + 1))))
+        row-major order.  C2 makes the codes 1..S, so the cells are gathered
+        into a list indexed by code, and each code's list is replaced by its
+        tuple in place, so the build never holds both forms of a code."""
+        cells = _cells_by_code(self.grid, [[] for _ in range(self.s + 1)])
+        for e in range(1, self.s + 1):
+            cells[e] = tuple(cells[e])
+        del cells[STAR]
+        return tuple(cells)
 
 
 def permute_columns(pda: PdaArray, perm) -> PdaArray:

@@ -57,8 +57,8 @@ def _header(array) -> tuple[int, ...]:
 
 class _Memo(dict):
     """A per-call memo of ``parse``: it runs once per distinct key, so a
-    repeated token or cell costs one dict lookup and equal results share one
-    object."""
+    repeated token costs one dict lookup and equal results share one object.
+    Keys put in ahead of their lookup, a seed, are never parsed."""
 
     def __init__(self, parse):
         super().__init__()
@@ -69,22 +69,19 @@ class _Memo(dict):
         return value
 
 
-def _token(e: int) -> str:
-    return "*" if e == STAR else str(e)
-
-
 def _cell(token: str) -> int:
     return STAR if token == "*" else int(token)
 
 
-def _token_rows(grid):
-    """Each row of ``grid`` as an iterator of its tokens."""
-    token = _Memo(_token).__getitem__
+def _token_rows(grid, s: int):
+    """Each row of ``grid``, whose entries are 0..``s``, as an iterator of its
+    tokens, read from a list indexed by entry: "*", "1", ..., str(s)."""
+    token = ["*", *map(str, range(1, s + 1))].__getitem__
     return (map(token, row) for row in grid)
 
 
-def _grid_lines(grid) -> list[str]:
-    return list(map(" ".join, _token_rows(grid)))
+def _grid_lines(grid, s: int) -> list[str]:
+    return list(map(" ".join, _token_rows(grid, s)))
 
 
 def parse_ints(tokens, what: str, count: int | None = None) -> tuple[int, ...]:
@@ -99,11 +96,26 @@ def parse_ints(tokens, what: str, count: int | None = None) -> tuple[int, ...]:
     return values
 
 
-def _grid(rows) -> tuple[tuple[int, ...], ...]:
-    cell = _Memo(_cell).__getitem__
+def _grid(rows, s: int = 0) -> tuple[tuple[int, ...], ...]:
+    """The grid of the token rows ``rows``, blank ones skipped, each token
+    parsed once per call by a ``_Memo``.  ``s`` is the S a header claims: the
+    memo is seeded with the canonical tokens "1".."s" as the rows come, never
+    more of them than the cells read so far, so a lying header costs no more
+    than the document's size.  A seed is only a parse done ahead: any other
+    token, "007" or a code past the seed, is parsed on its first lookup, and
+    a parsed token keeps its int object when the seed reaches it."""
+    memo = _Memo(_cell)
+    cell = memo.__getitem__
+    seeded = cells = 0
     grid = []
     for row in rows:
         if row:
+            if seeded < s:
+                cells += len(row)
+                top = min(s, cells)
+                keys = list(map(str, range(seeded + 1, top + 1)))
+                memo.update(zip(keys, map(memo.get, keys, range(seeded + 1, top + 1))))
+                seeded = top
             try:
                 grid.append(tuple(map(cell, row)))
             except ValueError:
@@ -113,13 +125,23 @@ def _grid(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(grid)
 
 
+def _seed_size(header) -> int:
+    """The S that a header's last token claims, for ``_grid``'s seed alone: 0
+    when there is no header or its last token is not an integer.  Read before
+    the grid, it raises nothing, so grid errors still come first."""
+    try:
+        return int(header[-1])
+    except (TypeError, IndexError, ValueError):
+        return 0
+
+
 def _checked(kind: str | None, header, rows, profile=None, pi=None):
     """The one checked path of every loader.  ``kind`` is "pda", "sppda", or
     None for a bare grid; the other arguments are the document's string
     tokens.  The constructors check the grid, which raises InvalidPdaError,
     and an SP-PDA's D2, which becomes a ConditionError; then the header is
     compared with the array."""
-    grid = _grid(rows)
+    grid = _grid(rows, _seed_size(header))
     claimed = None if kind is None else parse_ints(header, f"{kind} header", len(_HEADERS[kind]))
     if kind == "sppda":
         profile = AssociationProfile(parse_ints(profile, "profile"))
@@ -196,13 +218,15 @@ def _read_json(text: str, kind: str | None):
 
 
 def _write(kind: str, array, grid, *sections: str) -> str:
-    lines = [" ".join(map(str, (kind, *_header(array)))), *sections, *_grid_lines(grid)]
+    header = _header(array)  # S last
+    lines = [" ".join(map(str, (kind, *header))), *sections, *_grid_lines(grid, header[-1])]
     return "\n".join(lines) + "\n"
 
 
 def _to_json(kind: str, array, grid, **sections) -> str:
-    doc = {"type": kind, **dict(zip(_JSON_KEYS[kind], _header(array))), **sections,
-           "grid": list(map(list, _token_rows(grid)))}
+    header = _header(array)  # S last
+    doc = {"type": kind, **dict(zip(_JSON_KEYS[kind], header)), **sections,
+           "grid": list(map(list, _token_rows(grid, header[-1])))}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import random
@@ -400,6 +401,28 @@ class TestFormulas:
         capsys.readouterr()
         assert main(["formulas", "man", "--profile", "3,2", "--t2", "1"]) == 2
         assert capsys.readouterr().err == "error: man formulas need --t1\n"
+
+
+# sha256 of the skewed reference network's F=8400 array, MaN(8,4) x MaN(10,3)
+# with profile 10,4,2,2,2,2,1,1, as text and as JSON, and of its transmission
+# log for 24 synthetic files of 16384 bytes (seed 7) at the worst-case demands
+SKEWED_DIGESTS = {
+    "text": "99e0d56943188c13aa9f9991d223c884752441f494cff9876123a29614a55eb8",
+    "json": "4a98a6e5affa7f8a441e55b82cfe41bf4f0c7ebe09cef976e60397e8d3ff1418",
+    "log": "93691f999451a588ba423a8619a87b6d9ea786f32530936d7193c7959370401b",
+}
+
+
+def test_skewed_f8400_bytes_are_pinned(tmp_path, capsys):
+    construct = ["construct", "man:8,4", "man:10,3", "--profile", "10,4,2,2,2,2,1,1"]
+    text, doc, log = (tmp_path / name for name in ("skewed.sppda", "skewed.json", "skewed.log"))
+    assert main([*construct, "-o", str(text)]) == 0
+    assert main([*construct, "--json", "-o", str(doc)]) == 0
+    assert main(["simulate", str(text), "--synthetic", "24,16384,7", "--worst-case",
+                 "--log", str(log)]) == 0
+    assert "all_decoded: yes" in capsys.readouterr().out
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in (("text", text), ("json", doc), ("log", log))} == SKEWED_DIGESTS
 
 
 def test_constructed_file_parses_back(golden_file):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import json
+import time
 
 from sppda import textio
 from sppda.arrays import (
@@ -192,7 +193,7 @@ def _sppda_documents(rng):
     zh = min(f, rng.choice((sp.helper_stars, sp.helper_stars + 1, rng.randint(0, f))))
     grouping = rng.choice((None, tuple(rng.sample(range(k), k))))
     pi = "id" if grouping is None else " ".join(str(x + 1) for x in grouping)
-    lines = textio._grid_lines(grid)
+    lines = textio._grid_lines(grid, sp.pda.s)  # the mutation writes codes 0..S
     text = "\n".join([f"sppda {k} {profile.num_groups} {f} {z} {zh} {s}",
                       "L: " + " ".join(map(str, profile.parts)), f"pi: {pi}", *lines]) + "\n"
     doc = json.dumps({"type": "sppda", "k": k, "num_helpers": profile.num_groups, "f": f,
@@ -247,19 +248,112 @@ class TestTokenMemo:
     textio_oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(TOKENS, max_size=6), max_size=6))
-    def test_grid_matches_per_token_reader(self, rows):
-        assert _outcome(textio._grid, rows) == _outcome(oracle.grid, rows)
+    @given(st.lists(st.lists(TOKENS, max_size=6), max_size=6),
+           st.one_of(st.integers(-2, 40), st.just(10 ** 12)))
+    def test_grid_matches_per_token_reader(self, rows, s):
+        # a seed of any size, a lying one included, changes no outcome
+        expected = _outcome(oracle.grid, rows)
+        assert _outcome(textio._grid, rows) == expected
+        assert _outcome(lambda rows: textio._grid(rows, s), rows) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.one_of(st.just(0), st.integers(1, 12),
-                                       st.integers(1, 2 ** 80)), max_size=6), max_size=6))
-    def test_lines_match_per_token_writer(self, grid):
-        assert textio._grid_lines(grid) == oracle.grid_lines(grid)
-        assert ([list(row) for row in textio._token_rows(grid)]
-                == [[oracle.token(e) for e in row] for row in grid])
+    @given(st.randoms(use_true_random=False))
+    def test_lines_match_per_token_writer(self, rng):
+        # the writer's domain: checked arrays, whose entries are 0..S
+        if rng.random() < 0.5:
+            pda = random_pda(rng, max_cols=6, max_rows=9)
+        else:
+            p1 = random_pda(rng, max_cols=4, max_rows=6)
+            p2 = random_pda(rng, max_cols=4, max_rows=6)
+            pda = construct_sppda(p1, p2, random_profile(rng, p1.k, p2.k)).pda
+        assert textio._grid_lines(pda.grid, pda.s) == oracle.grid_lines(pda.grid)
+        assert ([list(row) for row in textio._token_rows(pda.grid, pda.s)]
+                == [[oracle.token(e) for e in row] for row in pda.grid])
 
     def test_equal_tokens_share_one_int(self):
         rows = grid("100000 * 100000\n* 100000 *\n")
         assert rows == ((100000, 0, 100000), (0, 100000, 0))
         assert rows[0][0] is rows[0][2] is rows[1][1]
+        # a code read before the seed reaches it keeps its int once seeded
+        rows = textio._grid([["300"], ["*"] * 400, ["300"]], 1000)
+        assert rows[0][0] is rows[2][0]
+
+    def test_seeded_reader_parses_only_other_tokens(self, monkeypatch):
+        # with its true S, a written array's only unseeded token is "*"
+        sp = construct_sppda(man_pda(4, 2), man_pda(3, 1), AssociationProfile((3, 2, 2, 1)))
+        parsed = []
+        cell = textio._cell
+        monkeypatch.setattr(textio, "_cell", lambda token: parsed.append(token) or cell(token))
+        for text in (write_sppda(sp), sppda_to_json(sp)):
+            parsed.clear()
+            assert read_array(text) == sp
+            assert parsed == ["*"]
+        # padded codes are read on their first lookup, to the same array
+        lines = write_sppda(sp).splitlines()
+        cells = [line.split() for line in lines[3:]]
+        for code, padded in (("1", "01"), ("7", "007")):
+            row = next(row for row in cells if code in row)
+            row[row.index(code)] = padded
+        parsed.clear()
+        assert read_array("\n".join(lines[:3] + list(map(" ".join, cells)))) == sp
+        assert sorted(parsed) == ["*", "007", "01"]
+
+
+def _lie_about_s(text: str, lie: int) -> str:
+    """The document with its header's S replaced by ``lie``."""
+    if text.startswith("{"):
+        return json.dumps({**json.loads(text), "s": lie})
+    head, rest = text.split("\n", 1)
+    return " ".join([*head.split()[:-1], str(lie)]) + "\n" + rest
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except (FormatError, InvalidPdaError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSeededReader:
+    """A header's S seeds the reader's memo; whatever S it claims, the
+    outcome is the per-token reader's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_lying_headers_match_per_token_reader(self, rng):
+        # SP-PDA documents with a cell overwritten a third of the time, and a
+        # valid PDA, each as text and as JSON, under their true S and the lies
+        documents, grid, *_ = _sppda_documents(rng)
+        pda = random_pda(rng, max_cols=5, max_rows=9)
+        s = grid_oracle.params(grid)[3]
+        for document, true_s in ((documents[0], s), (documents[1], s),
+                                 (write_pda(pda), pda.s), (pda_to_json(pda), pda.s)):
+            for lie in (true_s, 0, true_s - 1, true_s + 1, 10 ** 12):
+                text = _lie_about_s(document, lie)
+                assert _read_outcome(read_array, text) == _read_outcome(oracle.read_array, text), lie
+
+    def test_bad_header_keeps_error_precedence(self):
+        # the seed reads S ahead of the grid but raises nothing, so a grid
+        # error still comes before the header's own
+        for head in ("pda 2 2 1 x", "pda 2 2 1 1.5", "pda 2 2 1", "pda", "pda 2 2 1 " + "9" * 5000):
+            for grid_text in ("* 1\n1 *", "* 1\n1 y"):
+                text = f"{head}\n{grid_text}\n"
+                outcome = _read_outcome(read_array, text)
+                assert outcome == _read_outcome(oracle.read_array, text)
+                assert outcome[0].endswith("Error"), (head, outcome)
+            assert outcome[1].startswith("bad token in grid row"), (head, outcome)
+
+    def test_seed_is_capped_by_the_cells(self):
+        # one row of 80 000 codes: a header claiming S = 10^12 seeds no more
+        # than the 80 000 cells, so the grid reads about as fast as with the
+        # true S.  Only the grid is read: the C1-C3 check of an 80 000-column
+        # grid takes over a second and about 430 MiB of its own.
+        lying = f"pda 80000 1 0 {10 ** 12}"
+        rows = [list(map(str, range(1, 80_001)))]
+        assert textio._seed_size(lying.split()[1:]) == 10 ** 12
+        times = {}
+        for s in (80_000, 10 ** 12) * 3:
+            start = time.perf_counter()
+            assert textio._grid(rows, s) == (tuple(range(1, 80_001)),)
+            times[s] = min(times.get(s, 1e9), time.perf_counter() - start)
+        assert times[10 ** 12] < 2 * times[80_000] + 0.05, times

@@ -395,9 +395,9 @@ class TestAcceptPath:
         # verify never builds code_cells; simulate builds them once
         calls = []
 
-        def counted(grid):
+        def counted(grid, cells):
             calls.append(len(grid))
-            return _cells_by_code(grid)
+            return _cells_by_code(grid, cells)
 
         monkeypatch.setattr("sppda.arrays._cells_by_code", counted)
         path = tmp_path / "golden.sppda"
@@ -610,13 +610,15 @@ class TestManFamily:
 
     def test_tables_match_checked_array(self):
         # the sweep reads MaN's tables from its definition; they must be the
-        # tables of the built and checked array for every MaN(k, t) up to k = 16
+        # tables of the built and checked array for every MaN(k, t) up to
+        # k = 16, and for k = 17..24 at the t whose arrays stay small
         start = time.monotonic()
-        for k in range(1, 17):
-            for t in range(0, k + 1):
-                pda = man_pda(k, t)
-                assert man_tables(k, t) == (pda.k, pda.f, pda.z, pda.s, pda.star_masks, pda.code_columns), \
-                    (k, t)
+        pairs = [(k, t) for k in range(1, 17) for t in range(0, k + 1)]
+        pairs += [(k, t) for k in range(17, 25) for t in sorted({0, 1, 2, k - 2, k - 1, k})]
+        for k, t in pairs:
+            pda = man_pda(k, t)
+            assert man_tables(k, t) == (pda.k, pda.f, pda.z, pda.s, pda.star_masks, pda.code_columns), \
+                (k, t)
         elapsed = time.monotonic() - start
         assert elapsed < 20, f"MaN tables against checked arrays took {elapsed:.1f}s"
 

@@ -18,6 +18,7 @@ from sppda.sim import (
     DimensionError,
     FileLibrary,
     MissingComponentError,
+    Transmission,
     dedicated_run,
     format_report,
     format_transmission_log,
@@ -102,6 +103,19 @@ class TestGoldenReplay:
     def test_transmissions_have_no_dict(self, golden_sp, golden_library):
         txs = sp_deliver(golden_sp, golden_library, self.DEMANDS)
         assert not any(hasattr(t, "__dict__") for t in txs)
+
+    def test_transmission_is_an_immutable_record(self, golden_sp, golden_library):
+        txs = sp_deliver(golden_sp, golden_library, self.DEMANDS)
+        t = txs[1]
+        for name in ("code", "payload", "cells"):
+            with pytest.raises(AttributeError):  # FrozenInstanceError
+                setattr(t, name, None)
+        assert (t.code, t.payload, t.cells) == (2, t.payload, (4, 3, 3, 4, 1, 6))
+        # equal to the oracle's record, field by field and as a whole
+        sent = oracle.deliver(golden_sp, golden_library, self.DEMANDS)
+        assert txs == sent and {type(x) for x in txs + sent} == {Transmission}
+        assert hash(t) == hash(sent[1])
+        assert flip_byte(t, 0) != t and flip_byte(flip_byte(t, 0), 0) == t
 
     @pytest.mark.usefixtures("odd_gc_state")
     def test_runs_at_the_callers_gc_threshold(self, golden_sp, golden_library, monkeypatch):

@@ -1,7 +1,12 @@
 """The per-token grid reader and writer that ``sppda.textio`` replaced with
-per-call memos, kept as the reference: every token goes through its own
-``int()`` and every cell through its own ``str()``."""
+a per-call memo and a token table, kept as the reference: every token goes
+through its own ``int()`` and every cell through its own ``str()``.
+``read_array`` is the loader with this reader in place of the memo that a
+header's S seeds."""
 
+from unittest import mock
+
+from sppda import textio
 from sppda.arrays import STAR
 from sppda.textio import FormatError
 
@@ -25,3 +30,9 @@ def grid(rows) -> tuple[tuple[int, ...], ...]:
     if not out:
         raise FormatError("empty grid")
     return tuple(out)
+
+
+def read_array(text: str):
+    """``sppda.textio.read_array`` reading its grid with ``grid``: no seed."""
+    with mock.patch.object(textio, "_grid", lambda rows, s=0: grid(rows)):
+        return textio.read_array(text)
