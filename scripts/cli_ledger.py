@@ -124,6 +124,7 @@ SESSIONS = [
     ("sweep-empty-inputs", {}, [
         ["sweep", "--profile", "3,3,3,3", "--mh-ratio", "1/2", "--t2", "2:1"],
         ["sweep", "--profile", "3,3,3,3", "--mh-ratio", "1/2", "--verify-cap", "-5"],
+        ["sweep", "--profile", "0,0,0,0", "--mh-ratio", "1/2"],
     ]),
     ("search", {}, [
         ["search", "man:4,1", "man:3,1", *SEARCH],

@@ -9,11 +9,12 @@ tables without writing out its F x K grid.  Every MaN array, first or
 second, is its tables read off the family's definition (``man_tables``),
 with no grid built or checked; only Construction A's small first arrays are
 built and checked.  The first array's share is built once per scheme: its
-codes' widths, and so the count of codes of each width, and, once per
-distinct F2, its star masks spread to F2-row stripes.  A point then adds
-only the second array's share: S is the sum over the distinct widths w of
-(codes of width w) x phi2(w), and each helper group's mask takes two
-products, so a check costs about what the second array's tables do.
+codes' widths, and so the count of codes of each width, and its columns'
+star counts.  A point then adds only the second array's share: S is the
+sum over the distinct widths w of (codes of width w) x phi2(w), and each
+helper group's count of all-star rows, the one number D2 reads, is two
+products of counts (see ``block_tables``), with no F-bit mask of the
+product, so a check costs about what the second array's tables do.
 
 All rates are exact rationals; floats appear only in rendered output.
 """
@@ -165,7 +166,7 @@ def _cross_check(tables: BlockTables, f: int, s: int, zh: int) -> bool:
     if tables.f != f or tables.s != s or tables.zh != zh:
         return False
     try:
-        check_helper_stars(tables.group_masks, zh)
+        check_helper_stars(tables.group_stars, zh)
     except InsufficientStarRowsError:
         return False
     return True
@@ -177,13 +178,18 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
     Each scheme's first array and its share of the tables are built once;
     a MaN array, first or second, is its ``man_tables``.  An empty
     ``t2_values`` (a reversed t2 range) or a negative ``verify_cap``, which
-    would sweep or verify nothing, raises ``ParameterError``."""
+    would sweep or verify nothing, raises ``ParameterError``, as does a
+    profile with no users, whose empty largest group leaves t2/L_1, and so
+    M_p/N, undefined."""
     if not config.t2_values:
         raise ParameterError("t2_values is empty (a --t2 range lo:hi needs lo <= hi)")
     if config.verify_cap < 0:
         raise ParameterError(f"verify_cap is {config.verify_cap} (--verify-cap must be >= 0)")
     profile = config.profile
     l1 = profile.part(1)
+    if not l1:
+        raise ParameterError(f"profile {','.join(map(str, profile.parts))} has no users: "
+                             f"its largest group L_1 is empty")
     schemes = []
     for scheme in config.schemes:
         if scheme not in _PAIRINGS:

@@ -64,11 +64,11 @@ class InsufficientStarRowsError(ParameterError):
         super().__init__("; ".join(map(str, violations)))
 
 
-def check_helper_stars(group_masks, zh: int) -> None:
+def check_helper_stars(group_stars, zh: int) -> None:
     """Condition D2: raise ``InsufficientStarRowsError`` unless every helper
-    group's mask of all-star rows has at least Z^(h) rows."""
-    failures = tuple(GroupFailure(n, mask.bit_count(), zh)
-                     for n, mask in enumerate(group_masks, start=1) if mask.bit_count() < zh)
+    group has at least Z^(h) all-star rows, given each group's count of them."""
+    failures = tuple(GroupFailure(n, stars, zh)
+                     for n, stars in enumerate(group_stars, start=1) if stars < zh)
     if failures:
         raise InsufficientStarRowsError(failures)
 
@@ -96,7 +96,7 @@ class SpPdaArray:
             raise ParameterError(f"Z^(h)={self.helper_stars} not in [0, F={self.pda.f}]")
         if self.grouping is not None:
             check_bijection(self.grouping, self.pda.k, "grouping")
-        check_helper_stars(self.group_masks, self.helper_stars)
+        check_helper_stars(map(int.bit_count, self.group_masks), self.helper_stars)
 
     @cached_property
     def group_masks(self) -> tuple[int, ...]:
@@ -173,21 +173,14 @@ def check_pair(p1: PdaArray | ManTables | None, p2: PdaArray | ManTables | None,
 @dataclass(frozen=True)
 class BlockTables:
     """The block product of two PDAs under a profile, without its rows: F, Z,
-    Z^(h), the distinct-code count S, and per helper group the bitmask of its
-    all-star rows (bit j-1 for row j), as ``SpPdaArray.group_masks``."""
+    Z^(h), the distinct-code count S, and per helper group the count of its
+    all-star rows, the bit counts of ``SpPdaArray.group_masks``."""
 
     f: int
     z: int
     zh: int
     s: int
-    group_masks: tuple[int, ...]
-
-
-def _spread_masks(masks, f2: int) -> list[int]:
-    """Each mask with its bit f1 moved to bit f1*F2, the first row of the
-    F2-row stripe that row f1 of p1 becomes in the block product."""
-    gap = "0" * (f2 - 1)
-    return [int(gap.join(bin(mask)[2:]), 2) for mask in masks]
+    group_stars: tuple[int, ...]
 
 
 def _in_first(p2: PdaArray | ManTables, width: int):
@@ -199,11 +192,10 @@ class _FirstShare:
     """The first array's share of the block product under a profile, built
     once for any number of second arrays: per code s of p1 its width
     L_{xi(s)}, read through the parts at the lowest bit of its column mask;
-    the count of codes of each width; and, once per F2, the star masks of
-    p1's columns and of all its rows spread to F2-row stripes.  It and
-    ``tables`` read only each array's k, f, z, ``star_masks`` and
-    ``code_columns``, so either array may be a ``PdaArray`` or MaN's
-    ``ManTables``."""
+    the count of codes of each width; and the star count of each of p1's
+    columns.  It and ``tables`` read only each array's k, f, z,
+    ``star_masks`` and ``code_columns``, so either array may be a
+    ``PdaArray`` or MaN's ``ManTables``."""
 
     def __init__(self, p1: PdaArray | ManTables, profile: AssociationProfile):
         check_pair(p1, None, profile)
@@ -212,7 +204,7 @@ class _FirstShare:
         lowest = map(int.bit_length, map(operator.and_, masks, map(operator.neg, masks)))
         self.widths = list(map(by_bit.__getitem__, lowest))
         self.counts = collections.Counter(self.widths)
-        self._spreads: dict[int, list[int]] = {}
+        self.star_counts = list(map(int.bit_count, p1.star_masks))
 
     def s_count(self, p2: PdaArray | ManTables) -> int:
         """``s_count(p1, p2, profile)``: each of p1's codes of width w takes a
@@ -224,13 +216,11 @@ class _FirstShare:
         """``block_tables(p1, p2, profile)``."""
         p1, f2 = self.p1, p2.f
         s = self.s_count(p2)
-        if f2 not in self._spreads:
-            self._spreads[f2] = _spread_masks(((1 << p1.f) - 1, *p1.star_masks), f2)
-        every, *spreads = self._spreads[f2]
-        stripe = (1 << f2) - 1
-        g2 = (stripe, *itertools.accumulate(p2.star_masks, operator.and_))  # indexed by width
-        masks = tuple(every * g2[w] | spread * stripe for spread, w in zip(spreads, self.profile.parts))
-        return BlockTables(p1.f * f2, p1.z * f2 + (p1.f - p1.z) * p2.z, p1.z * f2, s, masks)
+        # indexed by width: the rows where p2's first w columns all have stars
+        g2 = (f2, *map(int.bit_count, itertools.accumulate(p2.star_masks, operator.and_)))
+        stars = tuple(c * f2 + (p1.f - c) * g2[w]
+                      for c, w in zip(self.star_counts, self.profile.parts))
+        return BlockTables(p1.f * f2, p1.z * f2 + (p1.f - p1.z) * p2.z, p1.z * f2, s, stars)
 
 
 def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
@@ -249,16 +239,17 @@ def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> Blo
     profile is non-increasing, so s's first column is its widest and the
     domains of its other columns lie inside that one.)
 
-    Row (f1, f2) of the product is bit f1*F2 + f2, so group lambda, of width
-    w, is all-star in every row of a stripe where p1's column lambda has a
-    star, and, in a stripe where it has a code, in the rows where p2's first
-    w columns all have stars, the AND ``g2`` of their masks.  Those rows lie
-    inside the stripe, so the group's mask is ``every * g2 | spread *
-    stripe``, with ``every`` all F1 rows and ``spread`` the column's star
-    rows spread to stripes; the products set disjoint F2-bit stripes and
-    carry nothing.  A zero-width group has ``g2 = stripe``, the AND of no
-    masks, and so keeps every row.  As only these tables are read, p1 and p2
-    may also be ``arrays.man_tables`` records, as ``analysis.sweep`` passes."""
+    Row f1 of p1 becomes a stripe of F2 rows of the product, and the stripes
+    are disjoint.  Group lambda, of width w, is all-star in every row of a
+    stripe where p1's column lambda has a star, and, in a stripe where it has
+    a code, in the rows where p2's first w columns all have stars, the AND of
+    their star masks, whose bit count is ``g2(w)``.  Each stripe adds its own
+    rows and no stripe's rows are counted twice, so with c_lambda the stars
+    of p1's column lambda the group has c_lambda*F2 + (F1 - c_lambda)*g2(w)
+    all-star rows.  A zero-width group has ``g2(0) = F2``, the AND of no
+    masks, and so keeps all F rows.  As only these tables are read, p1 and
+    p2 may also be ``arrays.man_tables`` records, as ``analysis.sweep``
+    passes."""
     return _FirstShare(p1, profile).tables(p2)
 
 

@@ -121,6 +121,12 @@ def group_star_masks(pda, parts, grouping=None):
                  for cols in group_columns(pda.k, parts, grouping))
 
 
+def group_star_counts(pda, parts, grouping=None):
+    """Per helper group, the count of rows that are stars in every column of
+    the group: the bit counts of ``group_star_masks``."""
+    return tuple(mask.bit_count() for mask in group_star_masks(pda, parts, grouping))
+
+
 def phi_vector(pda, perm=None):
     """(phi(1), ..., phi(K)) after moving old column c to position perm[c]."""
     if perm is None:

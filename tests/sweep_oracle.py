@@ -53,7 +53,7 @@ def sweep(config):
             mp = Fraction((p1.f - p1.z) * p2.z, f)  # (Z - Z^(h)) / F
             if f <= config.verify_cap:
                 tables = block_tables(p1, p2, profile)
-                check_helper_stars(tables.group_masks, tables.zh)
+                check_helper_stars(tables.group_stars, tables.zh)
                 assert (tables.f, tables.zh, tables.z - tables.zh) == (f, p1.z * p2.f, mp * f)
                 points.append(SchemePoint(scheme, t2, mp, Fraction(tables.s, f), f, tables.s, True))
             else:

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -22,7 +23,14 @@ from sppda.analysis import (
     sweep,
     sweep_csv,
 )
-from sppda.arrays import AssociationProfile, ParameterError, binom, man_pda
+from sppda.arrays import (
+    AssociationProfile,
+    ParameterError,
+    binom,
+    construction_a_pda,
+    man_pda,
+    man_tables,
+)
 from sppda import arrays, construct
 from sppda.construct import block_tables, construct_sppda
 from sppda.sim import FileLibrary, sp_run
@@ -159,48 +167,76 @@ class TestSweep:
             sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), verify_cap=-1))
         assert not any(p.verified for p in sweep(SweepConfig(UNIFORM, Fraction(1, 2), (1,), verify_cap=0)))
 
+    @pytest.mark.parametrize("parts, schemes", [((0, 0, 0, 0), ("man_pair", "construction_a_pair")),
+                                                ((0, 0), ("man_pair",))])
+    def test_profile_without_users_refused(self, parts, schemes):
+        # an empty largest group leaves M_p/N = (1 - M_h/N) t2/L_1 undefined:
+        # refused before any point, not a ZeroDivisionError
+        with pytest.raises(ParameterError, match="largest group L_1 is empty"):
+            sweep(SweepConfig(AssociationProfile(parts), Fraction(1, 2), (0,), schemes))
+
     def test_cross_check_rejects_each_mismatch(self):
         # the golden pair, F=6, S=3, Z^(h)=3, read as the sweep reads it
         p1, p2, profile = man_pda(2, 1), man_pda(3, 1), AssociationProfile((3, 2))
         tables = block_tables(p1, p2, profile)
         sp = construct_sppda(p1, p2, profile)
-        assert tables.group_masks == sp.group_masks \
-            == grid_oracle.group_star_masks(sp.pda, profile.parts)
+        assert tables.group_stars == tuple(map(int.bit_count, sp.group_masks)) \
+            == grid_oracle.group_star_counts(sp.pda, profile.parts) == (3, 3)
         assert _cross_check(tables, 6, 3, 3)
         for f, s, zh in ((5, 3, 3), (7, 3, 3), (6, 2, 3), (6, 4, 3), (6, 3, 2), (6, 3, 4)):
             assert not _cross_check(tables, f, s, zh)
         # one all-star row of a group turned into a code row: that group
         # keeps fewer than 3 all-star rows
-        for n, group in enumerate(tables.group_masks):
-            masks = list(tables.group_masks)
-            masks[n] &= ~(group & -group)
-            short = replace(tables, group_masks=tuple(masks))
-            assert min(m.bit_count() for m in short.group_masks) == 2
+        for n in range(len(tables.group_stars)):
+            counts = list(tables.group_stars)
+            counts[n] -= 1
+            short = replace(tables, group_stars=tuple(counts))
+            assert min(short.group_stars) == 2
             assert not _cross_check(short, 6, 3, 3)
 
     def test_first_array_share_built_once_per_sweep(self, monkeypatch):
         # within one sweep, each scheme's first-array share, which reads its
-        # codes' widths, is built once, and its star masks are spread once per
-        # distinct F2 of the points it checks
-        calls = {"shares": 0, "spreads": []}
-        share_init, spread_masks = construct._FirstShare.__init__, construct._spread_masks
+        # codes' widths and its columns' star counts, is built once, and
+        # each verified point adds only the second array's share
+        calls = {"shares": 0, "tables": 0}
+        share_init, share_tables = construct._FirstShare.__init__, construct._FirstShare.tables
 
         def count_shares(share, p1, profile):
             calls["shares"] += 1
             share_init(share, p1, profile)
 
-        def count_spreads(masks, f2):
-            calls["spreads"].append(f2)
-            return spread_masks(masks, f2)
+        def count_tables(share, p2):
+            calls["tables"] += 1
+            return share_tables(share, p2)
 
         monkeypatch.setattr(construct._FirstShare, "__init__", count_shares)
-        monkeypatch.setattr(construct, "_spread_masks", count_spreads)
-        config = SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11)))
-        points = sweep(config)
-        checked = {(p.scheme, binom(10, p.t2)) for p in points if p.verified}
-        assert len(checked) == 2 * 6  # C(10, t2) takes 6 values over t2 = 0..10
-        assert calls["shares"] == 2
-        assert sorted(calls["spreads"]) == sorted(f2 for _, f2 in checked)
+        monkeypatch.setattr(construct._FirstShare, "tables", count_tables)
+        points = sweep(SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11))))
+        assert sum(p.verified for p in points) == 22
+        assert calls == {"shares": 2, "tables": 22}
+
+    # the four reference sweeps and the 16-helper sweep
+    @pytest.mark.parametrize("profile, mh", [
+        (UNIFORM, Fraction(1, 2)), (UNIFORM, Fraction(1, 4)),
+        (SKEWED, Fraction(1, 2)), (SKEWED, Fraction(1, 4)),
+        (AssociationProfile((4,) * 16), Fraction(1, 2))])
+    def test_group_star_counts_match_the_closed_form(self, profile, mh):
+        # with MaN(L_1, t2) as the second array, the rows where its first w
+        # columns all have stars are the t2-subsets that hold those w users,
+        # C(L_1 - w, t2 - w) of them; each first-array column has Z1 stars
+        lam, l1 = profile.num_groups, profile.part(1)
+        t1, q = int(mh * lam), mh.denominator
+        firsts = {"man_pair": (man_tables(lam, t1), math.comb(lam, t1), math.comb(lam - 1, t1 - 1)),
+                  "construction_a_pair": (construction_a_pda(q, lam // q - 1),
+                                          q ** (lam // q - 1), q ** (lam // q - 2))}
+        points = sweep(SweepConfig(profile, mh, tuple(range(l1 + 1))))
+        assert len(points) == 2 * (l1 + 1) and all(p.verified for p in points)
+        for point in points:
+            p1, f1, z1 = firsts[point.scheme]
+            f2 = math.comb(l1, point.t2)
+            stars = block_tables(p1, man_tables(l1, point.t2), profile).group_stars
+            g2 = [math.comb(l1 - w, point.t2 - w) if w <= point.t2 else 0 for w in profile.parts]
+            assert stars == tuple(z1 * f2 + (f1 - z1) * g for g in g2)
 
 
 def random_profile(rng):

@@ -35,7 +35,6 @@ from sppda.construct import (
     s_count,
     verify_sppda,
 )
-from sppda import construct
 from sppda.analysis import rate_man_pair
 from sppda.arrays import construction_a_pda
 from sppda.sim import FileLibrary, dedicated_run, sp_place, sp_run
@@ -158,8 +157,8 @@ class TestConstruct:
         assert (tables.f, tables.z, tables.zh, tables.s) == \
             (sp.pda.f, sp.pda.z, sp.helper_stars, sp.pda.s)
         assert tables.s == s_count(p1, p2, profile)
-        assert tables.group_masks == sp.group_masks \
-            == grid_oracle.group_star_masks(sp.pda, profile.parts)
+        assert tables.group_stars == tuple(map(int.bit_count, sp.group_masks)) \
+            == grid_oracle.group_star_counts(sp.pda, profile.parts)
 
     # p1: no stars, all stars, mixed; p2: F2 = 1 with codes or stars only, F2 > 1;
     # every group wide, and one or two groups of width 0
@@ -170,18 +169,15 @@ class TestConstruct:
     @pytest.mark.parametrize("parts", [(2, 2, 2), (2, 1, 0), (2, 0, 0)])
     def test_block_star_masks_edge_cases(self, p1, p2, parts):
         sp = construct_sppda(p1, p2, AssociationProfile(parts))
-        masks = block_tables(p1, p2, AssociationProfile(parts)).group_masks
-        assert masks == sp.group_masks == grid_oracle.group_star_masks(sp.pda, parts)
-        # a group of width 0 keeps every row
-        assert all(mask == (1 << sp.pda.f) - 1 for mask, w in zip(masks, parts) if not w)
+        stars = block_tables(p1, p2, AssociationProfile(parts)).group_stars
+        assert stars == tuple(map(int.bit_count, sp.group_masks)) \
+            == grid_oracle.group_star_counts(sp.pda, parts)
+        # a group of width 0 keeps every row: it counts all F
+        assert all(count == sp.pda.f for count, w in zip(stars, parts) if not w)
 
-    def test_first_share_reused_over_second_arrays(self, monkeypatch):
+    def test_first_share_reused_over_second_arrays(self):
         # one first-array share paired with several second arrays gives what
-        # fresh block_tables calls give, and spreads p1's masks once per F2
-        spreads = []
-        spread_masks = construct._spread_masks
-        monkeypatch.setattr(construct, "_spread_masks",
-                            lambda masks, f2: spreads.append(f2) or spread_masks(masks, f2))
+        # fresh block_tables calls give, for each F2 and column order of p2
         p1, profile = man_pda(4, 2), AssociationProfile((3, 3, 2, 0))
         # two arrays with F = 3 whose first two columns share different star rows
         m32 = man_pda(3, 2)
@@ -189,13 +185,12 @@ class TestConstruct:
         seconds = (m32, shifted, man_pda(3, 0), man_pda(3, 1), m32, man_pda(3, 3))
         first = _FirstShare(p1, profile)
         shared = [first.tables(p2) for p2 in seconds]
-        assert spreads == [3, 1]  # once per distinct F2, on its first use
-        assert shared[0].group_masks != shared[1].group_masks
+        assert len({tables.group_stars for tables in shared}) == 4
         for tables, p2 in zip(shared, seconds):
             sp = construct_sppda(p1, p2, profile)
             assert tables == block_tables(p1, p2, profile)
-            assert tables.group_masks == sp.group_masks \
-                == grid_oracle.group_star_masks(sp.pda, profile.parts)
+            assert tables.group_stars == tuple(map(int.bit_count, sp.group_masks)) \
+                == grid_oracle.group_star_counts(sp.pda, profile.parts)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
