@@ -136,6 +136,10 @@ SESSIONS = [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],
         ["formulas", "consa", "--profile", "2,2,1,1", "--q", "2", "--m", "1", "--t2", "1"],
     ]),
+    ("formulas-empty-profile", {}, [
+        ["formulas", "man", "--profile", "0,0", "--t1", "1", "--t2", "0"],
+        ["formulas", "consa", "--profile", "0,0,0,0", "--q", "2", "--m", "1", "--t2", "0"],
+    ]),
     ("bad-profile", {}, [
         ["construct", "man:2,1", "man:3,1", "--profile", "3,x"],
         ["search", "man:4,1", "man:3,1", "--profile", ""],

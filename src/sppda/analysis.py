@@ -2,33 +2,33 @@
 pairings (MaN x MaN versus Construction-A x MaN), plus the sweep that
 regenerates the figure data behind the uniform and skewed profiles.
 
-The sweep cross-checks each closed form under its cap against the
-construction's tables (``construct.block_tables``): F, S, Z^(h) and the
-per-group all-star rows of the block product, read from the two arrays'
-tables without writing out its F x K grid.  Every MaN array, first or
-second, is its tables read off the family's definition (``man_tables``),
-with no grid built or checked; only Construction A's small first arrays are
-built and checked.  The first array's share is built once per scheme: its
-codes' widths, and so the count of codes of each width, and its columns'
-star counts.  A point then adds only the second array's share: S is the
-sum over the distinct widths w of (codes of width w) x phi2(w), and each
-helper group's count of all-star rows, the one number D2 reads, is two
-products of counts (see ``block_tables``), with no F-bit mask of the
-product, so a check costs about what the second array's tables do.
+Each closed form is one expression over two families' ``ClosedForm``
+records (K, F, Z, phi): with MaN(L_1, t2) second, F = F1 F2, Z^(h) = Z1 F2
+and S = sum_n phi1(n) (a_n - a_{n+1}), a_n = phi2(L_n), a_{Lambda+1} = 0,
+where phi(w) = C(k, t+1) - C(k-w, t+1) for MaN(k, t) and
+q^{m-1}(q-1) min(w, q) for ConstructionA(q, m).  The sweep takes each
+scheme's phi1 once and, per t2, a_n once for both schemes.  It
+cross-checks each point under its cap against the construction's tables
+(``construct.block_tables``: F, S, Z^(h) and each group's all-star rows),
+which read no closed form: MaN arrays are their ``man_tables``, with no
+grid, and only Construction A's small first arrays are built.  The first
+array's share is built once per scheme, the second array's once per t2.
 
 All rates are exact rationals; floats appear only in rendered output.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrays import (
     AssociationProfile,
     ParameterError,
-    binom,
+    construction_a_closed_form,
     construction_a_pda,
+    man_closed_form,
     man_tables,
 )
 from .construct import (
@@ -38,6 +38,8 @@ from .construct import (
     check_helper_stars,
     s_closed_form_construction_a,
     s_closed_form_man,
+    s_weights,
+    _second_share,
 )
 
 
@@ -51,30 +53,24 @@ class UnrealizableMemoryError(ParameterError):
 
 def rate_man_pair(num_helpers: int, t1: int, profile: AssociationProfile, t2: int) -> Fraction:
     """Exact rate of the MaN(Lambda, t1) x MaN(L_1, t2) scheme."""
-    l1 = profile.part(1)
     if not 1 <= t1 <= num_helpers - 1:
         raise ParameterError(f"t1={t1} not in [1, {num_helpers - 1}]")
-    if not 0 <= t2 <= l1:
-        raise ParameterError(f"t2={t2} not in [0, {l1}]")
-    s = s_closed_form_man(num_helpers, t1, profile, t2)
-    return Fraction(s, binom(num_helpers, t1) * binom(l1, t2))
+    return Fraction(s_closed_form_man(num_helpers, t1, profile, t2),
+                    man_pair_subpacketization(num_helpers, t1, profile.part(1), t2))
 
 
 def rate_construction_a(q: int, m: int, profile: AssociationProfile, t2: int) -> Fraction:
     """Exact rate of the ConstructionA(q, m) x MaN(L_1, t2) scheme."""
-    l1 = profile.part(1)
-    if not 0 <= t2 <= l1:
-        raise ParameterError(f"t2={t2} not in [0, {l1}]")
-    s = s_closed_form_construction_a(q, m, profile, t2)
-    return Fraction(s, q ** m * binom(l1, t2))
+    return Fraction(s_closed_form_construction_a(q, m, profile, t2),
+                    construction_a_subpacketization(q, m, profile.part(1), t2))
 
 
 def man_pair_subpacketization(num_helpers: int, t1: int, l1: int, t2: int) -> int:
-    return binom(num_helpers, t1) * binom(l1, t2)
+    return man_closed_form(num_helpers, t1).f * man_closed_form(l1, t2).f
 
 
 def construction_a_subpacketization(q: int, m: int, l1: int, t2: int) -> int:
-    return q ** m * binom(l1, t2)
+    return construction_a_closed_form(q, m).f * man_closed_form(l1, t2).f
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,8 @@ def compare(q: int, m: int, t2: int, profile: AssociationProfile) -> ComparisonR
     ratio = rate_man / rate_a if rate_a else None
     uniform = len(set(profile.parts)) == 1
     return ComparisonReport(q, m, t1, t2, profile,
-                            Fraction(binom(num_helpers, t1), q ** m),
+                            Fraction(man_closed_form(num_helpers, t1).f,
+                                     construction_a_closed_form(q, m).f),
                             rate_man, rate_a, ratio, uniform)
 
 
@@ -146,16 +143,12 @@ def _construction_a_parameters(config: SweepConfig) -> tuple[int, int]:
     return q, lam // q - 1
 
 
-# Per scheme: the first array's parameters (Lambda, t1) or (q, m) for a config, its family
-# (MaN's as tables), F and closed-form S of the pairing with MaN(L_1, t2), and the first
-# array's Z, so that Z^(h) = Z C(L_1, t2).  Since t1/Lambda = 1/q = M_h/N,
-# M_p/N = (1 - M_h/N) t2/L_1.
+# Per scheme: the first array's parameters for a config, its closed form, and its family
+# for the tables (MaN's as tables).  As t1/Lambda = 1/q = M_h/N, M_p/N = (1 - M_h/N) t2/L_1.
 _PAIRINGS = {
-    "man_pair": (_man_parameters, man_tables, man_pair_subpacketization, s_closed_form_man,
-                 lambda lam, t1: binom(lam - 1, t1 - 1)),
-    "construction_a_pair": (_construction_a_parameters, construction_a_pda,
-                            construction_a_subpacketization, s_closed_form_construction_a,
-                            lambda q, m: q ** (m - 1)),
+    "man_pair": (_man_parameters, man_closed_form, man_tables),
+    "construction_a_pair": (_construction_a_parameters, construction_a_closed_form,
+                            construction_a_pda),
 }
 
 
@@ -174,13 +167,10 @@ def _cross_check(tables: BlockTables, f: int, s: int, zh: int) -> bool:
 
 def sweep(config: SweepConfig) -> list[SchemePoint]:
     """One point per (scheme, t2); rows with F under the cap are cross-checked
-    against the construction's tables (``block_tables``), without its rows.
-    Each scheme's first array and its share of the tables are built once;
-    a MaN array, first or second, is its ``man_tables``.  An empty
-    ``t2_values`` (a reversed t2 range) or a negative ``verify_cap``, which
-    would sweep or verify nothing, raises ``ParameterError``, as does a
-    profile with no users, whose empty largest group leaves t2/L_1, and so
-    M_p/N, undefined."""
+    against the construction's tables.  An empty ``t2_values`` (a reversed
+    t2 range) or a negative ``verify_cap``, which would sweep or verify
+    nothing, raises ``ParameterError``, as does a profile with no users,
+    whose empty largest group leaves t2/L_1, and so M_p/N, undefined."""
     if not config.t2_values:
         raise ParameterError("t2_values is empty (a --t2 range lo:hi needs lo <= hi)")
     if config.verify_cap < 0:
@@ -196,24 +186,29 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
             raise ParameterError(f"unknown scheme {scheme!r}")
         if config.schemes.count(scheme) > 1:
             raise ParameterError(f"scheme {scheme!r} repeated")
-        parameters, *pairing = _PAIRINGS[scheme]
-        schemes.append((scheme, parameters(config), *pairing))
+        parameters, closed_form, family = _PAIRINGS[scheme]
+        first = parameters(config)
+        form = closed_form(*first)
+        schemes.append((scheme, form, tuple(map(form.phi, range(1, form.k + 1))), family, first))
     firsts: dict[str, _FirstShare] = {}  # per scheme, its first array's share once one is needed
     points = []
+    private = 1 - config.mh_ratio
     for t2 in config.t2_values:
-        mp = (1 - config.mh_ratio) * Fraction(t2, l1)
-        p2 = None  # MaN(L_1, t2)'s tables, built once and shared by the schemes
-        for scheme, first, family, subpacketization, s_closed_form, first_z in schemes:
-            f = subpacketization(*first, l1, t2)
-            s = s_closed_form(*first, profile, t2)
+        mp = private * Fraction(t2, l1)
+        second = man_closed_form(l1, t2)
+        weights = s_weights(list(map(second.phi, profile.parts)))
+        tables2 = None  # MaN(L_1, t2)'s share of the tables, built once and shared by the schemes
+        for scheme, form, phi1, family, first in schemes:
+            f = form.f * second.f
+            s = sum(map(operator.mul, phi1, weights))
             verified = False
             if f <= config.verify_cap:
                 if scheme not in firsts:
                     firsts[scheme] = _FirstShare(family(*first), profile)
-                if p2 is None:
-                    p2 = man_tables(l1, t2)
-                tables = firsts[scheme].tables(p2)
-                if not _cross_check(tables, f, s, first_z(*first) * binom(l1, t2)):
+                if tables2 is None:
+                    tables2 = _second_share(man_tables(l1, t2), profile)
+                tables = firsts[scheme].tables(tables2)
+                if not _cross_check(tables, f, s, form.z * second.f):
                     raise ParameterError(
                         f"closed form disagrees with construction at {scheme} t2={t2}")
                 verified = True

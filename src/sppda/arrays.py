@@ -7,31 +7,24 @@ codes are 1-based in every public signature, matching the usual convention
 for these arrays; only raw Python indexing into ``grid`` is 0-based.
 
 This module is the only grid index, and ``PdaArray``'s constructor is the
-only check of conditions C1-C3.  It normalizes the grid (a type pass, then
-the set of distinct entries, whose least one shows a negative entry) and
-checks it on one of two paths.  The accept path, ``_accept``, builds no
-per-cell object; it builds two tables, ``star_masks``, per column the
-bitmask of its star rows, transposed at C speed from each row's mask of its
-code columns, and ``code_columns``, per code the bitmask of its columns, in
-the check's only per-cell Python step.
-Only a grid it refuses reaches the reject path, ``_violations``, whose
-cell-level loops list its failures, up to ``MAX_VIOLATIONS`` of them, in
-``InvalidPdaError.violations``.  So every ``PdaArray`` is a valid PDA;
-``verify_pda`` returns the violations instead of raising them.
-``code_cells``, per code one flat tuple of its cells' (user, row) ints,
-``(k1, j1, k2, j2, ...)`` in row-major order, is built on first use, in a
-list indexed by code, and only delivery and decoding read it.  It makes no
-object per cell: a pair tuple per cell would take more memory than the rest
-of the table.  The column statistics, D2, placement, delivery, construction
-and column-order search read these tables instead of scanning the grid.
-``man_tables`` gives MaN's K, F, Z, S and tables straight from its
-definition, with no grid, for readers of the tables alone (the sweep).  The
-families and ``man_tables`` refuse, before building, a grid of more than
-``MAX_CELLS`` cells.
+only check of conditions C1-C3.  It normalizes the grid and checks it on one
+of two paths.  The accept path, ``_accept``, builds no per-cell object, only
+two tables: ``star_masks``, per column the bitmask of its star rows, and
+``code_columns``, per code the bitmask of its columns.  Only a grid it
+refuses reaches the reject path, ``_violations``, whose cell-level loops
+list up to ``MAX_VIOLATIONS`` failures in ``InvalidPdaError.violations``;
+``verify_pda`` returns them instead of raising.  ``code_cells``, per code
+one flat tuple of its cells' (user, row) ints, is built on first use, for
+delivery and decoding only.  The column statistics (``phi``, ``xi``), D2,
+placement, delivery, construction and search read these tables, not the
+grid.  ``man_tables`` gives MaN's tables straight from its definition, with
+no grid.  The families and ``man_tables`` refuse, before building, a grid of
+more than ``MAX_CELLS`` cells; their ``ClosedForm`` records have no cap.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import math
@@ -289,6 +282,21 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length()
 
 
+def phi(array, perm: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """(phi(0), ..., phi(K)) of a ``PdaArray`` or ``ManTables``, phi(w) being the
+    number of codes in the first w columns: those whose lowest column bit is below
+    2^w.  After a column permutation ``perm`` (as in ``permute_columns``), the bit
+    counts of the union of the codes of the first w columns in the new order."""
+    masks, k = array.code_columns, array.k
+    if perm is None:
+        lowest = sorted(map(operator.and_, masks, map(operator.neg, masks)))
+        return (0, *(bisect.bisect_left(lowest, 1 << w) for w in range(1, k + 1)))
+    every = (1 << k) - 1  # bit 0, a code in no column, keeps the transposition non-empty
+    held = _star_masks([every, *(every ^ m for m in masks)], k)  # per column, its codes' bits
+    order = sorted(range(k), key=perm.__getitem__)
+    return (0, *map(int.bit_count, itertools.accumulate(map(held.__getitem__, order), operator.or_)))
+
+
 def mask_rows(mask: int) -> list[int]:
     """The 1-based rows whose bits are set in ``mask``, ascending."""
     return [j for j, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1"]
@@ -377,11 +385,39 @@ def canonicalize_codes(rows) -> Grid:
     return tuple(tuple(relabel.get(e, STAR) for e in row) for row in grid)
 
 
-def _check_man(k: int, t: int) -> None:
-    """MaN(k, t)'s parameter and ``MAX_CELLS`` checks."""
+def _check_man(k: int, t: int, cells: bool = True) -> None:
+    """MaN(k, t)'s parameter check, and its ``MAX_CELLS`` check if ``cells``."""
     if k < 1 or not 0 <= t <= k:
         raise ParameterError(f"need K >= 1 and 0 <= t <= K, got K={k}, t={t}")
-    check_cells(f"MaN({k}, {t})", binom(k, min(t, k - t, _CAP_BITS)) * k)
+    if cells:
+        check_cells(f"MaN({k}, {t})", binom(k, min(t, k - t, _CAP_BITS)) * k)
+
+
+def _check_construction_a(q: int, m: int, cells: bool = True) -> None:
+    """Construction A(q, m)'s parameter check, and its ``MAX_CELLS`` check if ``cells``."""
+    if q < 2 or m < 1:
+        raise ParameterError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
+    if cells:
+        check_cells(f"Construction A({q}, {m})", q ** min(m, _CAP_BITS) * q * (m + 1))
+
+
+# A family member's K, F, Z and phi(w) from its checked parameters, with no MAX_CELLS cap.
+ClosedForm = collections.namedtuple("ClosedForm", "k f z phi")
+
+
+def man_closed_form(k: int, t: int) -> ClosedForm:
+    """MaN(k, t): phi(w) = C(k, t+1) - C(k-w, t+1), the (t+1)-subsets meeting [w]."""
+    _check_man(k, t, cells=False)
+    top = binom(k, t + 1)
+    return ClosedForm(k, binom(k, t), binom(k - 1, t - 1), lambda w: top - binom(k - w, t + 1))
+
+
+def construction_a_closed_form(q: int, m: int) -> ClosedForm:
+    """Construction A(q, m): phi(w) = q^{m-1}(q-1) min(w, q), as each code's first
+    column is one of the first q, each holding F - Z codes no other of them holds."""
+    _check_construction_a(q, m, cells=False)
+    codes = q ** (m - 1) * (q - 1)
+    return ClosedForm(q * (m + 1), q ** m, q ** (m - 1), lambda w: codes * min(w, q))
 
 
 def man_pda(k: int, t: int) -> PdaArray:
@@ -391,7 +427,6 @@ def man_pda(k: int, t: int) -> PdaArray:
     column u (u not in T) is the lexicographic rank of T | {u} among the
     (t+1)-subsets.  Each (t+1)-set A first appears at row A - {max A}, column
     max A, so the codes are already in row-major first-appearance order.
-    Parameters: (K, C(K,t), C(K-1,t-1), C(K,t+1)).
 
     The grid is built column by column.  Two t-subsets that lack u compare,
     in lexicographic order, by the least element of their symmetric
@@ -431,8 +466,7 @@ def man_tables(k: int, t: int) -> ManTables:
     its members' bits, so ``combinations`` of the bits lists the rows' star
     columns and the codes' column masks in that order.  ``_star_masks``
     transposes the rows' code columns, the complements, into per-column star
-    masks.  So F = C(K,t), Z = C(K-1,t-1), the rows holding user 1, and
-    S = C(K,t+1).
+    masks.  Z = C(K-1,t-1) counts the rows holding user 1.
     """
     _check_man(k, t)
     bits = [1 << u for u in range(k)]
@@ -453,9 +487,7 @@ def construction_a_pda(q: int, m: int) -> PdaArray:
     land in the first q columns.  Codes are numbered as the rows are built,
     so they are in row-major first-appearance order.
     """
-    if q < 2 or m < 1:
-        raise ParameterError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
-    check_cells(f"Construction A({q}, {m})", q ** min(m, _CAP_BITS) * q * (m + 1))
+    _check_construction_a(q, m)
     code_ids: dict[tuple[int, ...], int] = {}
 
     def code_of(vec: tuple[int, ...]) -> int:

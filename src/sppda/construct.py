@@ -2,22 +2,21 @@
 grid's C1-C3, and D2, the helper all-star rows), and closed-form code counts
 for the two family pairings.
 
-``SpPdaArray`` is the one record of an SP-PDA.  The parameters (K, Lambda,
-L, F, Z, Z^(h), S) are read off it: K, F, Z and S from ``pda``, Lambda and L
-from ``profile``, Z^(h) from ``helper_stars``; ``rate``, ``mh_ratio`` and
-``mp_ratio`` derive from them.  ``_column_helpers`` is the one user-to-helper
-map, read by ``SpPdaArray.helpers`` (and so by placement) and by
-``group_star_masks``.
+With phi(w) the number of codes in an array's first w columns, a_n =
+phi2(L_n) and a_{Lambda+1} = 0, S = sum_n phi1(n) (a_n - a_{n+1})
+(``s_from_phi``).  ``s_count`` and ``block_tables`` read phi off the arrays'
+code columns, the closed forms off the families' records: C(k, t+1) -
+C(k-w, t+1) for MaN(k, t), q^{m-1}(q-1) min(w, q) for ConstructionA(q, m).
 
-``SpPdaArray``'s constructor owns D2: an invalid array raises an error whose
-``violations`` name each failure, ``InvalidPdaError`` from ``PdaArray`` for
-D1 and ``InsufficientStarRowsError`` for D2.  ``verify_sppda`` returns the
-same violations instead of raising them.
+``SpPdaArray`` is the one record of an SP-PDA, and its constructor owns D2:
+an invalid array raises an error whose ``violations`` name each failure
+(``InvalidPdaError`` for D1, ``InsufficientStarRowsError`` for D2), which
+``verify_sppda`` returns instead.  ``_column_helpers`` is the one
+user-to-helper map, read by placement and by ``group_star_masks``.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import operator
 from dataclasses import dataclass
@@ -32,9 +31,11 @@ from .arrays import (
     ParameterError,
     PdaArray,
     Violation,
-    binom,
     check_bijection,
     check_cells,
+    construction_a_closed_form,
+    man_closed_form,
+    phi,
 )
 
 
@@ -183,74 +184,66 @@ class BlockTables:
     group_stars: tuple[int, ...]
 
 
-def _in_first(p2: PdaArray | ManTables, width: int):
-    """Per code of p2, whether it is in p2's first ``width`` columns."""
-    return map(bool, map(operator.and_, p2.code_columns, itertools.repeat((1 << width) - 1)))
+def s_weights(a) -> list[int]:
+    """The weights a_n - a_{n+1} >= 0 of phi1(1..Lambda) in S (a_{Lambda+1} = 0)."""
+    return list(map(operator.sub, a, (*a[1:], 0)))
+
+
+def s_from_phi(phi1, phi2, parts) -> int:
+    """S = sum_n phi1(n) (a_n - a_{n+1}), a_n = phi2(L_n) for the widths
+    ``parts``: p1's phi1(n) - phi1(n-1) codes with first column n each take a
+    slice of a_n codes.  ``phi1`` and ``phi2`` map a width to phi there (a
+    ``ClosedForm``'s ``phi``, or ``arrays.phi(...).__getitem__``)."""
+    return sum(map(operator.mul, map(phi1, range(1, len(parts) + 1)),
+                   s_weights(list(map(phi2, parts)))))
 
 
 class _FirstShare:
-    """The first array's share of the block product under a profile, built
-    once for any number of second arrays: per code s of p1 its width
-    L_{xi(s)}, read through the parts at the lowest bit of its column mask;
-    the count of codes of each width; and the star count of each of p1's
-    columns.  It and ``tables`` read only each array's k, f, z,
-    ``star_masks`` and ``code_columns``, so either array may be a
-    ``PdaArray`` or MaN's ``ManTables``."""
+    """p1's share of ``block_tables``, built once for any number of second
+    arrays: phi(1..Lambda) and each column's star count, from p1's tables."""
 
     def __init__(self, p1: PdaArray | ManTables, profile: AssociationProfile):
         check_pair(p1, None, profile)
-        self.p1, self.profile = p1, profile
-        by_bit, masks = (0, *profile.parts), p1.code_columns
-        lowest = map(int.bit_length, map(operator.and_, masks, map(operator.neg, masks)))
-        self.widths = list(map(by_bit.__getitem__, lowest))
-        self.counts = collections.Counter(self.widths)
+        self.p1 = p1
+        self.phi = phi(p1)[1:]
         self.star_counts = list(map(int.bit_count, p1.star_masks))
 
-    def s_count(self, p2: PdaArray | ManTables) -> int:
-        """``s_count(p1, p2, profile)``: each of p1's codes of width w takes a
-        slice of phi2(w) codes, the codes of p2's first w columns."""
-        check_pair(None, p2, self.profile)
-        return sum(count * sum(_in_first(p2, w)) for w, count in self.counts.items())
+    def tables(self, second: tuple) -> BlockTables:
+        """``block_tables(p1, p2, profile)`` from ``_second_share(p2, profile)``."""
+        p1, (f2, z2, weights, g2) = self.p1, second
+        stars = tuple(c * f2 + (p1.f - c) * g for c, g in zip(self.star_counts, g2))
+        return BlockTables(p1.f * f2, p1.z * f2 + (p1.f - p1.z) * z2, p1.z * f2,
+                           sum(map(operator.mul, self.phi, weights)), stars)
 
-    def tables(self, p2: PdaArray | ManTables) -> BlockTables:
-        """``block_tables(p1, p2, profile)``."""
-        p1, f2 = self.p1, p2.f
-        s = self.s_count(p2)
-        # indexed by width: the rows where p2's first w columns all have stars
-        g2 = (f2, *map(int.bit_count, itertools.accumulate(p2.star_masks, operator.and_)))
-        stars = tuple(c * f2 + (p1.f - c) * g2[w]
-                      for c, w in zip(self.star_counts, self.profile.parts))
-        return BlockTables(p1.f * f2, p1.z * f2 + (p1.f - p1.z) * p2.z, p1.z * f2, s, stars)
+
+def _second_share(p2: PdaArray | ManTables, profile: AssociationProfile) -> tuple:
+    """p2's share of ``block_tables``, built once for any number of first arrays:
+    F2, Z2, ``s_weights`` of its phi at the group widths, and g2 at each."""
+    check_pair(None, p2, profile)
+    g2 = (p2.f, *map(int.bit_count, itertools.accumulate(p2.star_masks, operator.and_)))
+    return (p2.f, p2.z, s_weights(list(map(phi(p2).__getitem__, profile.parts))),
+            list(map(g2.__getitem__, profile.parts)))
 
 
 def s_count(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> int:
-    """Distinct-code count of the constructed SP-PDA, without materializing it."""
-    return _FirstShare(p1, profile).s_count(p2)
+    """Distinct-code count of the constructed SP-PDA: ``s_from_phi`` of the arrays' phi."""
+    check_pair(p1, p2, profile)
+    return s_from_phi(phi(p1).__getitem__, phi(p2).__getitem__, profile.parts)
 
 
 def block_tables(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> BlockTables:
     """The tables of ``construct_sppda(p1, p2, profile)``, from p1's and p2's
-    tables alone.  S is ``s_count``, the sum of the slice sizes: for each
-    code s of p1 the construction writes its relabel (see
-    ``construct_sppda``) of the codes in its domain, p2's first L_{xi(s)}
-    columns.  The domain and the rank table come from the same column mask,
-    so the relabel maps the domain onto all of s's slice, and the slices are
-    disjoint.  (A block of s is cut to the width of its p1 column, and the
-    profile is non-increasing, so s's first column is its widest and the
-    domains of its other columns lie inside that one.)
+    tables alone.  S is ``s_from_phi``: each code s of p1 relabels (see
+    ``construct_sppda``) the codes of p2's first L_{xi(s)} columns onto its
+    own slice, and its first column is its widest.
 
-    Row f1 of p1 becomes a stripe of F2 rows of the product, and the stripes
-    are disjoint.  Group lambda, of width w, is all-star in every row of a
-    stripe where p1's column lambda has a star, and, in a stripe where it has
-    a code, in the rows where p2's first w columns all have stars, the AND of
-    their star masks, whose bit count is ``g2(w)``.  Each stripe adds its own
-    rows and no stripe's rows are counted twice, so with c_lambda the stars
-    of p1's column lambda the group has c_lambda*F2 + (F1 - c_lambda)*g2(w)
-    all-star rows.  A zero-width group has ``g2(0) = F2``, the AND of no
-    masks, and so keeps all F rows.  As only these tables are read, p1 and
-    p2 may also be ``arrays.man_tables`` records, as ``analysis.sweep``
-    passes."""
-    return _FirstShare(p1, profile).tables(p2)
+    Row f1 of p1 becomes a disjoint stripe of F2 rows.  Group lambda, of
+    width w, is all-star in a stripe where p1's column lambda has a star,
+    and elsewhere in the g2(w) rows where p2's first w columns all have
+    stars (the AND of their star masks; g2(0) = F2).  So with c_lambda the
+    stars of p1's column lambda it has c_lambda*F2 + (F1 - c_lambda)*g2(w)
+    all-star rows.  p1 and p2 may also be ``arrays.man_tables`` records."""
+    return _FirstShare(p1, profile).tables(_second_share(p2, profile))
 
 
 def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> SpPdaArray:
@@ -269,20 +262,23 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     cell.  The grid is checked by ``PdaArray``, which also builds its tables.
     A result of more than ``MAX_CELLS`` cells raises before any row is built.
     """
-    first = _FirstShare(p1, profile)
-    check_pair(None, p2, profile)
+    check_pair(p1, p2, profile)
     check_cells("the construction", p1.f * p2.f * profile.num_users)
+    parts = profile.parts
+    # per code, the bit of its first column: for p1's code s, L_{xi(s)} is its width
+    first1, first2 = ([m & -m for m in p.code_columns] for p in (p1, p2))
+    widths = list(map((0, *parts).__getitem__, map(int.bit_length, first1)))
     # per width w, ranks[w][c] is the 1-based place of p2's code c among the codes in
     # p2's first w columns, ascending, for each such c; ranks[w][-1] is phi2(w)
-    ranks = {w: list(itertools.accumulate(_in_first(p2, w), initial=0)) for w in first.counts}
+    ranks = {w: list(itertools.accumulate(map((1 << w).__gt__, first2), initial=0))
+             for w in set(widths)}
     relabels = []
     offset = 0
-    for width in first.widths:
+    for width in widths:
         relabel = list(map(offset.__add__, ranks[width]))
         relabel[STAR] = STAR
         relabels.append(relabel)
         offset += ranks[width][-1]
-    parts = profile.parts
     cut = {w: list(itertools.chain.from_iterable(row[:w] for row in p2.grid))
            for w in set(parts) if w}
     stars = {w: (STAR,) * w for w in cut}
@@ -295,28 +291,21 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     return SpPdaArray(PdaArray(rows), profile, p1.z * p2.f)
 
 
+def _check_groups(profile: AssociationProfile, k: int) -> None:
+    if profile.num_groups != k:
+        raise ProfileMismatchError(f"profile has {profile.num_groups} parts, expected {k}")
+
+
 def s_closed_form_man(num_helpers: int, t1: int, profile: AssociationProfile, t2: int) -> int:
     """Closed-form S for the MaN(Lambda, t1) x MaN(L_1, t2) pairing."""
-    if profile.num_groups != num_helpers:
-        raise ProfileMismatchError(f"profile has {profile.num_groups} parts, expected {num_helpers}")
-    l1 = profile.part(1)
-    if not 0 <= t1 <= num_helpers or not 0 <= t2 <= l1:
-        raise ParameterError(f"t1={t1}, t2={t2} out of range for Lambda={num_helpers}, L1={l1}")
-    total = 0
-    for n in range(1, num_helpers - t1 + 1):
-        ln = profile.part(n)
-        total += binom(num_helpers - n, t1) * (binom(l1, t2 + 1) - binom(l1 - ln, t2 + 1))
-    return total
+    _check_groups(profile, num_helpers)
+    return s_from_phi(man_closed_form(num_helpers, t1).phi,
+                      man_closed_form(profile.part(1), t2).phi, profile.parts)
 
 
 def s_closed_form_construction_a(q: int, m: int, profile: AssociationProfile, t2: int) -> int:
     """Closed-form S for the ConstructionA(q, m) x MaN(L_1, t2) pairing
     (canonical column order of the first PDA)."""
-    if profile.num_groups != q * (m + 1):
-        raise ProfileMismatchError(
-            f"profile has {profile.num_groups} parts, expected q(m+1)={q * (m + 1)}")
-    l1 = profile.part(1)
-    if q < 2 or m < 1 or not 0 <= t2 <= l1:
-        raise ParameterError(f"bad parameters q={q}, m={m}, t2={t2}")
-    inner = sum(binom(l1, t2 + 1) - binom(l1 - profile.part(n), t2 + 1) for n in range(1, q + 1))
-    return q ** (m - 1) * (q - 1) * inner
+    _check_groups(profile, q * (m + 1))
+    return s_from_phi(construction_a_closed_form(q, m).phi,
+                      man_closed_form(profile.part(1), t2).phi, profile.parts)

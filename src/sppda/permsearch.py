@@ -8,17 +8,18 @@ position; ties go to the lexicographically smallest, for determinism.
 Everything exact reads one table per array: ``phi[mask]``, the number of
 distinct codes in the columns of ``mask`` (bit c for 0-based column c), from
 one sum-over-subsets pass run on the 64-bit lanes of a single int.  The
-count S of a pairing is a sum of prefix phi values of the first array with
-non-negative weights set by the second array's phi at the group widths, and
-a prefix's phi depends only on its set of columns, so the best column order
-is a shortest path over the 2^K column subsets (Held-Karp).  The distinct
-prefix values that an array's orders can take come from a walk up the same
-subset lattice (``_Classes``), so no search enumerates the K! orders.  One
-chain walk (``_Lattice.first_order``) turns constraints on subsets and steps
-into the lexicographically first order, both for a class representative and
-for the best order along the DP's tight steps; it finds the subsets on
-allowed chains once, and after placing each column walks again only up from
-the column's position and down from it.
+count S of a pairing is sum_n phi1(n) (a_n - a_{n+1}), a_n = phi2(L_n),
+a_{Lambda+1} = 0 (``construct.s_from_phi``; in the families' canonical
+orders phi(w) is C(k, t+1) - C(k-w, t+1) for MaN(k, t) and
+q^{m-1}(q-1) min(w, q) for ConstructionA(q, m)).  The weights of the first
+array's prefix phi values are non-negative, and a prefix's phi depends only
+on its set of columns, so the best column order is a shortest path over the
+2^K column subsets (Held-Karp).  The distinct prefix values that an array's
+orders can take come from a walk up the same subset lattice (``_Classes``),
+so no search enumerates the K! orders.  One chain walk
+(``_Lattice.first_order``) turns constraints on subsets and steps into the
+lexicographically first order, for a class representative and for the best
+order along the DP's tight steps.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import ge, itemgetter, le, mul, or_
 
-from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns
-from .construct import check_pair
+from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns, phi
+from .construct import check_pair, s_weights
 
 
 class BudgetExceededError(ParameterError):
@@ -244,13 +245,6 @@ class _Classes(_Lattice, Mapping):
         return len(self.values)
 
 
-def _weights(table: tuple[int, ...]) -> list[int]:
-    """The weights of phi1(1), ..., phi1(K1) in S, where ``table`` holds p2's phi
-    at the group widths, a_n = phi2(L_n): by Abel summation they are
-    a_n - a_{n+1} >= 0 (a_{K1+1} = 0)."""
-    return [a - b for a, b in zip(table, (*table[1:], 0))]
-
-
 def _order_value(phi: list[int], weights: list[int], k: int, pick) -> list[int]:
     """Per column subset m, ``pick`` (min or max) over the orders of m's columns
     of sum_n phi(prefix n) * weights[n-1], by a DP over the subsets; the last
@@ -293,13 +287,11 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     Ties go to the lexicographically smallest (pi1, pi2).  A walk over p2's
     column subsets gives its distinct phi-at-group-width tables; those that
     cannot be extreme are pruned (S is monotone in the table) and a subset DP
-    over p1's column orders runs once per kept table.  pi1 is the
-    lexicographically first order whose steps are all tight in the DP of some
-    table reaching s_min, rebuilt by the same chain walk as the class
-    representatives.  ``budget`` bounds the steps: K * 2^K per phi table, the
-    subsets the walks expand, and K1 * 2^K1 DP transitions per kept table and
-    again per table reaching s_min to find its tight steps.  ``evaluations``
-    is their count.
+    over p1's column orders runs once per kept table.  pi1 is the first order
+    whose steps are all tight in the DP of some table reaching s_min.
+    ``budget`` bounds the steps, counted in ``evaluations``: K * 2^K per phi
+    table, the subsets the walks expand, and K1 * 2^K1 DP transitions per
+    kept table and again per table reaching s_min.
     """
     check_pair(p1, p2, profile)
     steps = _Steps(budget)
@@ -310,10 +302,10 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     steps.charge((len(lows) + len(highs)) * p1.k * (1 << p1.k),
                  f"a {2 ** p1.k}-subset DP for each of {len(lows) + len(highs)} tables")
 
-    low_weights = [_weights(t) for t in lows]
+    low_weights = [s_weights(t) for t in lows]
     low_values = [_order_value(phi1, w, p1.k, min) for w in low_weights]
     s_min = min(v[-1] for v in low_values)
-    s_max = max(_order_value(phi1, _weights(t), p1.k, max)[-1] for t in highs)
+    s_max = max(_order_value(phi1, s_weights(t), p1.k, max)[-1] for t in highs)
 
     reaching = [(w, v) for w, v in zip(low_weights, low_values) if v[-1] == s_min]
     steps.charge(len(reaching) * p1.k * (1 << p1.k),
@@ -323,7 +315,7 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     pi1 = min(lattice.first_order(allowed, _tight_edges(phi1, w, v, p1.k)) for w, v in reaching)
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
     pi2 = min(tables[table] for table in tables
-              if sum(map(mul, prefix1, _weights(table))) == s_min)
+              if sum(map(mul, prefix1, s_weights(table))) == s_min)
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
 
 
@@ -345,7 +337,7 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
     steps.charge(len(classes1) * len(tables),
                  f"scoring {len(classes1)} x {len(tables)} class pairs")
-    weighted = [(table, _weights(table)) for table in tables]
+    weighted = [(table, s_weights(table)) for table in tables]
     scored = sorted(((sum(map(mul, prefix1, weights)), prefix1, table)
                      for prefix1 in classes1 for table, weights in weighted), key=itemgetter(0))
     cut = scored[min(limit, len(scored)) - 1][0]
@@ -381,12 +373,10 @@ def check_E2(p2: PdaArray, profile: AssociationProfile, budget: int = 10 ** 7) -
 
 
 def phi_vector(pda: PdaArray, perm: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """(phi(1), ..., phi(K)) of the array under an optional column permutation."""
-    if perm is None:
-        perm = tuple(range(pda.k))
-    check_bijection(perm, pda.k)
-    return tuple(sum(1 for m in pda.code_columns if m & prefix)
-                 for prefix in _prefix_masks(perm)[1:])
+    """(phi(1), ..., phi(K)) under an optional column permutation (``arrays.phi``)."""
+    if perm is not None:
+        check_bijection(perm, pda.k)
+    return phi(pda, perm)[1:]
 
 
 def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
@@ -408,16 +398,9 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
         check_pair(None, pda, profile)
 
     candidate = _greedy_order(pda)
-    base = phi_vector(pda)
-    new = phi_vector(pda, candidate)
-    if side == "first":
-        improved = all(n <= b for n, b in zip(new, base))
-    else:
-        widths = [w for w in profile.parts if w > 0]
-        improved = all(new[w - 1] <= base[w - 1] for w in widths)
-    if not improved:
-        return pda
-    return permute_columns(pda, candidate)
+    base, new = phi(pda), phi(pda, candidate)
+    widths = range(pda.k + 1) if side == "first" else profile.parts
+    return permute_columns(pda, candidate) if all(new[w] <= base[w] for w in widths) else pda
 
 
 def _greedy_order(pda: PdaArray) -> tuple[int, ...]:

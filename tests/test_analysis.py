@@ -205,15 +205,31 @@ class TestSweep:
             calls["shares"] += 1
             share_init(share, p1, profile)
 
-        def count_tables(share, p2):
+        def count_tables(share, second):
             calls["tables"] += 1
-            return share_tables(share, p2)
+            return share_tables(share, second)
 
         monkeypatch.setattr(construct._FirstShare, "__init__", count_shares)
         monkeypatch.setattr(construct._FirstShare, "tables", count_tables)
         points = sweep(SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11))))
         assert sum(p.verified for p in points) == 22
         assert calls == {"shares": 2, "tables": 22}
+
+    def test_second_array_phi_once_per_t2(self, monkeypatch):
+        # per t2, phi of MaN(L_1, t2)'s tables is computed once and shared by
+        # both schemes; each first array's phi is computed once per sweep
+        calls = []
+
+        def count_phi(array, perm=None):
+            calls.append((array.k, array.f))
+            return arrays.phi(array, perm)
+
+        monkeypatch.setattr(construct, "phi", count_phi)
+        points = sweep(SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11))))
+        assert sum(p.verified for p in points) == 22
+        seconds = [call for call in calls if call[0] == 10]
+        assert seconds == [(10, math.comb(10, t2)) for t2 in range(11)]
+        assert sorted(call for call in calls if call[0] != 10) == [(8, 8), (8, 70)]
 
     # the four reference sweeps and the 16-helper sweep
     @pytest.mark.parametrize("profile, mh", [

@@ -402,6 +402,16 @@ class TestFormulas:
         assert main(["formulas", "man", "--profile", "3,2", "--t2", "1"]) == 2
         assert capsys.readouterr().err == "error: man formulas need --t1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["man", "--profile", "0,0", "--t1", "1", "--t2", "0"],
+        ["consa", "--profile", "0,0,0,0", "--q", "2", "--m", "1", "--t2", "0"]])
+    def test_profile_without_users_refused(self, capsys, argv):
+        # the second array would be MaN(0, 0), which the family refuses
+        assert main(["formulas", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need K >= 1 and 0 <= t <= K, got K=0, t=0\n"
+
 
 # sha256 of the skewed reference network's F=8400 array, MaN(8,4) x MaN(10,3)
 # with profile 10,4,2,2,2,2,1,1, as text and as JSON, and of its transmission

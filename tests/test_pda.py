@@ -27,7 +27,9 @@ from sppda.arrays import (
     PdaError,
     binom,
     canonicalize_codes,
+    construction_a_closed_form,
     construction_a_pda,
+    man_closed_form,
     man_pda,
     man_tables,
     mask_rows,
@@ -632,10 +634,20 @@ class TestManFamily:
         assert (pda.k, pda.f, pda.z, pda.s) == (800, 800, 1, 319600)
 
     def test_bad_parameters(self):
-        for build in (man_pda, man_tables):
+        for build in (man_pda, man_tables, man_closed_form):
             for k, t in ((3, 4), (0, 0), (3, -1)):
                 with pytest.raises(ParameterError, match=f"got K={k}, t={t}$"):
                     build(k, t)
+
+    def test_closed_form_matches_built_array(self):
+        # K, F, Z and phi(w) = C(k, t+1) - C(k-w, t+1) against the built and
+        # checked array, for every MaN(k, t) up to k = 16
+        for k in range(1, 17):
+            for t in range(0, k + 1):
+                pda, form = man_pda(k, t), man_closed_form(k, t)
+                assert (form.k, form.f, form.z) == (pda.k, pda.f, pda.z), (k, t)
+                assert tuple(map(form.phi, range(1, k + 1))) == phi_vector(pda), (k, t)
+                assert form.phi(0) == 0
 
 
 class TestConstructionAFamily:
@@ -655,10 +667,25 @@ class TestConstructionAFamily:
                 assert regularity(construction_a_pda(q, m)) == m + 1
 
     def test_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            construction_a_pda(1, 2)
-        with pytest.raises(ParameterError):
-            construction_a_pda(2, 0)
+        for build in (construction_a_pda, construction_a_closed_form):
+            for q, m in ((1, 2), (2, 0)):
+                with pytest.raises(ParameterError, match=f"got q={q}, m={m}$"):
+                    build(q, m)
+
+    def test_closed_form_matches_built_array(self):
+        # K, F, Z and phi(w) = q^{m-1}(q-1) min(w, q) against the built and
+        # checked array, for every q <= 5 and m <= 3 under MAX_CELLS
+        built = 0
+        for q in range(2, 6):
+            for m in range(1, 4):
+                if q ** m * q * (m + 1) > MAX_CELLS:
+                    continue
+                pda, form = construction_a_pda(q, m), construction_a_closed_form(q, m)
+                assert (form.k, form.f, form.z) == (pda.k, pda.f, pda.z), (q, m)
+                assert tuple(map(form.phi, range(1, pda.k + 1))) == phi_vector(pda), (q, m)
+                assert form.phi(0) == 0
+                built += 1
+        assert built == 12
 
 
 class TestSizeCap:
@@ -668,6 +695,12 @@ class TestSizeCap:
                             (man_tables, (40, 20)), (man_tables, (10 ** 9, 5 * 10 ** 8))):
             with pytest.raises(ParameterError, match=f"more than MAX_CELLS = {MAX_CELLS} cells$"):
                 build(*args)
+
+    def test_closed_forms_have_no_cap(self, no_family_rows):
+        # a closed form answers for a member too large to build
+        man, consa = man_closed_form(40, 20), construction_a_closed_form(10, 9)
+        assert (man.f, man.z, man.phi(40)) == (binom(40, 20), binom(39, 19), binom(40, 21))
+        assert (consa.k, consa.f, consa.phi(30)) == (100, 10 ** 9, 9 * 10 ** 9)
 
     def test_families_at_a_small_cap(self, monkeypatch):
         # every member whose grid fits under the cap is built, every other one raises

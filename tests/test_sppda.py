@@ -18,6 +18,7 @@ from sppda.arrays import (
     man_pda,
     normalize_grid,
     permute_columns,
+    phi,
     verify_pda,
 )
 from sppda.construct import (
@@ -27,12 +28,15 @@ from sppda.construct import (
     ProfileMismatchError,
     SpPdaArray,
     _FirstShare,
+    _second_share,
     block_tables,
     construct_sppda,
     group_star_masks,
     s_closed_form_construction_a,
     s_closed_form_man,
     s_count,
+    s_from_phi,
+    s_weights,
     verify_sppda,
 )
 from sppda.analysis import rate_man_pair
@@ -184,7 +188,7 @@ class TestConstruct:
         shifted = permute_columns(m32, (1, 2, 0))
         seconds = (m32, shifted, man_pda(3, 0), man_pda(3, 1), m32, man_pda(3, 3))
         first = _FirstShare(p1, profile)
-        shared = [first.tables(p2) for p2 in seconds]
+        shared = [first.tables(_second_share(p2, profile)) for p2 in seconds]
         assert len({tables.group_stars for tables in shared}) == 4
         for tables, p2 in zip(shared, seconds):
             sp = construct_sppda(p1, p2, profile)
@@ -311,6 +315,32 @@ class TestVerifySpPda:
             assert sp_place(sp, library).user_to_helper == sp.helpers
         failures = verify_sppda(pda.grid, profile, zh, grouping)
         assert [(f.group, f.star_rows) for f in failures] == expected
+
+
+class TestPhi:
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_s_from_phi_matches_grid_oracle(self, rng):
+        # for random arrays, column orders and profiles (empty groups too),
+        # s_from_phi of the two arrays' phi under the orders is the count of
+        # distinct codes in the grid built from the permuted arrays
+        p1 = random_pda(rng, max_cols=4, max_rows=8)
+        p2 = random_pda(rng, max_cols=4, max_rows=8)
+        pi1, pi2 = (tuple(rng.sample(range(p.k), p.k)) for p in (p1, p2))
+        profile = AssociationProfile(
+            (p2.k, *sorted((rng.randint(0, p2.k) for _ in range(p1.k - 1)), reverse=True)))
+        phi1, phi2 = phi(p1, pi1), phi(p2, pi2)
+        assert phi1 == (0, *grid_oracle.phi_vector(p1, pi1))
+        assert phi2 == (0, *grid_oracle.phi_vector(p2, pi2))
+        sp = construct_sppda(permute_columns(p1, pi1), permute_columns(p2, pi2), profile)
+        assert s_from_phi(phi1.__getitem__, phi2.__getitem__, profile.parts) \
+            == distinct_codes(sp.pda.grid)
+
+    def test_weights_are_differences(self):
+        # a_n - a_{n+1}, with a_{Lambda+1} = 0
+        assert s_weights([5, 5, 3, 1]) == [0, 2, 2, 1]
+        assert s_weights([4]) == [4]
+        assert s_weights([]) == []
 
 
 class TestClosedForms:
