@@ -132,6 +132,11 @@ SESSIONS = [
         ["search", "consa:2,1", "man:3,1", *SEARCH],
         ["search", "consa:2,1", "man:3,1", *SEARCH, "--greedy"],
     ]),
+    # the 20 smallest of this pairing's 36 class pairs tie at S = 51, so both cuts fall in a tie
+    ("search-ties", {}, [
+        ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1"],
+        ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "3"],
+    ]),
     ("formulas", {}, [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],
         ["formulas", "consa", "--profile", "2,2,1,1", "--q", "2", "--m", "1", "--t2", "1"],

@@ -36,6 +36,7 @@ from .construct import (
     InsufficientStarRowsError,
     _FirstShare,
     check_helper_stars,
+    check_users,
     s_closed_form_construction_a,
     s_closed_form_man,
     s_weights,
@@ -169,17 +170,15 @@ def sweep(config: SweepConfig) -> list[SchemePoint]:
     """One point per (scheme, t2); rows with F under the cap are cross-checked
     against the construction's tables.  An empty ``t2_values`` (a reversed
     t2 range) or a negative ``verify_cap``, which would sweep or verify
-    nothing, raises ``ParameterError``, as does a profile with no users,
-    whose empty largest group leaves t2/L_1, and so M_p/N, undefined."""
+    nothing, raises ``ParameterError``, as does a profile with no users
+    (``check_users``), whose empty largest group also leaves t2/L_1, and so
+    M_p/N, undefined."""
     if not config.t2_values:
         raise ParameterError("t2_values is empty (a --t2 range lo:hi needs lo <= hi)")
     if config.verify_cap < 0:
         raise ParameterError(f"verify_cap is {config.verify_cap} (--verify-cap must be >= 0)")
     profile = config.profile
-    l1 = profile.part(1)
-    if not l1:
-        raise ParameterError(f"profile {','.join(map(str, profile.parts))} has no users: "
-                             f"its largest group L_1 is empty")
+    l1 = check_users(profile)
     schemes = []
     for scheme in config.schemes:
         if scheme not in _PAIRINGS:

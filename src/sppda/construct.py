@@ -291,9 +291,19 @@ def construct_sppda(p1: PdaArray, p2: PdaArray, profile: AssociationProfile) -> 
     return SpPdaArray(PdaArray(rows), profile, p1.z * p2.f)
 
 
+def check_users(profile: AssociationProfile) -> int:
+    """L_1, refused with ``ParameterError`` when the profile has no users: its
+    empty largest group leaves the second array MaN(L_1, t2) undefined."""
+    if not (l1 := profile.part(1)):
+        raise ParameterError(f"profile {','.join(map(str, profile.parts))} has no users: "
+                             f"its largest group L_1 is empty")
+    return l1
+
+
 def _check_groups(profile: AssociationProfile, k: int) -> None:
     if profile.num_groups != k:
         raise ProfileMismatchError(f"profile has {profile.num_groups} parts, expected {k}")
+    check_users(profile)
 
 
 def s_closed_form_man(num_helpers: int, t1: int, profile: AssociationProfile, t2: int) -> int:

@@ -16,7 +16,10 @@ array's prefix phi values are non-negative, and a prefix's phi depends only
 on its set of columns, so the best column order is a shortest path over the
 2^K column subsets (Held-Karp).  The distinct prefix values that an array's
 orders can take come from a walk up the same subset lattice (``_Classes``),
-so no search enumerates the K! orders.  One chain walk
+so no search enumerates the K! orders.  ``top_pairs`` walks the first
+array's prefix values best first (A*, ``_lowest``), under a bound that
+never overestimates since phi never falls along a chain and the weights are
+non-negative, so it walks only the classes that can make its cut.  One chain walk
 (``_Lattice.first_order``) turns constraints on subsets and steps into the
 lexicographically first order, for a class representative and for the best
 order along the DP's tight steps.
@@ -24,12 +27,13 @@ order along the DP's tight steps.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import struct
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from operator import ge, itemgetter, le, mul, or_
+from operator import ge, le, mul, or_
 
 from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns, phi
 from .construct import check_pair, s_weights
@@ -167,25 +171,30 @@ class _Lattice:
         good subsets along the column.
 
         The good subsets are found once.  Placing column c at position p keeps
-        those of width up to p that lack c and those wider than p that have c.
-        A kept subset of width up to p still has its whole chain down to no
-        column, as every subset on it is a subset of it and so lacks c; a kept
-        subset wider than p likewise still has its whole chain up to all
-        columns.  So one pass up over the widths above p and one pass down over
-        the widths from p to 0 leave exactly the subsets on good chains.  The
-        pass up starts at width p + 2: a kept subset of width p + 1 has c, and
-        as no good chain steps along c below width p, its good chain entered c
-        at step p, from a kept subset of width p that lacks c.  Once the good
-        subsets form a single chain, that chain is the order."""
+        the good subsets wider than p that have c; none of width up to p has c,
+        as its chain would have entered c below p.  A kept subset still has its
+        whole chain up to all columns, so one pass up over the widths above p
+        and one pass down over the widths from p to 0 leave exactly the
+        subsets on good chains.  The pass up starts at width p + 2: a kept
+        subset of width p + 1 entered c at step p, from a good subset of width
+        p.  Each pass ends at the first width whose good subsets the placement
+        left unchanged: every good chain passes through them, so no set
+        further along the pass can change.  Once the good subsets form a
+        single chain, that chain is the order."""
         good = self.chains(allowed, edges)
         for c, shift in enumerate(self.shifts):
-            if sum(sets.bit_count() for sets in good) == self.k + 1:
+            if sum(map(int.bit_count, good)) == self.k + 1:
                 break
             p = next(n for n in range(self.k) if (good[n] & edges[c]) << shift & good[n + 1])
-            good = [sets & (self.has[c] if n > p else self.lacks[c]) for n, sets in enumerate(good)]
+            before = good
+            good = [*good[:p + 1], *(sets & self.has[c] for sets in good[p + 1:])]
             for n in range(p + 2, self.k + 1):
+                if good[n - 1] == before[n - 1]:
+                    break
                 good[n] &= self.grow(good[n - 1], edges)
             for n in range(p, -1, -1):
+                if good[n + 1] == before[n + 1]:
+                    break
                 good[n] &= self.shrink(good[n + 1], edges)
         # one subset per width is left, and each step adds the column it places
         masks = [sets.bit_length() - 1 for sets in good]
@@ -195,31 +204,47 @@ class _Lattice:
         return tuple(order)
 
 
-class _Classes(_Lattice, Mapping):
-    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
-    orders, ``prefix[w]`` being the set of the first w columns, each mapped to the
-    lexicographically first column->position permutation that has it.
-
-    The keys come from a walk up the subset lattice: a state is the values so
-    far and the set of subsets reaching them; each width grows every subset by
-    one column, and a width in ``widths`` splits the grown set by phi.  A
-    representative is rebuilt on first lookup by ``first_order``, with the
-    walked values as the allowed subsets."""
+class _Prefixes(_Lattice):
+    """An array's column orders keyed by their prefix phi values at ``widths``.
+    ``cells[i][v]`` is the set of subsets of the i-th smallest walked width
+    with phi value v, and ``representative`` rebuilds the lexicographically
+    first column->position permutation with given walked values by
+    ``first_order``, with the values' cells as the allowed subsets."""
 
     def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
         super().__init__(k, steps)
-        widths = tuple(widths)
         self.widths = sorted(set(widths))
-        slot = {w: i for i, w in enumerate(self.widths)}
+        self.slot = {w: i for i, w in enumerate(self.widths)}
         members: dict[tuple[int, int], list[int]] = {}
         for m, v in enumerate(phi):
-            if (n := m.bit_count()) in slot:
+            if (n := m.bit_count()) in self.slot:
                 members.setdefault((n, v), []).append(m)
-        # per walked width, phi value -> the subsets of that width with that value
         self.cells: list[dict[int, int]] = [{} for _ in self.widths]
         for (n, v), ms in members.items():
-            self.cells[slot[n]][v] = _bitmap(ms, 1 << k)
+            self.cells[self.slot[n]][v] = _bitmap(ms, 1 << k)
+        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
+    def representative(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        if values not in self.first:
+            allowed = [self.every] * (self.k + 1)
+            for n, cell, v in zip(self.widths, self.cells, values):
+                allowed[n] = cell[v]
+            self.first[values] = self.first_order(allowed, self.lacks)
+        return self.first[values]
+
+
+class _Classes(_Prefixes, Mapping):
+    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
+    orders, ``prefix[w]`` being the set of the first w columns, each mapped to its
+    representative, rebuilt on first lookup.
+
+    The keys come from a walk up the subset lattice: a state is the values so
+    far and the set of subsets reaching them; each width grows every subset by
+    one column, and a width in ``widths`` splits the grown set by phi."""
+
+    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
+        super().__init__(phi, k, widths, steps)
+        widths, slot = tuple(widths), self.slot
         states = {(): 1}
         for n in range(self.widths[-1] + 1):
             if n:
@@ -228,15 +253,9 @@ class _Classes(_Lattice, Mapping):
                 states = {(*values, v): split for values, sets in states.items()
                           for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
         self.values = {tuple(values[slot[w]] for w in widths): values for values in states}
-        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __getitem__(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        if key not in self.first:
-            allowed = [self.every] * (self.k + 1)
-            for n, cell, v in zip(self.widths, self.cells, self.values[key]):
-                allowed[n] = cell[v]
-            self.first[key] = self.first_order(allowed, self.lacks)
-        return self.first[key]
+        return self.representative(self.values[key])
 
     def __iter__(self):
         return iter(self.values)
@@ -322,29 +341,74 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
 def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
               limit: int = 10, budget: int = 10 ** 7) -> list[PermutationPair]:
     """The ``limit`` smallest-S permutation pairs (class representatives),
-    ordered by (S, pi1, pi2).  Walks over both arrays' column subsets give the
-    distinct phi vectors of p1 and phi tables of p2; every pair of them is
-    scored, and representatives are rebuilt only for the pairs up to the
-    ``limit``-th S.  ``budget`` bounds the steps: K * 2^K per phi table, the
-    subsets the walks expand and the pairs scored."""
+    ordered by (S, pi1, pi2).  A walk over p2's column subsets gives its
+    distinct phi tables, and a best-first walk over p1's (``_lowest``) gives
+    the pairs up to the ``limit``-th S, ties included; representatives are
+    rebuilt only for those.  ``budget`` bounds the steps: K * 2^K per phi
+    table and the subsets the walks expand."""
     check_pair(p1, p2, profile)
     if limit < 0:
         raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
     if limit == 0:
         return []
     steps = _Steps(budget)
-    classes1 = _Classes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
+    prefixes = _Prefixes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
     tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
-    steps.charge(len(classes1) * len(tables),
-                 f"scoring {len(classes1)} x {len(tables)} class pairs")
-    weighted = [(table, s_weights(table)) for table in tables]
-    scored = sorted(((sum(map(mul, prefix1, weights)), prefix1, table)
-                     for prefix1 in classes1 for table, weights in weighted), key=itemgetter(0))
-    cut = scored[min(limit, len(scored)) - 1][0]
-    pairs = [PermutationPair(classes1[prefix1], tables[table], s)
-             for s, prefix1, table in scored if s <= cut]
+    keys = list(tables)
+    pairs = [PermutationPair(prefixes.representative(values), tables[keys[j]], s)
+             for s, values, j in _lowest(prefixes, [s_weights(key) for key in keys], limit)]
     pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
     return pairs[:limit]
+
+
+def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[tuple]:
+    """(S, p1's phi vector, index j into ``weights``) for every pair of a
+    class of p1's column orders and a weight vector whose S is at most the
+    ``limit``-th smallest, S being sum_n weights[j][n-1] * phi(n).
+
+    A best-first (A*) walk up p1's phi-prefix tree: a node is a prefix
+    (v_1..v_n) with the set of width-n subsets reaching it, and it is
+    expanded, by growing its set one column and splitting it by phi at width
+    n + 1, once for all weight vectors; then its set is dropped.  A pair
+    (j, node) is keyed by f = g + h, g = sum_{n' <= n} w_n' v_n' and
+    h = sum_{n' > n} w_n' max(v_n, m_n'), m_n' the least phi over subsets of
+    width n'.  phi never falls along a chain and w >= 0, so h never
+    overestimates the rest of any S below the node and f never falls from a
+    node to its child: nodes leave the heap in order of f, and a
+    full-width node, where f is its S, leaves before any entry with a
+    larger f.  The walk stops once the next f passes the S of the
+    ``limit``-th full-width node, so every tie at that S is found."""
+    k = prefixes.k
+    least = [min(cell) for cell in prefixes.cells]
+
+    def rest(w: list[int], n: int, v: int) -> int:
+        return sum(wn * max(v, m) for wn, m in zip(w[n:], least[n:]))
+
+    # a node: [values, the subsets reaching them (None once expanded), its children]
+    root = [(), 1, None]
+    order = itertools.count()
+    heap = [(rest(w, 0, 0), next(order), 0, j, root) for j, w in enumerate(weights)]
+    heapq.heapify(heap)
+    found: list[tuple] = []
+    while heap and (len(found) < limit or heap[0][0] <= found[limit - 1][0]):
+        _, _, g, j, node = heapq.heappop(heap)
+        values, sets, children = node
+        n = len(values)
+        if n == k:
+            found.append((g, values, j))
+            continue
+        if children is None:
+            grown = prefixes.grow(sets, prefixes.lacks)
+            last = n + 1 == k
+            children = node[2] = [[(*values, v), None if last else split, None]
+                                  for v, cell in prefixes.cells[n].items()
+                                  if (split := grown & cell)]
+            node[1] = None
+        w, wn = weights[j], weights[j][n]
+        for child in children:
+            v = child[0][-1]
+            heapq.heappush(heap, (g + wn * v + rest(w, n + 1, v), next(order), g + wn * v, j, child))
+    return found
 
 
 def _identity_is_minimal(pda: PdaArray, widths, budget: int) -> bool:

@@ -4,14 +4,18 @@ sharing a xi-count vector (first array) or a phi-at-group-width table (second
 array) collapse to their lexicographically first representative.  For first
 arrays too wide to enumerate, the best first order is rebuilt one position at
 a time with a constrained subset DP per tried position.  The greedy
-reorder's column order is rebuilt from each column's frozenset of codes."""
+reorder's column order is rebuilt from each column's frozenset of codes.
+``top_pairs_scoring_all`` is ``top_pairs`` as it was before its best-first
+walk: every class of the first array's orders, scored against every table."""
 
 import itertools
 import math
+from operator import itemgetter, mul
 
 import grid_oracle
 from sppda.arrays import STAR
-from sppda.permsearch import PermutationPair, SearchResult, _prefix_masks
+from sppda.construct import s_weights
+from sppda.permsearch import PermutationPair, SearchResult, _Classes, _prefix_masks, _Steps, _subset_phi
 
 
 def code_columns(pda):
@@ -170,3 +174,22 @@ def greedy_order(pda):
     for pos, old in enumerate(order):
         perm[old] = pos
     return tuple(perm)
+
+
+def top_pairs_scoring_all(p1, p2, profile, limit, budget=10 ** 9):
+    """The ``limit`` smallest-S pairs and the steps taken, from walks over both
+    arrays' column subsets that give the distinct phi vectors of p1 and phi
+    tables of p2, with every pair of them scored (one step each) and
+    representatives rebuilt for the pairs up to the ``limit``-th S."""
+    steps = _Steps(budget)
+    classes1 = _Classes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
+    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
+    steps.charge(len(classes1) * len(tables), f"scoring {len(classes1)} x {len(tables)} class pairs")
+    weighted = [(table, s_weights(table)) for table in tables]
+    scored = sorted(((sum(map(mul, prefix1, weights)), prefix1, table)
+                     for prefix1 in classes1 for table, weights in weighted), key=itemgetter(0))
+    cut = scored[min(limit, len(scored)) - 1][0]
+    pairs = [PermutationPair(classes1[prefix1], tables[table], s)
+             for s, prefix1, table in scored if s <= cut]
+    pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
+    return pairs[:limit], steps.count

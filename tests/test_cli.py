@@ -406,11 +406,12 @@ class TestFormulas:
         ["man", "--profile", "0,0", "--t1", "1", "--t2", "0"],
         ["consa", "--profile", "0,0,0,0", "--q", "2", "--m", "1", "--t2", "0"]])
     def test_profile_without_users_refused(self, capsys, argv):
-        # the second array would be MaN(0, 0), which the family refuses
+        # the second array would be MaN(0, 0): refused naming the profile, as sweep does
         assert main(["formulas", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: need K >= 1 and 0 <= t <= K, got K=0, t=0\n"
+        assert captured.err == (f"error: profile {argv[2]} has no users: "
+                                "its largest group L_1 is empty\n")
 
 
 # sha256 of the skewed reference network's F=8400 array, MaN(8,4) x MaN(10,3)

@@ -16,6 +16,7 @@ from sppda.arrays import (
     InvalidPermutationError,
     ParameterError,
     PdaArray,
+    construction_a_pda,
     man_pda,
     permute_columns,
 )
@@ -101,7 +102,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 2454
+        assert result.evaluations == 2426
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -125,20 +126,21 @@ class TestExhaustive:
         with pytest.raises(BudgetExceededError, match=r"\b1686 steps, over the budget of 1000$"):
             exhaustive_best(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                             WIDE_PROFILE, budget=1000)
-        # top_pairs: 2 * 384 for the phi tables, then p1's walk passes the budget
-        with pytest.raises(BudgetExceededError, match=r"\b1002 steps, over the budget of 1000$"):
+        # top_pairs: 2 * 384 for the phi tables, 150 subsets of p2's walk, then the
+        # 11th node p1's best-first walk expands (93 subsets in all) passes the budget
+        with pytest.raises(BudgetExceededError, match=r"\b1011 steps, over the budget of 1000$"):
             top_pairs(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                       WIDE_PROFILE, budget=1000)
 
     def test_budget_counts_dp_transitions(self):
         # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
-        # 6 * 2^6 for the tight steps of the one table reaching s_min, 151 subsets
-        # walked to rebuild pi1, then 117 and 116 for the two representatives of
+        # 6 * 2^6 for the tight steps of the one table reaching s_min, 139 subsets
+        # walked to rebuild pi1, then 109 and 108 for the two representatives of
         # p2's tables that reach s_min with pi1
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b2454 steps, over the budget of 2453$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2453)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2454).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b2426 steps, over the budget of 2425$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2425)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2426).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
@@ -208,6 +210,45 @@ class TestAgainstOracle:
         p1 = random_pda(rng, max_cols=6, max_rows=20)
         p2 = random_pda(rng, max_cols=6, max_rows=20)
         self.check(p1, p2, random_profile(rng, p1.k, p2.k))
+
+
+class TestTopPairs:
+    """The best-first walk against scoring every class pair
+    (``permsearch_oracle.top_pairs_scoring_all``), at every limit: the same
+    pairs, in no more steps."""
+
+    def check(self, p1, p2, profile):
+        everything, _ = oracle.top_pairs_scoring_all(p1, p2, profile, limit=10 ** 9)
+        for limit in range(1, len(everything) + 2):
+            want, steps = oracle.top_pairs_scoring_all(p1, p2, profile, limit)
+            assert top_pairs(p1, p2, profile, limit=limit, budget=steps) == want
+        return [p.s_value for p in everything]
+
+    def test_ties_past_the_limit(self):
+        # ConstructionA(2, 2)'s three classes all tie at S = 12, so limits 1 and 2 cut a tie
+        values = self.check(construction_a_pda(2, 2), man_pda(3, 1),
+                            AssociationProfile((3, 3, 2, 2, 1, 1)))
+        assert values == [12, 12, 12]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_instances(self, seed):
+        # a seeded generator, so that redrawing until every limit can be tried
+        # in time costs hypothesis no data; p1 has one code per row half the
+        # time, for many classes and many ties
+        rng = random.Random(seed)
+        while True:
+            if rng.random() < 0.5:
+                k = rng.randint(1, 8)
+                p1 = code_per_row_pda(k, [set(rng.sample(range(k), rng.randint(1, k)))
+                                          for _ in range(rng.randint(1, 6))])
+            else:
+                p1 = random_pda(rng, max_cols=8, max_rows=20)
+            p2 = random_pda(rng, max_cols=8, max_rows=20)
+            profile = random_profile(rng, p1.k, p2.k)
+            if len(oracle.top_pairs_scoring_all(p1, p2, profile, limit=10 ** 9)[0]) <= 120:
+                break
+        self.check(p1, p2, profile)
 
 
 class TestBeyondEnumeration:

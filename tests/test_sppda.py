@@ -377,6 +377,16 @@ class TestClosedForms:
                         expected = s_count(p1, man_pda(l1, t2), profile)
                         assert s_closed_form_construction_a(q, m, profile, t2) == expected
 
+    @pytest.mark.parametrize("closed_form, parts, first", [
+        (s_closed_form_man, (0, 0), (2, 1)),
+        (s_closed_form_construction_a, (0, 0, 0, 0), (2, 1)),
+    ])
+    def test_profile_without_users_refused(self, closed_form, parts, first):
+        # the message sweep gives, naming the profile rather than MaN(0, 0)
+        with pytest.raises(ParameterError, match=rf"^profile {','.join(map(str, parts))} has no "
+                                                 r"users: its largest group L_1 is empty$"):
+            closed_form(*first, AssociationProfile(parts), 0)
+
     def test_construction_a_small_golden_value(self):
         assert s_closed_form_construction_a(2, 1, AssociationProfile((2, 2, 1, 1)), 1) == 2
 
