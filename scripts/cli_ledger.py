@@ -132,10 +132,12 @@ SESSIONS = [
         ["search", "consa:2,1", "man:3,1", *SEARCH],
         ["search", "consa:2,1", "man:3,1", *SEARCH, "--greedy"],
     ]),
-    # the 20 smallest of this pairing's 36 class pairs tie at S = 51, so both cuts fall in a tie
+    # the 20 smallest of this pairing's 36 class pairs tie at S = 51, so both cuts fall in a tie;
+    # --top 0 prints only exhaustive_best's extremes
     ("search-ties", {}, [
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1"],
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "3"],
+        ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "0"],
     ]),
     ("formulas", {}, [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],
