@@ -13,16 +13,13 @@ a_{Lambda+1} = 0 (``construct.s_from_phi``; in the families' canonical
 orders phi(w) is C(k, t+1) - C(k-w, t+1) for MaN(k, t) and
 q^{m-1}(q-1) min(w, q) for ConstructionA(q, m)).  The weights of the first
 array's prefix phi values are non-negative, and a prefix's phi depends only
-on its set of columns, so a column order is a chain over the 2^K column
-subsets whose S is the sum of its steps' costs.  The distinct prefix values
-that an array's orders can take come from a walk up the same subset lattice
-(``_Classes``), so no search enumerates the K! orders.  Both searches walk
-the first array's prefix values best first (A*, ``_lowest``), under a bound
-that never overestimates since phi never falls along a chain and the
-weights have one sign, so they walk only the classes that can make their
-cut: ``top_pairs`` down to its ``limit``-th S, ``exhaustive_best`` to s_min
-and, with the weights negated, to s_max.  A subset DP (Held-Karp) finds
-only the best order's witness, the steps tight at s_min.  One chain walk
+on its set of columns, so the best column order is a shortest path over the
+2^K column subsets (Held-Karp).  The distinct prefix values that an array's
+orders can take come from a walk up the same subset lattice (``_Classes``),
+so no search enumerates the K! orders.  ``top_pairs`` walks the first
+array's prefix values best first (A*, ``_lowest``), under a bound that
+never overestimates since phi never falls along a chain and the weights are
+non-negative, so it walks only the classes that can make its cut.  One chain walk
 (``_Lattice.first_order``) turns constraints on subsets and steps into the
 lexicographically first order, for a class representative and for the best
 order along the DP's tight steps.
@@ -36,7 +33,7 @@ import math
 import struct
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from operator import or_
+from operator import ge, le, mul, or_
 
 from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns, phi
 from .construct import check_pair, s_weights
@@ -216,7 +213,6 @@ class _Prefixes(_Lattice):
 
     def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
         super().__init__(k, steps)
-        self.phi = phi
         self.widths = sorted(set(widths))
         self.slot = {w: i for i, w in enumerate(self.widths)}
         members: dict[tuple[int, int], list[int]] = {}
@@ -268,32 +264,39 @@ class _Classes(_Prefixes, Mapping):
         return len(self.values)
 
 
-def _tight_edges(phi: list[int], weights: list[int], k: int) -> list[int]:
-    """Per column c, the subsets m lacking c whose step to m|c is tight: by a
-    DP over the subsets, the least sum_n phi(prefix n) * weights[n-1] over
-    the orders of m's columns is the least over all of m|c's predecessors.
-    S is a sum of per-step costs, so an order reaches the minimum exactly
+def _order_value(phi: list[int], weights: list[int], k: int, pick) -> list[int]:
+    """Per column subset m, ``pick`` (min or max) over the orders of m's columns
+    of sum_n phi(prefix n) * weights[n-1], by a DP over the subsets; the last
+    entry is the extreme over all column orders."""
+    bits = [1 << c for c in range(k)]
+    value = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        value[mask] = (pick([value[mask ^ b] for b in bits if mask & b])
+                       + phi[mask] * weights[mask.bit_count() - 1])
+    return value
+
+
+def _tight_edges(phi: list[int], weights: list[int], value: list[int], k: int) -> list[int]:
+    """Per column c, the subsets m lacking c whose step to m|c is tight: ``value``
+    (from ``_order_value`` with min) at m plus the step's cost is ``value`` at
+    m|c.  S is a sum of per-step costs, so an order reaches the minimum exactly
     when every step is tight."""
-    size, bits = 1 << k, [1 << c for c in range(k)]
-    value, before = [0] * size, [0] * size
-    for mask in range(1, size):
-        before[mask] = min([value[mask ^ b] for b in bits if mask & b])
-        value[mask] = before[mask] + phi[mask] * weights[mask.bit_count() - 1]
+    size = 1 << k
+    # the value a subset's predecessor must have for the step into it to be tight
+    before = [v - phi[m] * weights[m.bit_count() - 1] for m, v in enumerate(value)]
     return [_bitmap([m for m in range(size) if not m & bit and value[m] == before[m | bit]], size)
-            for bit in bits]
+            for bit in (1 << c for c in range(k))]
 
 
-def _setup(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
-           budget: int) -> tuple[_Steps, _Prefixes, _Classes, list[tuple], list[list[int]]]:
-    """What both searches start from: the step count, p1's prefix phi values
-    at every width, p2's distinct tables at the group widths, and the
-    tables' keys and weights in one order."""
-    check_pair(p1, p2, profile)
-    steps = _Steps(budget)
-    prefixes = _Prefixes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
-    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
-    keys = list(tables)
-    return steps, prefixes, tables, keys, [s_weights(key) for key in keys]
+def _pareto(tables, better) -> list[tuple[int, ...]]:
+    """The tables that no other table matches or beats componentwise under
+    ``better`` (``le`` or ``ge``).  ``tables`` must list a table before those it
+    dominates, as sorting does (descending for ``ge``)."""
+    kept: list[tuple[int, ...]] = []
+    for table in tables:
+        if not any(all(map(better, u, table)) for u in kept):
+            kept.append(table)
+    return kept
 
 
 def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
@@ -301,29 +304,37 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     """Exact min and max of S over all column-permutation pairs.
 
     Ties go to the lexicographically smallest (pi1, pi2).  A walk over p2's
-    column subsets gives its distinct phi-at-group-width tables, and two
-    best-first walks over p1's (``_lowest``) give the extremes: s_min, with
-    every pair of a class of p1's orders and a table tied at it, and s_max.
-    A subset DP only finds the witness: pi1 is the first order whose steps
-    are all tight in the DP of some table reaching s_min, and pi2 the first
-    representative of a table tied with pi1's class.  ``budget`` bounds the
-    steps, counted in ``evaluations``: K * 2^K per phi table, the subsets
-    the walks expand, and K1 * 2^K1 for the DP of each table reaching s_min
-    and as many again for its tight steps.
+    column subsets gives its distinct phi-at-group-width tables; those that
+    cannot be extreme are pruned (S is monotone in the table) and a subset DP
+    over p1's column orders runs once per kept table.  pi1 is the first order
+    whose steps are all tight in the DP of some table reaching s_min.
+    ``budget`` bounds the steps, counted in ``evaluations``: K * 2^K per phi
+    table, the subsets the walks expand, and K1 * 2^K1 DP transitions per
+    kept table and again per table reaching s_min.
     """
-    steps, prefixes, tables, keys, weights = _setup(p1, p2, profile, budget)
-    ties = _lowest(prefixes, weights, 1, min)
-    s_min = ties[0][0]
-    s_max = -_lowest(prefixes, [[-w for w in ws] for ws in weights], 1, max)[0][0]
+    check_pair(p1, p2, profile)
+    steps = _Steps(budget)
+    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
+    lows = _pareto(sorted(tables), le)
+    highs = _pareto(sorted(tables, reverse=True), ge)
+    phi1 = _subset_phi(p1, steps)
+    steps.charge((len(lows) + len(highs)) * p1.k * (1 << p1.k),
+                 f"a {2 ** p1.k}-subset DP for each of {len(lows) + len(highs)} tables")
 
-    reaching = {j for _, _, j in ties}
-    steps.charge(2 * len(reaching) * p1.k * (1 << p1.k),
-                 f"the DP and tight steps of {len(reaching)} tables reaching s_min")
-    allowed = [prefixes.every] * (p1.k + 1)
-    pi1 = min(prefixes.first_order(allowed, _tight_edges(prefixes.phi, weights[j], p1.k))
-              for j in reaching)
-    prefix1 = tuple(prefixes.phi[m] for m in _prefix_masks(pi1)[1:])
-    pi2 = min(tables[keys[j]] for _, values, j in ties if values == prefix1)
+    low_weights = [s_weights(t) for t in lows]
+    low_values = [_order_value(phi1, w, p1.k, min) for w in low_weights]
+    s_min = min(v[-1] for v in low_values)
+    s_max = max(_order_value(phi1, s_weights(t), p1.k, max)[-1] for t in highs)
+
+    reaching = [(w, v) for w, v in zip(low_weights, low_values) if v[-1] == s_min]
+    steps.charge(len(reaching) * p1.k * (1 << p1.k),
+                 f"the tight steps of {len(reaching)} tables reaching s_min")
+    lattice = _Lattice(p1.k, steps)
+    allowed = [lattice.every] * (p1.k + 1)
+    pi1 = min(lattice.first_order(allowed, _tight_edges(phi1, w, v, p1.k)) for w, v in reaching)
+    prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
+    pi2 = min(tables[table] for table in tables
+              if sum(map(mul, prefix1, s_weights(table))) == s_min)
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
 
 
@@ -335,43 +346,43 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     the pairs up to the ``limit``-th S, ties included; representatives are
     rebuilt only for those.  ``budget`` bounds the steps: K * 2^K per phi
     table and the subsets the walks expand."""
+    check_pair(p1, p2, profile)
     if limit < 0:
         raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
     if limit == 0:
-        check_pair(p1, p2, profile)
         return []
-    steps, prefixes, tables, keys, weights = _setup(p1, p2, profile, budget)
+    steps = _Steps(budget)
+    prefixes = _Prefixes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
+    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
+    keys = list(tables)
     pairs = [PermutationPair(prefixes.representative(values), tables[keys[j]], s)
-             for s, values, j in _lowest(prefixes, weights, limit, min)]
+             for s, values, j in _lowest(prefixes, [s_weights(key) for key in keys], limit)]
     pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
     return pairs[:limit]
 
 
-def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int, pick) -> list[tuple]:
+def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[tuple]:
     """(S, p1's phi vector, index j into ``weights``) for every pair of a
     class of p1's column orders and a weight vector whose S is at most the
-    ``limit``-th smallest, S being sum_n weights[j][n-1] * phi(n), for
-    weights all >= 0 with ``pick`` min or all <= 0 with ``pick`` max.
+    ``limit``-th smallest, S being sum_n weights[j][n-1] * phi(n).
 
     A best-first (A*) walk up p1's phi-prefix tree: a node is a prefix
     (v_1..v_n) with the set of width-n subsets reaching it, and it is
     expanded, by growing its set one column and splitting it by phi at width
     n + 1, once for all weight vectors; then its set is dropped.  A pair
     (j, node) is keyed by f = g + h, g = sum_{n' <= n} w_n' v_n' and
-    h = sum_{n' > n} w_n' max(v_n, m_n'), m_n' the ``pick`` of phi over
-    subsets of width n'.  phi never falls along a chain, so a later value
-    v_n' is at least max(v_n, least m_n') and at most the largest m_n',
-    which is max(v_n, m_n') when ``pick`` is max.  So under either sign h
-    never overestimates the rest of any S below the node and f never falls
-    from a node to its child: nodes leave the heap in order of f, and a
+    h = sum_{n' > n} w_n' max(v_n, m_n'), m_n' the least phi over subsets of
+    width n'.  phi never falls along a chain and w >= 0, so h never
+    overestimates the rest of any S below the node and f never falls from a
+    node to its child: nodes leave the heap in order of f, and a
     full-width node, where f is its S, leaves before any entry with a
     larger f.  The walk stops once the next f passes the S of the
     ``limit``-th full-width node, so every tie at that S is found."""
     k = prefixes.k
-    bound = [pick(cell) for cell in prefixes.cells]
+    least = [min(cell) for cell in prefixes.cells]
 
     def rest(w: list[int], n: int, v: int) -> int:
-        return sum(wn * max(v, m) for wn, m in zip(w[n:], bound[n:]))
+        return sum(wn * max(v, m) for wn, m in zip(w[n:], least[n:]))
 
     # a node: [values, the subsets reaching them (None once expanded), its children]
     root = [(), 1, None]

@@ -81,22 +81,6 @@ SECOND_WINS_P1 = grid("""
 * 5 2 * 6 4
 """)
 
-# Under profile (4, 2, 1, 1) this (4, 2, 1, 2) p1 has phi vectors (1, 1, 2, 2)
-# and (1, 2, 2, 2), and this (4, 4, 2, 4) p2 has tables (4, 3, 2, 2) and
-# (4, 4, 2, 2), weighting them by (1, 1, 0, 2) and (0, 2, 0, 2): S ranges over
-# [6, 8].
-MAX_BOUND_P1 = grid("""
-* * 1 2
-2 1 * *
-""")
-
-MAX_BOUND_P2 = grid("""
-1 * * *
-* * 2 1
-3 2 * 4
-* 1 4 *
-""")
-
 
 def naive_phi_vector(pda, perm):
     """phi of the physically permuted array, column by column."""
@@ -118,8 +102,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        # the steps as itemized in test_budget_counts_dp_transitions
-        assert result.evaluations == 3033
+        assert result.evaluations == 2426
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -138,10 +121,9 @@ class TestExhaustive:
         assert (result.s_min, result.s_max) == naive_extremes(p1, p2, profile)
 
     def test_budget(self):
-        # exhaustive_best: 2 * 384 for the phi tables, 150 subsets of p2's walk, 41
-        # of the best-first walk to s_min, then the last node the walk to s_max
-        # expands (43 subsets in all) passes the budget
-        with pytest.raises(BudgetExceededError, match=r"\b1002 steps, over the budget of 1000$"):
+        # exhaustive_best: 384 for p2's phi table, 150 subsets walked, 384 for p1's
+        # table, then the DP (6 * 2^6 for each of 2 tables) passes the budget
+        with pytest.raises(BudgetExceededError, match=r"\b1686 steps, over the budget of 1000$"):
             exhaustive_best(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                             WIDE_PROFILE, budget=1000)
         # top_pairs: 2 * 384 for the phi tables, 150 subsets of p2's walk, then the
@@ -151,15 +133,14 @@ class TestExhaustive:
                       WIDE_PROFILE, budget=1000)
 
     def test_budget_counts_dp_transitions(self):
-        # 1002 steps up to the DP (2 * 384 for the phi tables, 150 subsets of p2's
-        # walk, 41 and 43 of the walks to s_min and s_max), 2 * 6 * 2^6 for the DP
-        # and the tight steps of each of the 2 tables reaching s_min, 139 subsets
-        # walked to rebuild pi1 for each of them, then 109 and 108 for the two
-        # representatives of p2's tables that reach s_min with pi1
+        # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
+        # 6 * 2^6 for the tight steps of the one table reaching s_min, 139 subsets
+        # walked to rebuild pi1, then 109 and 108 for the two representatives of
+        # p2's tables that reach s_min with pi1
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b3033 steps, over the budget of 3032$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=3032)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=3033).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b2426 steps, over the budget of 2425$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2425)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2426).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
@@ -176,6 +157,19 @@ class TestExhaustive:
         pairs = top_pairs(p1, p2, profile)
         assert time.perf_counter() - start < 10
         assert pairs == [result.best]
+
+    def test_equal_parts_within_the_default_budget(self):
+        # under equal parts every weight but the last is 0, so all 32 097 classes
+        # of ConstructionA(4,3)'s orders tie at S = 1152; the DP's steps do not
+        # depend on that: 16 * 2^16 + 4 * 2^4 for the phi tables, 15 subsets of
+        # p2's walk to its one table, 2 * 16 * 2^16 for its min and max DPs and
+        # 16 * 2^16 for its tight steps, 196 604 subsets walked to rebuild pi1
+        # and 44 for pi2's representative
+        p1, p2 = construction_a_pda(4, 3), man_pda(4, 1)
+        result = exhaustive_best(p1, p2, AssociationProfile((4,) * 16))
+        assert (result.s_min, result.s_max) == (1152, 1152)
+        assert result.best == PermutationPair(tuple(range(16)), (0, 1, 2, 3), 1152)
+        assert result.evaluations == 4391031
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -233,16 +227,6 @@ class TestAgainstOracle:
         result = exhaustive_best(p1, p2, profile)
         assert result.s_max == 61
         assert (result.s_min, result.s_max) == naive_extremes(p1, p2, profile)
-        self.check(p1, p2, profile)
-
-    def test_max_walk_bounded_by_the_largest_phi(self):
-        # s_max = 8 needs the second table; a max walk bounded by the least phi
-        # at width 2 (1, not the largest, 2) credits its entries with at most
-        # S = 6 and stops at the first table's 7
-        p1, p2 = PdaArray.from_grid(MAX_BOUND_P1), PdaArray.from_grid(MAX_BOUND_P2)
-        profile = AssociationProfile((4, 2, 1, 1))
-        assert exhaustive_best(p1, p2, profile).s_max == 8
-        assert naive_extremes(p1, p2, profile) == (6, 8)
         self.check(p1, p2, profile)
 
     @settings(max_examples=60, deadline=None)
