@@ -131,6 +131,7 @@ SESSIONS = [
         ["search", "man:4,1", "man:3,1", *SEARCH, "--greedy"],
         ["search", "consa:2,1", "man:3,1", *SEARCH],
         ["search", "consa:2,1", "man:3,1", *SEARCH, "--greedy"],
+        ["search", "man:4,1", "man:3,1", *SEARCH, "--budget", "-3"],
     ]),
     # the 20 smallest of this pairing's 36 class pairs tie at S = 51, so both cuts fall in a tie;
     # --top 0 prints only exhaustive_best's extremes

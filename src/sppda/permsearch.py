@@ -20,18 +20,23 @@ so no search enumerates the K! orders.  ``top_pairs`` walks the first
 array's prefix values best first (A*, ``_lowest``), under a bound that
 never overestimates since phi never falls along a chain and the weights are
 non-negative, so it walks only the classes that can make its cut.  One chain walk
-(``_Lattice.first_order``) turns constraints on subsets and steps into the
-lexicographically first order, for a class representative and for the best
-order along the DP's tight steps.
+(``_Lattice.positions``) turns constraints on subsets and steps into the
+lexicographically first order, one column's position at a time, for a class
+representative and for the best order along the DP's tight steps.  When more
+classes tie at ``top_pairs``' cut than there are slots left, only the
+lexicographically least are finished: a tied class stops being placed as
+soon as its partial pi1 passes the last pair kept (``_least``), and the best
+order over several tables reaching s_min is picked the same way.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 import struct
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import ge, le, mul, or_
 
@@ -59,9 +64,12 @@ class SearchResult:
 
 
 class _Steps:
-    """A running count of the steps a search has taken, refused past ``budget``."""
+    """A running count of the steps a search has taken, refused past ``budget``.
+    A negative budget is refused before any step is taken."""
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise ParameterError(f"search budget must be >= 0, got {budget}")
         self.budget = budget
         self.count = 0
 
@@ -143,73 +151,105 @@ class _Lattice:
             out |= (sets & grows) << shift
         return out
 
-    def shrink(self, sets: int, edges: list[int]) -> int:
-        """The subsets one column smaller than some subset in ``sets`` along ``edges``."""
-        self.steps.charge(sets.bit_count(), self.what)
-        out = 0
-        for shift, grows in zip(self.shifts, edges):
-            out |= (sets >> shift) & grows
-        return out
+    def positions(self, allowed: list[int], edges: list[int]) -> Iterator[int]:
+        """The lexicographically first column->position permutation whose chain of
+        prefixes keeps to ``allowed`` and ``edges``, yielded column by column as
+        each position is fixed: each column in turn takes the smallest position
+        at which it enters such a chain that places the earlier columns where
+        they were put.  The constraints are all on single subsets and steps, so
+        a step between two subsets on such chains lies on one.
 
-    def chains(self, allowed: list[int], edges: list[int]) -> list[int]:
-        """Per width 0..K, the subsets in ``allowed`` that lie on a chain passing
-        only through subsets in ``allowed`` along ``edges``."""
-        reach = [allowed[0] & 1]
-        for n in range(1, self.k + 1):
-            reach.append(self.grow(reach[-1], edges) & allowed[n])
-        for n in range(self.k - 1, -1, -1):
-            reach[n] &= self.shrink(reach[n + 1], edges)
-        return reach
+        ``good[n]`` is the set of width-n subsets on such chains: a pass up
+        keeps the subsets reached from no column, and a pass down those that
+        reach all columns.  No good subset of width up to p has column c when
+        p is c's position, as its chain would have entered c below p, so p is
+        one less than the first width with a good subset having c.  Placing c
+        there keeps those subsets of width p + 1, and one pass up over the
+        wider widths and one pass down over the narrower ones leave exactly
+        the subsets on good chains; the pass up needs no test for c, as every
+        subset grown from one having c has it.  Each pass ends at the first
+        width whose good subsets the placement left unchanged: every good
+        chain passes through them, so no set further along the pass can
+        change.  A step at a placed column's position grows or shrinks only
+        by that column, and any other step only by the columns not placed,
+        the other moves leaving the good subsets.  Once the good subsets form
+        a single chain, that chain gives the remaining positions.
+
+        Each grow or shrink charges ``steps`` one step per subset it expands."""
+        k, what, charge = self.k, self.what, self.steps.charge
+        moves = list(zip(self.shifts, edges))
+        good = [allowed[0] & 1]
+        for n in range(1, k + 1):
+            sets = good[-1]
+            charge(sets.bit_count(), what)
+            out = 0
+            for shift, grows in moves:
+                out |= (sets & grows) << shift
+            good.append(out & allowed[n])
+        # the number of good subsets at each width, kept to spot a single chain
+        counts = [1] * (k + 1)
+        for n in range(k - 1, -1, -1):
+            sets = good[n + 1]
+            counts[n + 1] = width = sets.bit_count()
+            charge(width, what)
+            out = 0
+            for shift, grows in moves:
+                out |= (sets >> shift) & grows
+            good[n] &= out
+        free = dict(enumerate(moves))  # the columns not placed yet
+        at: list[tuple[int, int] | None] = [None] * k  # the move placed at each position
+        for c in range(k):
+            if sum(counts) == k + 1:
+                masks = [sets.bit_length() - 1 for sets in good]
+                order = [0] * k
+                for n, (below, above) in enumerate(itertools.pairwise(masks)):
+                    order[(above ^ below).bit_length() - 1] = n
+                yield from order[c:]
+                return
+            has = self.has[c]
+            for p in range(k):
+                if not at[p] and (kept := good[p + 1] & has):
+                    break
+            yield p
+            at[p] = free.pop(c)
+            if kept == good[p + 1]:
+                continue
+            good[p + 1] = kept
+            n, changed = p + 2, True
+            while changed and n <= k:
+                sets = good[n - 1]
+                counts[n - 1] = width = sets.bit_count()
+                charge(width, what)
+                out = 0
+                for shift, grows in ((at[n - 1],) if at[n - 1] else free.values()):
+                    out |= (sets & grows) << shift
+                out &= good[n]
+                changed, good[n] = out != good[n], out
+                n += 1
+            n, changed = p, True
+            while changed and n >= 0:
+                sets = good[n + 1]
+                counts[n + 1] = width = sets.bit_count()
+                charge(width, what)
+                out = 0
+                for shift, grows in ((at[n],) if at[n] else free.values()):
+                    out |= (sets >> shift) & grows
+                out &= good[n]
+                changed, good[n] = out != good[n], out
+                n -= 1
 
     def first_order(self, allowed: list[int], edges: list[int]) -> tuple[int, ...]:
-        """The lexicographically first column->position permutation whose chain of
-        prefixes keeps to ``allowed`` and ``edges``: each column in turn takes the
-        smallest position at which it enters such a chain that places the
-        earlier columns where they were put.  The constraints are all on single
-        subsets and steps, so a step between two subsets on such chains lies on
-        one, and the position is the first width whose good subsets step to
-        good subsets along the column.
-
-        The good subsets are found once.  Placing column c at position p keeps
-        the good subsets wider than p that have c; none of width up to p has c,
-        as its chain would have entered c below p.  A kept subset still has its
-        whole chain up to all columns, so one pass up over the widths above p
-        and one pass down over the widths from p to 0 leave exactly the
-        subsets on good chains.  The pass up starts at width p + 2: a kept
-        subset of width p + 1 entered c at step p, from a good subset of width
-        p.  Each pass ends at the first width whose good subsets the placement
-        left unchanged: every good chain passes through them, so no set
-        further along the pass can change.  Once the good subsets form a
-        single chain, that chain is the order."""
-        good = self.chains(allowed, edges)
-        for c, shift in enumerate(self.shifts):
-            if sum(map(int.bit_count, good)) == self.k + 1:
-                break
-            p = next(n for n in range(self.k) if (good[n] & edges[c]) << shift & good[n + 1])
-            before = good
-            good = [*good[:p + 1], *(sets & self.has[c] for sets in good[p + 1:])]
-            for n in range(p + 2, self.k + 1):
-                if good[n - 1] == before[n - 1]:
-                    break
-                good[n] &= self.grow(good[n - 1], edges)
-            for n in range(p, -1, -1):
-                if good[n + 1] == before[n + 1]:
-                    break
-                good[n] &= self.shrink(good[n + 1], edges)
-        # one subset per width is left, and each step adds the column it places
-        masks = [sets.bit_length() - 1 for sets in good]
-        order = [0] * self.k
-        for n, (below, above) in enumerate(itertools.pairwise(masks)):
-            order[(above ^ below).bit_length() - 1] = n
-        return tuple(order)
+        """``positions`` as a tuple."""
+        return tuple(self.positions(allowed, edges))
 
 
 class _Prefixes(_Lattice):
     """An array's column orders keyed by their prefix phi values at ``widths``.
     ``cells[i][v]`` is the set of subsets of the i-th smallest walked width
-    with phi value v, and ``representative`` rebuilds the lexicographically
-    first column->position permutation with given walked values by
-    ``first_order``, with the values' cells as the allowed subsets."""
+    with phi value v.  ``placed`` yields the lexicographically first
+    column->position permutation with given walked values column by column
+    (``positions``, with the values' cells as the allowed subsets), and
+    ``representative`` keeps it whole."""
 
     def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
         super().__init__(k, steps)
@@ -224,12 +264,19 @@ class _Prefixes(_Lattice):
             self.cells[self.slot[n]][v] = _bitmap(ms, 1 << k)
         self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
+    def placed(self, values: tuple[int, ...]) -> Iterator[int]:
+        """The first order with walked ``values``, column by column: read back
+        once ``representative`` has kept it, else placed by ``positions``."""
+        if values in self.first:
+            return iter(self.first[values])
+        allowed = [self.every] * (self.k + 1)
+        for n, cell, v in zip(self.widths, self.cells, values):
+            allowed[n] = cell[v]
+        return self.positions(allowed, self.lacks)
+
     def representative(self, values: tuple[int, ...]) -> tuple[int, ...]:
         if values not in self.first:
-            allowed = [self.every] * (self.k + 1)
-            for n, cell, v in zip(self.widths, self.cells, values):
-                allowed[n] = cell[v]
-            self.first[values] = self.first_order(allowed, self.lacks)
+            self.first[values] = tuple(self.placed(values))
         return self.first[values]
 
 
@@ -312,8 +359,8 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     table, the subsets the walks expand, and K1 * 2^K1 DP transitions per
     kept table and again per table reaching s_min.
     """
-    check_pair(p1, p2, profile)
     steps = _Steps(budget)
+    check_pair(p1, p2, profile)
     tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
     lows = _pareto(sorted(tables), le)
     highs = _pareto(sorted(tables, reverse=True), ge)
@@ -331,8 +378,11 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                  f"the tight steps of {len(reaching)} tables reaching s_min")
     lattice = _Lattice(p1.k, steps)
     allowed = [lattice.every] * (p1.k + 1)
-    pi1 = min(lattice.first_order(allowed, _tight_edges(phi1, w, v, p1.k)) for w, v in reaching)
+    pi1 = _least(((lattice.positions(allowed, _tight_edges(phi1, w, v, p1.k)), (None,))
+                  for w, v in reaching), 1)[0][0]
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
+    # every table reaching s_min with pi1 has its representative rebuilt in
+    # full, so that ``evaluations`` keeps counting each of them
     pi2 = min(tables[table] for table in tables
               if sum(map(mul, prefix1, s_weights(table))) == s_min)
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
@@ -343,22 +393,56 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     """The ``limit`` smallest-S permutation pairs (class representatives),
     ordered by (S, pi1, pi2).  A walk over p2's column subsets gives its
     distinct phi tables, and a best-first walk over p1's (``_lowest``) gives
-    the pairs up to the ``limit``-th S, ties included; representatives are
-    rebuilt only for those.  ``budget`` bounds the steps: K * 2^K per phi
-    table and the subsets the walks expand."""
+    the pairs up to the ``limit``-th S, ties included.  Representatives are
+    rebuilt for the pairs below that S, and of the pairs tied at it only the
+    lexicographically least that fill the slots left are finished
+    (``_least``).  ``budget`` bounds the steps: K * 2^K per phi table and the
+    subsets the walks expand."""
+    steps = _Steps(budget)
     check_pair(p1, p2, profile)
     if limit < 0:
         raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
     if limit == 0:
         return []
-    steps = _Steps(budget)
     prefixes = _Prefixes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
     tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
     keys = list(tables)
-    pairs = [PermutationPair(prefixes.representative(values), tables[keys[j]], s)
-             for s, values, j in _lowest(prefixes, [s_weights(key) for key in keys], limit)]
+    found = _lowest(prefixes, [s_weights(key) for key in keys], limit)
+    cut = found[-1][0]
+    pairs, tied = [], {}
+    for s, values, j in found:
+        if s < cut:
+            pairs.append(PermutationPair(prefixes.representative(values), tables[keys[j]], s))
+        else:
+            tied.setdefault(values, []).append(j)
     pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
-    return pairs[:limit]
+    kept = _least(((prefixes.placed(values), (tables[keys[j]] for j in js))
+                   for values, js in tied.items()), limit - len(pairs))
+    return [*pairs, *(PermutationPair(pi1, pi2, cut) for pi1, pi2 in kept)]
+
+
+def _least(candidates: Iterable[tuple[Iterator[int], Iterable]], need: int) -> list[tuple]:
+    """The ``need`` least (order, tag) pairs, each candidate giving an order's
+    positions column by column and the tags it pairs with.  Once ``need``
+    pairs are kept, an order stops being placed as soon as its prefix passes
+    the order of the last one kept, and its tags are read only if it does
+    not."""
+    kept: list[tuple] = []
+    for positions, tags in candidates:
+        order = []
+        if len(kept) == need:
+            bound = kept[-1][0]
+            for p, b in zip(positions, bound):
+                order.append(p)
+                if p != b:
+                    break
+            if order and order[-1] > bound[len(order) - 1]:
+                continue
+        order = (*order, *positions)
+        for tag in tags:
+            bisect.insort(kept, (order, tag))
+        del kept[need:]
+    return kept
 
 
 def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[tuple]:
@@ -411,10 +495,10 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
     return found
 
 
-def _identity_is_minimal(pda: PdaArray, widths, budget: int) -> bool:
+def _identity_is_minimal(pda: PdaArray, widths, steps: _Steps) -> bool:
     """True iff for every width w the first w columns have the fewest codes of
     any w columns, i.e. no column order has a smaller phi(w)."""
-    phi = _subset_phi(pda, _Steps(budget))
+    phi = _subset_phi(pda, steps)
     least = [math.inf] * (pda.k + 1)
     for mask, value in enumerate(phi):
         n = mask.bit_count()
@@ -425,15 +509,16 @@ def _identity_is_minimal(pda: PdaArray, widths, budget: int) -> bool:
 def check_E1(p1: PdaArray, budget: int = 10 ** 7) -> bool:
     """True iff p1's phi vector is componentwise minimal over all column orders.
     ``budget`` bounds the K1 * 2^K1 steps of the subset table."""
-    return _identity_is_minimal(p1, range(1, p1.k + 1), budget)
+    return _identity_is_minimal(p1, range(1, p1.k + 1), _Steps(budget))
 
 
 def check_E2(p2: PdaArray, profile: AssociationProfile, budget: int = 10 ** 7) -> bool:
     """True iff p2's phi values at the group widths (L_Lambda, ..., L_1) are
     componentwise minimal over all column orders.  ``budget`` bounds the
     K2 * 2^K2 steps of the subset table."""
+    steps = _Steps(budget)
     check_pair(None, p2, profile)
-    return _identity_is_minimal(p2, profile.parts, budget)
+    return _identity_is_minimal(p2, profile.parts, steps)
 
 
 def phi_vector(pda: PdaArray, perm: tuple[int, ...] | None = None) -> tuple[int, ...]:

@@ -120,6 +120,55 @@ def first_order(k, allowed, edges):
     return None
 
 
+def chain_first_order(k, allowed, edges, steps):
+    """``_Lattice.first_order`` as it was before its placements ran inline: the
+    same order, charging ``steps`` the same subsets.  Sets of subsets are ints
+    with bit m for subset m; ``edges[c]`` holds subsets lacking column c."""
+    what = f"walking the {2 ** k}-subset lattice"
+    every = (1 << (1 << k)) - 1
+    shifts = [1 << c for c in range(k)]
+    has = [every // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c)) for c in range(k)]
+
+    def grow(sets):
+        steps.charge(sets.bit_count(), what)
+        out = 0
+        for shift, grows in zip(shifts, edges):
+            out |= (sets & grows) << shift
+        return out
+
+    def shrink(sets):
+        steps.charge(sets.bit_count(), what)
+        out = 0
+        for shift, grows in zip(shifts, edges):
+            out |= (sets >> shift) & grows
+        return out
+
+    good = [allowed[0] & 1]
+    for n in range(1, k + 1):
+        good.append(grow(good[-1]) & allowed[n])
+    for n in range(k - 1, -1, -1):
+        good[n] &= shrink(good[n + 1])
+    for c, shift in enumerate(shifts):
+        if sum(map(int.bit_count, good)) == k + 1:
+            break
+        p = next(n for n in range(k) if (good[n] & edges[c]) << shift & good[n + 1])
+        before = good
+        good = [*good[:p + 1], *(sets & has[c] for sets in good[p + 1:])]
+        for n in range(p + 2, k + 1):
+            if good[n - 1] == before[n - 1]:
+                break
+            good[n] &= grow(good[n - 1])
+        for n in range(p, -1, -1):
+            if good[n + 1] == before[n + 1]:
+                break
+            good[n] &= shrink(good[n + 1])
+    masks = [sets.bit_length() - 1 for sets in good]
+    order = [0] * k
+    for n, (below, above) in enumerate(itertools.pairwise(masks)):
+        order[(above ^ below).bit_length() - 1] = n
+    return tuple(order)
+
+
 def weights(table):
     """S = sum_n (phi1(n) - phi1(n-1)) * a_n = sum_n phi1(n) * (a_n - a_{n+1})."""
     return [a - b for a, b in zip(table, (*table[1:], 0))]

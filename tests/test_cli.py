@@ -324,6 +324,13 @@ class TestSearch:
         assert main(["search", "man:8,1", "man:8,1",
                      "--profile", "8,1,1,1,1,1,1,1", "--budget", "100"]) == 2
 
+    def test_negative_budget(self, capsys):
+        # refused up front, before any step is counted against it
+        for extra in ([], ["--top", "0"]):
+            assert main(["search", "man:4,1", "man:3,1", "--profile", "3,2,2,1",
+                         "--budget", "-3", *extra]) == 2
+            assert capsys.readouterr().err == "error: search budget must be >= 0, got -3\n"
+
 
 class TestSweep:
     def test_uniform_csv(self, tmp_path):

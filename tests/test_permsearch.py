@@ -16,6 +16,7 @@ from sppda.arrays import (
     InvalidPermutationError,
     ParameterError,
     PdaArray,
+    canonicalize_codes,
     construction_a_pda,
     man_pda,
     permute_columns,
@@ -249,6 +250,21 @@ class TestTopPairs:
             assert top_pairs(p1, p2, profile, limit=limit, budget=steps) == want
         return [p.s_value for p in everything]
 
+    def test_ties_outnumber_the_slots(self):
+        # ConstructionA(3,2) cut to 8 columns x ConstructionA(3,1) cut to 5: 6
+        # pairs lie below S = 82 and 11 tie there, for the 4 slots left at limit 10
+        p1 = first_columns(construction_a_pda(3, 2), 8)
+        p2 = first_columns(construction_a_pda(3, 1), 5)
+        profile = AssociationProfile((5, 4, 3, 2, 2, 1, 1, 1))
+        values = [p.s_value for p in oracle.top_pairs_scoring_all(p1, p2, profile, limit=20)[0]]
+        assert values[5] < values[6] == values[16] == 82 < values[17]
+        for limit in range(1, 21):
+            want, steps = oracle.top_pairs_scoring_all(p1, p2, profile, limit)
+            assert top_pairs(p1, p2, profile, limit=limit, budget=steps) == want
+        # rebuilding all 11 tied classes in full took 7516 steps at limit 10;
+        # a tied class now stops once its pi1 passes the 4th least kept
+        assert len(top_pairs(p1, p2, profile, limit=10, budget=7515)) == 10
+
     def test_ties_past_the_limit(self):
         # ConstructionA(2, 2)'s three classes all tie at S = 12, so limits 1 and 2 cut a tie
         values = self.check(construction_a_pda(2, 2), man_pda(3, 1),
@@ -311,6 +327,11 @@ class TestClasses:
             assert dict(classes.items()) == oracle.prefix_classes(table, pda.k, widths)
 
 
+def first_columns(pda, width):
+    """The array cut to its first ``width`` columns, codes re-canonicalized."""
+    return PdaArray.from_grid(canonicalize_codes([row[:width] for row in pda.grid]))
+
+
 def code_per_row_pda(k, column_sets):
     """The array with one code per set in ``column_sets`` and one row per
     column of it, holding the code there and stars elsewhere.  Codes in one
@@ -369,6 +390,36 @@ class TestLattice:
         while (want := oracle.first_order(k, *(constraints := random_constraints(rng, k)))) is None:
             pass
         assert _Lattice(k, _Steps(10 ** 9)).first_order(*constraints) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_first_order_matches_the_chain_walk(self, seed):
+        # against the walk whose placements grew and shrank through method calls
+        # (permsearch_oracle.chain_first_order): the same order for the same
+        # steps, with the steps' columns constrained or free
+        rng = random.Random(seed)
+        k = rng.randint(1, 7)
+        lacks = [sum(1 << m for m in range(1 << k) if not m >> c & 1) for c in range(k)]
+        while True:
+            allowed, edges = random_constraints(rng, k)
+            if rng.random() < 0.5:
+                edges = lacks
+            if chain_exists(k, allowed, edges):
+                break
+        want_steps, got_steps = _Steps(10 ** 9), _Steps(10 ** 9)
+        want = oracle.chain_first_order(k, allowed, edges, want_steps)
+        assert _Lattice(k, got_steps).first_order(allowed, edges) == want
+        assert got_steps.count == want_steps.count
+
+
+def chain_exists(k, allowed, edges):
+    """Whether some chain of subsets keeps to ``allowed`` and ``edges``: the
+    subsets reached from no column, one width at a time."""
+    reach = {0} if allowed[0] & 1 else set()
+    for n in range(1, k + 1):
+        reach = {m | 1 << c for m in reach for c in range(k)
+                 if edges[c] >> m & 1 and allowed[n] >> (m | 1 << c) & 1}
+    return bool(reach)
 
 
 class TestPhiVector:
