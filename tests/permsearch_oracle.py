@@ -6,7 +6,9 @@ arrays too wide to enumerate, the best first order is rebuilt one position at
 a time with a constrained subset DP per tried position.  The greedy
 reorder's column order is rebuilt from each column's frozenset of codes.
 ``top_pairs_scoring_all`` is ``top_pairs`` as it was before its best-first
-walk: every class of the first array's orders, scored against every table."""
+walk: every class of the first array's orders, scored against every table.
+``chain_first_order`` is ``_Lattice.first_order`` as it was before its passes
+ran inline, charging the same steps."""
 
 import itertools
 import math

@@ -378,7 +378,8 @@ def random_constraints(rng, k):
 
 
 class TestLattice:
-    """The chain walk against trying every column->position permutation."""
+    """The chain walk against trying every column->position permutation, and
+    against the walk it replaced (``permsearch_oracle.chain_first_order``)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32))
