@@ -13,9 +13,10 @@ array through ``sppda.cli.main`` in a temporary directory; ``man_tables_s``,
 first array MaN(Lambda, Lambda M_h/N) of each sweep and MaN(L_1, t2) at every
 t2 (no sweep builds their grids); ``sweep_s``, ``analysis.sweep`` of the
 uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2;
-``search_s``, ``permsearch.exhaustive_best`` and ``top_pairs`` of MaN(16,2)
-and MaN(3,1) under the profile 3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1, the README's
-``sppda search`` example.  It also
+``exhaustive_s`` and ``top_pairs_s``, ``permsearch.exhaustive_best`` and
+``permsearch.top_pairs`` of MaN(16,2) and MaN(3,1) under the profile
+3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1, the two halves of the README's
+``sppda search`` example, so that the subset DP's share shows.  It also
 prints ``gc_collections``, the collections of each generation during one
 pipeline, counted with ``gc.callbacks``.  It reports only and sets no time
 limit.
@@ -99,11 +100,17 @@ def sweeps(configs):
         analysis.sweep(config)
 
 
-def search(arrays):
-    """What ``sppda search`` runs on ``arrays``, the first and second array."""
-    profile = profile_of(SEARCH_PROFILE)
-    permsearch.exhaustive_best(*arrays, profile)
-    permsearch.top_pairs(*arrays, profile)
+def search_arrays():
+    """The first and second array of the README's ``sppda search`` example."""
+    return man_pda(16, 2), man_pda(3, 1)
+
+
+def exhaustive(arrays):
+    permsearch.exhaustive_best(*arrays, profile_of(SEARCH_PROFILE))
+
+
+def pairs(arrays):
+    permsearch.top_pairs(*arrays, profile_of(SEARCH_PROFILE))
 
 
 def gc_collections(directory):
@@ -165,5 +172,6 @@ if __name__ == "__main__":
                           "pipeline_s": sample(pipeline, repeat, lambda: tmp),
                           "man_tables_s": sample(tables, repeat, lambda: SWEEP_CONFIGS),
                           "sweep_s": sample(sweeps, repeat, lambda: SWEEP_CONFIGS),
-                          "search_s": sample(search, repeat, lambda: (man_pda(16, 2), man_pda(3, 1))),
+                          "exhaustive_s": sample(exhaustive, repeat, search_arrays),
+                          "top_pairs_s": sample(pairs, repeat, search_arrays),
                           "gc_collections": gc_collections(tmp)}))

@@ -25,8 +25,9 @@ lexicographically first order, one column's position at a time, for a class
 representative and for the best order along the DP's tight steps.  When more
 classes tie at ``top_pairs``' cut than there are slots left, only the
 lexicographically least are finished: a tied class stops being placed as
-soon as its partial pi1 passes the last pair kept (``_least``), and the best
-order over several tables reaching s_min is picked the same way.
+soon as its partial pi1 passes the last pair kept (``_least``), and
+``exhaustive_best`` picks pi1 over the tables reaching s_min, and pi2 over
+those reaching it with pi1, the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from operator import ge, le, mul, or_
+from operator import eq, ge, gt, le, lt, mul, or_, sub
 
 from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns, phi
 from .construct import check_pair, s_weights
@@ -314,25 +315,41 @@ class _Classes(_Prefixes, Mapping):
 def _order_value(phi: list[int], weights: list[int], k: int, pick) -> list[int]:
     """Per column subset m, ``pick`` (min or max) over the orders of m's columns
     of sum_n phi(prefix n) * weights[n-1], by a DP over the subsets; the last
-    entry is the extreme over all column orders."""
-    bits = [1 << c for c in range(k)]
+    entry is the extreme over all column orders.  A subset's orders end in
+    one of its own columns, so its value is its own cost plus the extreme over
+    the subsets one of its columns smaller: the walk starts from the subset
+    without its lowest column and takes each other set bit in turn by
+    ``m & (m - 1)``, one comparison per column the subset has."""
+    better = lt if pick is min else gt
     value = [0] * (1 << k)
     for mask in range(1, 1 << k):
-        value[mask] = (pick([value[mask ^ b] for b in bits if mask & b])
-                       + phi[mask] * weights[mask.bit_count() - 1])
+        m = mask & (mask - 1)
+        best = value[m]
+        while m:
+            rest = m & (m - 1)
+            if better(v := value[mask ^ m ^ rest], best):
+                best = v
+            m = rest
+        value[mask] = best + phi[mask] * weights[mask.bit_count() - 1]
     return value
 
 
-def _tight_edges(phi: list[int], weights: list[int], value: list[int], k: int) -> list[int]:
-    """Per column c, the subsets m lacking c whose step to m|c is tight: ``value``
-    (from ``_order_value`` with min) at m plus the step's cost is ``value`` at
-    m|c.  S is a sum of per-step costs, so an order reaches the minimum exactly
-    when every step is tight."""
-    size = 1 << k
+def _tight_edges(phi: list[int], weights: list[int], value: list[int], lacks: list[int]) -> list[int]:
+    """Per column c, the subsets m lacking c (the set ``lacks[c]``) whose step
+    to m|c is tight: ``value`` (from ``_order_value`` with min) at m plus the
+    step's cost is ``value`` at m|c.  S is a sum of per-step costs, so an
+    order reaches the minimum exactly when every step is tight."""
     # the value a subset's predecessor must have for the step into it to be tight
-    before = [v - phi[m] * weights[m.bit_count() - 1] for m, v in enumerate(value)]
-    return [_bitmap([m for m in range(size) if not m & bit and value[m] == before[m | bit]], size)
-            for bit in (1 << c for c in range(k))]
+    before = list(map(sub, value, map(mul, phi, map([0, *weights].__getitem__,
+                                                    map(int.bit_count, range(len(value)))))))
+    edges = []
+    for c, lack in enumerate(lacks):
+        # one flag per m, set when value[m] is before[m + 2^c], which is before[m | c]
+        # for m lacking c; read as binary digits as ``_bitmap`` reads its flags
+        flags = bytearray(map(eq, value, before[1 << c:]))
+        flags.reverse()
+        edges.append(int(flags.translate(_DIGITS), 2) & lack)
+    return edges
 
 
 def _pareto(tables, better) -> list[tuple[int, ...]]:
@@ -354,7 +371,9 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     column subsets gives its distinct phi-at-group-width tables; those that
     cannot be extreme are pruned (S is monotone in the table) and a subset DP
     over p1's column orders runs once per kept table.  pi1 is the first order
-    whose steps are all tight in the DP of some table reaching s_min.
+    whose steps are all tight in the DP of some table reaching s_min, and pi2
+    the first representative of the tables reaching s_min with pi1, each
+    placed only until its prefix passes the least so far (``_least``).
     ``budget`` bounds the steps, counted in ``evaluations``: K * 2^K per phi
     table, the subsets the walks expand, and K1 * 2^K1 DP transitions per
     kept table and again per table reaching s_min.
@@ -378,13 +397,11 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                  f"the tight steps of {len(reaching)} tables reaching s_min")
     lattice = _Lattice(p1.k, steps)
     allowed = [lattice.every] * (p1.k + 1)
-    pi1 = _least(((lattice.positions(allowed, _tight_edges(phi1, w, v, p1.k)), (None,))
+    pi1 = _least(((lattice.positions(allowed, _tight_edges(phi1, w, v, lattice.lacks)), (None,))
                   for w, v in reaching), 1)[0][0]
     prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
-    # every table reaching s_min with pi1 has its representative rebuilt in
-    # full, so that ``evaluations`` keeps counting each of them
-    pi2 = min(tables[table] for table in tables
-              if sum(map(mul, prefix1, s_weights(table))) == s_min)
+    pi2 = _least(((tables.placed(values), (None,)) for table, values in tables.values.items()
+                  if sum(map(mul, prefix1, s_weights(table))) == s_min), 1)[0][0]
     return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
 
 
@@ -464,14 +481,20 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
     ``limit``-th full-width node, so every tie at that S is found."""
     k = prefixes.k
     least = [min(cell) for cell in prefixes.cells]
+    # the least phi per width never falls as the width grows, so max(v, m_n')
+    # is v up to the first width whose least passes v and m_n' from there: h
+    # is v times a suffix sum of w plus a suffix sum of w_n' m_n'
+    tails = [(_suffix_sums(w), _suffix_sums(list(map(mul, w, least)))) for w in weights]
 
-    def rest(w: list[int], n: int, v: int) -> int:
-        return sum(wn * max(v, m) for wn, m in zip(w[n:], least[n:]))
+    def rest(j: int, n: int, v: int) -> int:
+        total, floors = tails[j]
+        i = bisect.bisect_right(least, v, n)
+        return v * (total[n] - total[i]) + floors[i]
 
     # a node: [values, the subsets reaching them (None once expanded), its children]
     root = [(), 1, None]
     order = itertools.count()
-    heap = [(rest(w, 0, 0), next(order), 0, j, root) for j, w in enumerate(weights)]
+    heap = [(rest(j, 0, 0), next(order), 0, j, root) for j in range(len(weights))]
     heapq.heapify(heap)
     found: list[tuple] = []
     while heap and (len(found) < limit or heap[0][0] <= found[limit - 1][0]):
@@ -488,22 +511,27 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
                                   for v, cell in prefixes.cells[n].items()
                                   if (split := grown & cell)]
             node[1] = None
-        w, wn = weights[j], weights[j][n]
+        wn = weights[j][n]
         for child in children:
             v = child[0][-1]
-            heapq.heappush(heap, (g + wn * v + rest(w, n + 1, v), next(order), g + wn * v, j, child))
+            heapq.heappush(heap, (g + wn * v + rest(j, n + 1, v), next(order), g + wn * v, j, child))
     return found
+
+
+def _suffix_sums(values: list[int]) -> list[int]:
+    """``sum(values[n:])`` for n = 0..len(values)."""
+    return [*itertools.accumulate(reversed(values), initial=0)][::-1]
 
 
 def _identity_is_minimal(pda: PdaArray, widths, steps: _Steps) -> bool:
     """True iff for every width w the first w columns have the fewest codes of
     any w columns, i.e. no column order has a smaller phi(w)."""
     phi = _subset_phi(pda, steps)
-    least = [math.inf] * (pda.k + 1)
-    for mask, value in enumerate(phi):
-        n = mask.bit_count()
-        least[n] = min(least[n], value)
-    return all(phi[(1 << w) - 1] == least[w] for w in widths)
+    # the identity prefix's phi at each checked width, no floor elsewhere
+    floor = [-math.inf] * (pda.k + 1)
+    for w in widths:
+        floor[w] = phi[(1 << w) - 1]
+    return all(map(ge, phi, map(floor.__getitem__, map(int.bit_count, range(1 << pda.k)))))
 
 
 def check_E1(p1: PdaArray, budget: int = 10 ** 7) -> bool:

@@ -8,7 +8,10 @@ reorder's column order is rebuilt from each column's frozenset of codes.
 ``top_pairs_scoring_all`` is ``top_pairs`` as it was before its best-first
 walk: every class of the first array's orders, scored against every table.
 ``chain_first_order`` is ``_Lattice.first_order`` as it was before its passes
-ran inline, charging the same steps."""
+ran inline, charging the same steps.  ``order_value`` is the subset DP as it
+was before it walked each subset's own columns, ``tight_edges`` its tight
+steps tested one subset at a time, and ``least_is_identity`` the E1/E2 check
+as it was before it became one comparison per subset."""
 
 import itertools
 import math
@@ -169,6 +172,40 @@ def chain_first_order(k, allowed, edges, steps):
     for n, (below, above) in enumerate(itertools.pairwise(masks)):
         order[(above ^ below).bit_length() - 1] = n
     return tuple(order)
+
+
+def order_value(phi, weights, k, pick):
+    """Per column subset m, ``pick`` (min or max) over the orders of m's columns
+    of sum_n phi(prefix n) * weights[n-1]: every subset one column smaller is
+    listed and ``pick`` takes the extreme of their values."""
+    bits = [1 << c for c in range(k)]
+    value = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        value[mask] = (pick([value[mask ^ b] for b in bits if mask & b])
+                       + phi[mask] * weights[mask.bit_count() - 1])
+    return value
+
+
+def tight_edges(phi, weights, value, k):
+    """Per column c, the bitmap of the subsets m lacking c whose step to m|c is
+    tight under ``value`` (``order_value`` with min), tested subset by subset."""
+    edges = []
+    for c in range(k):
+        bit = 1 << c
+        edges.append(sum(1 << m for m in range(1 << k) if not m & bit
+                         and value[m] + phi[m | bit] * weights[(m | bit).bit_count() - 1]
+                         == value[m | bit]))
+    return edges
+
+
+def least_is_identity(phi, k, widths):
+    """Whether at each width w in ``widths`` the first w columns have the least
+    phi of any w columns (``phi`` indexed by column bitmask)."""
+    least = [math.inf] * (k + 1)
+    for mask, value in enumerate(phi):
+        n = mask.bit_count()
+        least[n] = min(least[n], value)
+    return all(phi[(1 << w) - 1] == least[w] for w in widths)
 
 
 def weights(table):

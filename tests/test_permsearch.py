@@ -29,7 +29,10 @@ from sppda.permsearch import (
     _Lattice,
     _Steps,
     _greedy_order,
+    _identity_is_minimal,
+    _order_value,
     _subset_phi,
+    _tight_edges,
     check_E1,
     check_E2,
     exhaustive_best,
@@ -103,7 +106,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 2426
+        assert result.evaluations == 2411
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -136,12 +139,13 @@ class TestExhaustive:
     def test_budget_counts_dp_transitions(self):
         # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
         # 6 * 2^6 for the tight steps of the one table reaching s_min, 139 subsets
-        # walked to rebuild pi1, then 109 and 108 for the two representatives of
-        # p2's tables that reach s_min with pi1
+        # walked to rebuild pi1, then 109 to place the first of p2's two tables
+        # that reach s_min with pi1 and 93 to place the second until its prefix
+        # passes the first's (108 in full)
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b2426 steps, over the budget of 2425$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2425)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2426).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b2411 steps, over the budget of 2410$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2410)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2411).s_min == 18
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
@@ -290,6 +294,34 @@ class TestTopPairs:
             if len(oracle.top_pairs_scoring_all(p1, p2, profile, limit=10 ** 9)[0]) <= 120:
                 break
         self.check(p1, p2, profile)
+
+
+class TestOrderValue:
+    """The subset DP that walks each subset's own columns against the one that
+    lists every column for each subset (``permsearch_oracle.order_value``)."""
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_matches_listing_every_column(self, k):
+        # any phi table and weights, zeros among them, as the DP assumes no order
+        rng = random.Random(k)
+        for _ in range(20):
+            phi = [rng.randint(0, 60) for _ in range(1 << k)]
+            weights = [rng.choice((0, 0, 1, 2, 7)) for _ in range(k)]
+            for pick in (min, max):
+                assert (_order_value(phi, weights, k, pick)
+                        == oracle.order_value(phi, weights, k, pick))
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_tight_edges_match_a_test_per_subset(self, k):
+        # low phi values and weights, so that many steps tie and are tight
+        rng = random.Random(k)
+        lacks = _Lattice(k, _Steps(0)).lacks
+        for _ in range(20):
+            phi = [rng.randint(0, 4) for _ in range(1 << k)]
+            weights = [rng.choice((0, 0, 1, 2)) for _ in range(k)]
+            value = oracle.order_value(phi, weights, k, min)
+            assert (_tight_edges(phi, weights, value, lacks)
+                    == oracle.tight_edges(phi, weights, value, k))
 
 
 class TestBeyondEnumeration:
@@ -480,6 +512,25 @@ class TestOrderOptimalityConditions:
             for perm in itertools.permutations(range(pda.k))
         )
         assert check_E2(pda, profile) is naive
+
+    def test_identity_check_matches_least_per_width(self):
+        # against the least phi per width (permsearch_oracle.least_is_identity):
+        # columns drawn more often the higher their index, so that the identity
+        # prefixes are often least, and widths with repeats, gaps and width 0
+        verdicts = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            k = rng.randint(1, 8)
+            pda = code_per_row_pda(k, [set(rng.choices(range(k), [(c + 1) ** 2 for c in range(k)],
+                                                       k=rng.randint(1, k)))
+                                       for _ in range(rng.randint(1, 30))])
+            widths = [rng.randint(0, k) for _ in range(rng.randint(1, 2 * k))]
+            if seed % 2:
+                widths += [0, widths[0]]
+            want = oracle.least_is_identity(oracle.subset_phi(pda), k, widths)
+            assert _identity_is_minimal(pda, widths, _Steps(10 ** 9)) is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_budget(self):
         # the subset table of 6 columns is 6 * 2^6 steps
