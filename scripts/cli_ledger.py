@@ -134,11 +134,13 @@ SESSIONS = [
         ["search", "man:4,1", "man:3,1", *SEARCH, "--budget", "-3"],
     ]),
     # the 20 smallest of this pairing's 36 class pairs tie at S = 51, so both cuts fall in a tie;
-    # --top 0 prints only exhaustive_best's extremes
+    # --top 0 prints only the extremes; under equal parts every class ties, and
+    # --top 1 prints the extremes' best pair
     ("search-ties", {}, [
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1"],
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "3"],
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "0"],
+        ["search", "consa:3,2", "man:3,1", "--profile", ",".join(["3"] * 9), "--top", "1"],
     ]),
     ("formulas", {}, [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],

@@ -291,10 +291,18 @@ def phi(array, perm: tuple[int, ...] | None = None) -> tuple[int, ...]:
     if perm is None:
         lowest = sorted(map(operator.and_, masks, map(operator.neg, masks)))
         return (0, *(bisect.bisect_left(lowest, 1 << w) for w in range(1, k + 1)))
-    every = (1 << k) - 1  # bit 0, a code in no column, keeps the transposition non-empty
-    held = _star_masks([every, *(every ^ m for m in masks)], k)  # per column, its codes' bits
+    held = _column_codes(array)
     order = sorted(range(k), key=perm.__getitem__)
     return (0, *map(int.bit_count, itertools.accumulate(map(held.__getitem__, order), operator.or_)))
+
+
+def _column_codes(array) -> tuple[int, ...]:
+    """Per 0-based column of a ``PdaArray``, the bitmask of its codes (bit e for
+    code e), transposed from ``code_columns`` as ``_star_masks`` transposes
+    rows: code e is row e + 1, its code columns the non-stars."""
+    masks, k = array.code_columns, array.k
+    every = (1 << k) - 1  # bit 0, a code in no column, keeps the transposition non-empty
+    return _star_masks([every, *(every ^ m for m in masks)], k)
 
 
 def mask_rows(mask: int) -> list[int]:

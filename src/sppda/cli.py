@@ -132,8 +132,12 @@ def cmd_search(args) -> int:
             Path(args.output).write_text(
                 "side,s_before,s_after\n" f"both,{before},{after}\n")
         return 0
-    result = permsearch.exhaustive_best(p1, p2, profile, budget=args.budget)
-    pairs = permsearch.top_pairs(p1, p2, profile, limit=args.top, budget=args.budget)
+    # one search under one budget: the extremes, and the class list on the same
+    # tables only past its first pair, which is the extremes' best pair
+    search = permsearch._Search(p1, p2, profile, args.budget)
+    permsearch._check_limit(args.top)
+    result = search.extremes()
+    pairs = search.top(args.top) if args.top > 1 else [result.best][:args.top]
     lines = ["pi1,pi2,S"]
     for pair in pairs:
         pi1 = " ".join(str(x + 1) for x in pair.pi1)

@@ -27,12 +27,15 @@ classes tie at ``top_pairs``' cut than there are slots left, only the
 lexicographically least are finished: a tied class stops being placed as
 soon as its partial pi1 passes the last pair kept (``_least``), and
 ``exhaustive_best`` picks pi1 over the tables reaching s_min, and pi2 over
-those reaching it with pi1, the same way.
+those reaching it with pi1, the same way.  Both read one pair's tables
+through ``_Search``, which builds each on first use, so a caller wanting
+both (the ``search`` command) builds and charges each once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -41,7 +44,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import eq, ge, gt, le, lt, mul, or_, sub
 
-from .arrays import AssociationProfile, ParameterError, PdaArray, check_bijection, permute_columns, phi
+from .arrays import (AssociationProfile, ParameterError, PdaArray, _column_codes, check_bijection,
+                     permute_columns, phi)
 from .construct import check_pair, s_weights
 
 
@@ -94,10 +98,7 @@ def _subset_phi(pda: PdaArray, steps: _Steps) -> list[int]:
     for mask in pda.code_columns:
         confined[mask] += 1
     lanes = int.from_bytes(struct.pack(f"<{size}Q", *confined), "little")
-    for c in range(k):
-        # the lanes lacking column c: 2^c lanes set then 2^c clear, repeated
-        run = 8 << c
-        lacks = int.from_bytes((b"\xff" * run + bytes(run)) * (size >> c + 1), "little")
+    for c, lacks in enumerate(_lacking(k, 64)):
         lanes += (lanes & lacks) << (64 << c)
     # lane m of S - lanes is phi of m's complement, so the lanes from the top
     # one down are phi in mask order
@@ -111,6 +112,19 @@ def _prefix_masks(perm: tuple[int, ...]) -> list[int]:
     for c, p in enumerate(perm):
         order[p] = 1 << c
     return [0, *itertools.accumulate(order, or_)]
+
+
+def _lacking(k: int, lane: int) -> Iterator[int]:
+    """Per column c of k, the subsets that lack c, one ``lane``-bit lane per
+    subset (lane m at bit lane * m up), all set: 2^c lanes set then 2^c
+    clear, repeated, read from one repeated byte pattern."""
+    size = lane << k
+    for c in range(k):
+        run = lane << c
+        if run >= 8:
+            yield int.from_bytes((b"\xff" * (run >> 3) + bytes(run >> 3)) * (1 << k - c - 1), "little")
+        else:  # shorter runs alternate within each byte, 0x55, 0x33 or 0x0f, cut to the lanes
+            yield int.from_bytes(bytes([0xFF // ((1 << run) + 1)]) * (size + 7 >> 3), "little") & (1 << size) - 1
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -139,10 +153,8 @@ class _Lattice:
         self.every = (1 << (1 << k)) - 1
         # subset m | c is subset m moved up 2^c bits, for m lacking column c
         self.shifts = [1 << c for c in range(k)]
-        # the subsets with column c: 2^c bits clear then 2^c set, repeated
-        self.has = [self.every // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
-                    for c in range(k)]
-        self.lacks = [self.every ^ h for h in self.has]
+        self.lacks = list(_lacking(k, 1))
+        self.has = [self.every ^ lacks for lacks in self.lacks]
 
     def grow(self, sets: int, edges: list[int]) -> int:
         """The subsets one column larger than some subset in ``sets`` along ``edges``."""
@@ -239,31 +251,33 @@ class _Lattice:
                 changed, good[n] = out != good[n], out
                 n -= 1
 
-    def first_order(self, allowed: list[int], edges: list[int]) -> tuple[int, ...]:
-        """``positions`` as a tuple."""
-        return tuple(self.positions(allowed, edges))
-
 
 class _Prefixes(_Lattice):
-    """An array's column orders keyed by their prefix phi values at ``widths``.
-    ``cells[i][v]`` is the set of subsets of the i-th smallest walked width
-    with phi value v.  ``placed`` yields the lexicographically first
-    column->position permutation with given walked values column by column
-    (``positions``, with the values' cells as the allowed subsets), and
-    ``representative`` keeps it whole."""
+    """An array's column orders keyed by their prefix phi values at ``widths``,
+    ``phi`` being its subset phi table.  ``placed`` yields the
+    lexicographically first column->position permutation with given walked
+    values column by column (``positions``, with the values' cells as the
+    allowed subsets), and ``representative`` keeps it whole."""
 
     def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
         super().__init__(k, steps)
+        self.phi = phi
         self.widths = sorted(set(widths))
         self.slot = {w: i for i, w in enumerate(self.widths)}
+        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    @functools.cached_property
+    def cells(self) -> list[dict[int, int]]:
+        """``cells[i][v]``: the set of subsets of the i-th smallest walked width
+        with phi value v."""
         members: dict[tuple[int, int], list[int]] = {}
-        for m, v in enumerate(phi):
+        for m, v in enumerate(self.phi):
             if (n := m.bit_count()) in self.slot:
                 members.setdefault((n, v), []).append(m)
-        self.cells: list[dict[int, int]] = [{} for _ in self.widths]
+        cells: list[dict[int, int]] = [{} for _ in self.widths]
         for (n, v), ms in members.items():
-            self.cells[self.slot[n]][v] = _bitmap(ms, 1 << k)
-        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
+            cells[self.slot[n]][v] = _bitmap(ms, 1 << self.k)
+        return cells
 
     def placed(self, values: tuple[int, ...]) -> Iterator[int]:
         """The first order with walked ``values``, column by column: read back
@@ -363,6 +377,74 @@ def _pareto(tables, better) -> list[tuple[int, ...]]:
     return kept
 
 
+class _Search:
+    """One pair's search under one budget.  p1's column orders over its phi
+    table (``prefixes``) and p2's classes at the group widths (``tables``)
+    are each built, and charged to ``steps``, on first use, so ``extremes``
+    and ``top`` on one search share them."""
+
+    def __init__(self, p1: PdaArray, p2: PdaArray, profile: AssociationProfile, budget: int):
+        self.steps = _Steps(budget)
+        check_pair(p1, p2, profile)
+        self.p1, self.p2, self.profile = p1, p2, profile
+
+    @functools.cached_property
+    def prefixes(self) -> _Prefixes:
+        return _Prefixes(_subset_phi(self.p1, self.steps), self.p1.k, range(1, self.p1.k + 1), self.steps)
+
+    @functools.cached_property
+    def tables(self) -> _Classes:
+        return _Classes(_subset_phi(self.p2, self.steps), self.p2.k, self.profile.parts, self.steps)
+
+    def extremes(self) -> SearchResult:
+        """``exhaustive_best``'s result."""
+        steps, tables = self.steps, self.tables
+        lows = _pareto(sorted(tables), le)
+        highs = _pareto(sorted(tables, reverse=True), ge)
+        prefixes = self.prefixes
+        phi1, k1 = prefixes.phi, prefixes.k
+        steps.charge((len(lows) + len(highs)) * k1 * (1 << k1),
+                     f"a {2 ** k1}-subset DP for each of {len(lows) + len(highs)} tables")
+
+        low_weights = [s_weights(t) for t in lows]
+        low_values = [_order_value(phi1, w, k1, min) for w in low_weights]
+        s_min = min(v[-1] for v in low_values)
+        s_max = max(_order_value(phi1, s_weights(t), k1, max)[-1] for t in highs)
+
+        reaching = [(w, v) for w, v in zip(low_weights, low_values) if v[-1] == s_min]
+        steps.charge(len(reaching) * k1 * (1 << k1),
+                     f"the tight steps of {len(reaching)} tables reaching s_min")
+        allowed = [prefixes.every] * (k1 + 1)
+        pi1 = _least(((prefixes.positions(allowed, _tight_edges(phi1, w, v, prefixes.lacks)), (None,))
+                      for w, v in reaching), 1)[0][0]
+        prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
+        pi2 = _least(((tables.placed(values), (None,)) for table, values in tables.values.items()
+                      if sum(map(mul, prefix1, s_weights(table))) == s_min), 1)[0][0]
+        return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
+
+    def top(self, limit: int) -> list[PermutationPair]:
+        """``top_pairs``' pairs for a ``limit`` of at least 1."""
+        prefixes, tables = self.prefixes, self.tables
+        keys = list(tables)
+        found = _lowest(prefixes, [s_weights(key) for key in keys], limit)
+        cut = found[-1][0]
+        pairs, tied = [], {}
+        for s, values, j in found:
+            if s < cut:
+                pairs.append(PermutationPair(prefixes.representative(values), tables[keys[j]], s))
+            else:
+                tied.setdefault(values, []).append(j)
+        pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
+        kept = _least(((prefixes.placed(values), (tables[keys[j]] for j in js))
+                       for values, js in tied.items()), limit - len(pairs))
+        return [*pairs, *(PermutationPair(pi1, pi2, cut) for pi1, pi2 in kept)]
+
+
+def _check_limit(limit: int) -> None:
+    if limit < 0:
+        raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
+
+
 def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
                     budget: int = 10 ** 7) -> SearchResult:
     """Exact min and max of S over all column-permutation pairs.
@@ -378,64 +460,26 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     table, the subsets the walks expand, and K1 * 2^K1 DP transitions per
     kept table and again per table reaching s_min.
     """
-    steps = _Steps(budget)
-    check_pair(p1, p2, profile)
-    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
-    lows = _pareto(sorted(tables), le)
-    highs = _pareto(sorted(tables, reverse=True), ge)
-    phi1 = _subset_phi(p1, steps)
-    steps.charge((len(lows) + len(highs)) * p1.k * (1 << p1.k),
-                 f"a {2 ** p1.k}-subset DP for each of {len(lows) + len(highs)} tables")
-
-    low_weights = [s_weights(t) for t in lows]
-    low_values = [_order_value(phi1, w, p1.k, min) for w in low_weights]
-    s_min = min(v[-1] for v in low_values)
-    s_max = max(_order_value(phi1, s_weights(t), p1.k, max)[-1] for t in highs)
-
-    reaching = [(w, v) for w, v in zip(low_weights, low_values) if v[-1] == s_min]
-    steps.charge(len(reaching) * p1.k * (1 << p1.k),
-                 f"the tight steps of {len(reaching)} tables reaching s_min")
-    lattice = _Lattice(p1.k, steps)
-    allowed = [lattice.every] * (p1.k + 1)
-    pi1 = _least(((lattice.positions(allowed, _tight_edges(phi1, w, v, lattice.lacks)), (None,))
-                  for w, v in reaching), 1)[0][0]
-    prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
-    pi2 = _least(((tables.placed(values), (None,)) for table, values in tables.values.items()
-                  if sum(map(mul, prefix1, s_weights(table))) == s_min), 1)[0][0]
-    return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
+    return _Search(p1, p2, profile, budget).extremes()
 
 
 def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
               limit: int = 10, budget: int = 10 ** 7) -> list[PermutationPair]:
     """The ``limit`` smallest-S permutation pairs (class representatives),
-    ordered by (S, pi1, pi2).  A walk over p2's column subsets gives its
-    distinct phi tables, and a best-first walk over p1's (``_lowest``) gives
-    the pairs up to the ``limit``-th S, ties included.  Representatives are
-    rebuilt for the pairs below that S, and of the pairs tied at it only the
-    lexicographically least that fill the slots left are finished
-    (``_least``).  ``budget`` bounds the steps: K * 2^K per phi table and the
-    subsets the walks expand."""
-    steps = _Steps(budget)
-    check_pair(p1, p2, profile)
-    if limit < 0:
-        raise ParameterError(f"top_pairs limit must be >= 0, got {limit}")
-    if limit == 0:
-        return []
-    prefixes = _Prefixes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
-    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
-    keys = list(tables)
-    found = _lowest(prefixes, [s_weights(key) for key in keys], limit)
-    cut = found[-1][0]
-    pairs, tied = [], {}
-    for s, values, j in found:
-        if s < cut:
-            pairs.append(PermutationPair(prefixes.representative(values), tables[keys[j]], s))
-        else:
-            tied.setdefault(values, []).append(j)
-    pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
-    kept = _least(((prefixes.placed(values), (tables[keys[j]] for j in js))
-                   for values, js in tied.items()), limit - len(pairs))
-    return [*pairs, *(PermutationPair(pi1, pi2, cut) for pi1, pi2 in kept)]
+    ordered by (S, pi1, pi2); the first is ``exhaustive_best(...).best``.  A
+    walk over p2's column subsets gives its distinct phi tables, and a
+    best-first walk over p1's (``_lowest``) gives the pairs up to the
+    ``limit``-th S, ties included.  Representatives are rebuilt for the pairs
+    below that S, and of the pairs tied at it only the lexicographically
+    least that fill the slots left are finished (``_least``).  ``budget``
+    bounds the steps: K * 2^K per phi table and the subsets the walks
+    expand.  So the cost grows with the classes tied at the cut: under a
+    profile of equal parts every class ties, and even ``limit=1`` walks
+    them all (``exhaustive_best`` gives that pair at a cost that ties do
+    not change)."""
+    search = _Search(p1, p2, profile, budget)
+    _check_limit(limit)
+    return search.top(limit) if limit else []
 
 
 def _least(candidates: Iterable[tuple[Iterator[int], Iterable]], need: int) -> list[tuple]:
@@ -582,10 +626,9 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
 
 def _greedy_order(pda: PdaArray) -> tuple[int, ...]:
     """The greedy column order as a permutation: per 0-based column the
-    bitmask of its codes (bit s-1 for code s: ``_bitmap`` sets bit s, and the
-    shift drops bit 0, the stars), then repeatedly the column with the fewest
-    codes not yet seen, ties to the lowest index."""
-    cols = [_bitmap(col, pda.s + 1) >> 1 for col in zip(*pda.grid)]
+    bitmask of its codes (``arrays._column_codes``), then repeatedly the
+    column with the fewest codes not yet seen, ties to the lowest index."""
+    cols = _column_codes(pda)
     remaining = list(range(pda.k))
     seen = 0
     perm = [0] * pda.k

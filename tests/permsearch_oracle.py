@@ -7,11 +7,12 @@ a time with a constrained subset DP per tried position.  The greedy
 reorder's column order is rebuilt from each column's frozenset of codes.
 ``top_pairs_scoring_all`` is ``top_pairs`` as it was before its best-first
 walk: every class of the first array's orders, scored against every table.
-``chain_first_order`` is ``_Lattice.first_order`` as it was before its passes
+``chain_first_order`` is ``_Lattice.positions`` as it was before its passes
 ran inline, charging the same steps.  ``order_value`` is the subset DP as it
 was before it walked each subset's own columns, ``tight_edges`` its tight
 steps tested one subset at a time, and ``least_is_identity`` the E1/E2 check
-as it was before it became one comparison per subset."""
+as it was before it became one comparison per subset.  ``lacking`` is the
+subsets lacking a column, by the big-int division the lattice masks used."""
 
 import itertools
 import math
@@ -112,6 +113,16 @@ def subset_phi(pda):
     return [sum(1 for c in cols if any(mask >> col & 1 for col in c)) for mask in range(1 << pda.k)]
 
 
+def lacking(c, k, lane):
+    """The subsets of k columns lacking column c, one ``lane``-bit lane per
+    subset, all set: 2^c lanes set then 2^c clear, repeated, placed by one
+    big-int division, as ``_Lattice`` built its masks before they were read
+    from repeated byte patterns."""
+    every = (1 << (lane << k)) - 1
+    run = lane << c
+    return every // ((1 << 2 * run) - 1) * ((1 << run) - 1)
+
+
 def first_order(k, allowed, edges):
     """The lexicographically first column->position permutation whose prefix of
     each width n is in the set ``allowed[n]`` and that grows by each column c
@@ -126,7 +137,7 @@ def first_order(k, allowed, edges):
 
 
 def chain_first_order(k, allowed, edges, steps):
-    """``_Lattice.first_order`` as it was before its placements ran inline: the
+    """``_Lattice.positions`` as it was before its placements ran inline: the
     same order, charging ``steps`` the same subsets.  Sets of subsets are ints
     with bit m for subset m; ``edges[c]`` holds subsets lacking column c."""
     what = f"walking the {2 ** k}-subset lattice"

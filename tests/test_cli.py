@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sppda import cli
+from sppda import cli, permsearch
 from sppda.cli import main
 from sppda.construct import construct_sppda
 from sppda.textio import parse_sppda, sppda_to_json, write_pda, write_sppda
@@ -310,6 +310,66 @@ class TestSearch:
         assert main(["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_search_matches_the_separate_calls(self, tmp_path, capsys, seed):
+        # at every --top from 0 to past the class pairs: the pairs of top_pairs and
+        # the extremes of exhaustive_best, though the command runs one search;
+        # redrawn until there are 3 to 60 class pairs, so --top 2 and up walk classes
+        rng = random.Random(seed)
+        while True:
+            p1, p2 = random_pda(rng, max_cols=8, max_rows=20), random_pda(rng, max_cols=8, max_rows=20)
+            profile = random_profile(rng, p1.k, p2.k)
+            everything = permsearch.top_pairs(p1, p2, profile, limit=10 ** 6)
+            if 3 <= len(everything) <= 60:
+                break
+        (tmp_path / "p1.pda").write_text(write_pda(p1))
+        (tmp_path / "p2.pda").write_text(write_pda(p2))
+        result = permsearch.exhaustive_best(p1, p2, profile)
+        for top in range(len(everything) + 2):
+            assert main(["search", str(tmp_path / "p1.pda"), str(tmp_path / "p2.pda"), "--profile",
+                         ",".join(map(str, profile.parts)), "--top", str(top)]) == 0
+            rows = [f"{' '.join(str(x + 1) for x in pair.pi1)},{' '.join(str(x + 1) for x in pair.pi2)},"
+                    f"{pair.s_value}" for pair in permsearch.top_pairs(p1, p2, profile, limit=top)]
+            assert capsys.readouterr().out == "\n".join(
+                ["pi1,pi2,S", *rows, f"s_min,,{result.s_min}", f"s_max,,{result.s_max}", ""])
+
+    @pytest.mark.parametrize("top", ["0", "1", "3"])
+    def test_tables_built_once(self, monkeypatch, capsys, top):
+        # one phi table per array, whichever pairs are printed
+        calls = []
+
+        def counted(pda, steps):
+            calls.append(pda.k)
+            return subset_phi(pda, steps)
+
+        subset_phi = permsearch._subset_phi
+        monkeypatch.setattr(permsearch, "_subset_phi", counted)
+        assert main(["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1",
+                     "--top", top]) == 0
+        assert calls == [3, 9]
+
+    def test_one_budget(self, tmp_path, capsys):
+        # 2997 steps: exhaustive_best's 2411 (test_permsearch's
+        # test_budget_counts_dp_transitions), then top_pairs' own 586 on the same
+        # tables, the 78 subsets its best-first walk expands and 508 to place
+        # the three pairs' orders; the two 384-step phi tables and the 150
+        # subsets of p2's class walk are counted once, not again for top_pairs
+        p1 = tmp_path / "p1.pda"
+        p1.write_text(write_pda(PdaArray.from_grid(WIDE_P1)))
+        p2 = tmp_path / "p2.pda"
+        p2.write_text(write_pda(PdaArray.from_grid(WIDE_P2)))
+        argv = ["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "3"]
+        assert main([*argv, "--budget", "2997"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["s_min,,18", "s_max,,24"]
+        assert main([*argv, "--budget", "2996"]) == 2
+        assert capsys.readouterr().err.endswith(" 2997 steps, over the budget of 2996\n")
+
+    def test_negative_top(self, capsys):
+        # refused before any step, so not reported as the budget it would pass
+        assert main(["search", "man:4,1", "man:3,1", "--profile", "3,2,2,1",
+                     "--top", "-1", "--budget", "0"]) == 2
+        assert capsys.readouterr().err == "error: top_pairs limit must be >= 0, got -1\n"
 
     def test_greedy(self, capsys):
         assert main(["search", "man:3,1", "man:3,1", "--profile", "3,2,1",

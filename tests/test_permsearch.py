@@ -30,6 +30,7 @@ from sppda.permsearch import (
     _Steps,
     _greedy_order,
     _identity_is_minimal,
+    _lacking,
     _order_value,
     _subset_phi,
     _tight_edges,
@@ -175,6 +176,17 @@ class TestExhaustive:
         assert (result.s_min, result.s_max) == (1152, 1152)
         assert result.best == PermutationPair(tuple(range(16)), (0, 1, 2, 3), 1152)
         assert result.evaluations == 4391031
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_top_pair_is_the_best(self, rng):
+        # the least optimal pi1 is its own class's representative, and pi2 the
+        # least representative reaching s_min with it, so top_pairs' first pair
+        # is exhaustive_best's, which the search command prints for --top 1
+        p1 = random_pda(rng, max_cols=8, max_rows=20)
+        p2 = random_pda(rng, max_cols=8, max_rows=20)
+        profile = random_profile(rng, p1.k, p2.k)
+        assert top_pairs(p1, p2, profile, limit=1) == [exhaustive_best(p1, p2, profile).best]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -396,8 +408,19 @@ class TestSubsetPhi:
         assert phi == [0, 30000, 30000, 60000, 30000, 60000, 40000, 70000]
 
 
+class TestLacking:
+    """The subsets lacking a column, from repeated byte patterns, against the
+    big-int division (``permsearch_oracle.lacking``), for the lattice's
+    one-bit lanes and the phi table's 64-bit lanes."""
+
+    @pytest.mark.parametrize("lane, ks", [(1, [*range(13), 16]), (64, range(11))])
+    def test_matches_the_division(self, lane, ks):
+        for k in ks:
+            assert list(_lacking(k, lane)) == [oracle.lacking(c, k, lane) for c in range(k)]
+
+
 def random_constraints(rng, k):
-    """Random ``allowed`` and ``edges`` for ``_Lattice.first_order``: per width
+    """Random ``allowed`` and ``edges`` for ``_Lattice.positions``: per width
     any subsets, per column c only subsets lacking c, each kept with one
     probability drawn per instance."""
     keep = rng.choice((0.5, 0.7, 0.9))
@@ -422,7 +445,7 @@ class TestLattice:
         k = rng.randint(1, 6)
         while (want := oracle.first_order(k, *(constraints := random_constraints(rng, k)))) is None:
             pass
-        assert _Lattice(k, _Steps(10 ** 9)).first_order(*constraints) == want
+        assert tuple(_Lattice(k, _Steps(10 ** 9)).positions(*constraints)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32))
@@ -441,7 +464,7 @@ class TestLattice:
                 break
         want_steps, got_steps = _Steps(10 ** 9), _Steps(10 ** 9)
         want = oracle.chain_first_order(k, allowed, edges, want_steps)
-        assert _Lattice(k, got_steps).first_order(allowed, edges) == want
+        assert tuple(_Lattice(k, got_steps).positions(allowed, edges)) == want
         assert got_steps.count == want_steps.count
 
 
