@@ -16,7 +16,7 @@ uniform 3^8 and the skewed profile at M_h/N = 1/2 and 1/4, every t2;
 ``exhaustive_s`` and ``top_pairs_s``, ``permsearch.exhaustive_best`` and
 ``permsearch.top_pairs`` of MaN(16,2) and MaN(3,1) under the profile
 3,3,3,2,2,2,2,1,1,1,1,1,1,1,1,1, the two halves of the README's
-``sppda search`` example, so that the subset DP's share shows.  It also
+``sppda search`` example, so that the exact extremes' share shows.  It also
 prints ``gc_collections``, the collections of each generation during one
 pipeline, counted with ``gc.callbacks``.  It reports only and sets no time
 limit.

@@ -10,20 +10,26 @@ distinct codes in the columns of ``mask`` (bit c for 0-based column c), from
 one sum-over-subsets pass run on the 64-bit lanes of a single int.  The
 count S of a pairing is sum_n phi1(n) (a_n - a_{n+1}), a_n = phi2(L_n),
 a_{Lambda+1} = 0 (``construct.s_from_phi``; in the families' canonical
-orders phi(w) is C(k, t+1) - C(k-w, t+1) for MaN(k, t) and
-q^{m-1}(q-1) min(w, q) for ConstructionA(q, m)).  The weights of the first
-array's prefix phi values are non-negative, and a prefix's phi depends only
-on its set of columns, so the best column order is a shortest path over the
-2^K column subsets (Held-Karp).  The distinct prefix values that an array's
-orders can take come from a walk up the same subset lattice (``_Classes``),
-so no search enumerates the K! orders.  ``top_pairs`` walks the first
-array's prefix values best first (A*, ``_lowest``), under a bound that
-never overestimates since phi never falls along a chain and the weights are
-non-negative, so it walks only the classes that can make its cut.  One chain walk
-(``_Lattice.positions``) turns constraints on subsets and steps into the
-lexicographically first order, one column's position at a time, for a class
-representative and for the best order along the DP's tight steps.  When more
-classes tie at ``top_pairs``' cut than there are slots left, only the
+orders phi(w) is C(k, t+1) - C(k-w, t+1) for MaN(k, t) and q^{m-1}(q-1)
+min(w, q) for ConstructionA(q, m)).  The weights of the first array's prefix
+phi values are non-negative, so with one table S is at least the weighted
+sum of the least phi per width; ``exhaustive_best`` takes that bound where a
+chain of least-phi prefixes reaches it (``_Lattice.up``), and otherwise the
+shortest path over the 2^K column subsets (Held-Karp), as a prefix's phi
+depends only on its set of columns.  The distinct prefix values that an
+array's orders can take come from a walk up the same subset lattice
+(``_Classes``), so no search enumerates the K! orders.  ``top_pairs`` walks
+the first array's prefix values best first (A*, ``_lowest``), under a bound
+that never overestimates since phi never falls along a chain and the weights
+are non-negative, so it walks only the classes that can make its cut.  The
+budget (default 10^7 steps) is charged K * 2^K per phi table, one step per
+subset a walk expands and K1 * 2^K1 per DP run, whichever path answers: a
+first array of 20 columns needs a larger budget, its phi table alone being
+20 * 2^20 steps.  One chain walk (``_Lattice.positions``) turns constraints
+on subsets and steps into the lexicographically first order, one column's
+position at a time, for a class representative and for the best order,
+through least-phi subsets or along the DP's tight steps.  When more classes
+tie at ``top_pairs``' cut than there are slots left, only the
 lexicographically least are finished: a tied class stops being placed as
 soon as its partial pi1 passes the last pair kept (``_least``), and
 ``exhaustive_best`` picks pi1 over the tables reaching s_min, and pi2 over
@@ -42,7 +48,7 @@ import math
 import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from operator import eq, ge, gt, le, lt, mul, or_, sub
+from operator import eq, ge, gt, lt, mul, or_, sub
 
 from .arrays import (AssociationProfile, ParameterError, PdaArray, _column_codes, check_bijection,
                      permute_columns, phi)
@@ -98,7 +104,7 @@ def _subset_phi(pda: PdaArray, steps: _Steps) -> list[int]:
     for mask in pda.code_columns:
         confined[mask] += 1
     lanes = int.from_bytes(struct.pack(f"<{size}Q", *confined), "little")
-    for c, lacks in enumerate(_lacking(k, 64)):
+    for c, lacks in zip(range(k - 1, -1, -1), _lacking(k, 64)):
         lanes += (lanes & lacks) << (64 << c)
     # lane m of S - lanes is phi of m's complement, so the lanes from the top
     # one down are phi in mask order
@@ -115,29 +121,37 @@ def _prefix_masks(perm: tuple[int, ...]) -> list[int]:
 
 
 def _lacking(k: int, lane: int) -> Iterator[int]:
-    """Per column c of k, the subsets that lack c, one ``lane``-bit lane per
-    subset (lane m at bit lane * m up), all set: 2^c lanes set then 2^c
-    clear, repeated, read from one repeated byte pattern."""
-    size = lane << k
-    for c in range(k):
-        run = lane << c
-        if run >= 8:
-            yield int.from_bytes((b"\xff" * (run >> 3) + bytes(run >> 3)) * (1 << k - c - 1), "little")
-        else:  # shorter runs alternate within each byte, 0x55, 0x33 or 0x0f, cut to the lanes
-            yield int.from_bytes(bytes([0xFF // ((1 << run) + 1)]) * (size + 7 >> 3), "little") & (1 << size) - 1
+    """Per column c of k, from c = k - 1 down to 0, the subsets that lack c,
+    one ``lane``-bit lane per subset (lane m at bit lane * m up), all set:
+    2^c lanes set then 2^c clear, repeated.  Column k - 1's is the lower
+    half of the lanes, and each next one is the last XOR itself moved up
+    2^c lanes, which clears the upper half of each set run and sets the
+    lower half of each clear one."""
+    if not k:
+        return
+    lacks = (1 << (lane << k - 1)) - 1
+    yield lacks
+    for c in range(k - 2, -1, -1):
+        lacks ^= lacks << (lane << c)
+        yield lacks
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
+def _bits(flags: bytearray) -> int:
+    """The int with bit m set where ``flags[m]`` is 1 (each flag 0 or 1): the
+    flag bytes, reversed in place, read as binary digits."""
+    flags.reverse()
+    return int(flags.translate(_DIGITS), 2)
+
+
 def _bitmap(members: Iterable[int], size: int) -> int:
-    """The int with bit m set for each m in ``members`` (all below ``size``):
-    one 0/1 flag byte per bit, reversed and read as binary digits."""
+    """The int with bit m set for each m in ``members`` (all below ``size``)."""
     flags = bytearray(size)
     for m in members:
         flags[m] = 1
-    flags.reverse()
-    return int(flags.translate(_DIGITS), 2)
+    return _bits(flags)
 
 
 class _Lattice:
@@ -153,7 +167,7 @@ class _Lattice:
         self.every = (1 << (1 << k)) - 1
         # subset m | c is subset m moved up 2^c bits, for m lacking column c
         self.shifts = [1 << c for c in range(k)]
-        self.lacks = list(_lacking(k, 1))
+        self.lacks = [*_lacking(k, 1)][::-1]
         self.has = [self.every ^ lacks for lacks in self.lacks]
 
     def grow(self, sets: int, edges: list[int]) -> int:
@@ -164,15 +178,26 @@ class _Lattice:
             out |= (sets & grows) << shift
         return out
 
-    def positions(self, allowed: list[int], edges: list[int]) -> Iterator[int]:
-        """The lexicographically first column->position permutation whose chain of
-        prefixes keeps to ``allowed`` and ``edges``, yielded column by column as
-        each position is fixed: each column in turn takes the smallest position
-        at which it enters such a chain that places the earlier columns where
-        they were put.  The constraints are all on single subsets and steps, so
-        a step between two subsets on such chains lies on one.
+    def up(self, allowed: list[int], edges: list[int]) -> list[int]:
+        """Per width n, the subsets in ``allowed[n]`` that a chain keeping to
+        ``allowed`` and ``edges`` reaches from no column; the last is empty
+        exactly when no such chain exists."""
+        reached = [allowed[0] & 1]
+        for sets in allowed[1:]:
+            reached.append(self.grow(reached[-1], edges) & sets)
+        return reached
 
-        ``good[n]`` is the set of width-n subsets on such chains: a pass up
+    def positions(self, good: list[int], edges: list[int]) -> Iterator[int]:
+        """The lexicographically first column->position permutation whose chain of
+        prefixes keeps to some ``allowed`` and ``edges``, given ``good``, the pass
+        up ``up(allowed, edges)``, which it takes over; yielded column by column
+        as each position is fixed: each column in turn takes the smallest
+        position at which it enters such a chain that places the earlier
+        columns where they were put.  The constraints are all on single subsets
+        and steps, so a step between two subsets on such chains lies on one.
+        Nothing is yielded when no chain exists.
+
+        ``good[n]`` is the set of width-n subsets on such chains: the pass up
         keeps the subsets reached from no column, and a pass down those that
         reach all columns.  No good subset of width up to p has column c when
         p is c's position, as its chain would have entered c below p, so p is
@@ -189,16 +214,10 @@ class _Lattice:
         a single chain, that chain gives the remaining positions.
 
         Each grow or shrink charges ``steps`` one step per subset it expands."""
+        if not good[-1]:
+            return
         k, what, charge = self.k, self.what, self.steps.charge
         moves = list(zip(self.shifts, edges))
-        good = [allowed[0] & 1]
-        for n in range(1, k + 1):
-            sets = good[-1]
-            charge(sets.bit_count(), what)
-            out = 0
-            for shift, grows in moves:
-                out |= (sets & grows) << shift
-            good.append(out & allowed[n])
         # the number of good subsets at each width, kept to spot a single chain
         counts = [1] * (k + 1)
         for n in range(k - 1, -1, -1):
@@ -287,7 +306,7 @@ class _Prefixes(_Lattice):
         allowed = [self.every] * (self.k + 1)
         for n, cell, v in zip(self.widths, self.cells, values):
             allowed[n] = cell[v]
-        return self.positions(allowed, self.lacks)
+        return self.positions(self.up(allowed, self.lacks), self.lacks)
 
     def representative(self, values: tuple[int, ...]) -> tuple[int, ...]:
         if values not in self.first:
@@ -359,22 +378,9 @@ def _tight_edges(phi: list[int], weights: list[int], value: list[int], lacks: li
     edges = []
     for c, lack in enumerate(lacks):
         # one flag per m, set when value[m] is before[m + 2^c], which is before[m | c]
-        # for m lacking c; read as binary digits as ``_bitmap`` reads its flags
-        flags = bytearray(map(eq, value, before[1 << c:]))
-        flags.reverse()
-        edges.append(int(flags.translate(_DIGITS), 2) & lack)
+        # for m lacking c
+        edges.append(_bits(bytearray(map(eq, value, before[1 << c:]))) & lack)
     return edges
-
-
-def _pareto(tables, better) -> list[tuple[int, ...]]:
-    """The tables that no other table matches or beats componentwise under
-    ``better`` (``le`` or ``ge``).  ``tables`` must list a table before those it
-    dominates, as sorting does (descending for ``ge``)."""
-    kept: list[tuple[int, ...]] = []
-    for table in tables:
-        if not any(all(map(better, u, table)) for u in kept):
-            kept.append(table)
-    return kept
 
 
 class _Search:
@@ -398,32 +404,75 @@ class _Search:
 
     def extremes(self) -> SearchResult:
         """``exhaustive_best``'s result."""
-        steps, tables = self.steps, self.tables
-        lows = _pareto(sorted(tables), le)
-        highs = _pareto(sorted(tables, reverse=True), ge)
-        prefixes = self.prefixes
-        phi1, k1 = prefixes.phi, prefixes.k
-        steps.charge((len(lows) + len(highs)) * k1 * (1 << k1),
-                     f"a {2 ** k1}-subset DP for each of {len(lows) + len(highs)} tables")
-
-        low_weights = [s_weights(t) for t in lows]
-        low_values = [_order_value(phi1, w, k1, min) for w in low_weights]
-        s_min = min(v[-1] for v in low_values)
-        s_max = max(_order_value(phi1, s_weights(t), k1, max)[-1] for t in highs)
-
-        reaching = [(w, v) for w, v in zip(low_weights, low_values) if v[-1] == s_min]
-        steps.charge(len(reaching) * k1 * (1 << k1),
-                     f"the tight steps of {len(reaching)} tables reaching s_min")
-        allowed = [prefixes.every] * (k1 + 1)
-        pi1 = _least(((prefixes.positions(allowed, _tight_edges(phi1, w, v, prefixes.lacks)), (None,))
-                      for w, v in reaching), 1)[0][0]
+        tables, phi1 = self.tables, self.prefixes.phi
+        weights = {table: s_weights(table) for table in tables}
+        # p1's subsets, and their phi, at each width that some table weighs
+        columns = [1 << c for c in range(self.prefixes.k)]
+        widths = {}
+        for n in sorted({n for w in weights.values() for n, wn in enumerate(w, 1) if wn}):
+            masks = list(map(sum, itertools.combinations(columns, n)))
+            widths[n] = masks, list(map(phi1.__getitem__, masks))
+        s_min, orders = self._extreme(weights, widths, min)
+        s_max, _ = self._extreme(weights, widths, max)
+        pi1 = _least(((order(), (None,)) for order in orders), 1)[0][0]
         prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
         pi2 = _least(((tables.placed(values), (None,)) for table, values in tables.values.items()
-                      if sum(map(mul, prefix1, s_weights(table))) == s_min), 1)[0][0]
-        return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, steps.count)
+                      if sum(map(mul, prefix1, weights[table])) == s_min), 1)[0][0]
+        return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, self.steps.count)
+
+    def _extreme(self, weights: dict, widths: dict, pick) -> tuple[int, list]:
+        """``pick`` (min or max) of S over all pairs, and per table reaching it
+        a callable giving the first of p1's orders that reach it with that
+        table, column by column (``positions``); ``widths`` maps each width
+        that some table weighs to p1's subsets of that width and their phi.
+
+        ``floor[n]`` is ``pick`` of phi over p1's width-n subsets.  A table's
+        S is sum_n w_n phi1(n) with w_n >= 0, so it is no better than its
+        bound sum_n w_n floor[n], and reaches the bound exactly when its chain
+        passes, at each width of positive weight, a subset whose phi is that
+        width's floor: the pass up over those subsets finds whether one does.
+        Tables are visited best bound first until a bound is past the best S
+        reached, and a table with no such chain takes the subset DP."""
+        prefixes, steps = self.prefixes, self.steps
+        phi1, k1, every, lacks = prefixes.phi, prefixes.k, prefixes.every, prefixes.lacks
+        floor = [0] * (k1 + 1)  # no width that no table weighs needs one
+        for n, (_, values) in widths.items():
+            floor[n] = pick(values)
+        at_floor = _bitmap(itertools.chain.from_iterable(
+            itertools.compress(masks, map(floor[n].__eq__, values)) for n, (masks, values) in widths.items()),
+            1 << k1)
+        bound = {table: sum(map(mul, w, floor[1:])) for table, w in weights.items()}
+        sign = 1 if pick is min else -1
+        best, reaching = 0, []
+        for table in sorted(sorted(bound), key=lambda t: sign * bound[t]):
+            if reaching and sign * bound[table] > sign * best:
+                break
+            w = weights[table]
+            good = prefixes.up([every, *(at_floor if wn else every for wn in w)], lacks)
+            if good[-1]:
+                s, order = bound[table], functools.partial(prefixes.positions, good, lacks)
+            else:
+                steps.charge(k1 << k1, f"a {2 ** k1}-subset DP")
+                value = _order_value(phi1, w, k1, pick)
+                s, order = value[-1], functools.partial(self._tight_order, w, value)
+            if not reaching or sign * s < sign * best:
+                best, reaching = s, []
+            if s == best:
+                reaching.append(order)
+        return best, reaching
+
+    def _tight_order(self, weights: list[int], value: list[int]) -> Iterator[int]:
+        """The first of p1's orders whose steps are all tight in the DP
+        ``value`` (``_order_value`` with min under ``weights``)."""
+        prefixes = self.prefixes
+        k1 = prefixes.k
+        self.steps.charge(k1 << k1, f"the tight steps of a {2 ** k1}-subset DP")
+        edges = _tight_edges(prefixes.phi, weights, value, prefixes.lacks)
+        return prefixes.positions(prefixes.up([prefixes.every] * (k1 + 1), edges), edges)
 
     def top(self, limit: int) -> list[PermutationPair]:
-        """``top_pairs``' pairs for a ``limit`` of at least 1."""
+        """The best-first walk's ``limit`` least pairs, for a ``limit`` of at
+        least 1: ``top_pairs``' pairs for a limit above 1."""
         prefixes, tables = self.prefixes, self.tables
         keys = list(tables)
         found = _lowest(prefixes, [s_weights(key) for key in keys], limit)
@@ -450,15 +499,22 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     """Exact min and max of S over all column-permutation pairs.
 
     Ties go to the lexicographically smallest (pi1, pi2).  A walk over p2's
-    column subsets gives its distinct phi-at-group-width tables; those that
-    cannot be extreme are pruned (S is monotone in the table) and a subset DP
-    over p1's column orders runs once per kept table.  pi1 is the first order
-    whose steps are all tight in the DP of some table reaching s_min, and pi2
-    the first representative of the tables reaching s_min with pi1, each
-    placed only until its prefix passes the least so far (``_least``).
-    ``budget`` bounds the steps, counted in ``evaluations``: K * 2^K per phi
-    table, the subsets the walks expand, and K1 * 2^K1 DP transitions per
-    kept table and again per table reaching s_min.
+    column subsets gives its distinct phi-at-group-width tables.  S with a
+    table is at least sum_n w_n least_n, least_n being the least phi over
+    p1's width-n subsets, and reaches it exactly when a chain of p1's
+    prefixes passes least-phi subsets at the widths of positive weight.  The
+    tables are visited in order of that bound until it passes the least S
+    reached; one pass up p1's subset lattice tests each for such a chain, and
+    a subset DP over p1's column orders runs only for a table with none.
+    s_max is found the same way from the largest phi per width.  pi1 is the
+    first order on such a chain (or whose steps are all tight in the DP) of
+    some table reaching s_min, and pi2 the first representative of the
+    tables reaching s_min with pi1, each placed only until its prefix passes
+    the least so far (``_least``).  ``budget`` bounds the steps, counted in
+    ``evaluations``: K * 2^K per phi table, the subsets the walks expand, and
+    K1 * 2^K1 per DP run and again for the tight steps of each such table
+    reaching s_min, whichever path answers; a 20-column p1, whose phi table
+    alone is 20 * 2^20 steps, needs more than the default.
     """
     return _Search(p1, p2, profile, budget).extremes()
 
@@ -466,19 +522,20 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
 def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
               limit: int = 10, budget: int = 10 ** 7) -> list[PermutationPair]:
     """The ``limit`` smallest-S permutation pairs (class representatives),
-    ordered by (S, pi1, pi2); the first is ``exhaustive_best(...).best``.  A
-    walk over p2's column subsets gives its distinct phi tables, and a
-    best-first walk over p1's (``_lowest``) gives the pairs up to the
-    ``limit``-th S, ties included.  Representatives are rebuilt for the pairs
-    below that S, and of the pairs tied at it only the lexicographically
-    least that fill the slots left are finished (``_least``).  ``budget``
-    bounds the steps: K * 2^K per phi table and the subsets the walks
-    expand.  So the cost grows with the classes tied at the cut: under a
-    profile of equal parts every class ties, and even ``limit=1`` walks
-    them all (``exhaustive_best`` gives that pair at a cost that ties do
-    not change)."""
+    ordered by (S, pi1, pi2); the first is ``exhaustive_best(...).best``,
+    which is the whole answer for ``limit=1``.  For a larger limit a walk over
+    p2's column subsets gives its distinct phi tables, and a best-first walk
+    over p1's (``_lowest``) gives the pairs up to the ``limit``-th S, ties
+    included.  Representatives are rebuilt for the pairs below that S, and
+    of the pairs tied at it only the lexicographically least that fill the
+    slots left are finished (``_least``).  ``budget`` bounds the steps: K *
+    2^K per phi table and the subsets the walks expand.  So the cost grows
+    with the classes tied at the cut: under a profile of equal parts every
+    class ties, and ``limit=2`` walks them all."""
     search = _Search(p1, p2, profile, budget)
     _check_limit(limit)
+    if limit == 1:
+        return [search.extremes().best]
     return search.top(limit) if limit else []
 
 

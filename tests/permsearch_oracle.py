@@ -116,8 +116,8 @@ def subset_phi(pda):
 def lacking(c, k, lane):
     """The subsets of k columns lacking column c, one ``lane``-bit lane per
     subset, all set: 2^c lanes set then 2^c clear, repeated, placed by one
-    big-int division, as ``_Lattice`` built its masks before they were read
-    from repeated byte patterns."""
+    big-int division, as ``_Lattice`` built its masks before they were derived
+    one from the next by shifts."""
     every = (1 << (lane << k)) - 1
     run = lane << c
     return every // ((1 << 2 * run) - 1) * ((1 << run) - 1)

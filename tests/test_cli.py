@@ -350,8 +350,8 @@ class TestSearch:
         assert calls == [3, 9]
 
     def test_one_budget(self, tmp_path, capsys):
-        # 2997 steps: exhaustive_best's 2411 (test_permsearch's
-        # test_budget_counts_dp_transitions), then top_pairs' own 586 on the same
+        # 1986 steps: exhaustive_best's 1400 (test_permsearch's
+        # test_budget_counts_each_walk), then top_pairs' own 586 on the same
         # tables, the 78 subsets its best-first walk expands and 508 to place
         # the three pairs' orders; the two 384-step phi tables and the 150
         # subsets of p2's class walk are counted once, not again for top_pairs
@@ -360,10 +360,10 @@ class TestSearch:
         p2 = tmp_path / "p2.pda"
         p2.write_text(write_pda(PdaArray.from_grid(WIDE_P2)))
         argv = ["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "3"]
-        assert main([*argv, "--budget", "2997"]) == 0
+        assert main([*argv, "--budget", "1986"]) == 0
         assert capsys.readouterr().out.splitlines()[-2:] == ["s_min,,18", "s_max,,24"]
-        assert main([*argv, "--budget", "2996"]) == 2
-        assert capsys.readouterr().err.endswith(" 2997 steps, over the budget of 2996\n")
+        assert main([*argv, "--budget", "1985"]) == 2
+        assert capsys.readouterr().err.endswith(" 1986 steps, over the budget of 1985\n")
 
     def test_negative_top(self, capsys):
         # refused before any step, so not reported as the budget it would pass

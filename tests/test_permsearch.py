@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sppda import permsearch
 from sppda.arrays import (
     STAR,
     AssociationProfile,
@@ -27,6 +28,7 @@ from sppda.permsearch import (
     PermutationPair,
     _Classes,
     _Lattice,
+    _Search,
     _Steps,
     _greedy_order,
     _identity_is_minimal,
@@ -87,6 +89,43 @@ SECOND_WINS_P1 = grid("""
 """)
 
 
+def edge_row_pda(k, edges):
+    """The array with one row per edge {a, b} of a graph on k columns: stars
+    at columns a and b, and at any other column j the code of {a, b, j}.  A
+    d-regular graph puts d stars in each column (C1); the rows holding a
+    code are edges of one triple, each with the code at the triple's third
+    column, where the others hold stars (C3)."""
+    codes = {}
+    return PdaArray.from_grid(canonicalize_codes([
+        tuple(STAR if j in edge else codes.setdefault(frozenset((*edge, j)), len(codes) + 1)
+              for j in range(k))
+        for edge in edges]))
+
+
+def regular_edges(rng, k, d):
+    """The edges of a d-regular graph on k vertices (k * d even), drawn by
+    rejection from the sets of k * d / 2 edges."""
+    pairs = list(itertools.combinations(range(k), 2))
+    while True:
+        edges = rng.sample(pairs, k * d // 2)
+        if all(sum(v in edge for edge in edges) == d for v in range(k)):
+            return sorted(edges)
+
+
+# Edge-row first arrays with MaN second arrays where, for the one table of
+# best bound, no chain passes a least-phi (or largest-phi) subset at every
+# width of positive weight, so that exhaustive_best runs the subset DP:
+# ((k, p1's graph), (k2, t2) of MaN(k2, t2), the profile, the DP's pick).
+FALLBACKS = [
+    ((7, ((0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6),
+          (3, 4), (3, 5), (3, 6), (4, 5))), (4, 0), (4, 4, 4, 3, 2, 2, 1), "min"),
+    ((7, ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6),
+          (3, 4), (3, 5), (4, 6), (5, 6))), (4, 1), (4, 4, 4, 4, 2, 1, 1), "min"),
+    ((6, ((0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5))),
+     (5, 0), (5, 5, 3, 2, 2, 1), "max"),
+]
+
+
 def naive_phi_vector(pda, perm):
     """phi of the physically permuted array, column by column."""
     return tuple(grid_oracle.phi(permute_columns(pda, perm), c) for c in range(1, pda.k + 1))
@@ -107,7 +146,7 @@ class TestExhaustive:
                                  WIDE_PROFILE)
         assert (result.s_min, result.s_max) == (18, 24)
         assert result.best.s_value == 18
-        assert result.evaluations == 2411
+        assert result.evaluations == 1400
 
     def test_best_permutations_realize_the_minimum(self):
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
@@ -127,8 +166,9 @@ class TestExhaustive:
 
     def test_budget(self):
         # exhaustive_best: 384 for p2's phi table, 150 subsets walked, 384 for p1's
-        # table, then the DP (6 * 2^6 for each of 2 tables) passes the budget
-        with pytest.raises(BudgetExceededError, match=r"\b1686 steps, over the budget of 1000$"):
+        # table, then the passes up for the chains of s_min's two tables of
+        # least bound (41 and 44 subsets) pass the budget
+        with pytest.raises(BudgetExceededError, match=r"\b1003 steps, over the budget of 1000$"):
             exhaustive_best(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                             WIDE_PROFILE, budget=1000)
         # top_pairs: 2 * 384 for the phi tables, 150 subsets of p2's walk, then the
@@ -137,16 +177,33 @@ class TestExhaustive:
             top_pairs(PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2),
                       WIDE_PROFILE, budget=1000)
 
-    def test_budget_counts_dp_transitions(self):
-        # 1686 steps up to the DP (6 * 2^6 per kept table; 5 tables prune to 1 + 1),
-        # 6 * 2^6 for the tight steps of the one table reaching s_min, 139 subsets
-        # walked to rebuild pi1, then 109 to place the first of p2's two tables
-        # that reach s_min with pi1 and 93 to place the second until its prefix
-        # passes the first's (108 in full)
+    def test_budget_counts_each_walk(self):
+        # 918 steps for the phi tables and p2's walk (test_budget); both tables
+        # of least bound 18 have a chain of least-phi subsets (passes up of 41
+        # and 44 subsets), and the table of largest bound 24 one too (43); then
+        # 76 subsets walked to place pi1 for each of the two tables, 109 to
+        # place the first of p2's two tables that reach s_min with pi1 and 93
+        # to place the second until its prefix passes the first's
         p1, p2 = PdaArray.from_grid(WIDE_P1), PdaArray.from_grid(WIDE_P2)
-        with pytest.raises(BudgetExceededError, match=r"\b2411 steps, over the budget of 2410$"):
-            exhaustive_best(p1, p2, WIDE_PROFILE, budget=2410)
-        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=2411).s_min == 18
+        with pytest.raises(BudgetExceededError, match=r"\b1400 steps, over the budget of 1399$"):
+            exhaustive_best(p1, p2, WIDE_PROFILE, budget=1399)
+        assert exhaustive_best(p1, p2, WIDE_PROFILE, budget=1400).s_min == 18
+
+    def test_budget_counts_dp_transitions(self):
+        # on the first fallback fixture: 4 * 2^4 for p2's phi table and 15
+        # subsets of its walk to its one table, 7 * 2^7 for p1's table; the pass
+        # up for s_min's bound (30 subsets) finds no chain, so the DP runs,
+        # 7 * 2^7 steps (1901 in all); the pass up for s_max's (58) finds one;
+        # 7 * 2^7 for the DP's tight steps and 127 subsets for the pass up along
+        # them, 42 walked to place pi1, then 15 up and 29 to place pi2
+        (k, edges), (k2, t2), parts, _ = FALLBACKS[0]
+        p1, p2, profile = edge_row_pda(k, edges), man_pda(k2, t2), AssociationProfile(parts)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^a 128-subset DP brings the search to 1901 steps, over the budget of 1900$"):
+            exhaustive_best(p1, p2, profile, budget=1900)
+        with pytest.raises(BudgetExceededError, match=r"\b3068 steps, over the budget of 3067$"):
+            exhaustive_best(p1, p2, profile, budget=3067)
+        assert exhaustive_best(p1, p2, profile, budget=3068).s_min == 110
 
     def test_beyond_enumeration_horizon(self):
         # 14! * 3! pairs is far beyond enumeration; the subset DP needs 14 * 2^14 per table
@@ -166,27 +223,32 @@ class TestExhaustive:
 
     def test_equal_parts_within_the_default_budget(self):
         # under equal parts every weight but the last is 0, so all 32 097 classes
-        # of ConstructionA(4,3)'s orders tie at S = 1152; the DP's steps do not
-        # depend on that: 16 * 2^16 + 4 * 2^4 for the phi tables, 15 subsets of
-        # p2's walk to its one table, 2 * 16 * 2^16 for its min and max DPs and
-        # 16 * 2^16 for its tight steps, 196 604 subsets walked to rebuild pi1
-        # and 44 for pi2's representative
+        # of ConstructionA(4,3)'s orders tie at S = 1152; the bound's steps do
+        # not depend on that: 16 * 2^16 + 4 * 2^4 for the phi tables, 15 subsets
+        # of p2's walk to its one table, 2^16 - 1 subsets for each of the passes
+        # up that find its chains for the min and for the max, 131 069 subsets
+        # walked to place pi1 and 44 for pi2's representative
         p1, p2 = construction_a_pda(4, 3), man_pda(4, 1)
-        result = exhaustive_best(p1, p2, AssociationProfile((4,) * 16))
+        profile = AssociationProfile((4,) * 16)
+        result = exhaustive_best(p1, p2, profile)
         assert (result.s_min, result.s_max) == (1152, 1152)
         assert result.best == PermutationPair(tuple(range(16)), (0, 1, 2, 3), 1152)
-        assert result.evaluations == 4391031
+        assert result.evaluations == 1310838
+        # top_pairs' one pair is that best pair, found the same way, where its
+        # best-first walk would pass 5 * 10^7 steps through the tied classes
+        assert top_pairs(p1, p2, profile, limit=1) == [result.best]
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_top_pair_is_the_best(self, rng):
         # the least optimal pi1 is its own class's representative, and pi2 the
-        # least representative reaching s_min with it, so top_pairs' first pair
-        # is exhaustive_best's, which the search command prints for --top 1
+        # least representative reaching s_min with it, so the best-first walk's
+        # first pair is exhaustive_best's, which top_pairs(limit=1) and the
+        # search command's --top 1 return
         p1 = random_pda(rng, max_cols=8, max_rows=20)
         p2 = random_pda(rng, max_cols=8, max_rows=20)
         profile = random_profile(rng, p1.k, p2.k)
-        assert top_pairs(p1, p2, profile, limit=1) == [exhaustive_best(p1, p2, profile).best]
+        assert _Search(p1, p2, profile, 10 ** 7).top(1) == [exhaustive_best(p1, p2, profile).best]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -254,8 +316,46 @@ class TestAgainstOracle:
         self.check(p1, p2, random_profile(rng, p1.k, p2.k))
 
 
+class TestBoundAndFallback:
+    """exhaustive_best's two paths against the factorial enumerator
+    (``permsearch_oracle.exhaustive_best``): a table's bound from the least
+    or largest phi per width where a chain of p1's prefixes reaches it, and
+    the subset DP where none does."""
+
+    def check(self, p1, p2, profile):
+        got, want = exhaustive_best(p1, p2, profile), oracle.exhaustive_best(p1, p2, profile)
+        assert (got.best, got.s_min, got.s_max) == (want.best, want.s_min, want.s_max)
+
+    @pytest.mark.parametrize("fixture", FALLBACKS)
+    def test_fallback_fixtures(self, fixture, monkeypatch):
+        # one DP, for the side the fixture has no chain on; the other side
+        # takes the bound
+        (k, edges), (k2, t2), parts, pick = fixture
+        picks = []
+
+        def spy(phi, weights, k, pick):
+            picks.append(pick.__name__)
+            return _order_value(phi, weights, k, pick)
+
+        monkeypatch.setattr(permsearch, "_order_value", spy)
+        self.check(edge_row_pda(k, edges), man_pda(k2, t2), AssociationProfile(parts))
+        assert picks == [pick]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_edge_rows(self, seed):
+        # a seeded generator, so that redrawing a graph costs hypothesis no data
+        rng = random.Random(seed)
+        k = rng.randint(3, 6)
+        d = rng.choice([d for d in range(1, k) if k * d % 2 == 0])
+        k2 = rng.randint(1, 5)
+        p2 = man_pda(k2, rng.randint(0, k2))
+        self.check(edge_row_pda(k, regular_edges(rng, k, d)), p2, random_profile(rng, k, k2))
+
+
 class TestTopPairs:
-    """The best-first walk against scoring every class pair
+    """The best-first walk (``_Search.top``, which ``top_pairs`` runs for a
+    limit above 1) against scoring every class pair
     (``permsearch_oracle.top_pairs_scoring_all``), at every limit: the same
     pairs, in no more steps."""
 
@@ -263,7 +363,7 @@ class TestTopPairs:
         everything, _ = oracle.top_pairs_scoring_all(p1, p2, profile, limit=10 ** 9)
         for limit in range(1, len(everything) + 2):
             want, steps = oracle.top_pairs_scoring_all(p1, p2, profile, limit)
-            assert top_pairs(p1, p2, profile, limit=limit, budget=steps) == want
+            assert _Search(p1, p2, profile, steps).top(limit) == want
         return [p.s_value for p in everything]
 
     def test_ties_outnumber_the_slots(self):
@@ -276,7 +376,7 @@ class TestTopPairs:
         assert values[5] < values[6] == values[16] == 82 < values[17]
         for limit in range(1, 21):
             want, steps = oracle.top_pairs_scoring_all(p1, p2, profile, limit)
-            assert top_pairs(p1, p2, profile, limit=limit, budget=steps) == want
+            assert _Search(p1, p2, profile, steps).top(limit) == want
         # rebuilding all 11 tied classes in full took 7516 steps at limit 10;
         # a tied class now stops once its pi1 passes the 4th least kept
         assert len(top_pairs(p1, p2, profile, limit=10, budget=7515)) == 10
@@ -409,14 +509,14 @@ class TestSubsetPhi:
 
 
 class TestLacking:
-    """The subsets lacking a column, from repeated byte patterns, against the
-    big-int division (``permsearch_oracle.lacking``), for the lattice's
+    """The subsets lacking a column, each derived from the next column's by a
+    shift and an XOR, against the big-int division (``permsearch_oracle.lacking``), for the lattice's
     one-bit lanes and the phi table's 64-bit lanes."""
 
     @pytest.mark.parametrize("lane, ks", [(1, [*range(13), 16]), (64, range(11))])
     def test_matches_the_division(self, lane, ks):
         for k in ks:
-            assert list(_lacking(k, lane)) == [oracle.lacking(c, k, lane) for c in range(k)]
+            assert list(_lacking(k, lane)) == [oracle.lacking(c, k, lane) for c in reversed(range(k))]
 
 
 def random_constraints(rng, k):
@@ -439,13 +539,22 @@ class TestLattice:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_first_order_matches_enumeration(self, seed):
-        # a seeded generator, so that redrawing until a chain exists costs
-        # hypothesis no data
+        # no order at all where the enumeration finds none
         rng = random.Random(seed)
         k = rng.randint(1, 6)
-        while (want := oracle.first_order(k, *(constraints := random_constraints(rng, k)))) is None:
-            pass
-        assert tuple(_Lattice(k, _Steps(10 ** 9)).positions(*constraints)) == want
+        allowed, edges = random_constraints(rng, k)
+        lattice = _Lattice(k, _Steps(10 ** 9))
+        got = tuple(lattice.positions(lattice.up(allowed, edges), edges))
+        assert got == (oracle.first_order(k, allowed, edges) or ())
+
+    def test_no_chain_gives_no_order(self):
+        # width 1 only {c0}, width 2 only {c1, c2}: no chain passes both; the
+        # placements alone would give (2, 2, 2)
+        lattice = _Lattice(3, _Steps(10 ** 9))
+        allowed = [1, 1 << 0b001, 1 << 0b110, lattice.every]
+        good = lattice.up(allowed, lattice.lacks)
+        assert good[-1] == 0
+        assert tuple(lattice.positions(good, lattice.lacks)) == ()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32))
@@ -464,7 +573,8 @@ class TestLattice:
                 break
         want_steps, got_steps = _Steps(10 ** 9), _Steps(10 ** 9)
         want = oracle.chain_first_order(k, allowed, edges, want_steps)
-        assert tuple(_Lattice(k, got_steps).positions(allowed, edges)) == want
+        lattice = _Lattice(k, got_steps)
+        assert tuple(lattice.positions(lattice.up(allowed, edges), edges)) == want
         assert got_steps.count == want_steps.count
 
 
