@@ -21,7 +21,8 @@ array's orders can take come from a walk up the same subset lattice
 (``_Classes``), so no search enumerates the K! orders.  ``top_pairs`` walks
 the first array's prefix values best first (A*, ``_lowest``), under a bound
 that never overestimates since phi never falls along a chain and the weights
-are non-negative, so it walks only the classes that can make its cut.  The
+are non-negative, so it walks only the classes that can make its cut, and
+it reads each class's pass up off the chain of sets that walk grew.  The
 budget (default 10^7 steps) is charged K * 2^K per phi table, one step per
 subset a walk expands and K1 * 2^K1 per DP run, whichever path answers: a
 first array of 20 columns needs a larger budget, its phi table alone being
@@ -48,7 +49,7 @@ import math
 import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from operator import eq, ge, gt, lt, mul, or_, sub
+from operator import and_, eq, ge, gt, lt, mul, or_, sub
 
 from .arrays import (AssociationProfile, ParameterError, PdaArray, _column_codes, check_bijection,
                      permute_columns, phi)
@@ -273,17 +274,15 @@ class _Lattice:
 
 class _Prefixes(_Lattice):
     """An array's column orders keyed by their prefix phi values at ``widths``,
-    ``phi`` being its subset phi table.  ``placed`` yields the
-    lexicographically first column->position permutation with given walked
-    values column by column (``positions``, with the values' cells as the
-    allowed subsets), and ``representative`` keeps it whole."""
+    ``phi`` being its subset phi table.  ``along`` yields the lexicographically
+    first column->position permutation with given values at every width from
+    the sets a walk grew to reach them (``_lowest``)."""
 
     def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
         super().__init__(k, steps)
         self.phi = phi
         self.widths = sorted(set(widths))
         self.slot = {w: i for i, w in enumerate(self.widths)}
-        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @functools.cached_property
     def cells(self) -> list[dict[int, int]]:
@@ -297,6 +296,49 @@ class _Prefixes(_Lattice):
         for (n, v), ms in members.items():
             cells[self.slot[n]][v] = _bitmap(ms, 1 << self.k)
         return cells
+
+    def reached(self, values: tuple[int, ...], chain: tuple) -> list[int]:
+        """The pass up ``up(allowed, lacks)`` with the cells of ``values``
+        allowed at widths 1..k, read off ``chain``, ``(chain, grown)`` nested
+        from width k down, ``grown`` being the width-n subsets grown from
+        those reaching ``values[:n - 1]``: the subsets reaching ``values[:n]``
+        are that set cut by the cell of ``values[n - 1]``, so the pass takes
+        one AND per width and no step."""
+        grown = []
+        while chain:
+            chain, sets = chain
+            grown.append(sets)
+        return [1, *map(and_, reversed(grown), map(dict.__getitem__, self.cells, values))]
+
+    def along(self, values: tuple[int, ...], chain: tuple) -> Iterator[int]:
+        """The first order with ``values`` at widths 1..k, column by column
+        (``positions`` on the pass up ``reached``)."""
+        return self.positions(self.reached(values, chain), self.lacks)
+
+
+class _Classes(_Prefixes, Mapping):
+    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
+    orders, ``prefix[w]`` being the set of the first w columns, each mapped to its
+    representative, rebuilt on first lookup.
+
+    The keys come from a walk up the subset lattice: a state is the values so
+    far and the set of subsets reaching them; each width grows every subset by
+    one column, and a width in ``widths`` splits the grown set by phi.  The
+    walk keeps only the current width's sets, so ``placed`` walks a class's
+    pass up again (``up``, with the values' cells as the allowed subsets)."""
+
+    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
+        super().__init__(phi, k, widths, steps)
+        widths, slot = tuple(widths), self.slot
+        states = {(): 1}
+        for n in range(self.widths[-1] + 1):
+            if n:
+                states = {values: self.grow(sets, self.lacks) for values, sets in states.items()}
+            if n in slot:
+                states = {(*values, v): split for values, sets in states.items()
+                          for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
+        self.values = {tuple(values[slot[w]] for w in widths): values for values in states}
+        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def placed(self, values: tuple[int, ...]) -> Iterator[int]:
         """The first order with walked ``values``, column by column: read back
@@ -312,28 +354,6 @@ class _Prefixes(_Lattice):
         if values not in self.first:
             self.first[values] = tuple(self.placed(values))
         return self.first[values]
-
-
-class _Classes(_Prefixes, Mapping):
-    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
-    orders, ``prefix[w]`` being the set of the first w columns, each mapped to its
-    representative, rebuilt on first lookup.
-
-    The keys come from a walk up the subset lattice: a state is the values so
-    far and the set of subsets reaching them; each width grows every subset by
-    one column, and a width in ``widths`` splits the grown set by phi."""
-
-    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
-        super().__init__(phi, k, widths, steps)
-        widths, slot = tuple(widths), self.slot
-        states = {(): 1}
-        for n in range(self.widths[-1] + 1):
-            if n:
-                states = {values: self.grow(sets, self.lacks) for values, sets in states.items()}
-            if n in slot:
-                states = {(*values, v): split for values, sets in states.items()
-                          for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
-        self.values = {tuple(values[slot[w]] for w in widths): values for values in states}
 
     def __getitem__(self, key: tuple[int, ...]) -> tuple[int, ...]:
         return self.representative(self.values[key])
@@ -393,6 +413,8 @@ class _Search:
         self.steps = _Steps(budget)
         check_pair(p1, p2, profile)
         self.p1, self.p2, self.profile = p1, p2, profile
+        # p1's pass up per set of allowed subsets, shared by the min and the max
+        self.passes: dict[tuple, list[int]] = {}
 
     @functools.cached_property
     def prefixes(self) -> _Prefixes:
@@ -432,7 +454,10 @@ class _Search:
         passes, at each width of positive weight, a subset whose phi is that
         width's floor: the pass up over those subsets finds whether one does.
         Tables are visited best bound first until a bound is past the best S
-        reached, and a table with no such chain takes the subset DP."""
+        reached, and a table with no such chain takes the subset DP.  One
+        pass serves every table, of either pick, that allows the same
+        subsets: the least and the largest phi pick the same ones at every
+        width for a MaN p1, and at the one weighted width under equal parts."""
         prefixes, steps = self.prefixes, self.steps
         phi1, k1, every, lacks = prefixes.phi, prefixes.k, prefixes.every, prefixes.lacks
         floor = [0] * (k1 + 1)  # no width that no table weighs needs one
@@ -448,9 +473,12 @@ class _Search:
             if reaching and sign * bound[table] > sign * best:
                 break
             w = weights[table]
-            good = prefixes.up([every, *(at_floor if wn else every for wn in w)], lacks)
+            key = at_floor, tuple(map(bool, w))
+            if key not in self.passes:
+                self.passes[key] = prefixes.up([every, *(at_floor if wn else every for wn in w)], lacks)
+            good = self.passes[key]
             if good[-1]:
-                s, order = bound[table], functools.partial(prefixes.positions, good, lacks)
+                s, order = bound[table], functools.partial(prefixes.positions, [*good], lacks)
             else:
                 steps.charge(k1 << k1, f"a {2 ** k1}-subset DP")
                 value = _order_value(phi1, w, k1, pick)
@@ -472,20 +500,26 @@ class _Search:
 
     def top(self, limit: int) -> list[PermutationPair]:
         """The best-first walk's ``limit`` least pairs, for a ``limit`` of at
-        least 1: ``top_pairs``' pairs for a limit above 1."""
+        least 1: ``top_pairs``' pairs for a limit above 1.  Each class of
+        p1's orders is placed along the chain the walk found it on, once,
+        when it is first needed: below the cut, or when ``_least`` draws it
+        from the tied, so one tied class's pass up is held at a time."""
         prefixes, tables = self.prefixes, self.tables
         keys = list(tables)
         found = _lowest(prefixes, [s_weights(key) for key in keys], limit)
         cut = found[-1][0]
-        pairs, tied = [], {}
-        for s, values, j in found:
+        pairs, tied, first = [], {}, {}
+        for s, values, j, chain in found:
             if s < cut:
-                pairs.append(PermutationPair(prefixes.representative(values), tables[keys[j]], s))
+                if values not in first:
+                    first[values] = tuple(prefixes.along(values, chain))
+                pairs.append(PermutationPair(first[values], tables[keys[j]], s))
             else:
-                tied.setdefault(values, []).append(j)
+                tied.setdefault(values, (chain, []))[1].append(j)
         pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
-        kept = _least(((prefixes.placed(values), (tables[keys[j]] for j in js))
-                       for values, js in tied.items()), limit - len(pairs))
+        kept = _least(((iter(first[values]) if values in first else prefixes.along(values, chain),
+                        (tables[keys[j]] for j in js)) for values, (chain, js) in tied.items()),
+                      limit - len(pairs))
         return [*pairs, *(PermutationPair(pi1, pi2, cut) for pi1, pi2 in kept)]
 
 
@@ -526,12 +560,14 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     which is the whole answer for ``limit=1``.  For a larger limit a walk over
     p2's column subsets gives its distinct phi tables, and a best-first walk
     over p1's (``_lowest``) gives the pairs up to the ``limit``-th S, ties
-    included.  Representatives are rebuilt for the pairs below that S, and
+    included.  Representatives are built for the pairs below that S, and
     of the pairs tied at it only the lexicographically least that fill the
-    slots left are finished (``_least``).  ``budget`` bounds the steps: K *
-    2^K per phi table and the subsets the walks expand.  So the cost grows
-    with the classes tied at the cut: under a profile of equal parts every
-    class ties, and ``limit=2`` walks them all."""
+    slots left are finished (``_least``); p1's are placed from the pass up
+    that the walk's own chain of sets gives, built when the class is placed,
+    so only their passes down are walked again.  ``budget`` bounds the
+    steps: K * 2^K per phi table and the subsets the walks expand.  So the
+    cost grows with the classes tied at the cut: under a profile of equal
+    parts every class ties, and ``limit=2`` walks them all."""
     search = _Search(p1, p2, profile, budget)
     _check_limit(limit)
     if limit == 1:
@@ -564,15 +600,19 @@ def _least(candidates: Iterable[tuple[Iterator[int], Iterable]], need: int) -> l
 
 
 def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[tuple]:
-    """(S, p1's phi vector, index j into ``weights``) for every pair of a
-    class of p1's column orders and a weight vector whose S is at most the
-    ``limit``-th smallest, S being sum_n weights[j][n-1] * phi(n).
+    """(S, p1's phi vector, index j into ``weights``, the vector's chain) for
+    every pair of a class of p1's column orders and a weight vector whose S
+    is at most the ``limit``-th smallest, S being sum_n weights[j][n-1] *
+    phi(n).
 
     A best-first (A*) walk up p1's phi-prefix tree: a node is a prefix
-    (v_1..v_n) with the set of width-n subsets reaching it, and it is
-    expanded, by growing its set one column and splitting it by phi at width
-    n + 1, once for all weight vectors; then its set is dropped.  A pair
-    (j, node) is keyed by f = g + h, g = sum_{n' <= n} w_n' v_n' and
+    (v_1..v_n) and the chain of sets its ancestors grew, ``(parent's chain,
+    grown)``, which its siblings share.  The width-n subsets reaching the
+    node are the last grown set cut by the cell of v_n; it is expanded, by
+    growing that set one column and splitting the grown set by phi at width
+    n + 1, once for all weight vectors, and no node keeps a set of its own.
+    A full-width node's chain gives its pass up (``_Prefixes.reached``).  A
+    pair (j, node) is keyed by f = g + h, g = sum_{n' <= n} w_n' v_n' and
     h = sum_{n' > n} w_n' max(v_n, m_n'), m_n' the least phi over subsets of
     width n'.  phi never falls along a chain and w >= 0, so h never
     overestimates the rest of any S below the node and f never falls from a
@@ -580,8 +620,8 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
     full-width node, where f is its S, leaves before any entry with a
     larger f.  The walk stops once the next f passes the S of the
     ``limit``-th full-width node, so every tie at that S is found."""
-    k = prefixes.k
-    least = [min(cell) for cell in prefixes.cells]
+    k, cells = prefixes.k, prefixes.cells
+    least = [min(cell) for cell in cells]
     # the least phi per width never falls as the width grows, so max(v, m_n')
     # is v up to the first width whose least passes v and m_n' from there: h
     # is v times a suffix sum of w plus a suffix sum of w_n' m_n'
@@ -592,26 +632,24 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
         i = bisect.bisect_right(least, v, n)
         return v * (total[n] - total[i]) + floors[i]
 
-    # a node: [values, the subsets reaching them (None once expanded), its children]
-    root = [(), 1, None]
+    # a node: [values, its parent's chain, its children (None until expanded)]
+    root = [(), None, None]
     order = itertools.count()
     heap = [(rest(j, 0, 0), next(order), 0, j, root) for j in range(len(weights))]
     heapq.heapify(heap)
     found: list[tuple] = []
     while heap and (len(found) < limit or heap[0][0] <= found[limit - 1][0]):
         _, _, g, j, node = heapq.heappop(heap)
-        values, sets, children = node
+        values, chain, children = node
         n = len(values)
         if n == k:
-            found.append((g, values, j))
+            found.append((g, values, j, chain))
             continue
         if children is None:
-            grown = prefixes.grow(sets, prefixes.lacks)
-            last = n + 1 == k
-            children = node[2] = [[(*values, v), None if last else split, None]
-                                  for v, cell in prefixes.cells[n].items()
-                                  if (split := grown & cell)]
-            node[1] = None
+            grown = prefixes.grow(chain[1] & cells[n - 1][values[-1]] if n else 1, prefixes.lacks)
+            chain = (chain, grown)
+            children = node[2] = [[(*values, v), chain, None]
+                                  for v, cell in cells[n].items() if grown & cell]
         wn = weights[j][n]
         for child in children:
             v = child[0][-1]
@@ -675,23 +713,26 @@ def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,
             raise ParameterError("side 'second' needs the association profile")
         check_pair(None, pda, profile)
 
-    candidate = _greedy_order(pda)
-    base, new = phi(pda), phi(pda, candidate)
+    candidate, new = _greedy_order(pda)
+    base = phi(pda)
     widths = range(pda.k + 1) if side == "first" else profile.parts
     return permute_columns(pda, candidate) if all(new[w] <= base[w] for w in widths) else pda
 
 
-def _greedy_order(pda: PdaArray) -> tuple[int, ...]:
-    """The greedy column order as a permutation: per 0-based column the
-    bitmask of its codes (``arrays._column_codes``), then repeatedly the
-    column with the fewest codes not yet seen, ties to the lowest index."""
+def _greedy_order(pda: PdaArray) -> tuple[tuple[int, ...], list[int]]:
+    """The greedy column order as a permutation, and phi(0..K) under it: per
+    0-based column the bitmask of its codes (``arrays._column_codes``), then
+    repeatedly the column with the fewest codes not yet seen, ties to the
+    lowest index; the codes seen after w columns are phi(w)."""
     cols = _column_codes(pda)
     remaining = list(range(pda.k))
     seen = 0
     perm = [0] * pda.k
+    counts = [0]
     for pos in range(pda.k):
         chosen = min(remaining, key=lambda c: ((cols[c] & ~seen).bit_count(), c))
         perm[chosen] = pos
         seen |= cols[chosen]
+        counts.append(seen.bit_count())
         remaining.remove(chosen)
-    return tuple(perm)
+    return tuple(perm), counts

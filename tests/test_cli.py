@@ -350,20 +350,21 @@ class TestSearch:
         assert calls == [3, 9]
 
     def test_one_budget(self, tmp_path, capsys):
-        # 1986 steps: exhaustive_best's 1400 (test_permsearch's
-        # test_budget_counts_each_walk), then top_pairs' own 586 on the same
-        # tables, the 78 subsets its best-first walk expands and 508 to place
-        # the three pairs' orders; the two 384-step phi tables and the 150
-        # subsets of p2's class walk are counted once, not again for top_pairs
+        # 1889 steps: exhaustive_best's 1400 (test_permsearch's
+        # test_budget_counts_each_walk), then top_pairs' own 489 on the same
+        # tables, the 78 subsets its best-first walk expands and 411 to place
+        # the three pairs' orders, p1's passes up read off the walk's chains;
+        # the two 384-step phi tables and the 150 subsets of p2's class walk
+        # are counted once, not again for top_pairs
         p1 = tmp_path / "p1.pda"
         p1.write_text(write_pda(PdaArray.from_grid(WIDE_P1)))
         p2 = tmp_path / "p2.pda"
         p2.write_text(write_pda(PdaArray.from_grid(WIDE_P2)))
         argv = ["search", str(p1), str(p2), "--profile", "6,3,2,1,1,1", "--top", "3"]
-        assert main([*argv, "--budget", "1986"]) == 0
+        assert main([*argv, "--budget", "1889"]) == 0
         assert capsys.readouterr().out.splitlines()[-2:] == ["s_min,,18", "s_max,,24"]
-        assert main([*argv, "--budget", "1985"]) == 2
-        assert capsys.readouterr().err.endswith(" 1986 steps, over the budget of 1985\n")
+        assert main([*argv, "--budget", "1888"]) == 2
+        assert capsys.readouterr().err.endswith(" 1889 steps, over the budget of 1888\n")
 
     def test_negative_top(self, capsys):
         # refused before any step, so not reported as the budget it would pass

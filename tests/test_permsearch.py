@@ -1,5 +1,6 @@
 """Permutation search over equivalent PDAs, checked against naive enumeration."""
 
+import gc
 import importlib.util
 import itertools
 import random
@@ -22,7 +23,7 @@ from sppda.arrays import (
     man_pda,
     permute_columns,
 )
-from sppda.construct import DimensionMismatchError, s_count
+from sppda.construct import DimensionMismatchError, s_count, s_weights
 from sppda.permsearch import (
     BudgetExceededError,
     PermutationPair,
@@ -33,6 +34,7 @@ from sppda.permsearch import (
     _greedy_order,
     _identity_is_minimal,
     _lacking,
+    _lowest,
     _order_value,
     _subset_phi,
     _tight_edges,
@@ -225,15 +227,16 @@ class TestExhaustive:
         # under equal parts every weight but the last is 0, so all 32 097 classes
         # of ConstructionA(4,3)'s orders tie at S = 1152; the bound's steps do
         # not depend on that: 16 * 2^16 + 4 * 2^4 for the phi tables, 15 subsets
-        # of p2's walk to its one table, 2^16 - 1 subsets for each of the passes
-        # up that find its chains for the min and for the max, 131 069 subsets
-        # walked to place pi1 and 44 for pi2's representative
+        # of p2's walk to its one table, 2^16 - 1 subsets for the one pass up
+        # that finds its chains for both the min and the max (only width 16 is
+        # weighted, and its one subset is both the least and the largest),
+        # 131 069 subsets walked to place pi1 and 44 for pi2's representative
         p1, p2 = construction_a_pda(4, 3), man_pda(4, 1)
         profile = AssociationProfile((4,) * 16)
         result = exhaustive_best(p1, p2, profile)
         assert (result.s_min, result.s_max) == (1152, 1152)
         assert result.best == PermutationPair(tuple(range(16)), (0, 1, 2, 3), 1152)
-        assert result.evaluations == 1310838
+        assert result.evaluations == 1245303
         # top_pairs' one pair is that best pair, found the same way, where its
         # best-first walk would pass 5 * 10^7 steps through the tied classes
         assert top_pairs(p1, p2, profile, limit=1) == [result.best]
@@ -377,9 +380,49 @@ class TestTopPairs:
         for limit in range(1, 21):
             want, steps = oracle.top_pairs_scoring_all(p1, p2, profile, limit)
             assert _Search(p1, p2, profile, steps).top(limit) == want
-        # rebuilding all 11 tied classes in full took 7516 steps at limit 10;
-        # a tied class now stops once its pi1 passes the 4th least kept
-        assert len(top_pairs(p1, p2, profile, limit=10, budget=7515)) == 10
+        # at limit 10: 8 * 2^8 + 5 * 2^5 for the phi tables, 55 subsets of p2's
+        # walk, 659 for p1's best-first walk and 2886 to place the orders; a
+        # tied class stops once its pi1 passes the 4th least kept, and each
+        # class's pass up is read off the chain its walk grew, at no step
+        with pytest.raises(BudgetExceededError, match=r"\b5808 steps, over the budget of 5807$"):
+            top_pairs(p1, p2, profile, limit=10, budget=5807)
+        assert len(top_pairs(p1, p2, profile, limit=10, budget=5808)) == 10
+
+    def test_no_reference_cycles(self):
+        # nodes link to their children and share their parents' grown sets,
+        # never the other way, so reference counting frees the whole walk
+        p1 = first_columns(construction_a_pda(3, 2), 8)
+        p2 = first_columns(construction_a_pda(3, 1), 5)
+        profile = AssociationProfile((5, 4, 3, 2, 2, 1, 1, 1))
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(top_pairs(p1, p2, profile, limit=10)) == 10
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_chains_read_the_pass_up(self, seed):
+        # every class the best-first walk finds reads, from the chain it was
+        # found on, the pass up that the lattice walks for its values
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            k = rng.randint(1, 8)
+            p1 = code_per_row_pda(k, [set(rng.sample(range(k), rng.randint(1, k)))
+                                      for _ in range(rng.randint(1, 6))])
+        else:
+            p1 = random_pda(rng, max_cols=8, max_rows=20)
+        p2 = random_pda(rng, max_cols=8, max_rows=20)
+        search = _Search(p1, p2, random_profile(rng, p1.k, p2.k), 10 ** 9)
+        prefixes = search.prefixes
+        found = _lowest(prefixes, [s_weights(key) for key in search.tables],
+                        rng.choice([1, 10, 10 ** 9]))
+        assert found
+        for _, values, _, chain in found:
+            allowed = [prefixes.every, *map(dict.__getitem__, prefixes.cells, values)]
+            assert prefixes.reached(values, chain) == prefixes.up(allowed, prefixes.lacks)
 
     def test_ties_past_the_limit(self):
         # ConstructionA(2, 2)'s three classes all tie at S = 12, so limits 1 and 2 cut a tie
@@ -702,7 +745,8 @@ class TestHeuristic:
             base = man_pda(rng.randint(4, 9), rng.randint(1, 3))
             pda = permute_columns(base, rng.sample(range(base.k), base.k))
         order = oracle.greedy_order(pda)
-        assert _greedy_order(pda) == order
+        # the codes seen after each column are the order's phi
+        assert _greedy_order(pda) == (order, [0, *phi_vector(pda, order)])
         out = heuristic_reorder(pda, side="first")
         assert out is pda or out == permute_columns(pda, order)
 
@@ -712,7 +756,8 @@ class TestHeuristic:
     ])
     def test_fewest_codes(self, rows, order):
         pda = PdaArray(rows)
-        assert _greedy_order(pda) == oracle.greedy_order(pda) == order
+        assert _greedy_order(pda) == (oracle.greedy_order(pda), [0, *phi_vector(pda, order)])
+        assert oracle.greedy_order(pda) == order
         assert heuristic_reorder(pda, side="first") == pda
         assert heuristic_reorder(pda, AssociationProfile((pda.k,)), side="second") == pda
 
