@@ -44,6 +44,11 @@ def _golden_json(**changes) -> str:
 GOLDEN_SIM = ["--synthetic", "5,60,0", "--worst-case"]
 SKEWED = ["man:8,4", "man:10,3", "--profile", "10,4,2,2,2,2,1,1"]
 SEARCH = ["--profile", "3,2,2,1"]
+EDGE7 = ("pda 7 14 4 34\n"
+         "* 1 * 2 3 4 5\n* 6 3 7 * 8 9\n* 10 4 11 8 * 12\n* 13 5 14 9 12 *\n"
+         "1 * * 15 16 17 18\n6 * 16 19 * 20 21\n10 * 17 22 20 * 23\n13 * 18 24 21 23 *\n"
+         "2 15 * * 25 26 27\n5 18 * 27 28 29 *\n7 19 25 * * 30 31\n11 22 26 * 30 * 32\n"
+         "14 24 27 * 31 32 *\n8 20 33 30 * * 34\n")
 
 # (name, input files, argv of each command)
 SESSIONS = [
@@ -141,6 +146,14 @@ SESSIONS = [
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "3"],
         ["search", "consa:3,2", "man:3,1", "--profile", "3,3,2,2,1,1,1,1,1", "--top", "0"],
         ["search", "consa:3,2", "man:3,1", "--profile", ",".join(["3"] * 9), "--top", "1"],
+    ]),
+    # a 7-column first array with one row per edge of a graph, under a profile where no
+    # chain passes a least- or largest-phi subset at every weighted width, so both
+    # extremes take the subset DP and pi1 its tight steps (tests/test_permsearch.py's
+    # FALLBACKS[0])
+    ("search-fallback", {"edge7.pda": EDGE7}, [
+        ["search", "edge7.pda", "man:4,0", "--profile", "4,4,4,3,2,2,1", "--top", top]
+        for top in ("0", "1", "3")
     ]),
     ("formulas", {}, [
         ["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"],

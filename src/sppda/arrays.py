@@ -282,18 +282,13 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length()
 
 
-def phi(array, perm: tuple[int, ...] | None = None) -> tuple[int, ...]:
+def phi(array) -> tuple[int, ...]:
     """(phi(0), ..., phi(K)) of a ``PdaArray`` or ``ManTables``, phi(w) being the
     number of codes in the first w columns: those whose lowest column bit is below
-    2^w.  After a column permutation ``perm`` (as in ``permute_columns``), the bit
-    counts of the union of the codes of the first w columns in the new order."""
-    masks, k = array.code_columns, array.k
-    if perm is None:
-        lowest = sorted(map(operator.and_, masks, map(operator.neg, masks)))
-        return (0, *(bisect.bisect_left(lowest, 1 << w) for w in range(1, k + 1)))
-    held = _column_codes(array)
-    order = sorted(range(k), key=perm.__getitem__)
-    return (0, *map(int.bit_count, itertools.accumulate(map(held.__getitem__, order), operator.or_)))
+    2^w."""
+    masks = array.code_columns
+    lowest = sorted(map(operator.and_, masks, map(operator.neg, masks)))
+    return (0, *(bisect.bisect_left(lowest, 1 << w) for w in range(1, array.k + 1)))
 
 
 def _column_codes(array) -> tuple[int, ...]:

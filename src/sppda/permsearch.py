@@ -18,15 +18,16 @@ chain of least-phi prefixes reaches it (``_Lattice.up``), and otherwise the
 shortest path over the 2^K column subsets (Held-Karp), as a prefix's phi
 depends only on its set of columns.  The distinct prefix values that an
 array's orders can take come from a walk up the same subset lattice
-(``_Classes``), so no search enumerates the K! orders.  ``top_pairs`` walks
-the first array's prefix values best first (A*, ``_lowest``), under a bound
-that never overestimates since phi never falls along a chain and the weights
-are non-negative, so it walks only the classes that can make its cut, and
-it reads each class's pass up off the chain of sets that walk grew.  The
-budget (default 10^7 steps) is charged K * 2^K per phi table, one step per
-subset a walk expands and K1 * 2^K1 per DP run, whichever path answers: a
-first array of 20 columns needs a larger budget, its phi table alone being
-20 * 2^20 steps.  One chain walk (``_Lattice.positions``) turns constraints
+(``_Prefixes.classes``), so no search enumerates the K! orders.
+``top_pairs`` walks the first array's prefix values best first (A*,
+``_lowest``), under a bound that never overestimates since phi never falls
+along a chain and the weights are non-negative, so it walks only the
+classes that can make its cut, and it reads each class's pass up off the
+chain of sets that walk grew (``_Prefixes.order``).  The budget (default
+10^7 steps) is charged K * 2^K per phi table, one step per subset a walk
+expands and K1 * 2^K1 per DP run, whichever path answers: a first array of
+20 columns needs a larger budget, its phi table alone being 20 * 2^20
+steps.  One chain walk (``_Lattice.positions``) turns constraints
 on subsets and steps into the lexicographically first order, one column's
 position at a time, for a class representative and for the best order,
 through least-phi subsets or along the DP's tight steps.  When more classes
@@ -47,12 +48,11 @@ import heapq
 import itertools
 import math
 import struct
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import and_, eq, ge, gt, lt, mul, or_, sub
 
-from .arrays import (AssociationProfile, ParameterError, PdaArray, _column_codes, check_bijection,
-                     permute_columns, phi)
+from .arrays import AssociationProfile, ParameterError, PdaArray, _column_codes, permute_columns, phi
 from .construct import check_pair, s_weights
 
 
@@ -211,20 +211,16 @@ class _Lattice:
         chain passes through them, so no set further along the pass can
         change.  A step at a placed column's position grows or shrinks only
         by that column, and any other step only by the columns not placed,
-        the other moves leaving the good subsets.  Once the good subsets form
-        a single chain, that chain gives the remaining positions.
+        the other moves leaving the good subsets.
 
         Each grow or shrink charges ``steps`` one step per subset it expands."""
         if not good[-1]:
             return
         k, what, charge = self.k, self.what, self.steps.charge
         moves = list(zip(self.shifts, edges))
-        # the number of good subsets at each width, kept to spot a single chain
-        counts = [1] * (k + 1)
         for n in range(k - 1, -1, -1):
             sets = good[n + 1]
-            counts[n + 1] = width = sets.bit_count()
-            charge(width, what)
+            charge(sets.bit_count(), what)
             out = 0
             for shift, grows in moves:
                 out |= (sets >> shift) & grows
@@ -232,13 +228,6 @@ class _Lattice:
         free = dict(enumerate(moves))  # the columns not placed yet
         at: list[tuple[int, int] | None] = [None] * k  # the move placed at each position
         for c in range(k):
-            if sum(counts) == k + 1:
-                masks = [sets.bit_length() - 1 for sets in good]
-                order = [0] * k
-                for n, (below, above) in enumerate(itertools.pairwise(masks)):
-                    order[(above ^ below).bit_length() - 1] = n
-                yield from order[c:]
-                return
             has = self.has[c]
             for p in range(k):
                 if not at[p] and (kept := good[p + 1] & has):
@@ -251,8 +240,7 @@ class _Lattice:
             n, changed = p + 2, True
             while changed and n <= k:
                 sets = good[n - 1]
-                counts[n - 1] = width = sets.bit_count()
-                charge(width, what)
+                charge(sets.bit_count(), what)
                 out = 0
                 for shift, grows in ((at[n - 1],) if at[n - 1] else free.values()):
                     out |= (sets & grows) << shift
@@ -262,8 +250,7 @@ class _Lattice:
             n, changed = p, True
             while changed and n >= 0:
                 sets = good[n + 1]
-                counts[n + 1] = width = sets.bit_count()
-                charge(width, what)
+                charge(sets.bit_count(), what)
                 out = 0
                 for shift, grows in ((at[n],) if at[n] else free.values()):
                     out |= (sets >> shift) & grows
@@ -274,15 +261,16 @@ class _Lattice:
 
 class _Prefixes(_Lattice):
     """An array's column orders keyed by their prefix phi values at ``widths``,
-    ``phi`` being its subset phi table.  ``along`` yields the lexicographically
-    first column->position permutation with given values at every width from
-    the sets a walk grew to reach them (``_lowest``)."""
+    ``phi`` being its subset phi table.  ``classes`` walks the distinct
+    values, and ``order`` places the lexicographically first order with given
+    values, which ``placed`` keeps in ``first``."""
 
     def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
         super().__init__(k, steps)
         self.phi = phi
         self.widths = sorted(set(widths))
         self.slot = {w: i for i, w in enumerate(self.widths)}
+        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @functools.cached_property
     def cells(self) -> list[dict[int, int]]:
@@ -297,6 +285,27 @@ class _Prefixes(_Lattice):
             cells[self.slot[n]][v] = _bitmap(ms, 1 << self.k)
         return cells
 
+    def classes(self, widths) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all
+        column orders, ``prefix[w]`` being the set of the first w columns and
+        every w one of the walked widths, each mapped to its values at the
+        walked widths.
+
+        The keys come from a walk up the subset lattice: a state is the values so
+        far and the set of subsets reaching them; each width grows every subset by
+        one column, and a walked width splits the grown set by phi.  The walk
+        keeps only the current width's sets, so ``order`` walks a class's pass
+        up again."""
+        slot = self.slot
+        states = {(): 1}
+        for n in range(self.widths[-1] + 1):
+            if n:
+                states = {values: self.grow(sets, self.lacks) for values, sets in states.items()}
+            if n in slot:
+                states = {(*values, v): split for values, sets in states.items()
+                          for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
+        return {tuple(values[slot[w]] for w in widths): values for values in states}
+
     def reached(self, values: tuple[int, ...], chain: tuple) -> list[int]:
         """The pass up ``up(allowed, lacks)`` with the cells of ``values``
         allowed at widths 1..k, read off ``chain``, ``(chain, grown)`` nested
@@ -310,59 +319,28 @@ class _Prefixes(_Lattice):
             grown.append(sets)
         return [1, *map(and_, reversed(grown), map(dict.__getitem__, self.cells, values))]
 
-    def along(self, values: tuple[int, ...], chain: tuple) -> Iterator[int]:
-        """The first order with ``values`` at widths 1..k, column by column
-        (``positions`` on the pass up ``reached``)."""
-        return self.positions(self.reached(values, chain), self.lacks)
-
-
-class _Classes(_Prefixes, Mapping):
-    """The distinct keys ``tuple(phi[prefix[w]] for w in widths)`` over all column
-    orders, ``prefix[w]`` being the set of the first w columns, each mapped to its
-    representative, rebuilt on first lookup.
-
-    The keys come from a walk up the subset lattice: a state is the values so
-    far and the set of subsets reaching them; each width grows every subset by
-    one column, and a width in ``widths`` splits the grown set by phi.  The
-    walk keeps only the current width's sets, so ``placed`` walks a class's
-    pass up again (``up``, with the values' cells as the allowed subsets)."""
-
-    def __init__(self, phi: list[int], k: int, widths, steps: _Steps):
-        super().__init__(phi, k, widths, steps)
-        widths, slot = tuple(widths), self.slot
-        states = {(): 1}
-        for n in range(self.widths[-1] + 1):
-            if n:
-                states = {values: self.grow(sets, self.lacks) for values, sets in states.items()}
-            if n in slot:
-                states = {(*values, v): split for values, sets in states.items()
-                          for v, cell in self.cells[slot[n]].items() if (split := sets & cell)}
-        self.values = {tuple(values[slot[w]] for w in widths): values for values in states}
-        self.first: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def placed(self, values: tuple[int, ...]) -> Iterator[int]:
+    def order(self, values: tuple[int, ...], chain: tuple | None = None) -> Iterator[int]:
         """The first order with walked ``values``, column by column: read back
-        once ``representative`` has kept it, else placed by ``positions``."""
+        from ``first`` once ``placed`` has kept it, else placed by ``positions``
+        on the pass up that ``reached`` reads off a best-first walk's
+        ``chain`` (every width walked), or that ``up`` walks again, with the
+        values' cells as the allowed subsets, when no chain is given."""
         if values in self.first:
             return iter(self.first[values])
-        allowed = [self.every] * (self.k + 1)
-        for n, cell, v in zip(self.widths, self.cells, values):
-            allowed[n] = cell[v]
-        return self.positions(self.up(allowed, self.lacks), self.lacks)
+        if chain is None:
+            allowed = [self.every] * (self.k + 1)
+            for n, cell, v in zip(self.widths, self.cells, values):
+                allowed[n] = cell[v]
+            good = self.up(allowed, self.lacks)
+        else:
+            good = self.reached(values, chain)
+        return self.positions(good, self.lacks)
 
-    def representative(self, values: tuple[int, ...]) -> tuple[int, ...]:
+    def placed(self, values: tuple[int, ...], chain: tuple | None = None) -> tuple[int, ...]:
+        """``order``, kept in ``first``."""
         if values not in self.first:
-            self.first[values] = tuple(self.placed(values))
+            self.first[values] = tuple(self.order(values, chain))
         return self.first[values]
-
-    def __getitem__(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        return self.representative(self.values[key])
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _order_value(phi: list[int], weights: list[int], k: int, pick) -> list[int]:
@@ -405,9 +383,11 @@ def _tight_edges(phi: list[int], weights: list[int], value: list[int], lacks: li
 
 class _Search:
     """One pair's search under one budget.  p1's column orders over its phi
-    table (``prefixes``) and p2's classes at the group widths (``tables``)
-    are each built, and charged to ``steps``, on first use, so ``extremes``
-    and ``top`` on one search share them."""
+    table (``prefixes``), p2's at the group widths (``second``) and p2's
+    classes there (``tables``, from ``_Prefixes.classes``) are each built,
+    and charged to ``steps``, on first use, and each class's first order is
+    kept once placed (``_Prefixes.placed``), so ``extremes`` and ``top`` on
+    one search share them."""
 
     def __init__(self, p1: PdaArray, p2: PdaArray, profile: AssociationProfile, budget: int):
         self.steps = _Steps(budget)
@@ -421,12 +401,16 @@ class _Search:
         return _Prefixes(_subset_phi(self.p1, self.steps), self.p1.k, range(1, self.p1.k + 1), self.steps)
 
     @functools.cached_property
-    def tables(self) -> _Classes:
-        return _Classes(_subset_phi(self.p2, self.steps), self.p2.k, self.profile.parts, self.steps)
+    def second(self) -> _Prefixes:
+        return _Prefixes(_subset_phi(self.p2, self.steps), self.p2.k, self.profile.parts, self.steps)
+
+    @functools.cached_property
+    def tables(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return self.second.classes(self.profile.parts)
 
     def extremes(self) -> SearchResult:
         """``exhaustive_best``'s result."""
-        tables, phi1 = self.tables, self.prefixes.phi
+        tables, second, phi1 = self.tables, self.second, self.prefixes.phi
         weights = {table: s_weights(table) for table in tables}
         # p1's subsets, and their phi, at each width that some table weighs
         columns = [1 << c for c in range(self.prefixes.k)]
@@ -438,7 +422,7 @@ class _Search:
         s_max, _ = self._extreme(weights, widths, max)
         pi1 = _least(((order(), (None,)) for order in orders), 1)[0][0]
         prefix1 = tuple(phi1[m] for m in _prefix_masks(pi1)[1:])
-        pi2 = _least(((tables.placed(values), (None,)) for table, values in tables.values.items()
+        pi2 = _least(((second.order(values), (None,)) for table, values in tables.items()
                       if sum(map(mul, prefix1, weights[table])) == s_min), 1)[0][0]
         return SearchResult(PermutationPair(pi1, pi2, s_min), s_min, s_max, self.steps.count)
 
@@ -501,25 +485,23 @@ class _Search:
     def top(self, limit: int) -> list[PermutationPair]:
         """The best-first walk's ``limit`` least pairs, for a ``limit`` of at
         least 1: ``top_pairs``' pairs for a limit above 1.  Each class of
-        p1's orders is placed along the chain the walk found it on, once,
-        when it is first needed: below the cut, or when ``_least`` draws it
-        from the tied, so one tied class's pass up is held at a time."""
-        prefixes, tables = self.prefixes, self.tables
-        keys = list(tables)
-        found = _lowest(prefixes, [s_weights(key) for key in keys], limit)
+        p1's orders is placed along the chain the walk found it on
+        (``_Prefixes.order``), once, when it is first needed: below the cut,
+        or when ``_least`` draws it from the tied, so one tied class's pass up
+        is held at a time."""
+        prefixes, second, tables = self.prefixes, self.second, self.tables
+        walked = list(tables.values())
+        found = _lowest(prefixes, list(map(s_weights, tables)), limit)
         cut = found[-1][0]
-        pairs, tied, first = [], {}, {}
+        pairs, tied = [], {}
         for s, values, j, chain in found:
             if s < cut:
-                if values not in first:
-                    first[values] = tuple(prefixes.along(values, chain))
-                pairs.append(PermutationPair(first[values], tables[keys[j]], s))
+                pairs.append(PermutationPair(prefixes.placed(values, chain), second.placed(walked[j]), s))
             else:
                 tied.setdefault(values, (chain, []))[1].append(j)
         pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
-        kept = _least(((iter(first[values]) if values in first else prefixes.along(values, chain),
-                        (tables[keys[j]] for j in js)) for values, (chain, js) in tied.items()),
-                      limit - len(pairs))
+        kept = _least(((prefixes.order(values, chain), (second.placed(walked[j]) for j in js))
+                       for values, (chain, js) in tied.items()), limit - len(pairs))
         return [*pairs, *(PermutationPair(pi1, pi2, cut) for pi1, pi2 in kept)]
 
 
@@ -533,11 +515,11 @@ def exhaustive_best(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     """Exact min and max of S over all column-permutation pairs.
 
     Ties go to the lexicographically smallest (pi1, pi2).  A walk over p2's
-    column subsets gives its distinct phi-at-group-width tables.  S with a
-    table is at least sum_n w_n least_n, least_n being the least phi over
-    p1's width-n subsets, and reaches it exactly when a chain of p1's
-    prefixes passes least-phi subsets at the widths of positive weight.  The
-    tables are visited in order of that bound until it passes the least S
+    column subsets gives its distinct phi-at-group-width tables
+    (``_Prefixes.classes``).  S with a table is at least sum_n w_n least_n,
+    least_n being the least phi over p1's width-n subsets, and reaches it
+    exactly when a chain of p1's prefixes passes least-phi subsets at the
+    widths of positive weight.  The tables are visited in order of that bound until it passes the least S
     reached; one pass up p1's subset lattice tests each for such a chain, and
     a subset DP over p1's column orders runs only for a table with none.
     s_max is found the same way from the largest phi per width.  pi1 is the
@@ -558,16 +540,17 @@ def top_pairs(p1: PdaArray, p2: PdaArray, profile: AssociationProfile,
     """The ``limit`` smallest-S permutation pairs (class representatives),
     ordered by (S, pi1, pi2); the first is ``exhaustive_best(...).best``,
     which is the whole answer for ``limit=1``.  For a larger limit a walk over
-    p2's column subsets gives its distinct phi tables, and a best-first walk
-    over p1's (``_lowest``) gives the pairs up to the ``limit``-th S, ties
-    included.  Representatives are built for the pairs below that S, and
-    of the pairs tied at it only the lexicographically least that fill the
-    slots left are finished (``_least``); p1's are placed from the pass up
-    that the walk's own chain of sets gives, built when the class is placed,
-    so only their passes down are walked again.  ``budget`` bounds the
-    steps: K * 2^K per phi table and the subsets the walks expand.  So the
-    cost grows with the classes tied at the cut: under a profile of equal
-    parts every class ties, and ``limit=2`` walks them all."""
+    p2's column subsets gives its distinct phi tables (``_Prefixes.classes``),
+    and a best-first walk over p1's (``_lowest``) gives the pairs up to the
+    ``limit``-th S, ties included.  Representatives are built for the pairs
+    below that S, and of the pairs tied at it only the lexicographically
+    least that fill the slots left are finished (``_least``); p1's are
+    placed from the pass up that the walk's own chain of sets gives
+    (``_Prefixes.order``), built when the class is placed, so only their
+    passes down are walked again.  ``budget`` bounds the steps: K * 2^K per
+    phi table and the subsets the walks expand.  So the cost grows with the
+    classes tied at the cut: under a profile of equal parts every class
+    ties, and ``limit=2`` walks them all."""
     search = _Search(p1, p2, profile, budget)
     _check_limit(limit)
     if limit == 1:
@@ -622,15 +605,9 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
     ``limit``-th full-width node, so every tie at that S is found."""
     k, cells = prefixes.k, prefixes.cells
     least = [min(cell) for cell in cells]
-    # the least phi per width never falls as the width grows, so max(v, m_n')
-    # is v up to the first width whose least passes v and m_n' from there: h
-    # is v times a suffix sum of w plus a suffix sum of w_n' m_n'
-    tails = [(_suffix_sums(w), _suffix_sums(list(map(mul, w, least)))) for w in weights]
 
     def rest(j: int, n: int, v: int) -> int:
-        total, floors = tails[j]
-        i = bisect.bisect_right(least, v, n)
-        return v * (total[n] - total[i]) + floors[i]
+        return sum(map(mul, weights[j][n:], map(max, itertools.repeat(v), least[n:])))
 
     # a node: [values, its parent's chain, its children (None until expanded)]
     root = [(), None, None]
@@ -657,11 +634,6 @@ def _lowest(prefixes: _Prefixes, weights: list[list[int]], limit: int) -> list[t
     return found
 
 
-def _suffix_sums(values: list[int]) -> list[int]:
-    """``sum(values[n:])`` for n = 0..len(values)."""
-    return [*itertools.accumulate(reversed(values), initial=0)][::-1]
-
-
 def _identity_is_minimal(pda: PdaArray, widths, steps: _Steps) -> bool:
     """True iff for every width w the first w columns have the fewest codes of
     any w columns, i.e. no column order has a smaller phi(w)."""
@@ -686,13 +658,6 @@ def check_E2(p2: PdaArray, profile: AssociationProfile, budget: int = 10 ** 7) -
     steps = _Steps(budget)
     check_pair(None, p2, profile)
     return _identity_is_minimal(p2, profile.parts, steps)
-
-
-def phi_vector(pda: PdaArray, perm: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """(phi(1), ..., phi(K)) under an optional column permutation (``arrays.phi``)."""
-    if perm is not None:
-        check_bijection(perm, pda.k)
-    return phi(pda, perm)[1:]
 
 
 def heuristic_reorder(pda: PdaArray, profile: AssociationProfile | None = None,

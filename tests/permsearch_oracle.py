@@ -21,7 +21,7 @@ from operator import itemgetter, mul
 import grid_oracle
 from sppda.arrays import STAR
 from sppda.construct import s_weights
-from sppda.permsearch import PermutationPair, SearchResult, _Classes, _prefix_masks, _Steps, _subset_phi
+from sppda.permsearch import PermutationPair, SearchResult, _Prefixes, _prefix_masks, _Steps, _subset_phi
 
 
 def code_columns(pda):
@@ -281,14 +281,16 @@ def top_pairs_scoring_all(p1, p2, profile, limit, budget=10 ** 9):
     tables of p2, with every pair of them scored (one step each) and
     representatives rebuilt for the pairs up to the ``limit``-th S."""
     steps = _Steps(budget)
-    classes1 = _Classes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
-    tables = _Classes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
+    prefixes1 = _Prefixes(_subset_phi(p1, steps), p1.k, range(1, p1.k + 1), steps)
+    classes1 = prefixes1.classes(range(1, p1.k + 1))
+    second = _Prefixes(_subset_phi(p2, steps), p2.k, profile.parts, steps)
+    tables = second.classes(profile.parts)
     steps.charge(len(classes1) * len(tables), f"scoring {len(classes1)} x {len(tables)} class pairs")
     weighted = [(table, s_weights(table)) for table in tables]
     scored = sorted(((sum(map(mul, prefix1, weights)), prefix1, table)
                      for prefix1 in classes1 for table, weights in weighted), key=itemgetter(0))
     cut = scored[min(limit, len(scored)) - 1][0]
-    pairs = [PermutationPair(classes1[prefix1], tables[table], s)
+    pairs = [PermutationPair(prefixes1.placed(classes1[prefix1]), second.placed(tables[table]), s)
              for s, prefix1, table in scored if s <= cut]
     pairs.sort(key=lambda p: (p.s_value, p.pi1, p.pi2))
     return pairs[:limit], steps.count

@@ -220,9 +220,9 @@ class TestSweep:
         # both schemes; each first array's phi is computed once per sweep
         calls = []
 
-        def count_phi(array, perm=None):
+        def count_phi(array):
             calls.append((array.k, array.f))
-            return arrays.phi(array, perm)
+            return arrays.phi(array)
 
         monkeypatch.setattr(construct, "phi", count_phi)
         points = sweep(SweepConfig(SKEWED, Fraction(1, 2), tuple(range(11))))

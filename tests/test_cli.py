@@ -5,7 +5,10 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -592,3 +595,24 @@ def test_cli_transcript(session, tmp_path):
     replay = _LEDGER_SCRIPT.transcript(session["name"], session["inputs"], commands,
                                        tmp_path / "session")
     assert replay == session
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["formulas", "man", "--profile", "3,2", "--t1", "1", "--t2", "1"], 0),
+    (["formulas", "man", "--profile", "0,0", "--t1", "1", "--t2", "0"], 2),
+])
+def test_peak_rss_script(argv, code):
+    """``scripts/peak_rss.py`` prints the command's stdout, then the process's
+    peak RSS in KiB as its last line, and exits with the command's code."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    src = Path(cli.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    *lines, peak = run.stdout.splitlines(keepends=True)
+    assert run.returncode == code
+    assert ("".join(lines), run.stderr) == (out.getvalue(), err.getvalue())
+    # an interpreter that imported the package holds more than 1 MiB, and a formula far less than 1 GiB
+    assert peak.endswith("\n") and 1024 < int(peak) < 1 << 20

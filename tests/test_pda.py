@@ -35,6 +35,7 @@ from sppda.arrays import (
     mask_rows,
     normalize_grid,
     permute_columns,
+    phi,
     verify_pda,
     xi,
     _accept,
@@ -46,7 +47,6 @@ from sppda.arrays import (
 from sppda import arrays
 from sppda.cli import main
 from sppda.construct import construct_sppda, group_star_masks
-from sppda.permsearch import phi_vector
 
 import grid_oracle
 from grid_oracle import column, regularity
@@ -553,9 +553,9 @@ class TestColumnOps:
 
     def test_phi_golden(self):
         p2 = PdaArray.from_grid(WIDE_P2)
-        assert phi_vector(p2)[:3] == (2, 4, 6)
+        assert phi(p2)[1:4] == (2, 4, 6)
         p2o = PdaArray.from_grid(WIDE_P2_OPT)
-        assert phi_vector(p2o) == (2, 3, 4, 5, 6, 6)
+        assert phi(p2o)[1:] == (2, 3, 4, 5, 6, 6)
 
     def test_xi_golden(self):
         p1 = PdaArray.from_grid(WIDE_P1)
@@ -646,7 +646,7 @@ class TestManFamily:
             for t in range(0, k + 1):
                 pda, form = man_pda(k, t), man_closed_form(k, t)
                 assert (form.k, form.f, form.z) == (pda.k, pda.f, pda.z), (k, t)
-                assert tuple(map(form.phi, range(1, k + 1))) == phi_vector(pda), (k, t)
+                assert tuple(map(form.phi, range(1, k + 1))) == phi(pda)[1:], (k, t)
                 assert form.phi(0) == 0
 
 
@@ -682,7 +682,7 @@ class TestConstructionAFamily:
                     continue
                 pda, form = construction_a_pda(q, m), construction_a_closed_form(q, m)
                 assert (form.k, form.f, form.z) == (pda.k, pda.f, pda.z), (q, m)
-                assert tuple(map(form.phi, range(1, pda.k + 1))) == phi_vector(pda), (q, m)
+                assert tuple(map(form.phi, range(1, pda.k + 1))) == phi(pda)[1:], (q, m)
                 assert form.phi(0) == 0
                 built += 1
         assert built == 12

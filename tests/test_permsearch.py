@@ -22,13 +22,14 @@ from sppda.arrays import (
     construction_a_pda,
     man_pda,
     permute_columns,
+    phi,
 )
 from sppda.construct import DimensionMismatchError, s_count, s_weights
 from sppda.permsearch import (
     BudgetExceededError,
     PermutationPair,
-    _Classes,
     _Lattice,
+    _Prefixes,
     _Search,
     _Steps,
     _greedy_order,
@@ -42,9 +43,9 @@ from sppda.permsearch import (
     check_E2,
     exhaustive_best,
     heuristic_reorder,
-    phi_vector,
     top_pairs,
 )
+from sppda.textio import write_pda
 
 import grid_oracle
 import permsearch_oracle as oracle
@@ -55,6 +56,7 @@ from conftest import (
     WIDE_P2_OPT,
     WIDE_PROFILE,
     grid,
+    load_script,
     random_pda,
     random_profile,
 )
@@ -344,6 +346,11 @@ class TestBoundAndFallback:
         self.check(edge_row_pda(k, edges), man_pda(k2, t2), AssociationProfile(parts))
         assert picks == [pick]
 
+    def test_ledger_searches_the_first_fixture(self):
+        # the CLI ledger's search-fallback session reaches the DP through this array
+        (k, edges), *_ = FALLBACKS[0]
+        assert load_script("cli_ledger").EDGE7 == write_pda(edge_row_pda(k, edges))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32))
     def test_random_edge_rows(self, seed):
@@ -406,7 +413,8 @@ class TestTopPairs:
     @given(st.integers(0, 2 ** 32))
     def test_chains_read_the_pass_up(self, seed):
         # every class the best-first walk finds reads, from the chain it was
-        # found on, the pass up that the lattice walks for its values
+        # found on, the pass up that the lattice walks for its values, and is
+        # given the same first order through that chain as through the walk
         rng = random.Random(seed)
         if rng.random() < 0.5:
             k = rng.randint(1, 8)
@@ -420,9 +428,11 @@ class TestTopPairs:
         found = _lowest(prefixes, [s_weights(key) for key in search.tables],
                         rng.choice([1, 10, 10 ** 9]))
         assert found
+        walked = _Prefixes(prefixes.phi, p1.k, prefixes.widths, _Steps(10 ** 9))
         for _, values, _, chain in found:
             allowed = [prefixes.every, *map(dict.__getitem__, prefixes.cells, values)]
             assert prefixes.reached(values, chain) == prefixes.up(allowed, prefixes.lacks)
+            assert tuple(prefixes.order(values, chain)) == tuple(walked.order(values))
 
     def test_ties_past_the_limit(self):
         # ConstructionA(2, 2)'s three classes all tie at S = 12, so limits 1 and 2 cut a tie
@@ -510,8 +520,9 @@ class TestClasses:
         # all prefix widths, then widths with repeats, gaps and width 0, in any order
         for widths in (range(1, pda.k + 1),
                        [rng.randint(0, pda.k) for _ in range(rng.randint(1, 2 * pda.k))]):
-            classes = _Classes(table, pda.k, widths, _Steps(10 ** 9))
-            assert dict(classes.items()) == oracle.prefix_classes(table, pda.k, widths)
+            prefixes = _Prefixes(table, pda.k, widths, _Steps(10 ** 9))
+            classes = {key: prefixes.placed(values) for key, values in prefixes.classes(widths).items()}
+            assert classes == oracle.prefix_classes(table, pda.k, widths)
 
 
 def first_columns(pda, width):
@@ -634,10 +645,10 @@ def chain_exists(k, allowed, edges):
 class TestPhiVector:
     def test_identity_matches_column_scan(self):
         p2 = PdaArray.from_grid(WIDE_P2)
-        assert phi_vector(p2) == tuple(grid_oracle.phi(p2, c) for c in range(1, 7))
+        assert phi(p2)[1:] == tuple(grid_oracle.phi(p2, c) for c in range(1, 7))
         for perm in ((0, 0, 1), (0, 1, 5)):
             with pytest.raises(InvalidPermutationError):
-                phi_vector(man_pda(3, 1), perm)
+                phi(permute_columns(man_pda(3, 1), perm))
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -645,7 +656,7 @@ class TestPhiVector:
         pda = random_pda(rng, max_cols=5, max_rows=12)
         perm = list(range(pda.k))
         rng.shuffle(perm)
-        assert phi_vector(pda, tuple(perm)) == naive_phi_vector(pda, tuple(perm))
+        assert phi(permute_columns(pda, perm))[1:] == naive_phi_vector(pda, tuple(perm))
 
 
 class TestOrderOptimalityConditions:
@@ -746,7 +757,7 @@ class TestHeuristic:
             pda = permute_columns(base, rng.sample(range(base.k), base.k))
         order = oracle.greedy_order(pda)
         # the codes seen after each column are the order's phi
-        assert _greedy_order(pda) == (order, [0, *phi_vector(pda, order)])
+        assert _greedy_order(pda) == (order, list(phi(permute_columns(pda, order))))
         out = heuristic_reorder(pda, side="first")
         assert out is pda or out == permute_columns(pda, order)
 
@@ -756,7 +767,7 @@ class TestHeuristic:
     ])
     def test_fewest_codes(self, rows, order):
         pda = PdaArray(rows)
-        assert _greedy_order(pda) == (oracle.greedy_order(pda), [0, *phi_vector(pda, order)])
+        assert _greedy_order(pda) == (oracle.greedy_order(pda), list(phi(permute_columns(pda, order))))
         assert oracle.greedy_order(pda) == order
         assert heuristic_reorder(pda, side="first") == pda
         assert heuristic_reorder(pda, AssociationProfile((pda.k,)), side="second") == pda

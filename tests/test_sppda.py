@@ -329,7 +329,7 @@ class TestPhi:
         pi1, pi2 = (tuple(rng.sample(range(p.k), p.k)) for p in (p1, p2))
         profile = AssociationProfile(
             (p2.k, *sorted((rng.randint(0, p2.k) for _ in range(p1.k - 1)), reverse=True)))
-        phi1, phi2 = phi(p1, pi1), phi(p2, pi2)
+        phi1, phi2 = phi(permute_columns(p1, pi1)), phi(permute_columns(p2, pi2))
         assert phi1 == (0, *grid_oracle.phi_vector(p1, pi1))
         assert phi2 == (0, *grid_oracle.phi_vector(p2, pi2))
         sp = construct_sppda(permute_columns(p1, pi1), permute_columns(p2, pi2), profile)
